@@ -44,6 +44,60 @@ def _dump(path: Path, document: dict[str, Any]) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
+# The CG, gamma-CG and provenance writers emit the layout of
+# json.dumps(document, indent=2) + "\n" directly: every scalar goes through
+# the C string encoder, every node or draw through one %-template. This is
+# several times faster than json.dumps with an indent, which always runs the
+# pure-Python encoder. docs/formats.md states the layout.
+_enc = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+_CONCEPT = '{\n      "id": %s,\n      "type": %s,\n      "marker": %s\n    }'
+_RELATION = '{\n      "id": %s,\n      "type": %s,\n      "args": %s\n    }'
+_VARIABLE = (
+    '{\n      "name": %s,\n      "target": {\n        "kind": %s,\n        "node": %s\n'
+    '      },\n      "domain": %s\n    }'
+)
+_CG_ENTRY = '{\n      "index": %s,\n      "draws": %s\n    }'
+_DRAW = (
+    '{\n          "gamma": %s,\n          "assignments": %s,\n'
+    '          "specialisations": %s,\n          "merged": %s,\n'
+    '          "skippedMerges": %s\n        }'
+)
+
+
+def _write(path: Path, kind: str, members: str) -> None:
+    """Write a document: the header, then ``members`` laid out as top-level members."""
+    text = '{\n  "formatVersion": %s,\n  "kind": %s,\n%s\n}\n' % (
+        _enc(FORMAT_VERSION),
+        _enc(kind),
+        members,
+    )
+    path.write_text(text, encoding="utf-8")
+
+
+def _array(items: Sequence[str], depth: int) -> str:
+    """A JSON array of encoded items whose own lines are laid out for depth + 1."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _object(pairs: Sequence[tuple[str, str]], depth: int) -> str:
+    """A JSON object from (key, encoded value) pairs; a repeated key keeps its last value."""
+    if not pairs:
+        return "{}"
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join([_enc(key) + ": " + value for key, value in dict(pairs).items()])
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
+def _triples(entries: Sequence[tuple[str, ...]]) -> str:
+    """The "merged" or "skippedMerges" member value of a provenance draw."""
+    return _array([_array([_enc(item) for item in entry], 6) for entry in entries], 5)
+
+
 def _parse(path: Path) -> dict[str, Any]:
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
@@ -68,16 +122,38 @@ def _check_header(document: dict[str, Any], path: Path, kind: str) -> None:
         raise FormatError(f"{path}: expected kind {kind!r}, found {document.get('kind')!r}")
 
 
-def _field(document: dict[str, Any], key: str, expected: type, path: Path, where: str = "") -> Any:
+_NUMBER = (int, float)
+
+
+def _field(
+    document: dict[str, Any],
+    key: str,
+    expected: type | tuple[type, ...],
+    path: Path,
+    where: str = "",
+) -> Any:
+    if key in document:
+        value = document[key]
+        if isinstance(value, expected):
+            return value
     context = f"{where}." if where else ""
     if key not in document:
         raise FormatError(f"{path}: missing field {context}{key}")
-    value = document[key]
-    if not isinstance(value, expected):
-        raise FormatError(
-            f"{path}: field {context}{key} must be {expected.__name__}, "
-            f"found {type(value).__name__}"
-        )
+    names = expected if isinstance(expected, tuple) else (expected,)
+    raise FormatError(
+        f"{path}: field {context}{key} must be {' or '.join(t.__name__ for t in names)}, "
+        f"found {type(value).__name__}"
+    )
+
+
+def _list_of(value: list[Any], expected: type, path: Path, where: str) -> list[Any]:
+    """``value`` itself, once every item is checked to be an ``expected``."""
+    for index, item in enumerate(value):
+        if not isinstance(item, expected):
+            raise FormatError(
+                f"{path}: {where}[{index}] must be {expected.__name__}, "
+                f"found {type(item).__name__}"
+            )
     return value
 
 
@@ -173,21 +249,24 @@ def load_vocabulary(path: "str | Path") -> Vocabulary:
         raise VocabularyError(f"{path}: {exc}") from exc
 
 
-def _graph_doc(graph: ConceptualGraph) -> dict[str, Any]:
-    return {
-        "concepts": [
-            {
-                "id": node.node_id,
-                "type": node.type_id,
-                "marker": node.marker,
-            }
-            for node in sorted(graph.concepts.values(), key=lambda n: n.node_id)
-        ],
-        "relations": [
-            {"id": node.node_id, "type": node.type_id, "args": list(node.args)}
-            for node in sorted(graph.relations.values(), key=lambda n: n.node_id)
-        ],
-    }
+def _graph_fields(graph: ConceptualGraph) -> str:
+    """The "concepts" and "relations" members of a cg or gamma-cg document."""
+    concepts = graph.concepts
+    relations = graph.relations
+    concept_items = []
+    for node_id in sorted(concepts):
+        node = concepts[node_id]
+        marker = "null" if node.marker is None else _enc(node.marker)
+        concept_items.append(_CONCEPT % (_enc(node_id), _enc(node.type_id), marker))
+    relation_items = []
+    for node_id in sorted(relations):
+        node = relations[node_id]
+        args = _array([_enc(arg) for arg in node.args], 3)
+        relation_items.append(_RELATION % (_enc(node_id), _enc(node.type_id), args))
+    return (
+        '  "concepts": ' + _array(concept_items, 1)
+        + ',\n  "relations": ' + _array(relation_items, 1)
+    )
 
 
 def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
@@ -216,8 +295,7 @@ def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
 
 
 def save_cg(path: "str | Path", graph: ConceptualGraph) -> None:
-    document = {"formatVersion": FORMAT_VERSION, "kind": "cg", **_graph_doc(graph)}
-    _dump(Path(path), document)
+    _write(Path(path), "cg", _graph_fields(graph))
 
 
 def load_cg(path: "str | Path") -> ConceptualGraph:
@@ -228,21 +306,22 @@ def load_cg(path: "str | Path") -> ConceptualGraph:
 
 
 def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
-    document = {
-        "formatVersion": FORMAT_VERSION,
-        "kind": "gamma-cg",
-        "name": gcg.name,
-        **_graph_doc(gcg.graph),
-        "variables": [
-            {
-                "name": variable.name,
-                "target": {"kind": variable.target.kind, "node": variable.target.node_id},
-                "domain": list(variable.domain),
-            }
-            for variable in gcg.variables
-        ],
-    }
-    _dump(Path(path), document)
+    variables = [
+        _VARIABLE
+        % (
+            _enc(variable.name),
+            _enc(variable.target.kind),
+            _enc(variable.target.node_id),
+            _array([_enc(value) for value in variable.domain], 3),
+        )
+        for variable in gcg.variables
+    ]
+    members = '  "name": %s,\n%s,\n  "variables": %s' % (
+        _enc(gcg.name),
+        _graph_fields(gcg.graph),
+        _array(variables, 1),
+    )
+    _write(Path(path), "gamma-cg", members)
 
 
 def load_gamma_cg(path: "str | Path", vocab: Vocabulary | None = None) -> GammaCG:
@@ -257,6 +336,8 @@ def load_gamma_cg(path: "str | Path", vocab: Vocabulary | None = None) -> GammaC
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: {where} must be an object")
         target = _field(entry, "target", dict, path, where)
+        domain = _field(entry, "domain", list, path, where)
+        _list_of(domain, str, path, f"{where}.domain")
         try:
             variables.append(
                 Variable(
@@ -265,7 +346,7 @@ def load_gamma_cg(path: "str | Path", vocab: Vocabulary | None = None) -> GammaC
                         _field(target, "kind", str, path, f"{where}.target"),
                         _field(target, "node", str, path, f"{where}.target"),
                     ),
-                    tuple(_field(entry, "domain", list, path, where)),
+                    tuple(domain),
                 )
             )
         except StructureError as exc:
@@ -296,13 +377,18 @@ def _load_stats(document: dict[str, Any], path: Path) -> DatasetStats:
     nodes = _field(document, "nbNodes", dict, path, "stats")
     labels = _field(document, "nbLabels", dict, path, "stats")
     arity = _field(document, "arityCounts", dict, path, "stats")
+    arity_counts: dict[int, float] = {}
+    for key in arity:
+        if not key.isdecimal():
+            raise FormatError(f"{path}: stats.arityCounts key {key!r} must be an arity")
+        arity_counts[int(key)] = float(_field(arity, key, _NUMBER, path, "stats.arityCounts"))
     return DatasetStats(
         cg_count=_field(document, "cgCount", int, path, "stats"),
-        nb_nodes_mean=float(nodes["mean"]),
-        nb_nodes_stddev=float(nodes["stddev"]),
-        nb_labels_mean=float(labels["mean"]),
-        nb_labels_stddev=float(labels["stddev"]),
-        arity_counts={int(k): float(v) for k, v in arity.items()},
+        nb_nodes_mean=float(_field(nodes, "mean", _NUMBER, path, "stats.nbNodes")),
+        nb_nodes_stddev=float(_field(nodes, "stddev", _NUMBER, path, "stats.nbNodes")),
+        nb_labels_mean=float(_field(labels, "mean", _NUMBER, path, "stats.nbLabels")),
+        nb_labels_stddev=float(_field(labels, "stddev", _NUMBER, path, "stats.nbLabels")),
+        arity_counts=arity_counts,
     )
 
 
@@ -316,27 +402,68 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
     }
 
 
-def _provenance_doc(provenances: Sequence[GenerationProvenance]) -> dict[str, Any]:
-    return {
-        "formatVersion": FORMAT_VERSION,
-        "kind": "provenance",
-        "perCG": [
-            {
-                "index": provenance.cg_index,
-                "draws": [
-                    {
-                        "gamma": draw.gamma_name,
-                        "assignments": {name: value for name, value in draw.assignments},
-                        "specialisations": {slot: steps for slot, steps in draw.specialisations},
-                        "merged": [list(entry) for entry in draw.merged],
-                        "skippedMerges": [list(entry) for entry in draw.skipped_merges],
-                    }
-                    for draw in provenance.draws
-                ],
-            }
-            for provenance in provenances
-        ],
-    }
+def _save_provenance(path: Path, provenances: Sequence[GenerationProvenance]) -> None:
+    entries = []
+    for provenance in provenances:
+        draws = [
+            _DRAW
+            % (
+                _enc(draw.gamma_name),
+                _object([(name, _enc(value)) for name, value in draw.assignments], 5),
+                _object([(slot, _int(steps)) for slot, steps in draw.specialisations], 5),
+                _triples(draw.merged),
+                _triples(draw.skipped_merges),
+            )
+            for draw in provenance.draws
+        ]
+        entries.append(_CG_ENTRY % (_int(provenance.cg_index), _array(draws, 3)))
+    _write(path, "provenance", '  "perCG": ' + _array(entries, 1))
+
+
+def _load_draw(draw: Any, path: Path, where: str) -> ComponentDraw:
+    if not isinstance(draw, dict):
+        raise FormatError(f"{path}: {where} must be an object")
+    gamma = _field(draw, "gamma", str, path, where)
+    assignments = _field(draw, "assignments", dict, path, where)
+    specialisations = _field(draw, "specialisations", dict, path, where)
+    for slot, steps in specialisations.items():
+        if not isinstance(steps, int):
+            raise FormatError(
+                f"{path}: field {where}.specialisations.{slot} must be int, "
+                f"found {type(steps).__name__}"
+            )
+    merges = {}
+    for key in ("merged", "skippedMerges"):
+        entries = _field(draw, key, list, path, where)
+        merges[key] = tuple(map(tuple, _list_of(entries, list, path, f"{where}.{key}")))
+    return ComponentDraw(
+        gamma_name=gamma,
+        assignments=tuple(assignments.items()),
+        specialisations=tuple(specialisations.items()),
+        merged=merges["merged"],
+        skipped_merges=merges["skippedMerges"],
+    )
+
+
+def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
+    document = _parse(path)
+    _check_header(document, path, "provenance")
+    loaded = []
+    for index, entry in enumerate(_field(document, "perCG", list, path)):
+        where = f"perCG[{index}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: {where} must be an object")
+        draws = _field(entry, "draws", list, path, where)
+        loaded.append(
+            GenerationProvenance(
+                cg_index=_field(entry, "index", int, path, where),
+                draws=tuple(
+                    _load_draw(draw, path, f"{where}.draws[{number}]")
+                    for number, draw in enumerate(draws)
+                ),
+            )
+        )
+    return tuple(loaded)
 
 
 @dataclass(frozen=True)
@@ -378,7 +505,7 @@ def save_dataset(
     }
     _dump(directory / MANIFEST_FILE, manifest)
     if provenances is not None:
-        _dump(directory / PROVENANCE_FILE, _provenance_doc(provenances))
+        _save_provenance(directory / PROVENANCE_FILE, provenances)
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:
@@ -387,6 +514,7 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     manifest = _parse(manifest_path)
     _check_header(manifest, manifest_path, "dataset-manifest")
     file_names = _field(manifest, "cgFiles", list, manifest_path)
+    _list_of(file_names, str, manifest_path, "cgFiles")
     stats = _load_stats(_field(manifest, "stats", dict, manifest_path), manifest_path)
     if stats.cg_count != len(file_names):
         raise FormatError(
@@ -396,25 +524,10 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     graphs = tuple(load_cg(directory / name) for name in file_names)
     provenances: tuple[GenerationProvenance, ...] | None = None
     provenance_file = manifest.get("provenanceFile")
+    if provenance_file is not None and not isinstance(provenance_file, str):
+        raise FormatError(f"{manifest_path}: field provenanceFile must be str or null")
     if provenance_file:
-        document = _parse(directory / provenance_file)
-        _check_header(document, directory / provenance_file, "provenance")
-        loaded = []
-        for entry in _field(document, "perCG", list, directory / provenance_file):
-            draws = tuple(
-                ComponentDraw(
-                    gamma_name=draw["gamma"],
-                    assignments=tuple(draw["assignments"].items()),
-                    specialisations=tuple(
-                        (slot, int(steps)) for slot, steps in draw["specialisations"].items()
-                    ),
-                    merged=tuple(tuple(item) for item in draw["merged"]),
-                    skipped_merges=tuple(tuple(item) for item in draw["skippedMerges"]),
-                )
-                for draw in entry["draws"]
-            )
-            loaded.append(GenerationProvenance(cg_index=int(entry["index"]), draws=draws))
-        provenances = tuple(loaded)
+        provenances = _load_provenance(directory / provenance_file)
     return LoadedDataset(
         graphs=graphs,
         files=tuple(file_names),

@@ -10,6 +10,7 @@ import re
 from collections import Counter
 
 from cggen import ConceptualGraph, GammaCG, TypeHierarchy, Vocabulary
+from cggen.generator import GenerationProvenance
 
 
 def brute_reaches(parents: dict[str, tuple[str, ...]], a: str, b: str) -> bool:
@@ -110,6 +111,64 @@ def recount_stats(dataset: list[ConceptualGraph]) -> dict:
         "nb_labels_mean": mean(nbl),
         "nb_labels_stddev": pstdev(nbl),
         "arity_counts": {a: mean([c.get(a, 0) for c in per_arity]) for a in arities},
+    }
+
+
+def cg_doc(graph: ConceptualGraph) -> dict:
+    """The cg document as a dict; the writer must match json.dumps(doc, indent=2)."""
+    return {"formatVersion": "1.0.0", "kind": "cg", **_graph_members(graph)}
+
+
+def _graph_members(graph: ConceptualGraph) -> dict:
+    return {
+        "concepts": [
+            {"id": node.node_id, "type": node.type_id, "marker": node.marker}
+            for node in sorted(graph.concepts.values(), key=lambda n: n.node_id)
+        ],
+        "relations": [
+            {"id": node.node_id, "type": node.type_id, "args": list(node.args)}
+            for node in sorted(graph.relations.values(), key=lambda n: n.node_id)
+        ],
+    }
+
+
+def gamma_cg_doc(gcg: GammaCG) -> dict:
+    return {
+        "formatVersion": "1.0.0",
+        "kind": "gamma-cg",
+        "name": gcg.name,
+        **_graph_members(gcg.graph),
+        "variables": [
+            {
+                "name": variable.name,
+                "target": {"kind": variable.target.kind, "node": variable.target.node_id},
+                "domain": list(variable.domain),
+            }
+            for variable in gcg.variables
+        ],
+    }
+
+
+def provenance_doc(provenances: list[GenerationProvenance]) -> dict:
+    return {
+        "formatVersion": "1.0.0",
+        "kind": "provenance",
+        "perCG": [
+            {
+                "index": provenance.cg_index,
+                "draws": [
+                    {
+                        "gamma": draw.gamma_name,
+                        "assignments": {name: value for name, value in draw.assignments},
+                        "specialisations": {slot: steps for slot, steps in draw.specialisations},
+                        "merged": [list(entry) for entry in draw.merged],
+                        "skippedMerges": [list(entry) for entry in draw.skipped_merges],
+                    }
+                    for draw in provenance.draws
+                ],
+            }
+            for provenance in provenances
+        ],
     }
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -317,3 +318,65 @@ class TestValidateStatsDot:
         target = tmp_path / "cg.gv"
         assert main(["export-dot", source, "--out", str(target)]) == 0
         assert target.read_text() == text
+
+
+def _drop_nodes_mean(out):
+    path = out / "dataset" / "manifest.json"
+    doc = json.loads(path.read_text())
+    del doc["stats"]["nbNodes"]["mean"]
+    path.write_text(json.dumps(doc))
+    return "manifest.json", "stats.nbNodes.mean"
+
+
+def _drop_draw_gamma(out):
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    del doc["perCG"][0]["draws"][0]["gamma"]
+    path.write_text(json.dumps(doc))
+    return "provenance.json", "perCG[0].draws[0].gamma"
+
+
+def _string_specialisation_steps(out):
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    doc["perCG"][0]["draws"][0]["specialisations"] = {"concept-type:c0": "two"}
+    path.write_text(json.dumps(doc))
+    return "provenance.json", "perCG[0].draws[0].specialisations.concept-type:c0"
+
+
+def _mixed_domain(out):
+    path = out / "gamma" / "gcg-0.json"
+    doc = json.loads(path.read_text())
+    doc["variables"][0]["domain"] = [1, "a"]
+    path.write_text(json.dumps(doc))
+    return "gcg-0.json", "variables[0].domain[0]"
+
+
+class TestMalformedDataset:
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pristine")
+        config = write_config(root, FULL_AUTO)
+        out = root / "out"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        return out
+
+    def check_exit_2(self, pristine, tmp_path, capsys, mutate, argv):
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        file_name, field = mutate(out)
+        capsys.readouterr()
+        assert main([argv[0], str(out / argv[1])]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert file_name in err and field in err
+
+    @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
+    @pytest.mark.parametrize(
+        "mutate", [_drop_nodes_mean, _drop_draw_gamma, _string_specialisation_steps]
+    )
+    def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
+        self.check_exit_2(pristine, tmp_path, capsys, mutate, argv)
+
+    def test_gamma_domain_format_error_exit_2(self, pristine, tmp_path, capsys):
+        self.check_exit_2(pristine, tmp_path, capsys, _mixed_domain, ("validate", ""))
