@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import (
     CONCEPT,
@@ -66,14 +66,13 @@ _DRAW = (
 )
 
 
-def _write(path: Path, kind: str, members: str) -> None:
-    """Write a document: the header, then ``members`` laid out as top-level members."""
-    text = '{\n  "formatVersion": %s,\n  "kind": %s,\n%s\n}\n' % (
-        _enc(FORMAT_VERSION),
-        _enc(kind),
-        members,
-    )
-    path.write_text(text, encoding="utf-8")
+def _write(path: Path, kind: str, members: Iterable[str]) -> None:
+    """Write a document: the header, then the text of its other top-level members."""
+    header = '{\n  "formatVersion": %s,\n  "kind": %s,\n' % (_enc(FORMAT_VERSION), _enc(kind))
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(header)
+        handle.writelines(members)
+        handle.write("\n}\n")
 
 
 def _array(items: Sequence[str], depth: int) -> str:
@@ -295,7 +294,7 @@ def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
 
 
 def save_cg(path: "str | Path", graph: ConceptualGraph) -> None:
-    _write(Path(path), "cg", _graph_fields(graph))
+    _write(Path(path), "cg", (_graph_fields(graph),))
 
 
 def load_cg(path: "str | Path") -> ConceptualGraph:
@@ -321,7 +320,7 @@ def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
         _graph_fields(gcg.graph),
         _array(variables, 1),
     )
-    _write(Path(path), "gamma-cg", members)
+    _write(Path(path), "gamma-cg", (members,))
 
 
 def load_gamma_cg(path: "str | Path", vocab: Vocabulary | None = None) -> GammaCG:
@@ -402,8 +401,10 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
     }
 
 
-def _save_provenance(path: Path, provenances: Sequence[GenerationProvenance]) -> None:
-    entries = []
+def _provenance_members(provenances: Sequence[GenerationProvenance]) -> Iterator[str]:
+    """The "perCG" member, one CG at a time, so the whole text is never held at once."""
+    separator = "\n    "
+    yield '  "perCG": ['
     for provenance in provenances:
         draws = [
             _DRAW
@@ -416,8 +417,9 @@ def _save_provenance(path: Path, provenances: Sequence[GenerationProvenance]) ->
             )
             for draw in provenance.draws
         ]
-        entries.append(_CG_ENTRY % (_int(provenance.cg_index), _array(draws, 3)))
-    _write(path, "provenance", '  "perCG": ' + _array(entries, 1))
+        yield separator + _CG_ENTRY % (_int(provenance.cg_index), _array(draws, 3))
+        separator = ",\n    "
+    yield "\n  ]" if provenances else "]"
 
 
 def _load_draw(draw: Any, path: Path, where: str) -> ComponentDraw:
@@ -505,7 +507,7 @@ def save_dataset(
     }
     _dump(directory / MANIFEST_FILE, manifest)
     if provenances is not None:
-        _save_provenance(directory / PROVENANCE_FILE, provenances)
+        _write(directory / PROVENANCE_FILE, "provenance", _provenance_members(provenances))
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:

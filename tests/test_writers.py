@@ -99,11 +99,6 @@ class TestCgWriter:
         save_cg(path, graph)
         assert path.read_text(encoding="utf-8") == expected(cg_doc(graph))
 
-    def test_output_is_ascii(self, tmp_path):
-        path = tmp_path / "cg.json"
-        save_cg(path, odd_graph())
-        path.read_bytes().decode("ascii")
-
     def test_generated_graphs(self, generated, tmp_path):
         _, dataset, _ = generated
         for index, graph in enumerate(dataset.graphs):
