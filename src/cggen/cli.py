@@ -26,13 +26,8 @@ from .autogen import (
 )
 from .core import Vocabulary, validate_graph
 from .errors import CggenError, ConfigError, FormatError, StructureError, VocabularyError
-from .gamma import GammaCG, validate_domain
-from .generator import (
-    POLICY_SIGNATURE_COMPATIBLE,
-    GeneratorConfig,
-    derive_rng,
-    generate_dataset,
-)
+from .gamma import GammaCG, validate_gamma
+from .generator import GeneratorConfig, derive_rng, generate_dataset
 from .metrics import compute_stats, stats_table
 
 EXIT_OK = 0
@@ -120,17 +115,15 @@ def _auto_var_config(section: dict[str, Any]) -> AutoVarConfig:
 
 
 def _generator_config(section: dict[str, Any], seed: int) -> GeneratorConfig:
-    _check_keys(section, {"maxCGs", "minSize", "maxSpe", "relationDomainPolicy"}, "generator")
+    _check_keys(section, {"maxCGs", "minSize", "maxSpe"}, "generator")
     for key in ("maxCGs", "minSize"):
         if key not in section or not isinstance(section[key], int):
             raise ConfigError(f"generator.{key} must be an integer")
-    policy = section.get("relationDomainPolicy", POLICY_SIGNATURE_COMPATIBLE)
     return GeneratorConfig(
         max_cgs=section["maxCGs"],
         min_size=section["minSize"],
         max_spe=int(section.get("maxSpe", 0)),
         seed=seed,
-        relation_domain_policy=policy,
     )
 
 
@@ -210,18 +203,11 @@ def _apply_auto_var(
     gammas: list[GammaCG],
     vocab: Vocabulary,
     seed: int,
-    policy: str,
 ) -> list[GammaCG]:
     if "autoVar" not in doc:
         return gammas
     config = _auto_var_config(_section(doc, "autoVar"))
-    result = auto_variables(
-        vocab,
-        gammas,
-        config,
-        derive_rng(seed, "auto-var"),
-        signature_compatible=(policy == POLICY_SIGNATURE_COMPATIBLE),
-    )
+    result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return list(result.gammas)
@@ -257,7 +243,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     vocab = _resolve_vocabulary(doc, base, seed)
     gammas, vocab = _resolve_gammas(doc, base, seed, vocab)
     config = _generator_config(_section(doc, "generator"), seed)
-    gammas = _apply_auto_var(doc, gammas, vocab, seed, config.relation_domain_policy)
+    gammas = _apply_auto_var(doc, gammas, vocab, seed)
 
     result = generate_dataset(vocab, gammas, config, jobs=args.jobs)
     stats = compute_stats(result.graphs)
@@ -352,11 +338,7 @@ def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
     if gamma_dir.is_dir():
         for path in sorted(gamma_dir.glob("*.json")):
             gcg = formats.load_gamma_cg(path)
-            report = validate_graph(vocab, gcg.graph)
-            diagnostics.extend(f"{path}: {line}" for line in report.lines())
-            for variable in gcg.variables:
-                report = validate_domain(vocab, gcg, variable)
-                diagnostics.extend(f"{path}: {line}" for line in report.lines())
+            diagnostics.extend(f"{path}: {line}" for line in validate_gamma(vocab, gcg))
     dataset_dir = directory / formats.DATASET_DIR
     if dataset_dir.is_dir():
         loaded = formats.load_dataset(dataset_dir)
@@ -384,16 +366,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 if vocab is None:
                     raise ConfigError(f"{path}: --vocab is required to validate a {kind} file")
                 if kind == "cg":
-                    graph = formats.load_cg(path)
-                    report = validate_graph(vocab, graph)
-                    diagnostics.extend(f"{path}: {line}" for line in report.lines())
+                    lines = validate_graph(vocab, formats.load_cg(path)).lines()
                 else:
-                    gcg = formats.load_gamma_cg(path)
-                    report = validate_graph(vocab, gcg.graph)
-                    diagnostics.extend(f"{path}: {line}" for line in report.lines())
-                    for variable in gcg.variables:
-                        report = validate_domain(vocab, gcg, variable)
-                        diagnostics.extend(f"{path}: {line}" for line in report.lines())
+                    lines = validate_gamma(vocab, formats.load_gamma_cg(path))
+                diagnostics.extend(f"{path}: {line}" for line in lines)
             else:
                 raise ConfigError(f"{path}: cannot validate documents of kind {kind!r}")
         except (VocabularyError, StructureError) as exc:

@@ -28,7 +28,7 @@ CONCEPT = "concept"
 RELATION = "relation"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TypeHierarchy:
     """A partially ordered set of types stored as a direct-parent DAG.
 
@@ -130,17 +130,6 @@ class TypeHierarchy:
             {type_id: frozenset(down) for type_id, down in descendants.items()},
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TypeHierarchy):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.root == other.root
-            and self.arity == other.arity
-            and self.labels == other.labels
-            and self.parents == other.parents
-        )
-
     def __contains__(self, type_id: str) -> bool:
         return type_id in self.labels
 
@@ -149,10 +138,6 @@ class TypeHierarchy:
             raise UnknownIdentifierError(
                 f"unknown {self.kind} type {type_id!r}"
             )
-
-    def label_of(self, type_id: str) -> str:
-        self.require(type_id)
-        return self.labels[type_id]
 
     def type_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
@@ -243,7 +228,7 @@ class Marker:
     type_id: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Vocabulary:
     """The ontological bundle: concept types, relation types, signatures, markers."""
 
@@ -314,16 +299,6 @@ class Vocabulary:
 
         object.__setattr__(self, "_arity_by_type", arity_by_type)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return (
-            self.concepts == other.concepts
-            and self.relations == other.relations
-            and self.signatures == other.signatures
-            and self.markers == other.markers
-        )
-
     def has_relation_type(self, type_id: str) -> bool:
         return type_id in self._arity_by_type  # type: ignore[attr-defined]
 
@@ -342,12 +317,6 @@ class Vocabulary:
     def signature_of(self, relation_type: str) -> Signature:
         self.arity_of(relation_type)
         return self.signatures[relation_type]
-
-    def marker_type(self, marker_id: str) -> str:
-        marker = self.markers.get(marker_id)
-        if marker is None:
-            raise UnknownIdentifierError(f"unknown marker {marker_id!r}")
-        return marker.type_id
 
     def with_markers(self, extra: "list[Marker] | tuple[Marker, ...]") -> "Vocabulary":
         """A copy of this vocabulary with additional markers registered."""
@@ -388,7 +357,7 @@ class RelationNode:
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConceptualGraph:
     """A bipartite labeled multigraph of concept and relation nodes.
 
@@ -416,11 +385,6 @@ class ConceptualGraph:
                     raise StructureError(
                         f"relation {node.node_id!r} references missing concept {arg!r}"
                     )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConceptualGraph):
-            return NotImplemented
-        return self.concepts == other.concepts and self.relations == other.relations
 
     @classmethod
     def empty(cls) -> "ConceptualGraph":

@@ -24,10 +24,9 @@ from .core import (
     Signature,
     TypeHierarchy,
     Vocabulary,
-    validate_graph,
 )
 from .errors import FormatError, StructureError, VocabularyError
-from .gamma import GammaCG, Variable, VariableTarget, validate_domain
+from .gamma import GammaCG, Variable, VariableTarget
 from .generator import ComponentDraw, DatasetResult, GenerationProvenance, GeneratorConfig
 from .metrics import DatasetStats, compute_stats
 
@@ -291,6 +290,12 @@ def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
         return ConceptualGraph(concepts, relations)
     except StructureError as exc:
         raise StructureError(f"{path}: {exc}") from exc
+    except TypeError:
+        # An unhashable argument: find it only now, so loading a valid graph
+        # never pays for a per-argument type check.
+        for index, entry in enumerate(document["relations"]):
+            _list_of(entry["args"], str, path, f"relations[{index}].args")
+        raise
 
 
 def save_cg(path: "str | Path", graph: ConceptualGraph) -> None:
@@ -323,8 +328,7 @@ def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
     _write(Path(path), "gamma-cg", (members,))
 
 
-def load_gamma_cg(path: "str | Path", vocab: Vocabulary | None = None) -> GammaCG:
-    """Load a gamma-CG; with ``vocab`` the labels and domains are validated."""
+def load_gamma_cg(path: "str | Path") -> GammaCG:
     path = Path(path)
     document = _parse(path)
     _check_header(document, path, "gamma-cg")
@@ -351,16 +355,9 @@ def load_gamma_cg(path: "str | Path", vocab: Vocabulary | None = None) -> GammaC
         except StructureError as exc:
             raise StructureError(f"{path}: {where}: {exc}") from exc
     try:
-        gcg = GammaCG(_field(document, "name", str, path), graph, tuple(variables))
+        return GammaCG(_field(document, "name", str, path), graph, tuple(variables))
     except StructureError as exc:
         raise StructureError(f"{path}: {exc}") from exc
-    if vocab is not None:
-        problems = validate_graph(vocab, graph).lines()
-        for variable in gcg.variables:
-            problems.extend(validate_domain(vocab, gcg, variable).lines())
-        if problems:
-            raise StructureError(f"{path}: " + "; ".join(problems))
-    return gcg
 
 
 def _stats_doc(stats: DatasetStats) -> dict[str, Any]:
@@ -397,7 +394,8 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
         "minSize": config.min_size,
         "maxSpe": config.max_spe,
         "seed": config.seed,
-        "relationDomainPolicy": config.relation_domain_policy,
+        # Always this value; kept so that the manifest format stays the same.
+        "relationDomainPolicy": "signature-compatible",
     }
 
 
@@ -494,6 +492,10 @@ def save_dataset(
         raise FormatError(
             f"stats cover {stats.cg_count} CGs but {len(graphs)} were given"
         )
+    if provenances is not None and len(provenances) != len(graphs):
+        raise FormatError(
+            f"provenances cover {len(provenances)} CGs but {len(graphs)} were given"
+        )
     file_names = [f"cg-{index:04d}.json" for index in range(len(graphs))]
     for name, graph in zip(file_names, graphs):
         save_cg(directory / name, graph)
@@ -529,7 +531,13 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     if provenance_file is not None and not isinstance(provenance_file, str):
         raise FormatError(f"{manifest_path}: field provenanceFile must be str or null")
     if provenance_file:
-        provenances = _load_provenance(directory / provenance_file)
+        provenance_path = directory / provenance_file
+        provenances = _load_provenance(provenance_path)
+        if len(provenances) != len(file_names):
+            raise FormatError(
+                f"{provenance_path}: perCG has {len(provenances)} entries "
+                f"for {len(file_names)} cgFiles"
+            )
     return LoadedDataset(
         graphs=graphs,
         files=tuple(file_names),

@@ -23,6 +23,7 @@ from .core import (
     Vocabulary,
     is_subtype,
     restriction_for,
+    validate_graph,
 )
 from .errors import InstantiationError, StructureError, UnknownIdentifierError
 
@@ -57,7 +58,7 @@ class Variable:
         object.__setattr__(self, "domain", tuple(sorted(set(self.domain))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GammaCG:
     """A conceptual graph plus an ordered list of label variables.
 
@@ -88,21 +89,6 @@ class GammaCG:
             else:
                 if node_id not in self.graph.concepts:
                     raise StructureError(f"variable {variable.name!r} targets missing concept {node_id!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GammaCG):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.graph == other.graph
-            and self.variables == other.variables
-        )
-
-    def variable(self, name: str) -> Variable:
-        for variable in self.variables:
-            if variable.name == name:
-                return variable
-        raise UnknownIdentifierError(f"no variable named {name!r}")
 
     def claimed_slots(self) -> frozenset[tuple[str, str]]:
         return frozenset((v.target.kind, v.target.node_id) for v in self.variables)
@@ -218,6 +204,14 @@ def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> Vali
     return ValidationReport(tuple(violations))
 
 
+def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
+    """Report lines for the graph's labels, then for every variable's domain."""
+    problems = validate_graph(vocab, gcg.graph).lines()
+    for variable in gcg.variables:
+        problems.extend(validate_domain(vocab, gcg, variable).lines())
+    return problems
+
+
 class MarkerSource(Protocol):
     """Where instantiation finds registered markers and mints fresh ones."""
 
@@ -242,7 +236,7 @@ def instantiate(
     rng: random.Random,
     *,
     mint: MarkerSource | None = None,
-) -> ConceptualGraph:
+) -> InstantiationOutcome:
     """Replace every variable's target label by a draw from its domain.
 
     Relation-type variables are evaluated first, then concept-type, then
@@ -251,16 +245,6 @@ def instantiate(
     InstantiationError; an emptied marker domain falls through to minting
     when a mint is supplied.
     """
-    return instantiate_detailed(vocab, gcg, rng, mint=mint).graph
-
-
-def instantiate_detailed(
-    vocab: Vocabulary,
-    gcg: GammaCG,
-    rng: random.Random,
-    *,
-    mint: MarkerSource | None = None,
-) -> InstantiationOutcome:
     concept_types = {nid: node.type_id for nid, node in gcg.graph.concepts.items()}
     concept_markers = {nid: node.marker for nid, node in gcg.graph.concepts.items()}
     relation_types = {nid: node.type_id for nid, node in gcg.graph.relations.items()}

@@ -28,18 +28,9 @@ from .core import (
     _walk_down,
     is_subtype,
     most_specific,
-    validate_graph,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
-from .gamma import (
-    TARGET_CONCEPT_TYPE,
-    GammaCG,
-    instantiate_detailed,
-    validate_domain,
-)
-
-POLICY_ARITY_ONLY = "arity-only"
-POLICY_SIGNATURE_COMPATIBLE = "signature-compatible"
+from .gamma import TARGET_CONCEPT_TYPE, GammaCG, instantiate, validate_gamma
 
 # Attempts per component draw before the gamma-CG is set aside for this CG.
 INSTANTIATION_RETRIES = 16
@@ -56,13 +47,12 @@ def derive_rng(seed: int, *parts: object) -> random.Random:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Stopping conditions and policies of the generation loop."""
+    """Stopping conditions of the generation loop."""
 
     max_cgs: int
     min_size: int
     max_spe: int = 0
     seed: int = 0
-    relation_domain_policy: str = POLICY_SIGNATURE_COMPATIBLE
 
     def __post_init__(self) -> None:
         if self.max_cgs < 1:
@@ -71,13 +61,6 @@ class GeneratorConfig:
             raise ConfigError("min_size must be >= 1")
         if self.max_spe < 0:
             raise ConfigError("max_spe must be >= 0")
-        if self.relation_domain_policy not in (
-            POLICY_ARITY_ONLY,
-            POLICY_SIGNATURE_COMPATIBLE,
-        ):
-            raise ConfigError(
-                f"unknown relation domain policy {self.relation_domain_policy!r}"
-            )
 
 
 class MarkerMint:
@@ -206,16 +189,6 @@ class _Assembler:
         return ConceptualGraph(dict(self._concepts), dict(self._relations))
 
 
-def _join_with_report(
-    vocab: Vocabulary, base: ConceptualGraph, addition: ConceptualGraph
-) -> tuple[ConceptualGraph, tuple[tuple[str, str, str], ...], tuple[tuple[str, str, str], ...]]:
-    """Join two graphs with disjoint node-id sets, reporting addition merges."""
-    assembler = _Assembler(vocab)
-    assembler.absorb(base)
-    merged, skipped = assembler.absorb(addition)
-    return assembler.snapshot(), merged, skipped
-
-
 def join(vocab: Vocabulary, gc: ConceptualGraph, g: ConceptualGraph) -> ConceptualGraph:
     """Union of two graphs merging concept nodes that share a marker.
 
@@ -236,8 +209,10 @@ def join(vocab: Vocabulary, gc: ConceptualGraph, g: ConceptualGraph) -> Conceptu
             taken.add(node_id)
     if renames:
         g = _remap_ids(g, renames)
-    joined, _, _ = _join_with_report(vocab, gc, g)
-    return joined
+    assembler = _Assembler(vocab)
+    assembler.absorb(gc)
+    assembler.absorb(g)
+    return assembler.snapshot()
 
 
 def _remap_ids(graph: ConceptualGraph, mapping: dict[str, str]) -> ConceptualGraph:
@@ -364,7 +339,7 @@ def generate_one(
             continue
         gcg = gamma_set[index]
         try:
-            outcome = instantiate_detailed(vocab, gcg, rng, mint=mint)
+            outcome = instantiate(vocab, gcg, rng, mint=mint)
         except InstantiationError:
             failures[index] += 1
             if failures[index] >= INSTANTIATION_RETRIES:
@@ -406,14 +381,7 @@ def _generate_indexed(
 
 def validate_inputs(vocab: Vocabulary, gamma_set: Sequence[GammaCG]) -> list[str]:
     """Lines describing why the inputs are unusable; empty when they are fine."""
-    problems: list[str] = []
-    for gcg in gamma_set:
-        report = validate_graph(vocab, gcg.graph)
-        problems.extend(f"{gcg.name}: {line}" for line in report.lines())
-        for variable in gcg.variables:
-            report = validate_domain(vocab, gcg, variable)
-            problems.extend(f"{gcg.name}: {line}" for line in report.lines())
-    return problems
+    return [f"{gcg.name}: {line}" for gcg in gamma_set for line in validate_gamma(vocab, gcg)]
 
 
 def generate_dataset(

@@ -10,7 +10,7 @@ from .core import ConceptualGraph
 from .errors import ConfigError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DatasetStats:
     """Per-dataset averages: nodes per CG, unique labels per CG, arity counts.
 
@@ -26,18 +26,6 @@ class DatasetStats:
     nb_labels_stddev: float
     arity_counts: dict[int, float]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DatasetStats):
-            return NotImplemented
-        return (
-            self.cg_count == other.cg_count
-            and self.nb_nodes_mean == other.nb_nodes_mean
-            and self.nb_nodes_stddev == other.nb_nodes_stddev
-            and self.nb_labels_mean == other.nb_labels_mean
-            and self.nb_labels_stddev == other.nb_labels_stddev
-            and self.arity_counts == other.arity_counts
-        )
-
 
 def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
     """Recount nodes, labels and per-arity relation nodes over a dataset."""
@@ -46,12 +34,11 @@ def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
 
     node_counts: list[int] = []
     label_counts: list[int] = []
-    arity_totals: dict[int, list[int]] = {}
+    arity_totals: dict[int, int] = {}
 
     for graph in dataset:
         node_counts.append(graph.size)
         labels: set[str] = set()
-        per_arity: dict[int, int] = {}
         for node in graph.concepts.values():
             labels.add(node.type_id)
             if node.marker is not None:
@@ -59,28 +46,17 @@ def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
         for node in graph.relations.values():
             labels.add(node.type_id)
             arity = len(node.args)
-            per_arity[arity] = per_arity.get(arity, 0) + 1
+            arity_totals[arity] = arity_totals.get(arity, 0) + 1
         label_counts.append(len(labels))
-        for arity, count in per_arity.items():
-            arity_totals.setdefault(arity, [])
-        for arity in arity_totals:
-            arity_totals[arity].append(per_arity.get(arity, 0))
 
-    # Backfill zeros for graphs seen before an arity first appeared.
     n = len(dataset)
-    for arity, counts in arity_totals.items():
-        if len(counts) < n:
-            arity_totals[arity] = [0] * (n - len(counts)) + counts
-
     return DatasetStats(
         cg_count=n,
         nb_nodes_mean=statistics.fmean(node_counts),
         nb_nodes_stddev=statistics.pstdev(node_counts),
         nb_labels_mean=statistics.fmean(label_counts),
         nb_labels_stddev=statistics.pstdev(label_counts),
-        arity_counts={
-            arity: statistics.fmean(counts) for arity, counts in sorted(arity_totals.items())
-        },
+        arity_counts={arity: total / n for arity, total in sorted(arity_totals.items())},
     )
 
 

@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from cggen import load_gamma_cg, load_vocabulary, save_cg, save_vocabulary
+from cggen import generator
 from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph
 from oracles import parse_dot
@@ -105,11 +106,18 @@ class TestGenerate:
         path = write_config(tmp_path, config)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = dict(FULL_AUTO)
         config["generater"] = config.pop("generator")
         path = write_config(tmp_path, config)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        # The generator has no relation-domain policy; auto-var always builds
+        # signature-compatible relation domains.
+        generator_section = dict(FULL_AUTO["generator"], relationDomainPolicy="arity-only")
+        path = write_config(tmp_path, dict(FULL_AUTO, generator=generator_section), "policy.json")
+        capsys.readouterr()
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
+        assert "unknown keys in generator: relationDomainPolicy" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert (
@@ -279,6 +287,24 @@ class TestValidateStatsDot:
     def test_validate_generated_output(self, generated):
         assert main(["validate", str(generated)]) == 0
 
+    def test_validate_and_generator_report_the_same_domain_violation(
+        self, generated, capsys
+    ):
+        path = generated / "gamma" / "gcg-0.json"
+        doc = json.loads(path.read_text())
+        doc["variables"][0]["domain"] = ["no-such-label"]
+        path.write_text(json.dumps(doc))
+        vocab_path = generated / "vocabulary.json"
+        expected = generator.validate_inputs(load_vocabulary(vocab_path), [load_gamma_cg(path)])
+        assert len(expected) == 1 and "inadmissible-value" in expected[0]
+        directory_argv = ["validate", str(generated)]
+        file_argv = ["validate", str(path), "--vocab", str(vocab_path)]
+        for argv in (directory_argv, file_argv):
+            capsys.readouterr()
+            assert main(argv) == 1
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.replace(str(path), "gcg-0") for line in lines] == expected
+
     def test_validate_broken_cg_file(self, generated, tmp_path, capsys):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "NoSuchType")}, {})
         path = tmp_path / "broken.json"
@@ -344,6 +370,22 @@ def _string_specialisation_steps(out):
     return "provenance.json", "perCG[0].draws[0].specialisations.concept-type:c0"
 
 
+def _truncate_per_cg(out):
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    doc["perCG"] = doc["perCG"][:1]
+    path.write_text(json.dumps(doc))
+    return "provenance.json", "perCG has 1 entries for 6 cgFiles"
+
+
+def _unhashable_relation_arg(out):
+    path = out / "dataset" / "cg-0000.json"
+    doc = json.loads(path.read_text())
+    doc["relations"][0]["args"] = [[1]]
+    path.write_text(json.dumps(doc))
+    return "cg-0000.json", "relations[0].args[0] must be str, found list"
+
+
 def _mixed_domain(out):
     path = out / "gamma" / "gcg-0.json"
     doc = json.loads(path.read_text())
@@ -373,7 +415,14 @@ class TestMalformedDataset:
 
     @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
     @pytest.mark.parametrize(
-        "mutate", [_drop_nodes_mean, _drop_draw_gamma, _string_specialisation_steps]
+        "mutate",
+        [
+            _drop_nodes_mean,
+            _drop_draw_gamma,
+            _string_specialisation_steps,
+            _truncate_per_cg,
+            _unhashable_relation_arg,
+        ],
     )
     def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
         self.check_exit_2(pristine, tmp_path, capsys, mutate, argv)

@@ -29,6 +29,7 @@ from cggen import (
     save_dataset,
     save_gamma_cg,
     save_vocabulary,
+    validate_gamma,
 )
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
@@ -167,9 +168,10 @@ class TestGraphFormats:
         )
         path = tmp_path / "bad.json"
         save_gamma_cg(path, gcg)
-        assert load_gamma_cg(path) == gcg  # standalone load has no vocabulary
-        with pytest.raises(StructureError, match="NoSuchType"):
-            load_gamma_cg(path, vocab)
+        loaded = load_gamma_cg(path)  # loading checks the document, not the vocabulary
+        assert loaded == gcg
+        problems = validate_gamma(vocab, loaded)
+        assert len(problems) == 1 and "'NoSuchType' is not admissible" in problems[0]
 
     def test_wrong_kind_rejected(self, built, tmp_path):
         vocab, _, _, _ = built
@@ -216,6 +218,16 @@ class TestDatasetFormat:
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="cgFiles"):
             load_dataset(directory)
+
+    def test_provenance_count_mismatch_rejected_on_save(self, built, tmp_path):
+        _, _, dataset, config = built
+        with pytest.raises(FormatError, match="provenances cover 4 CGs but 5"):
+            save_dataset(
+                tmp_path / "ds",
+                dataset.graphs,
+                config=config,
+                provenances=dataset.provenances[:-1],
+            )
 
 
 class TestDotExport:

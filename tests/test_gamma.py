@@ -190,7 +190,7 @@ class TestValidateDomain:
 
 class TestInstantiate:
     def test_zero_variables_returns_graph_unchanged(self, tiny_vocab, sample_gcg):
-        result = instantiate(tiny_vocab, sample_gcg, fresh_rng("inst0"))
+        result = instantiate(tiny_vocab, sample_gcg, fresh_rng("inst0")).graph
         assert result == sample_gcg.graph
 
     def test_three_variable_kinds(self, tiny_vocab, sample_gcg):
@@ -202,7 +202,7 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("inst3")
         for _ in range(50):
-            result = instantiate(tiny_vocab, gcg, rng)
+            result = instantiate(tiny_vocab, gcg, rng).graph
             assert result.concepts["c0"].type_id in ("Person", "Student")
             assert result.concepts["c2"].marker in ("alice", "bob", "carol")
             assert result.relations["r1"].type_id in ("knows", "attends", "T2")
@@ -218,7 +218,7 @@ class TestInstantiate:
         gcg = gcg_of(graph, [variable])
         rng = fresh_rng("coverage")
         seen = {
-            instantiate(tiny_vocab, gcg, rng).concepts["c0"].type_id
+            instantiate(tiny_vocab, gcg, rng).graph.concepts["c0"].type_id
             for _ in range(1000)
         }
         assert seen == {"Top", "Entity", "Act", "Place"}
@@ -234,7 +234,7 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("order")
         for _ in range(20):
-            result = instantiate(tiny_vocab, gcg, rng)
+            result = instantiate(tiny_vocab, gcg, rng).graph
             assert result.relations["r1"].type_id == "attends"
             assert result.concepts["c0"].type_id == "Student"
             assert validate_graph(tiny_vocab, result).ok
@@ -248,7 +248,7 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("fixed-args")
         for _ in range(30):
-            result = instantiate(tiny_vocab, gcg, rng)
+            result = instantiate(tiny_vocab, gcg, rng).graph
             assert result.relations["r0"].type_id == "locatedIn"
 
     def test_type_variable_empty_effective_domain_raises(self, tiny_vocab, sample_gcg):
@@ -268,7 +268,7 @@ class TestInstantiate:
         with pytest.raises(InstantiationError):
             instantiate(tiny_vocab, gcg, fresh_rng("mark-empty"))
         mint = MarkerMint(tiny_vocab, "test")
-        result = instantiate(tiny_vocab, gcg, fresh_rng("mark-mint"), mint=mint)
+        result = instantiate(tiny_vocab, gcg, fresh_rng("mark-mint"), mint=mint).graph
         minted = result.concepts["c0"].marker
         assert minted in mint.minted
         assert mint.minted[minted].type_id == "Place"
@@ -279,7 +279,7 @@ class TestInstantiate:
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
         variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("alice", "bob"))]
         gcg = gcg_of(graph, variables)
-        result = instantiate(tiny_vocab, gcg, fresh_rng("unmarked"))
+        result = instantiate(tiny_vocab, gcg, fresh_rng("unmarked")).graph
         assert result.concepts["c0"].marker in ("alice", "bob")
         assert validate_graph(tiny_vocab, result).ok
 

@@ -339,8 +339,6 @@ class TestGenerateDataset:
             GeneratorConfig(max_cgs=1, min_size=0)
         with pytest.raises(ConfigError):
             GeneratorConfig(max_cgs=1, min_size=1, max_spe=-1)
-        with pytest.raises(ConfigError):
-            GeneratorConfig(max_cgs=1, min_size=1, relation_domain_policy="nope")
 
     def test_reference_magnitude(self, reference_fixture):
         # Loose magnitude check against the published scale: averages in the

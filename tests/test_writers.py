@@ -26,6 +26,7 @@ from cggen import (
     save_dataset,
     save_gamma_cg,
 )
+from cggen import formats
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
 from cggen.generator import ComponentDraw, GenerationProvenance
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
@@ -131,16 +132,11 @@ class TestGammaCgWriter:
 
 
 def provenance_path(tmp_path, provenances):
-    # A dataset needs one CG at least; save_dataset does not match the counts.
-    count = max(1, len(provenances))
-    directory = tmp_path / "ds"
-    save_dataset(
-        directory,
-        [ConceptualGraph.empty()] * count,
-        config=GeneratorConfig(max_cgs=count, min_size=1),
-        provenances=provenances,
-    )
-    return directory / "provenance.json"
+    # The writer that save_dataset uses, called directly so that an empty
+    # perCG is covered too.
+    path = tmp_path / "provenance.json"
+    formats._write(path, "provenance", formats._provenance_members(provenances))
+    return path
 
 
 class TestProvenanceWriter:
