@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .errors import (
     ArityError,
@@ -199,12 +200,19 @@ def random_descendant(
 
 
 def _walk_down(
-    hierarchy: TypeHierarchy, type_id: str, moves: int, rng: random.Random
+    hierarchy: TypeHierarchy,
+    type_id: str,
+    moves: int,
+    rng: random.Random,
+    keep: Callable[[str], bool] | None = None,
 ) -> tuple[str, int]:
+    """Take up to ``moves`` uniform steps down to children passing ``keep``."""
     current = type_id
     taken = 0
     for _ in range(moves):
         kids = hierarchy.children_of(current)
+        if keep is not None:
+            kids = [kid for kid in kids if keep(kid)]
         if not kids:
             break
         current = kids[rng.randrange(len(kids))]
@@ -337,6 +345,20 @@ def restriction_for(vocab: Vocabulary, relation_type: str, position: int) -> str
             f"(arity {len(signature.restrictions)})"
         )
     return signature.restrictions[position]
+
+
+def signature_admits(
+    vocab: Vocabulary, relation_type: str, arg_types: Sequence[str | None]
+) -> bool:
+    """True iff each argument type is <= the restriction at its position.
+
+    ``None`` marks an open position, which admits any restriction.
+    """
+    restrictions = vocab.signature_of(relation_type).restrictions
+    return all(
+        arg_type is None or is_subtype(vocab.concepts, arg_type, restriction)
+        for arg_type, restriction in zip(arg_types, restrictions)
+    )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .core import (
     Vocabulary,
     is_subtype,
     restriction_for,
+    signature_admits,
     validate_graph,
 )
 from .errors import InstantiationError, StructureError, UnknownIdentifierError
@@ -110,22 +111,11 @@ def relation_type_domain(
     node = gcg.graph.relations.get(node_id)
     if node is None:
         raise UnknownIdentifierError(f"{node_id!r} is not a relation node of {gcg.name!r}")
-    arity = vocab.arity_of(node.type_id)
-    hierarchy = vocab.relations[arity]
-    candidates = set(hierarchy.labels)
-    if signature_compatible:
-        arg_types = [gcg.graph.concepts[arg].type_id for arg in node.args]
-        candidates = {
-            candidate
-            for candidate in candidates
-            if all(
-                is_subtype(vocab.concepts, arg_type, restriction)
-                for arg_type, restriction in zip(
-                    arg_types, vocab.signature_of(candidate).restrictions
-                )
-            )
-        }
-    return frozenset(candidates)
+    candidates = vocab.relation_hierarchy(node.type_id).labels
+    if not signature_compatible:
+        return frozenset(candidates)
+    arg_types = [gcg.graph.concepts[arg].type_id for arg in node.args]
+    return frozenset(c for c in candidates if signature_admits(vocab, c, arg_types))
 
 
 def concept_type_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozenset[str]:
@@ -262,27 +252,16 @@ def instantiate(
     for variable in relation_vars:
         node_id = variable.target.node_id
         node = gcg.graph.relations[node_id]
-        arity = vocab.arity_of(relation_types[node_id])
+        hierarchy = vocab.relation_hierarchy(relation_types[node_id])
         # Argument labels with a pending concept variable adapt to the drawn
         # relation later; only already-fixed labels constrain the draw here.
-        fixed_args = [
-            (position, concept_types[arg])
-            for position, arg in enumerate(node.args)
-            if arg not in pending_concept_nodes
+        arg_types = [
+            None if arg in pending_concept_nodes else concept_types[arg] for arg in node.args
         ]
         effective = [
             candidate
             for candidate in variable.domain
-            if vocab.has_relation_type(candidate)
-            and vocab.arity_of(candidate) == arity
-            and all(
-                is_subtype(
-                    vocab.concepts,
-                    arg_type,
-                    vocab.signature_of(candidate).restrictions[position],
-                )
-                for position, arg_type in fixed_args
-            )
+            if candidate in hierarchy and signature_admits(vocab, candidate, arg_types)
         ]
         if not effective:
             raise InstantiationError(

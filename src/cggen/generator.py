@@ -26,11 +26,17 @@ from .core import (
     RelationNode,
     Vocabulary,
     _walk_down,
-    is_subtype,
     most_specific,
+    signature_admits,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
-from .gamma import TARGET_CONCEPT_TYPE, GammaCG, instantiate, validate_gamma
+from .gamma import (
+    TARGET_CONCEPT_TYPE,
+    GammaCG,
+    InstantiationOutcome,
+    instantiate,
+    validate_gamma,
+)
 
 # Attempts per component draw before the gamma-CG is set aside for this CG.
 INSTANTIATION_RETRIES = 16
@@ -146,42 +152,56 @@ class _Assembler:
 
     def _fold(
         self,
-        node: ConceptNode,
+        node_id: str,
+        type_id: str,
+        marker: str | None,
         merged: list[tuple[str, str, str]],
         skipped: list[tuple[str, str, str]],
     ) -> str:
-        if node.marker is None:
-            self._concepts[node.node_id] = node
-            return node.node_id
-        candidates = self._by_marker.setdefault(node.marker, [])
-        for kept_id in candidates:
-            kept = self._concepts[kept_id]
-            winner = most_specific(self._vocab.concepts, kept.type_id, node.type_id)
-            if winner is None:
-                skipped.append((node.marker, kept_id, node.node_id))
-                continue
-            if winner != kept.type_id:
-                self._concepts[kept_id] = ConceptNode(kept_id, winner, node.marker)
-            merged.append((node.marker, kept_id, node.node_id))
-            return kept_id
-        self._concepts[node.node_id] = node
-        candidates.append(node.node_id)
-        return node.node_id
+        if marker is not None:
+            candidates = self._by_marker.setdefault(marker, [])
+            for kept_id in candidates:
+                kept = self._concepts[kept_id]
+                winner = most_specific(self._vocab.concepts, kept.type_id, type_id)
+                if winner is None:
+                    skipped.append((marker, kept_id, node_id))
+                    continue
+                if winner != kept.type_id:
+                    self._concepts[kept_id] = ConceptNode(kept_id, winner, marker)
+                merged.append((marker, kept_id, node_id))
+                return kept_id
+            candidates.append(node_id)
+        self._concepts[node_id] = ConceptNode(node_id, type_id, marker)
+        return node_id
 
     def absorb(
-        self, graph: ConceptualGraph
+        self,
+        graph: ConceptualGraph,
+        ids: Mapping[str, str] | None = None,
+        labels: Mapping[str, str] | None = None,
     ) -> tuple[tuple[tuple[str, str, str], ...], tuple[tuple[str, str, str], ...]]:
-        """Fold one graph in; its node ids must not collide with prior ones."""
+        """Fold one graph in, each node under ``ids[node]`` typed ``labels[node]``.
+
+        A node missing from a mapping keeps its own id or type. The final
+        ids must not collide with ids absorbed before.
+        """
+        ids = ids or {}
+        labels = labels or {}
         merged: list[tuple[str, str, str]] = []
         skipped: list[tuple[str, str, str]] = []
-        redirects: dict[str, str] = {}
-        for node in graph.concepts.values():
-            final = self._fold(node, merged, skipped)
-            if final != node.node_id:
-                redirects[node.node_id] = final
-        for node in graph.relations.values():
-            self._relations[node.node_id] = RelationNode(
-                node.node_id, node.type_id, tuple(redirects.get(a, a) for a in node.args)
+        final: dict[str, str] = {}
+        for node_id, node in graph.concepts.items():
+            final[node_id] = self._fold(
+                ids.get(node_id, node_id),
+                labels.get(node_id, node.type_id),
+                node.marker,
+                merged,
+                skipped,
+            )
+        for node_id, node in graph.relations.items():
+            new_id = ids.get(node_id, node_id)
+            self._relations[new_id] = RelationNode(
+                new_id, labels.get(node_id, node.type_id), tuple(final[a] for a in node.args)
             )
         return tuple(merged), tuple(skipped)
 
@@ -207,100 +227,44 @@ def join(vocab: Vocabulary, gc: ConceptualGraph, g: ConceptualGraph) -> Conceptu
             taken.add(renames[node_id])
         else:
             taken.add(node_id)
-    if renames:
-        g = _remap_ids(g, renames)
     assembler = _Assembler(vocab)
     assembler.absorb(gc)
-    assembler.absorb(g)
+    assembler.absorb(g, renames)
     return assembler.snapshot()
 
 
-def _remap_ids(graph: ConceptualGraph, mapping: dict[str, str]) -> ConceptualGraph:
-    concepts = {}
-    for node in graph.concepts.values():
-        new_id = mapping.get(node.node_id, node.node_id)
-        concepts[new_id] = ConceptNode(new_id, node.type_id, node.marker)
-    relations = {}
-    for node in graph.relations.values():
-        new_id = mapping.get(node.node_id, node.node_id)
-        relations[new_id] = RelationNode(
-            new_id, node.type_id, tuple(mapping.get(a, a) for a in node.args)
-        )
-    return ConceptualGraph(concepts, relations)
-
-
-def _specialise_component(
-    vocab: Vocabulary,
-    graph: ConceptualGraph,
-    type_slots: Sequence[tuple[str, str]],
-    max_spe: int,
-    rng: random.Random,
-) -> tuple[ConceptualGraph, tuple[tuple[str, int], ...]]:
+def _specialise(
+    vocab: Vocabulary, outcome: InstantiationOutcome, max_spe: int, rng: random.Random
+) -> tuple[dict[str, str], tuple[tuple[str, int], ...]]:
     """Walk each type-variable label 0..max_spe steps down its hierarchy.
 
-    Relation labels only step to children whose signatures stay satisfied
-    by the node's current argument types; concept labels may take any
-    downward step (descending preserves every constraint).
+    Returns the new label of each type slot, keyed by node id, and the steps
+    taken per slot. Relation labels only step to children whose signatures
+    stay satisfied by the node's current argument types; concept labels may
+    take any downward step (descending preserves every constraint).
     """
-    concept_types = {nid: node.type_id for nid, node in graph.concepts.items()}
-    relation_types = {nid: node.type_id for nid, node in graph.relations.items()}
+    graph = outcome.graph
+    labels: dict[str, str] = {}
     steps_taken: list[tuple[str, int]] = []
-
-    for kind, node_id in type_slots:
+    for kind, node_id in outcome.type_slots:
         moves = rng.randint(0, max_spe)
         if kind == TARGET_CONCEPT_TYPE:
-            final, taken = _walk_down(vocab.concepts, concept_types[node_id], moves, rng)
-            concept_types[node_id] = final
+            label, taken = _walk_down(
+                vocab.concepts, graph.concepts[node_id].type_id, moves, rng
+            )
         else:
-            hierarchy = vocab.relation_hierarchy(relation_types[node_id])
-            arg_types = [concept_types[a] for a in graph.relations[node_id].args]
-            current = relation_types[node_id]
-            taken = 0
-            for _ in range(moves):
-                compatible = [
-                    child
-                    for child in hierarchy.children_of(current)
-                    if all(
-                        is_subtype(vocab.concepts, arg_type, restriction)
-                        for arg_type, restriction in zip(
-                            arg_types, vocab.signature_of(child).restrictions
-                        )
-                    )
-                ]
-                if not compatible:
-                    break
-                current = compatible[rng.randrange(len(compatible))]
-                taken += 1
-            relation_types[node_id] = current
+            node = graph.relations[node_id]
+            arg_types = [labels.get(a, graph.concepts[a].type_id) for a in node.args]
+            label, taken = _walk_down(
+                vocab.relation_hierarchy(node.type_id),
+                node.type_id,
+                moves,
+                rng,
+                lambda child: signature_admits(vocab, child, arg_types),
+            )
+        labels[node_id] = label
         steps_taken.append((f"{kind}:{node_id}", taken))
-
-    concepts = {
-        nid: ConceptNode(nid, concept_types[nid], node.marker)
-        for nid, node in graph.concepts.items()
-    }
-    relations = {
-        nid: RelationNode(nid, relation_types[nid], node.args)
-        for nid, node in graph.relations.items()
-    }
-    return ConceptualGraph(concepts, relations), tuple(steps_taken)
-
-
-class _IdAllocator:
-    """Sequential node ids local to one generated CG."""
-
-    def __init__(self) -> None:
-        self._concepts = 0
-        self._relations = 0
-
-    def remap(self, graph: ConceptualGraph) -> tuple[ConceptualGraph, dict[str, str]]:
-        mapping: dict[str, str] = {}
-        for node_id in graph.concepts:
-            mapping[node_id] = f"c{self._concepts}"
-            self._concepts += 1
-        for node_id in graph.relations:
-            mapping[node_id] = f"r{self._relations}"
-            self._relations += 1
-        return _remap_ids(graph, mapping), mapping
+    return labels, tuple(steps_taken)
 
 
 def generate_one(
@@ -321,8 +285,9 @@ def generate_one(
     if mint is None:
         mint = MarkerMint(vocab, "gen")
 
-    allocator = _IdAllocator()
     assembler = _Assembler(vocab)
+    # Sequential ids local to this CG; merged concepts still use up a number.
+    next_concept = next_relation = 0
     draws: list[ComponentDraw] = []
     failures = [0] * len(gamma_set)
     skipped_gammas: set[int] = set()
@@ -334,8 +299,6 @@ def generate_one(
             raise GenerationError("generation is not making progress towards min_size")
         index = rng.randrange(len(gamma_set))
         if index in skipped_gammas:
-            if len(skipped_gammas) == len(gamma_set):
-                raise GenerationError("every gamma-CG failed instantiation repeatedly")
             continue
         gcg = gamma_set[index]
         try:
@@ -348,11 +311,13 @@ def generate_one(
                     raise GenerationError("every gamma-CG failed instantiation repeatedly")
             continue
 
-        specialized, steps = _specialise_component(
-            vocab, outcome.graph, outcome.type_slots, config.max_spe, rng
-        )
-        component, _ = allocator.remap(specialized)
-        merged, skipped = assembler.absorb(component)
+        labels, steps = _specialise(vocab, outcome, config.max_spe, rng)
+        graph = outcome.graph
+        ids = {nid: f"c{next_concept + i}" for i, nid in enumerate(graph.concepts)}
+        ids.update({nid: f"r{next_relation + j}" for j, nid in enumerate(graph.relations)})
+        next_concept += len(graph.concepts)
+        next_relation += len(graph.relations)
+        merged, skipped = assembler.absorb(graph, ids, labels)
         draws.append(
             ComponentDraw(
                 gamma_name=gcg.name,
