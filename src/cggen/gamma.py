@@ -195,8 +195,14 @@ def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> Vali
 
 
 def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
-    """Report lines for the graph's labels, then for every variable's domain."""
+    """Report lines for the graph's labels, or else for every variable's domain.
+
+    Admissible domains are computed from the graph's labels, so they are
+    checked only when every label is known and consistent.
+    """
     problems = validate_graph(vocab, gcg.graph).lines()
+    if problems:
+        return problems
     for variable in gcg.variables:
         problems.extend(validate_domain(vocab, gcg, variable).lines())
     return problems

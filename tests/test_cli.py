@@ -394,6 +394,30 @@ def _mixed_domain(out):
     return "gcg-0.json", "variables[0].domain[0]"
 
 
+def _variable_target(doc, kind):
+    return next(v["target"]["node"] for v in doc["variables"] if v["target"]["kind"] == kind)
+
+
+def _relation_variable_on_unknown_type(doc):
+    node = _variable_target(doc, "relation-type")
+    next(r for r in doc["relations"] if r["id"] == node)["type"] = "NoSuchRel"
+    return "unknown-relation-type"
+
+
+def _concept_variable_under_unknown_type(doc):
+    node = _variable_target(doc, "concept-type")
+    free = _variable_target(doc, "relation-type")
+    relation = next(r for r in doc["relations"] if node in r["args"] and r["id"] != free)
+    relation["type"] = "NoSuchRel"
+    return "unknown-relation-type"
+
+
+def _marker_variable_on_unknown_marker(doc):
+    node = _variable_target(doc, "marker")
+    next(c for c in doc["concepts"] if c["id"] == node)["marker"] = "NoSuchMarker"
+    return "unknown-marker"
+
+
 class TestMalformedDataset:
     @pytest.fixture(scope="class")
     def pristine(self, tmp_path_factory):
@@ -429,3 +453,29 @@ class TestMalformedDataset:
 
     def test_gamma_domain_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _mixed_domain, ("validate", ""))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _relation_variable_on_unknown_type,
+            _concept_variable_under_unknown_type,
+            _marker_variable_on_unknown_marker,
+        ],
+    )
+    def test_gamma_unknown_label_reported_not_raised(self, pristine, tmp_path, capsys, mutate):
+        # A variable's admissible domain is computed from the labels around
+        # it; an unknown one is reported as such, naming the file.
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        path = out / "gamma" / "gcg-0.json"
+        doc = json.loads(path.read_text())
+        code = mutate(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith(f"{path}: ") for line in lines)
+        assert any(line.startswith(f"{path}: {code} ") for line in lines)
+        vocab = load_vocabulary(out / "vocabulary.json")
+        expected = generator.validate_inputs(vocab, [load_gamma_cg(path)])
+        assert [line.replace(str(path), "gcg-0") for line in lines] == expected
