@@ -30,13 +30,7 @@ from .core import (
     signature_admits,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
-from .gamma import (
-    TARGET_CONCEPT_TYPE,
-    GammaCG,
-    InstantiationOutcome,
-    instantiate,
-    validate_gamma,
-)
+from .gamma import TARGET_CONCEPT_TYPE, GammaCG, InstantiationOutcome, instantiate, validate_gamma
 
 # Attempts per component draw before the gamma-CG is set aside for this CG.
 INSTANTIATION_RETRIES = 16
@@ -152,27 +146,27 @@ class _Assembler:
 
     def _fold(
         self,
-        node_id: str,
-        type_id: str,
-        marker: str | None,
+        node: ConceptNode,
         merged: list[tuple[str, str, str]],
         skipped: list[tuple[str, str, str]],
     ) -> str:
-        if marker is not None:
-            candidates = self._by_marker.setdefault(marker, [])
-            for kept_id in candidates:
-                kept = self._concepts[kept_id]
-                winner = most_specific(self._vocab.concepts, kept.type_id, type_id)
-                if winner is None:
-                    skipped.append((marker, kept_id, node_id))
-                    continue
-                if winner != kept.type_id:
-                    self._concepts[kept_id] = ConceptNode(kept_id, winner, marker)
-                merged.append((marker, kept_id, node_id))
-                return kept_id
-            candidates.append(node_id)
-        self._concepts[node_id] = ConceptNode(node_id, type_id, marker)
-        return node_id
+        if node.marker is None:
+            self._concepts[node.node_id] = node
+            return node.node_id
+        candidates = self._by_marker.setdefault(node.marker, [])
+        for kept_id in candidates:
+            kept = self._concepts[kept_id]
+            winner = most_specific(self._vocab.concepts, kept.type_id, node.type_id)
+            if winner is None:
+                skipped.append((node.marker, kept_id, node.node_id))
+                continue
+            if winner != kept.type_id:
+                self._concepts[kept_id] = ConceptNode(kept_id, winner, node.marker)
+            merged.append((node.marker, kept_id, node.node_id))
+            return kept_id
+        self._concepts[node.node_id] = node
+        candidates.append(node.node_id)
+        return node.node_id
 
     def absorb(
         self,
@@ -191,13 +185,10 @@ class _Assembler:
         skipped: list[tuple[str, str, str]] = []
         final: dict[str, str] = {}
         for node_id, node in graph.concepts.items():
-            final[node_id] = self._fold(
-                ids.get(node_id, node_id),
-                labels.get(node_id, node.type_id),
-                node.marker,
-                merged,
-                skipped,
+            node = ConceptNode(
+                ids.get(node_id, node_id), labels.get(node_id, node.type_id), node.marker
             )
+            final[node_id] = self._fold(node, merged, skipped)
         for node_id, node in graph.relations.items():
             new_id = ids.get(node_id, node_id)
             self._relations[new_id] = RelationNode(
@@ -249,20 +240,19 @@ def _specialise(
     for kind, node_id in outcome.type_slots:
         moves = rng.randint(0, max_spe)
         if kind == TARGET_CONCEPT_TYPE:
-            label, taken = _walk_down(
+            labels[node_id], taken = _walk_down(
                 vocab.concepts, graph.concepts[node_id].type_id, moves, rng
             )
         else:
             node = graph.relations[node_id]
             arg_types = [labels.get(a, graph.concepts[a].type_id) for a in node.args]
-            label, taken = _walk_down(
+            labels[node_id], taken = _walk_down(
                 vocab.relation_hierarchy(node.type_id),
                 node.type_id,
                 moves,
                 rng,
                 lambda child: signature_admits(vocab, child, arg_types),
             )
-        labels[node_id] = label
         steps_taken.append((f"{kind}:{node_id}", taken))
     return labels, tuple(steps_taken)
 
