@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +26,18 @@ class DatasetStats:
     nb_labels_mean: float
     nb_labels_stddev: float
     arity_counts: dict[int, float]
+
+
+def _pstdev(values: list[int]) -> float:
+    """Population stddev, correctly rounded on every Python version (3.10 rounds twice)."""
+    n = len(values)
+    # sqrt(num) / n, with the root scaled past 100 bits and rounded to odd so
+    # that the one rounding to float is correct.
+    num = n * sum(v * v for v in values) - sum(values) ** 2
+    shift = max(0, n.bit_length() - num.bit_length() // 2 + 110)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // (n * n))
+    return (root | (root * root * n * n != scaled)) / (1 << shift)
 
 
 def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
@@ -53,9 +66,9 @@ def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
     return DatasetStats(
         cg_count=n,
         nb_nodes_mean=statistics.fmean(node_counts),
-        nb_nodes_stddev=statistics.pstdev(node_counts),
+        nb_nodes_stddev=_pstdev(node_counts),
         nb_labels_mean=statistics.fmean(label_counts),
-        nb_labels_stddev=statistics.pstdev(label_counts),
+        nb_labels_stddev=_pstdev(label_counts),
         arity_counts={arity: total / n for arity, total in sorted(arity_totals.items())},
     )
 

@@ -47,6 +47,12 @@ class TestComputeStats:
         assert stats.nb_nodes_stddev == 0
         assert stats.nb_labels_stddev == 0
 
+    def test_stddev_is_correctly_rounded(self):
+        # The population stddev of (2, 24, 27) is sqrt(1118) / 3. Rounding
+        # the variance to a float first, as Python 3.10 does, gives ...366.
+        graphs = [cg([ConceptNode(f"c{i}", "A") for i in range(k)], []) for k in (2, 24, 27)]
+        assert compute_stats(graphs).nb_nodes_stddev == 11.145502331533658
+
     def test_higher_arities_get_own_keys(self):
         graph = cg(
             [ConceptNode(f"c{i}", "A") for i in range(5)],
