@@ -21,7 +21,6 @@ from .core import (
     Signature,
     TypeHierarchy,
     Vocabulary,
-    is_subtype,
     random_descendant,
 )
 from .errors import ConfigError
@@ -250,11 +249,8 @@ def _signature_component(
         compatible = sorted(vocab.concepts.descendants_of(restriction) | {restriction})
         concept_type = compatible[rng.randrange(len(compatible))]
         concept_type = random_descendant(vocab.concepts, concept_type, AUTO_SPECIALISE_STEPS, rng)
-        admissible = sorted(
-            marker_id
-            for marker_id, marker in mint.markers.items()
-            if is_subtype(vocab.concepts, concept_type, marker.type_id)
-        )
+        carriers = vocab.concepts.ancestors_of(concept_type) | {concept_type}
+        admissible = sorted(mint.markers_typed(carriers))
         if admissible:
             marker = admissible[rng.randrange(len(admissible))]
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ArityError,
@@ -299,13 +299,16 @@ class Vocabulary:
                                 f"{position} has {below!r} !<= {above!r}"
                             )
 
+        markers_by_type: dict[str, list[str]] = {}
         for marker in self.markers.values():
             if marker.type_id not in self.concepts.labels:
                 raise VocabularyError(
                     f"marker {marker.marker_id!r} has unknown type {marker.type_id!r}"
                 )
+            markers_by_type.setdefault(marker.type_id, []).append(marker.marker_id)
 
         object.__setattr__(self, "_arity_by_type", arity_by_type)
+        object.__setattr__(self, "_markers_by_type", markers_by_type)
 
     def has_relation_type(self, type_id: str) -> bool:
         return type_id in self._arity_by_type  # type: ignore[attr-defined]
@@ -325,6 +328,11 @@ class Vocabulary:
     def signature_of(self, relation_type: str) -> Signature:
         self.arity_of(relation_type)
         return self.signatures[relation_type]
+
+    def markers_typed(self, type_ids: Iterable[str]) -> list[str]:
+        """Ids of the registered markers whose type is in the set ``type_ids``."""
+        by_type = self._markers_by_type  # type: ignore[attr-defined]
+        return [marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ())]
 
     def with_markers(self, extra: "list[Marker] | tuple[Marker, ...]") -> "Vocabulary":
         """A copy of this vocabulary with additional markers registered."""

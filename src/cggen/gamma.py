@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Container, Mapping, Protocol
 
 from .core import (
     ConceptNode,
@@ -136,28 +136,18 @@ def concept_type_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozen
     return frozenset(admissible)
 
 
-def marker_domain(
-    vocab: Vocabulary,
-    gcg: GammaCG,
-    node_id: str,
-    *,
-    markers: Mapping[str, Marker] | None = None,
-) -> frozenset[str]:
+def marker_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozenset[str]:
     """Markers whose assigned type is <= the node's current marker's type."""
     node = gcg.graph.concepts.get(node_id)
     if node is None:
         raise UnknownIdentifierError(f"{node_id!r} is not a concept node of {gcg.name!r}")
     if node.marker is None:
         raise StructureError(f"concept node {node_id!r} carries no marker")
-    registry = vocab.markers if markers is None else markers
-    current = registry.get(node.marker)
+    current = vocab.markers.get(node.marker)
     if current is None:
         raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
-    return frozenset(
-        marker_id
-        for marker_id, marker in registry.items()
-        if is_subtype(vocab.concepts, marker.type_id, current.type_id)
-    )
+    below = vocab.concepts.descendants_of(current.type_id) | {current.type_id}
+    return frozenset(vocab.markers_typed(below))
 
 
 def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> ValidationReport:
@@ -171,6 +161,7 @@ def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> Vali
 
     kind = variable.target.kind
     node_id = variable.target.node_id
+    admissible: Container[str]
     if kind == TARGET_RELATION_TYPE:
         admissible = relation_type_domain(vocab, gcg, node_id)
     elif kind == TARGET_CONCEPT_TYPE:
@@ -179,7 +170,7 @@ def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> Vali
         node = gcg.graph.concepts[node_id]
         if node.marker is None:
             # Unmarked slot declared individual: any registered marker may be drawn.
-            admissible = frozenset(vocab.markers)
+            admissible = vocab.markers
         else:
             admissible = marker_domain(vocab, gcg, node_id)
     for value in variable.domain:

@@ -17,7 +17,7 @@ import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .core import (
     ConceptNode,
@@ -77,6 +77,7 @@ class MarkerMint:
         self._counter = 0
         self.minted: dict[str, Marker] = {}
         self._all = dict(vocab.markers)
+        self._minted_by_type: dict[str, list[str]] = {}
 
     @property
     def markers(self) -> Mapping[str, Marker]:
@@ -92,7 +93,15 @@ class MarkerMint:
         marker = Marker(candidate, concept_type)
         self.minted[candidate] = marker
         self._all[candidate] = marker
+        self._minted_by_type.setdefault(concept_type, []).append(candidate)
         return candidate
+
+    def markers_typed(self, type_ids: Collection[str]) -> list[str]:
+        """Ids of the registered and minted markers whose type is in the set ``type_ids``."""
+        found = self._vocab.markers_typed(type_ids)
+        by_type = self._minted_by_type
+        found.extend(marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ()))
+        return found
 
     def extended_vocabulary(self) -> Vocabulary:
         return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))

@@ -269,9 +269,8 @@ class TestMarkerMint:
         minted = mint.mint("Person")
         graph = cg([ConceptNode("c0", "Person", minted)], [])
         gcg = GammaCG("g", graph)
-        domain = marker_domain(tiny_vocab, gcg, "c0", markers=mint.markers)
-        assert minted in domain
         extended = mint.extended_vocabulary()
+        assert minted in marker_domain(extended, gcg, "c0")
         assert minted in extended.markers
         assert extended.markers[minted].type_id == "Person"
 
