@@ -249,8 +249,7 @@ def _signature_component(
         compatible = sorted(vocab.concepts.descendants_of(restriction) | {restriction})
         concept_type = compatible[rng.randrange(len(compatible))]
         concept_type = random_descendant(vocab.concepts, concept_type, AUTO_SPECIALISE_STEPS, rng)
-        carriers = vocab.concepts.ancestors_of(concept_type) | {concept_type}
-        admissible = sorted(mint.markers_typed(carriers))
+        admissible = mint.carriers(concept_type)
         if admissible:
             marker = admissible[rng.randrange(len(admissible))]
         else:

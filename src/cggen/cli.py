@@ -27,7 +27,7 @@ from .autogen import (
 from .core import Vocabulary, validate_graph
 from .errors import CggenError, ConfigError, FormatError, StructureError, VocabularyError
 from .gamma import GammaCG, validate_gamma
-from .generator import GeneratorConfig, derive_rng, generate_dataset
+from .generator import GeneratorConfig, derive_rng, generate_dataset, validate_inputs
 from .metrics import compute_stats, stats_table
 
 EXIT_OK = 0
@@ -182,6 +182,23 @@ def _gamma_paths(source: Any, base: Path) -> list[Path]:
     raise ConfigError("inputs.gammas must be a directory or a list of files")
 
 
+def _load_gammas(
+    doc: dict[str, Any], source: Any, base: Path, vocab: Vocabulary
+) -> list[GammaCG]:
+    """The gamma-CGs of ``inputs.gammas``, checked first when auto-var will run.
+
+    Auto-var computes admissible domains from the graphs' labels, so an
+    unknown label is reported beforehand with the lines generate_dataset
+    would report. Without auto-var, generate_dataset checks them itself.
+    """
+    gammas = [formats.load_gamma_cg(path) for path in _gamma_paths(source, base)]
+    if "autoVar" in doc:
+        problems = validate_inputs(vocab, gammas)
+        if problems:
+            raise StructureError("invalid gamma-CGs in inputs.gammas:\n" + "\n".join(problems))
+    return gammas
+
+
 def _resolve_gammas(
     doc: dict[str, Any], base: Path, seed: int, vocab: Vocabulary
 ) -> tuple[list[GammaCG], Vocabulary]:
@@ -191,8 +208,7 @@ def _resolve_gammas(
     if bool(file_source) == has_auto:
         raise ConfigError("exactly one gamma-CG source is required (inputs.gammas or autoGcg)")
     if file_source:
-        gammas = [formats.load_gamma_cg(path) for path in _gamma_paths(file_source, base)]
-        return gammas, vocab
+        return _load_gammas(doc, file_source, base, vocab), vocab
     config = _auto_gcg_config(_section(doc, "autoGcg"))
     result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
     return list(result.gammas), result.vocabulary
@@ -311,8 +327,8 @@ def _cmd_auto_var(args: argparse.Namespace) -> int:
     source = inputs.get("gammas") if isinstance(inputs, dict) else None
     if not source:
         raise ConfigError("auto-var needs inputs.gammas")
-    gammas = [formats.load_gamma_cg(path) for path in _gamma_paths(source, base)]
     config = _auto_var_config(_section(doc, "autoVar"))
+    gammas = _load_gammas(doc, source, base, vocab)
     result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -17,7 +17,7 @@ import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     ConceptNode,
@@ -96,12 +96,13 @@ class MarkerMint:
         self._minted_by_type.setdefault(concept_type, []).append(candidate)
         return candidate
 
-    def markers_typed(self, type_ids: Collection[str]) -> list[str]:
-        """Ids of the registered and minted markers whose type is in the set ``type_ids``."""
-        found = self._vocab.markers_typed(type_ids)
+    def carriers(self, concept_type: str) -> list[str]:
+        """Registered and minted markers whose type is >= ``concept_type``, by id."""
+        above = self._vocab.concepts.ancestors_of(concept_type) | {concept_type}
+        found = self._vocab.markers_typed(above)
         by_type = self._minted_by_type
-        found.extend(marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ()))
-        return found
+        found.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))
+        return sorted(found)
 
     def extended_vocabulary(self) -> Vocabulary:
         return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from typing import Mapping
 
-from cggen import ConceptualGraph, GammaCG, TypeHierarchy, Vocabulary
+from cggen import ConceptualGraph, GammaCG, Marker, TypeHierarchy, Vocabulary
 from cggen.generator import GenerationProvenance
 
 
@@ -75,6 +76,17 @@ def brute_marker_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[st
         for marker_id, marker in vocab.markers.items()
         if brute_subtype(vocab.concepts, marker.type_id, current.type_id)
     }
+
+
+def brute_carriers(
+    vocab: Vocabulary, markers: Mapping[str, Marker], concept_type: str
+) -> list[str]:
+    """Markers a concept of ``concept_type`` may carry (type >= it), sorted by id."""
+    return sorted(
+        marker_id
+        for marker_id, marker in markers.items()
+        if brute_subtype(vocab.concepts, concept_type, marker.type_id)
+    )
 
 
 def recount_stats(dataset: list[ConceptualGraph]) -> dict:

@@ -479,3 +479,34 @@ class TestMalformedDataset:
         vocab = load_vocabulary(out / "vocabulary.json")
         expected = generator.validate_inputs(vocab, [load_gamma_cg(path)])
         assert [line.replace(str(path), "gcg-0") for line in lines] == expected
+
+    @pytest.mark.parametrize("command", ["auto-var", "generate"])
+    def test_auto_var_input_with_unknown_label_reported(self, pristine, tmp_path, capsys, command):
+        # Auto-var computes domains from the labels of the gamma-CGs it reads;
+        # an unknown one is reported before it runs, as generate_dataset does.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(pristine, inputs)
+        path = inputs / "gamma" / "gcg-0.json"
+        doc = json.loads(path.read_text())
+        for relation in doc["relations"]:
+            relation["type"] = "NoSuchRel"
+        path.write_text(json.dumps(doc))
+        config = {
+            "seed": 1,
+            "inputs": {
+                "vocabulary": str(inputs / "vocabulary.json"),
+                "gammas": str(inputs / "gamma"),
+            },
+            "autoVar": FULL_AUTO["autoVar"],
+        }
+        if command == "generate":
+            config["generator"] = FULL_AUTO["generator"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        vocab = load_vocabulary(inputs / "vocabulary.json")
+        expected = generator.validate_inputs(vocab, [load_gamma_cg(path)])
+        assert any(line.startswith("gcg-0: unknown-relation-type ") for line in expected)
+        assert err[1:] == expected
+        assert not out.exists()

@@ -3,16 +3,19 @@ from collections import Counter
 import pytest
 
 from cggen import (
+    CONCEPT,
     ConceptNode,
     ConceptualGraph,
     ConfigError,
     GammaCG,
     GenerationError,
     GeneratorConfig,
+    Marker,
     MarkerMint,
     RelationNode,
     Variable,
     VariableTarget,
+    Vocabulary,
     derive_rng,
     generate_dataset,
     generate_one,
@@ -21,7 +24,8 @@ from cggen import (
     validate_graph,
 )
 from cggen.gamma import TARGET_MARKER, TARGET_RELATION_TYPE
-from conftest import build_reference_gammas, fresh_rng
+from conftest import build_reference_gammas, fresh_rng, make_hierarchy
+from oracles import brute_carriers, brute_marker_domain
 
 
 def cg(concepts, relations):
@@ -282,6 +286,36 @@ class TestMarkerMint:
         path = tmp_path / "voc.json"
         save_vocabulary(path, mint.extended_vocabulary())
         assert minted in load_vocabulary(path).markers
+
+
+class TestMarkersByTypeOnDag:
+    """The markers-by-type index against brute scans of a multi-parent hierarchy."""
+
+    @pytest.fixture
+    def dag_vocab(self):
+        # C has two parents, so D reaches Top along two paths.
+        concepts = make_hierarchy(
+            CONCEPT,
+            "Top",
+            [("A", "Top"), ("B", "Top"), ("C", "A"), ("C", "B"), ("D", "C"), ("E", "B")],
+        )
+        markers = [Marker("a1", "A"), Marker("b1", "B"), Marker("d1", "D"), Marker("t1", "Top")]
+        return Vocabulary(concepts, {}, {}, {m.marker_id: m for m in markers})
+
+    def test_carriers_are_counted_once(self, dag_vocab):
+        assert MarkerMint(dag_vocab, "t").carriers("D") == ["a1", "b1", "d1", "t1"]
+
+    def test_index_matches_brute_scans_between_mints(self, dag_vocab):
+        mint = MarkerMint(dag_vocab, "t")
+        for next_mint in ("C", "E", "Top", "D", "C", "A", None):
+            vocab = mint.extended_vocabulary()
+            for type_id in vocab.concepts.type_ids():
+                assert mint.carriers(type_id) == brute_carriers(vocab, mint.markers, type_id)
+            for marker in vocab.markers.values():
+                gcg = GammaCG("g", cg([ConceptNode("c0", marker.type_id, marker.marker_id)], []))
+                assert marker_domain(vocab, gcg, "c0") == brute_marker_domain(vocab, gcg, "c0")
+            if next_mint is not None:
+                mint.mint(next_mint)
 
 
 class TestGenerateDataset:
