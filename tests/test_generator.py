@@ -302,9 +302,6 @@ class TestMarkersByTypeOnDag:
         markers = [Marker("a1", "A"), Marker("b1", "B"), Marker("d1", "D"), Marker("t1", "Top")]
         return Vocabulary(concepts, {}, {}, {m.marker_id: m for m in markers})
 
-    def test_carriers_are_counted_once(self, dag_vocab):
-        assert MarkerMint(dag_vocab, "t").carriers("D") == ["a1", "b1", "d1", "t1"]
-
     def test_index_matches_brute_scans_between_mints(self, dag_vocab):
         mint = MarkerMint(dag_vocab, "t")
         for next_mint in ("C", "E", "Top", "D", "C", "A", None):
