@@ -29,13 +29,14 @@ from .gamma import (
     TARGET_MARKER,
     TARGET_RELATION_TYPE,
     GammaCG,
+    MarkerMint,
     Variable,
     VariableTarget,
     concept_type_domain,
     marker_domain,
     relation_type_domain,
 )
-from .generator import MarkerMint, _Assembler
+from .generator import _Assembler
 
 # Downward steps used when the gamma-CG builder "randomly specializes" a label.
 AUTO_SPECIALISE_STEPS = 3

@@ -230,10 +230,12 @@ def _apply_auto_var(
 
 
 class _OutputDir:
-    """Creates the output directory; removes what it wrote on failure."""
+    """Creates the output directory; removes what its body wrote if it raises."""
 
     def __init__(self, out: str) -> None:
         self.path = Path(out)
+
+    def __enter__(self) -> Path:
         if self.path.exists():
             if not self.path.is_dir() or any(self.path.iterdir()):
                 raise ConfigError(f"output directory {self.path} exists and is not empty")
@@ -241,16 +243,19 @@ class _OutputDir:
         else:
             self.path.mkdir(parents=True)
             self.created = True
+        return self.path
 
-    def cleanup(self) -> None:
+    def __exit__(self, exc_type: type[BaseException] | None, *_: object) -> None:
+        if exc_type is None:
+            return
         if self.created:
             shutil.rmtree(self.path, ignore_errors=True)
-        else:
-            for child in self.path.iterdir():
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                else:
-                    child.unlink(missing_ok=True)
+            return
+        for child in self.path.iterdir():
+            if child.is_dir():
+                shutil.rmtree(child, ignore_errors=True)
+            else:
+                child.unlink(missing_ok=True)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -264,19 +269,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     result = generate_dataset(vocab, gammas, config, jobs=args.jobs)
     stats = compute_stats(result.graphs)
 
-    out = _OutputDir(args.out)
-    try:
-        formats.save_result(out.path, result, gammas)
+    with _OutputDir(args.out) as out:
+        formats.save_result(out, result, gammas)
         formats.save_dataset(
-            out.path / formats.DATASET_DIR,
+            out / formats.DATASET_DIR,
             result.graphs,
             config=config,
             provenances=result.provenances,
             stats=stats,
         )
-    except Exception:
-        out.cleanup()
-        raise
     print(f"seed: {seed}")
     print(stats_table(stats))
     return EXIT_OK
@@ -287,14 +288,10 @@ def _cmd_auto_voc(args: argparse.Namespace) -> int:
     seed = _resolve_seed(doc, args.seed)
     config = _auto_voc_config(_section(doc, "autoVoc"))
     vocab = auto_vocabulary(config, derive_rng(seed, "auto-voc"))
-    out = _OutputDir(args.out)
-    try:
-        formats.save_vocabulary(out.path / formats.VOCABULARY_FILE, vocab)
-    except Exception:
-        out.cleanup()
-        raise
+    with _OutputDir(args.out) as out:
+        formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
     print(f"seed: {seed}")
-    print(f"wrote {out.path / formats.VOCABULARY_FILE}")
+    print(f"wrote {out / formats.VOCABULARY_FILE}")
     return EXIT_OK
 
 
@@ -304,18 +301,14 @@ def _cmd_auto_gcg(args: argparse.Namespace) -> int:
     vocab = _resolve_vocabulary(doc, base, seed)
     config = _auto_gcg_config(_section(doc, "autoGcg"))
     result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
-    out = _OutputDir(args.out)
-    try:
-        formats.save_vocabulary(out.path / formats.VOCABULARY_FILE, result.vocabulary)
-        gamma_dir = out.path / formats.GAMMA_DIR
+    with _OutputDir(args.out) as out:
+        formats.save_vocabulary(out / formats.VOCABULARY_FILE, result.vocabulary)
+        gamma_dir = out / formats.GAMMA_DIR
         gamma_dir.mkdir(exist_ok=True)
         for gcg in result.gammas:
             formats.save_gamma_cg(gamma_dir / f"{gcg.name}.json", gcg)
-    except Exception:
-        out.cleanup()
-        raise
     print(f"seed: {seed}")
-    print(f"wrote {len(result.gammas)} gamma-CGs to {out.path / formats.GAMMA_DIR}")
+    print(f"wrote {len(result.gammas)} gamma-CGs to {gamma_dir}")
     return EXIT_OK
 
 
@@ -332,18 +325,14 @@ def _cmd_auto_var(args: argparse.Namespace) -> int:
     result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    out = _OutputDir(args.out)
-    try:
-        formats.save_vocabulary(out.path / formats.VOCABULARY_FILE, vocab)
-        gamma_dir = out.path / formats.GAMMA_DIR
+    with _OutputDir(args.out) as out:
+        formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
+        gamma_dir = out / formats.GAMMA_DIR
         gamma_dir.mkdir(exist_ok=True)
         for gcg in result.gammas:
             formats.save_gamma_cg(gamma_dir / f"{gcg.name}.json", gcg)
-    except Exception:
-        out.cleanup()
-        raise
     print(f"seed: {seed}")
-    print(f"wrote {len(result.gammas)} gamma-CGs to {out.path / formats.GAMMA_DIR}")
+    print(f"wrote {len(result.gammas)} gamma-CGs to {gamma_dir}")
     return EXIT_OK
 
 

@@ -102,16 +102,6 @@ class TypeHierarchy:
         for type_id, parent_ids in self.parents.items():
             for parent in parent_ids:
                 children[parent].append(type_id)
-        depths: dict[str, int] = {self.root: 0}
-        frontier = [self.root]
-        while frontier:
-            nxt: list[str] = []
-            for node in frontier:
-                for child in children[node]:
-                    if child not in depths:
-                        depths[child] = depths[node] + 1
-                        nxt.append(child)
-            frontier = nxt
 
         descendants: dict[str, set[str]] = {type_id: set() for type_id in self.labels}
         for type_id, ups in ancestors.items():
@@ -124,7 +114,6 @@ class TypeHierarchy:
             "_children",
             {type_id: tuple(sorted(kids)) for type_id, kids in children.items()},
         )
-        object.__setattr__(self, "_depths", depths)
         object.__setattr__(
             self,
             "_descendants",
@@ -156,14 +145,6 @@ class TypeHierarchy:
     def children_of(self, type_id: str) -> tuple[str, ...]:
         self.require(type_id)
         return self._children[type_id]  # type: ignore[attr-defined]
-
-    def depth_of(self, type_id: str) -> int:
-        """Shortest distance from the root (0 for the root itself)."""
-        self.require(type_id)
-        return self._depths[type_id]  # type: ignore[attr-defined]
-
-    def max_depth(self) -> int:
-        return max(self._depths.values())  # type: ignore[attr-defined]
 
 
 def is_subtype(hierarchy: TypeHierarchy, a: str, b: str) -> bool:

@@ -28,7 +28,7 @@ from .core import (
 from .errors import FormatError, StructureError, VocabularyError
 from .gamma import GammaCG, Variable, VariableTarget
 from .generator import ComponentDraw, DatasetResult, GenerationProvenance, GeneratorConfig
-from .metrics import DatasetStats, compute_stats
+from .metrics import DatasetStats
 
 FORMAT_VERSION = "1.0.0"
 
@@ -480,19 +480,17 @@ def save_dataset(
     graphs: Sequence[ConceptualGraph],
     *,
     config: GeneratorConfig,
-    provenances: Sequence[GenerationProvenance] | None = None,
-    stats: DatasetStats | None = None,
+    provenances: Sequence[GenerationProvenance],
+    stats: DatasetStats,
 ) -> None:
-    """Write one document per CG plus the manifest (and provenance if given)."""
+    """Write one document per CG, the manifest and the provenance."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if stats is None:
-        stats = compute_stats(graphs)
     if stats.cg_count != len(graphs):
         raise FormatError(
             f"stats cover {stats.cg_count} CGs but {len(graphs)} were given"
         )
-    if provenances is not None and len(provenances) != len(graphs):
+    if len(provenances) != len(graphs):
         raise FormatError(
             f"provenances cover {len(provenances)} CGs but {len(graphs)} were given"
         )
@@ -505,11 +503,10 @@ def save_dataset(
         "config": _config_doc(config),
         "stats": _stats_doc(stats),
         "cgFiles": file_names,
-        "provenanceFile": PROVENANCE_FILE if provenances is not None else None,
+        "provenanceFile": PROVENANCE_FILE,
     }
     _dump(directory / MANIFEST_FILE, manifest)
-    if provenances is not None:
-        _write(directory / PROVENANCE_FILE, "provenance", _provenance_members(provenances))
+    _write(directory / PROVENANCE_FILE, "provenance", _provenance_members(provenances))
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:

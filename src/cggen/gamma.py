@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Container, Mapping, Protocol
+from typing import Container, Mapping
 
 from .core import (
     ConceptNode,
@@ -199,13 +199,49 @@ def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
     return problems
 
 
-class MarkerSource(Protocol):
-    """Where instantiation finds registered markers and mints fresh ones."""
+class MarkerMint:
+    """Mints fresh individual markers on top of a vocabulary's registry.
+
+    Minted ids live in a caller-chosen namespace so that independently
+    minted sets (one per generated CG) never collide and can be merged into
+    the vocabulary in any order.
+    """
+
+    def __init__(self, vocab: Vocabulary, namespace: str) -> None:
+        self._vocab = vocab
+        self._namespace = namespace
+        self._counter = 0
+        self.minted: dict[str, Marker] = {}
+        self._all = dict(vocab.markers)
+        self._minted_by_type: dict[str, list[str]] = {}
 
     @property
-    def markers(self) -> Mapping[str, Marker]: ...
+    def markers(self) -> Mapping[str, Marker]:
+        return self._all
 
-    def mint(self, concept_type: str) -> str: ...
+    def mint(self, concept_type: str) -> str:
+        self._vocab.concepts.require(concept_type)
+        while True:
+            candidate = f"{self._namespace}-m{self._counter}"
+            self._counter += 1
+            if candidate not in self._all:
+                break
+        marker = Marker(candidate, concept_type)
+        self.minted[candidate] = marker
+        self._all[candidate] = marker
+        self._minted_by_type.setdefault(concept_type, []).append(candidate)
+        return candidate
+
+    def carriers(self, concept_type: str) -> list[str]:
+        """Registered and minted markers whose type is >= ``concept_type``, by id."""
+        above = self._vocab.concepts.ancestors_of(concept_type) | {concept_type}
+        found = self._vocab.markers_typed(above)
+        by_type = self._minted_by_type
+        found.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))
+        return sorted(found)
+
+    def extended_vocabulary(self) -> Vocabulary:
+        return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))
 
 
 @dataclass(frozen=True)
@@ -222,20 +258,19 @@ def instantiate(
     gcg: GammaCG,
     rng: random.Random,
     *,
-    mint: MarkerSource | None = None,
+    mint: MarkerMint,
 ) -> InstantiationOutcome:
     """Replace every variable's target label by a draw from its domain.
 
     Relation-type variables are evaluated first, then concept-type, then
     marker variables, so later effective domains reflect earlier choices.
     A type variable whose effective domain empties raises
-    InstantiationError; an emptied marker domain falls through to minting
-    when a mint is supplied.
+    InstantiationError; an emptied marker domain falls through to minting.
     """
     concept_types = {nid: node.type_id for nid, node in gcg.graph.concepts.items()}
     concept_markers = {nid: node.marker for nid, node in gcg.graph.concepts.items()}
     relation_types = {nid: node.type_id for nid, node in gcg.graph.relations.items()}
-    marker_registry: Mapping[str, Marker] = mint.markers if mint is not None else vocab.markers
+    marker_registry = mint.markers
 
     relation_vars = [v for v in gcg.variables if v.target.kind == TARGET_RELATION_TYPE]
     concept_vars = [v for v in gcg.variables if v.target.kind == TARGET_CONCEPT_TYPE]
@@ -313,12 +348,8 @@ def instantiate(
         ]
         if effective:
             choice = effective[rng.randrange(len(effective))]
-        elif mint is not None:
-            choice = mint.mint(node_type)
         else:
-            raise InstantiationError(
-                f"variable {variable.name!r} of {gcg.name!r} has no admissible marker"
-            )
+            choice = mint.mint(node_type)
         concept_markers[node_id] = choice
         assignments.append((variable.name, choice))
 

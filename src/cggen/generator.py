@@ -30,7 +30,14 @@ from .core import (
     signature_admits,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
-from .gamma import TARGET_CONCEPT_TYPE, GammaCG, InstantiationOutcome, instantiate, validate_gamma
+from .gamma import (
+    TARGET_CONCEPT_TYPE,
+    GammaCG,
+    InstantiationOutcome,
+    MarkerMint,
+    instantiate,
+    validate_gamma,
+)
 
 # Attempts per component draw before the gamma-CG is set aside for this CG.
 INSTANTIATION_RETRIES = 16
@@ -61,51 +68,6 @@ class GeneratorConfig:
             raise ConfigError("min_size must be >= 1")
         if self.max_spe < 0:
             raise ConfigError("max_spe must be >= 0")
-
-
-class MarkerMint:
-    """Mints fresh individual markers on top of a vocabulary's registry.
-
-    Minted ids live in a caller-chosen namespace so that independently
-    minted sets (one per generated CG) never collide and can be merged into
-    the vocabulary in any order.
-    """
-
-    def __init__(self, vocab: Vocabulary, namespace: str = "mint") -> None:
-        self._vocab = vocab
-        self._namespace = namespace
-        self._counter = 0
-        self.minted: dict[str, Marker] = {}
-        self._all = dict(vocab.markers)
-        self._minted_by_type: dict[str, list[str]] = {}
-
-    @property
-    def markers(self) -> Mapping[str, Marker]:
-        return self._all
-
-    def mint(self, concept_type: str) -> str:
-        self._vocab.concepts.require(concept_type)
-        while True:
-            candidate = f"{self._namespace}-m{self._counter}"
-            self._counter += 1
-            if candidate not in self._all:
-                break
-        marker = Marker(candidate, concept_type)
-        self.minted[candidate] = marker
-        self._all[candidate] = marker
-        self._minted_by_type.setdefault(concept_type, []).append(candidate)
-        return candidate
-
-    def carriers(self, concept_type: str) -> list[str]:
-        """Registered and minted markers whose type is >= ``concept_type``, by id."""
-        above = self._vocab.concepts.ancestors_of(concept_type) | {concept_type}
-        found = self._vocab.markers_typed(above)
-        by_type = self._minted_by_type
-        found.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))
-        return sorted(found)
-
-    def extended_vocabulary(self) -> Vocabulary:
-        return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))
 
 
 @dataclass(frozen=True)
@@ -273,7 +235,7 @@ def generate_one(
     config: GeneratorConfig,
     rng: random.Random,
     *,
-    mint: MarkerMint | None = None,
+    mint: MarkerMint,
 ) -> tuple[ConceptualGraph, GenerationProvenance]:
     """Build one CG of at least ``config.min_size`` nodes.
 
@@ -282,8 +244,6 @@ def generate_one(
     """
     if not gamma_set:
         raise ConfigError("gamma_set must be non-empty")
-    if mint is None:
-        mint = MarkerMint(vocab, "gen")
 
     assembler = _Assembler(vocab)
     # Sequential ids local to this CG; merged concepts still use up a number.
@@ -340,8 +300,9 @@ def _generate_indexed(
     rng = derive_rng(config.seed, "cg", index)
     mint = MarkerMint(vocab, f"cg{index}")
     graph, provenance = generate_one(vocab, gamma_set, config, rng, mint=mint)
-    minted = tuple(sorted(mint.minted.values(), key=lambda m: m.marker_id))
-    return graph, GenerationProvenance(cg_index=index, draws=provenance.draws), minted
+    provenance = GenerationProvenance(cg_index=index, draws=provenance.draws)
+    # Unsorted: generate_dataset sorts the markers of all CGs together.
+    return graph, provenance, tuple(mint.minted.values())
 
 
 def validate_inputs(vocab: Vocabulary, gamma_set: Sequence[GammaCG]) -> list[str]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,9 +64,9 @@ def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
     n = len(dataset)
     return DatasetStats(
         cg_count=n,
-        nb_nodes_mean=statistics.fmean(node_counts),
+        nb_nodes_mean=sum(node_counts) / n,
         nb_nodes_stddev=_pstdev(node_counts),
-        nb_labels_mean=statistics.fmean(label_counts),
+        nb_labels_mean=sum(label_counts) / n,
         nb_labels_stddev=_pstdev(label_counts),
         arity_counts={arity: total / n for arity, total in sorted(arity_totals.items())},
     )

@@ -12,6 +12,7 @@ from cggen import (
     GammaCG,
     GeneratorConfig,
     Marker,
+    MarkerMint,
     ParamSpec,
     RelationNode,
     Signature,
@@ -79,6 +80,12 @@ def tiny_vocab():
         ]
     }
     return Vocabulary(concepts, {1: unary, 2: binary, 3: ternary}, signatures, markers)
+
+
+@pytest.fixture
+def mint(tiny_vocab):
+    """A fresh marker mint over tiny_vocab, for instantiate and generate_one."""
+    return MarkerMint(tiny_vocab, "test")
 
 
 def admissible_markers(vocab, concept_type):

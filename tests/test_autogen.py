@@ -68,7 +68,8 @@ class TestAutoVocabulary:
             rng = fresh_rng("voc-fig", trial)
             vocab = auto_vocabulary(DEPTH4_VOC_CONFIG, rng)
             concepts = vocab.concepts
-            assert concepts.max_depth() == 3  # depth 4 = 4 levels, root at 0
+            # depth 4 = 4 levels, so the deepest type has 3 ancestors
+            assert max(len(concepts.ancestors_of(t)) for t in concepts.labels) == 3
             for type_id in concepts.labels:
                 assert len(concepts.children_of(type_id)) <= 3
             markers_by_type = {}
@@ -84,7 +85,7 @@ class TestAutoVocabulary:
             vocab = auto_vocabulary(DEPTH4_VOC_CONFIG, rng)
             for arity in (1, 2, 3):
                 hierarchy = vocab.relations[arity]
-                assert hierarchy.max_depth() == 2  # depth 3
+                assert max(len(hierarchy.ancestors_of(t)) for t in hierarchy.labels) == 2
                 root = hierarchy.root
                 assert vocab.signatures[root].restrictions == ("Top",) * arity
                 assert restriction_for(vocab, root, arity - 1) == "Top"

@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 from cggen import load_gamma_cg, load_vocabulary, save_cg, save_vocabulary
-from cggen import generator
+from cggen import formats, generator
 from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph
 from oracles import parse_dot
@@ -161,7 +161,8 @@ class TestStages:
         out = tmp_path / "voc-out"
         assert main(["auto-voc", "--config", str(config), "--out", str(out)]) == 0
         vocab = load_vocabulary(out / "vocabulary.json")
-        assert vocab.concepts.max_depth() == 3  # depth 4 in levels
+        concepts = vocab.concepts
+        assert max(len(concepts.ancestors_of(t)) for t in concepts.labels) == 3  # 4 levels
         marker_counts = {}
         for marker in vocab.markers.values():
             marker_counts[marker.type_id] = marker_counts.get(marker.type_id, 0) + 1
@@ -276,6 +277,60 @@ class TestStages:
         )
 
 
+class TestPartialOutputRemoved:
+    """A command whose save fails leaves --out as it found it."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        staged = tmp_path / "staged"
+        gcg_cfg = write_config(
+            tmp_path,
+            {"seed": 5, "autoVoc": FULL_AUTO["autoVoc"], "autoGcg": FULL_AUTO["autoGcg"]},
+            "gcg.json",
+        )
+        assert main(["auto-gcg", "--config", str(gcg_cfg), "--out", str(staged)]) == 0
+        var_doc = {
+            "seed": 5,
+            "autoVar": FULL_AUTO["autoVar"],
+            "inputs": {
+                "vocabulary": str(staged / "vocabulary.json"),
+                "gammas": str(staged / "gamma"),
+            },
+        }
+        return {
+            "generate": write_config(tmp_path, FULL_AUTO),
+            "auto-voc": write_config(
+                tmp_path, {"seed": 5, "autoVoc": FULL_AUTO["autoVoc"]}, "voc.json"
+            ),
+            "auto-gcg": gcg_cfg,
+            "auto-var": write_config(tmp_path, var_doc, "var.json"),
+        }
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["out-absent", "out-empty"])
+    @pytest.mark.parametrize("command", ["generate", "auto-voc", "auto-gcg", "auto-var"])
+    def test_failed_save_removes_what_it_wrote(
+        self, configs, tmp_path, monkeypatch, command, existed
+    ):
+        save_vocabulary = formats.save_vocabulary
+
+        def save_then_fail(path, vocab):
+            save_vocabulary(path, vocab)
+            assert path.is_file()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(formats, "save_vocabulary", save_then_fail)
+        out = tmp_path / "out"
+        if existed:
+            out.mkdir()
+        with pytest.raises(OSError, match="disk full"):
+            main([command, "--config", str(configs[command]), "--out", str(out)])
+        if existed:
+            assert out.is_dir()
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
+
+
 class TestValidateStatsDot:
     @pytest.fixture
     def generated(self, tmp_path):
@@ -322,7 +377,14 @@ class TestValidateStatsDot:
         assert main(["validate", str(dataset_file)]) == 2
 
     def test_stats_zero_stddev_for_identical_cgs(self, generated, tmp_path, capsys):
-        from cggen import GeneratorConfig, load_cg, save_dataset
+        from cggen import (
+            GenerationProvenance,
+            GeneratorConfig,
+            compute_stats,
+            load_cg,
+            load_dataset,
+            save_dataset,
+        )
 
         graph = load_cg(generated / "dataset" / "cg-0000.json")
         directory = tmp_path / "twins"
@@ -330,7 +392,16 @@ class TestValidateStatsDot:
             directory,
             [graph, graph],
             config=GeneratorConfig(max_cgs=2, min_size=1, seed=0),
+            provenances=[GenerationProvenance(cg_index=i, draws=()) for i in range(2)],
+            stats=compute_stats([graph, graph]),
         )
+        # cggen always writes a provenance; manifests from elsewhere may name none.
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["provenanceFile"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        (directory / "provenance.json").unlink()
+        assert load_dataset(directory).provenances is None
         capsys.readouterr()
         assert main(["stats", str(directory)]) == 0
         row = capsys.readouterr().out.splitlines()[1]

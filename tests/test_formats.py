@@ -186,7 +186,11 @@ class TestDatasetFormat:
         _, _, dataset, config = built
         directory = tmp_path / "ds"
         save_dataset(
-            directory, dataset.graphs, config=config, provenances=dataset.provenances
+            directory,
+            dataset.graphs,
+            config=config,
+            provenances=dataset.provenances,
+            stats=compute_stats(dataset.graphs),
         )
         loaded = load_dataset(directory)
         assert loaded.graphs == dataset.graphs
@@ -201,7 +205,11 @@ class TestDatasetFormat:
         one, two = tmp_path / "one", tmp_path / "two"
         for directory in (one, two):
             save_dataset(
-                directory, dataset.graphs, config=config, provenances=dataset.provenances
+                directory,
+                dataset.graphs,
+                config=config,
+                provenances=dataset.provenances,
+                stats=compute_stats(dataset.graphs),
             )
         files_one = sorted(p.name for p in one.iterdir())
         files_two = sorted(p.name for p in two.iterdir())
@@ -212,7 +220,13 @@ class TestDatasetFormat:
     def test_manifest_count_mismatch_rejected(self, built, tmp_path):
         _, _, dataset, config = built
         directory = tmp_path / "ds"
-        save_dataset(directory, dataset.graphs, config=config)
+        save_dataset(
+            directory,
+            dataset.graphs,
+            config=config,
+            provenances=dataset.provenances,
+            stats=compute_stats(dataset.graphs),
+        )
         manifest = json.loads((directory / "manifest.json").read_text())
         manifest["cgFiles"] = manifest["cgFiles"][:-1]
         (directory / "manifest.json").write_text(json.dumps(manifest))
@@ -227,6 +241,7 @@ class TestDatasetFormat:
                 dataset.graphs,
                 config=config,
                 provenances=dataset.provenances[:-1],
+                stats=compute_stats(dataset.graphs),
             )
 
 

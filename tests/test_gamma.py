@@ -7,7 +7,6 @@ from cggen import (
     ConceptualGraph,
     GammaCG,
     InstantiationError,
-    MarkerMint,
     RelationNode,
     Signature,
     StructureError,
@@ -189,11 +188,11 @@ class TestValidateDomain:
 
 
 class TestInstantiate:
-    def test_zero_variables_returns_graph_unchanged(self, tiny_vocab, sample_gcg):
-        result = instantiate(tiny_vocab, sample_gcg, fresh_rng("inst0")).graph
+    def test_zero_variables_returns_graph_unchanged(self, tiny_vocab, mint, sample_gcg):
+        result = instantiate(tiny_vocab, sample_gcg, fresh_rng("inst0"), mint=mint).graph
         assert result == sample_gcg.graph
 
-    def test_three_variable_kinds(self, tiny_vocab, sample_gcg):
+    def test_three_variable_kinds(self, tiny_vocab, mint, sample_gcg):
         variables = [
             Variable("v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), ("Person", "Student")),
             Variable("v2", VariableTarget(TARGET_MARKER, "c2"), ("alice", "bob", "carol")),
@@ -202,13 +201,13 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("inst3")
         for _ in range(50):
-            result = instantiate(tiny_vocab, gcg, rng).graph
+            result = instantiate(tiny_vocab, gcg, rng, mint=mint).graph
             assert result.concepts["c0"].type_id in ("Person", "Student")
             assert result.concepts["c2"].marker in ("alice", "bob", "carol")
             assert result.relations["r1"].type_id in ("knows", "attends", "T2")
             assert validate_graph(tiny_vocab, result).ok
 
-    def test_domain_coverage(self, tiny_vocab):
+    def test_domain_coverage(self, tiny_vocab, mint):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {})
         variable = Variable(
             "v1",
@@ -218,12 +217,12 @@ class TestInstantiate:
         gcg = gcg_of(graph, [variable])
         rng = fresh_rng("coverage")
         seen = {
-            instantiate(tiny_vocab, gcg, rng).graph.concepts["c0"].type_id
+            instantiate(tiny_vocab, gcg, rng, mint=mint).graph.concepts["c0"].type_id
             for _ in range(1000)
         }
         assert seen == {"Top", "Entity", "Act", "Place"}
 
-    def test_relation_draw_constrains_concept_draw(self, tiny_vocab, sample_gcg):
+    def test_relation_draw_constrains_concept_draw(self, tiny_vocab, mint, sample_gcg):
         # The relation variable forces "attends", whose signature demands a
         # Student at position 0; only that value of the concept domain stays.
         variables = [
@@ -234,12 +233,12 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("order")
         for _ in range(20):
-            result = instantiate(tiny_vocab, gcg, rng).graph
+            result = instantiate(tiny_vocab, gcg, rng, mint=mint).graph
             assert result.relations["r1"].type_id == "attends"
             assert result.concepts["c0"].type_id == "Student"
             assert validate_graph(tiny_vocab, result).ok
 
-    def test_relation_variable_respects_fixed_arguments(self, tiny_vocab, sample_gcg):
+    def test_relation_variable_respects_fixed_arguments(self, tiny_vocab, mint, sample_gcg):
         # r0's argument c1 is a Place, so "knows" (Person, Person) can never
         # be drawn even though it sits in the stored domain.
         variables = [
@@ -248,38 +247,35 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("fixed-args")
         for _ in range(30):
-            result = instantiate(tiny_vocab, gcg, rng).graph
+            result = instantiate(tiny_vocab, gcg, rng, mint=mint).graph
             assert result.relations["r0"].type_id == "locatedIn"
 
-    def test_type_variable_empty_effective_domain_raises(self, tiny_vocab, sample_gcg):
+    def test_type_variable_empty_effective_domain_raises(self, tiny_vocab, mint, sample_gcg):
         variables = [
             Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),
         ]
         gcg = gcg_of(sample_gcg.graph, variables)
         with pytest.raises(InstantiationError):
-            instantiate(tiny_vocab, gcg, fresh_rng("empty-type"))
+            instantiate(tiny_vocab, gcg, fresh_rng("empty-type"), mint=mint)
 
-    def test_marker_variable_minting_fallback(self, tiny_vocab):
+    def test_marker_variable_minting_fallback(self, tiny_vocab, mint):
         # No marker of a type <= Place other than home; a domain holding only
         # person markers is empty after filtering, so a fresh one is minted.
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Place", "home")}, {})
         variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("alice",))]
         gcg = gcg_of(graph, variables)
-        with pytest.raises(InstantiationError):
-            instantiate(tiny_vocab, gcg, fresh_rng("mark-empty"))
-        mint = MarkerMint(tiny_vocab, "test")
         result = instantiate(tiny_vocab, gcg, fresh_rng("mark-mint"), mint=mint).graph
         minted = result.concepts["c0"].marker
         assert minted in mint.minted
         assert mint.minted[minted].type_id == "Place"
         assert validate_graph(mint.extended_vocabulary(), result).ok
 
-    def test_marker_variable_on_unmarked_node(self, tiny_vocab):
+    def test_marker_variable_on_unmarked_node(self, tiny_vocab, mint):
         # The slot is declared individual by the variable itself.
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
         variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("alice", "bob"))]
         gcg = gcg_of(graph, variables)
-        result = instantiate(tiny_vocab, gcg, fresh_rng("unmarked")).graph
+        result = instantiate(tiny_vocab, gcg, fresh_rng("unmarked"), mint=mint).graph
         assert result.concepts["c0"].marker in ("alice", "bob")
         assert validate_graph(tiny_vocab, result).ok
 

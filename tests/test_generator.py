@@ -169,10 +169,10 @@ def plain_gamma(tiny_vocab):
 
 
 class TestGenerateOne:
-    def test_single_component_reaching_min_size(self, tiny_vocab, plain_gamma):
+    def test_single_component_reaching_min_size(self, tiny_vocab, mint, plain_gamma):
         config = GeneratorConfig(max_cgs=1, min_size=5, max_spe=0, seed=1)
         graph, provenance = generate_one(
-            tiny_vocab, [plain_gamma], config, fresh_rng("one")
+            tiny_vocab, [plain_gamma], config, fresh_rng("one"), mint=mint
         )
         assert canonical(graph) == canonical(plain_gamma.graph)
         assert [d.gamma_name for d in provenance.draws] == ["plain"]
@@ -183,10 +183,12 @@ class TestGenerateOne:
         config = GeneratorConfig(max_cgs=1, min_size=30, max_spe=3, seed=1)
         largest = max(g.graph.size for g in gammas)
         for i in range(100):
-            graph, _ = generate_one(vocab, gammas, config, derive_rng(1, "sz", i))
+            graph, _ = generate_one(
+                vocab, gammas, config, derive_rng(1, "sz", i), mint=MarkerMint(vocab, f"cg{i}")
+            )
             assert 30 <= graph.size < 30 + largest
 
-    def test_singleton_marker_domain_connects_instances(self, tiny_vocab):
+    def test_singleton_marker_domain_connects_instances(self, tiny_vocab, mint):
         # Both components draw the same marker, so their instances share a
         # node in the output.
         graph = cg(
@@ -199,13 +201,13 @@ class TestGenerateOne:
             (Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("bob",)),),
         )
         config = GeneratorConfig(max_cgs=1, min_size=6, max_spe=0, seed=3)
-        out, provenance = generate_one(tiny_vocab, [gamma], config, fresh_rng("pinm"))
+        out, provenance = generate_one(tiny_vocab, [gamma], config, fresh_rng("pinm"), mint=mint)
         bob_nodes = [n for n in out.concepts.values() if n.marker == "bob"]
         assert len(bob_nodes) == 1
         merges = [m for d in provenance.draws for m in d.merged]
         assert any(marker == "bob" for marker, _, _ in merges)
 
-    def test_failing_gamma_skipped(self, tiny_vocab, plain_gamma):
+    def test_failing_gamma_skipped(self, tiny_vocab, mint, plain_gamma):
         # locatedIn's Place argument can never satisfy "knows"; the gamma
         # always fails instantiation and must be skipped, not loop forever.
         broken_graph = cg(
@@ -219,12 +221,12 @@ class TestGenerateOne:
         )
         config = GeneratorConfig(max_cgs=1, min_size=8, max_spe=0, seed=5)
         graph, provenance = generate_one(
-            tiny_vocab, [broken, plain_gamma], config, fresh_rng("skip")
+            tiny_vocab, [broken, plain_gamma], config, fresh_rng("skip"), mint=mint
         )
         assert {d.gamma_name for d in provenance.draws} == {"plain"}
         assert graph.size >= 8
 
-    def test_skipped_merge_pairs_not_rerecorded(self, tiny_vocab):
+    def test_skipped_merge_pairs_not_rerecorded(self, tiny_vocab, mint):
         # Two coreferent nodes with incomparable types stay unmerged; the
         # skip must be recorded once per attempted pair, not repeated on
         # every later join against the accumulated graph.
@@ -237,13 +239,13 @@ class TestGenerateOne:
         )
         gamma = GammaCG("clash", graph)
         config = GeneratorConfig(max_cgs=1, min_size=12, max_spe=0, seed=2)
-        _, provenance = generate_one(tiny_vocab, [gamma], config, fresh_rng("skrec"))
+        _, provenance = generate_one(tiny_vocab, [gamma], config, fresh_rng("skrec"), mint=mint)
         assert len(provenance.draws) >= 3
         skips = [s for d in provenance.draws for s in d.skipped_merges]
         assert skips
         assert len(skips) == len(set(skips))
 
-    def test_all_gammas_failing_raises(self, tiny_vocab):
+    def test_all_gammas_failing_raises(self, tiny_vocab, mint):
         broken_graph = cg(
             [ConceptNode("c0", "Person"), ConceptNode("c1", "Place")],
             [RelationNode("r0", "locatedIn", ("c0", "c1"))],
@@ -255,12 +257,12 @@ class TestGenerateOne:
         )
         config = GeneratorConfig(max_cgs=1, min_size=8, max_spe=0, seed=5)
         with pytest.raises(GenerationError):
-            generate_one(tiny_vocab, [broken], config, fresh_rng("allskip"))
+            generate_one(tiny_vocab, [broken], config, fresh_rng("allskip"), mint=mint)
 
-    def test_empty_gamma_set_rejected(self, tiny_vocab):
+    def test_empty_gamma_set_rejected(self, tiny_vocab, mint):
         config = GeneratorConfig(max_cgs=1, min_size=1, seed=1)
         with pytest.raises(ConfigError):
-            generate_one(tiny_vocab, [], config, fresh_rng("none"))
+            generate_one(tiny_vocab, [], config, fresh_rng("none"), mint=mint)
 
 
 class TestMarkerMint:

@@ -1,7 +1,13 @@
 import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cggen
 from cggen import (
     ConceptNode,
     ConceptualGraph,
@@ -52,6 +58,21 @@ class TestComputeStats:
         # the variance to a float first, as Python 3.10 does, gives ...366.
         graphs = [cg([ConceptNode(f"c{i}", "A") for i in range(k)], []) for k in (2, 24, 27)]
         assert compute_stats(graphs).nb_nodes_stddev == 11.145502331533658
+
+    def test_means_equal_fmean_on_integer_counts(self):
+        # sum / n rounds the exact quotient once, as fmean does on integers.
+        rng = fresh_rng("metrics-fmean")
+        for _ in range(100):
+            graphs = []
+            for _ in range(rng.randint(1, 30)):
+                kinds = rng.randint(1, 8)
+                size = rng.randint(0, 40)
+                graphs.append(cg([ConceptNode(f"c{i}", f"T{i % kinds}") for i in range(size)], []))
+            stats = compute_stats(graphs)
+            assert stats.nb_nodes_mean == statistics.fmean(g.size for g in graphs)
+            assert stats.nb_labels_mean == statistics.fmean(
+                len({n.type_id for n in g.concepts.values()}) for g in graphs
+            )
 
     def test_higher_arities_get_own_keys(self):
         graph = cg(
@@ -113,3 +134,14 @@ class TestStatsTable:
         )
         text = stats_table(compute_stats([graph]))
         assert "Ar4" in text.splitlines()[0]
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # Every cggen command pays for the modules that importing the CLI loads.
+    src = str(Path(cggen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cggen.cli; print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

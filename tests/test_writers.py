@@ -21,6 +21,7 @@ from cggen import (
     auto_gamma_cgs,
     auto_variables,
     auto_vocabulary,
+    compute_stats,
     generate_dataset,
     save_cg,
     save_dataset,
@@ -186,6 +187,12 @@ class TestProvenanceWriter:
     def test_generated_provenance(self, generated, tmp_path):
         _, dataset, config = generated
         directory = tmp_path / "ds"
-        save_dataset(directory, dataset.graphs, config=config, provenances=dataset.provenances)
+        save_dataset(
+            directory,
+            dataset.graphs,
+            config=config,
+            provenances=dataset.provenances,
+            stats=compute_stats(dataset.graphs),
+        )
         text = (directory / "provenance.json").read_text(encoding="utf-8")
         assert text == expected(provenance_doc(dataset.provenances))
