@@ -1,0 +1,37 @@
+"""Byte-identity contract for the README config at a large CG size.
+
+Two CGs of at least 2000 nodes take 1149 draws, with 6524 merges and 5645
+skipped merges. The README golden (`test_golden.py`, 50 CGs of 30 nodes)
+barely reaches the skipped-merge path, where a marker already sits on a
+node of an incomparable type; this one runs it thousands of times.
+
+The digest may only change in a change that sets out to alter the output
+and says so in CHANGES.md.
+"""
+
+import json
+
+from cggen.cli import main
+from test_golden import README_CONFIG, tree_digest
+
+LARGE_CONFIG = {
+    **README_CONFIG,
+    "generator": {"maxCGs": 2, "minSize": 2000, "maxSpe": 3},
+}
+
+GOLDEN_FILES = 25
+GOLDEN_SHA256 = "b8328e9c6b5ed7c66421fd0868c0c413da21ccd6a8c39530d9362df1584cb6ab"
+
+
+def test_large_cg_output_digest_is_pinned(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(LARGE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    provenance = json.loads((out / "dataset" / "provenance.json").read_text())
+    draws = [draw for entry in provenance["perCG"] for draw in entry["draws"]]
+    assert len(draws) == 1149
+    assert sum(len(draw["merged"]) for draw in draws) == 6524
+    assert sum(len(draw["skippedMerges"]) for draw in draws) == 5645
+    assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
