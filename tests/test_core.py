@@ -50,6 +50,8 @@ class TestSubtype:
     def test_unknown_identifier(self, tiny_vocab):
         with pytest.raises(UnknownIdentifierError):
             is_subtype(tiny_vocab.concepts, "Person", "Nope")
+        with pytest.raises(UnknownIdentifierError):
+            is_subtype(tiny_vocab.concepts, "Nope", "Person")
 
     def test_matches_brute_force_on_random_dags(self):
         rng = fresh_rng("dag-closure")
@@ -85,6 +87,11 @@ class TestMostSpecific:
 
     def test_incomparable(self, tiny_vocab):
         assert most_specific(tiny_vocab.concepts, "Person", "Place") is None
+
+    def test_unknown_identifier(self, tiny_vocab):
+        for a, b in (("Nope", "Person"), ("Person", "Nope"), ("Nope", "Nope")):
+            with pytest.raises(UnknownIdentifierError):
+                most_specific(tiny_vocab.concepts, a, b)
 
     def test_against_brute_force(self):
         rng = fresh_rng("most-specific")

@@ -112,6 +112,14 @@ class TestRelationTypeDomain:
         with pytest.raises(UnknownIdentifierError):
             relation_type_domain(tiny_vocab, sample_gcg, "c0")
 
+    def test_unknown_argument_type(self, tiny_vocab):
+        graph = ConceptualGraph(
+            {"c0": ConceptNode("c0", "Person"), "c1": ConceptNode("c1", "NoSuchType")},
+            {"r0": RelationNode("r0", "locatedIn", ("c0", "c1"))},
+        )
+        with pytest.raises(UnknownIdentifierError):
+            relation_type_domain(tiny_vocab, gcg_of(graph), "r0", signature_compatible=True)
+
 
 class TestConceptTypeDomain:
     def test_isolated_node_admits_everything(self, tiny_vocab):
@@ -278,6 +286,46 @@ class TestInstantiate:
         result = instantiate(tiny_vocab, gcg, fresh_rng("unmarked"), mint=mint).graph
         assert result.concepts["c0"].marker in ("alice", "bob")
         assert validate_graph(tiny_vocab, result).ok
+
+
+class TestUnvalidatedInput:
+    """instantiate on a gamma-CG nothing has validated: a library error, not a KeyError."""
+
+    @staticmethod
+    def gcg(c0=("Person", "alice"), c1=("Place", "home"), relation="locatedIn", variables=()):
+        graph = ConceptualGraph(
+            {"c0": ConceptNode("c0", *c0), "c1": ConceptNode("c1", *c1)},
+            {"r0": RelationNode("r0", relation, ("c0", "c1"))},
+        )
+        return gcg_of(graph, variables)
+
+    @pytest.mark.parametrize(
+        "labels, variables",
+        [
+            # A relation variable on a relation node of unknown type.
+            (dict(relation="NoSuchRel"), [("relation-type", "r0", ("locatedIn",))]),
+            # A relation variable beside a fixed argument of unknown type.
+            (dict(c1=("NoSuchType",)), [("relation-type", "r0", ("locatedIn",))]),
+            # A concept variable beside a relation of unknown type.
+            (dict(relation="NoSuchRel"), [("concept-type", "c0", ("Person",))]),
+            # A concept variable on a node whose marker is unknown.
+            (dict(c0=("Person", "nobody")), [("concept-type", "c0", ("Person",))]),
+            # A marker variable on a node of unknown type, with and without a
+            # registered candidate.
+            (dict(c0=("NoSuchType", "alice")), [("marker", "c0", ("alice",))]),
+            (dict(c0=("NoSuchType", "alice")), [("marker", "c0", ("nobody",))]),
+        ],
+    )
+    def test_unknown_label_raises_unknown_identifier(self, tiny_vocab, mint, labels, variables):
+        gcg = self.gcg(
+            variables=[
+                Variable(f"v{i}", VariableTarget(kind, node), domain)
+                for i, (kind, node, domain) in enumerate(variables)
+            ],
+            **labels,
+        )
+        with pytest.raises(UnknownIdentifierError):
+            instantiate(tiny_vocab, gcg, fresh_rng("unvalidated"), mint=mint)
 
 
 class TestDomainOraclesOnRandomVocabularies:
