@@ -230,7 +230,11 @@ def _apply_auto_var(
 
 
 class _OutputDir:
-    """Creates the output directory; removes what its body wrote if it raises."""
+    """Creates the output directory; removes what its body wrote if it raises.
+
+    Entered before a command's work, so a non-empty directory is rejected
+    before any of it runs.
+    """
 
     def __init__(self, out: str) -> None:
         self.path = Path(out)
@@ -261,15 +265,13 @@ class _OutputDir:
 def _cmd_generate(args: argparse.Namespace) -> int:
     doc, base = _load_config_doc(args.config)
     seed = _resolve_seed(doc, args.seed)
-    vocab = _resolve_vocabulary(doc, base, seed)
-    gammas, vocab = _resolve_gammas(doc, base, seed, vocab)
-    config = _generator_config(_section(doc, "generator"), seed)
-    gammas = _apply_auto_var(doc, gammas, vocab, seed)
-
-    result = generate_dataset(vocab, gammas, config, jobs=args.jobs)
-    stats = compute_stats(result.graphs)
-
     with _OutputDir(args.out) as out:
+        vocab = _resolve_vocabulary(doc, base, seed)
+        gammas, vocab = _resolve_gammas(doc, base, seed, vocab)
+        config = _generator_config(_section(doc, "generator"), seed)
+        gammas = _apply_auto_var(doc, gammas, vocab, seed)
+        result = generate_dataset(vocab, gammas, config, jobs=args.jobs)
+        stats = compute_stats(result.graphs)
         formats.save_result(out, result, gammas)
         formats.save_dataset(
             out / formats.DATASET_DIR,
@@ -286,9 +288,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_auto_voc(args: argparse.Namespace) -> int:
     doc, _base = _load_config_doc(args.config)
     seed = _resolve_seed(doc, args.seed)
-    config = _auto_voc_config(_section(doc, "autoVoc"))
-    vocab = auto_vocabulary(config, derive_rng(seed, "auto-voc"))
     with _OutputDir(args.out) as out:
+        config = _auto_voc_config(_section(doc, "autoVoc"))
+        vocab = auto_vocabulary(config, derive_rng(seed, "auto-voc"))
         formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
     print(f"seed: {seed}")
     print(f"wrote {out / formats.VOCABULARY_FILE}")
@@ -298,10 +300,10 @@ def _cmd_auto_voc(args: argparse.Namespace) -> int:
 def _cmd_auto_gcg(args: argparse.Namespace) -> int:
     doc, base = _load_config_doc(args.config)
     seed = _resolve_seed(doc, args.seed)
-    vocab = _resolve_vocabulary(doc, base, seed)
-    config = _auto_gcg_config(_section(doc, "autoGcg"))
-    result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
     with _OutputDir(args.out) as out:
+        vocab = _resolve_vocabulary(doc, base, seed)
+        config = _auto_gcg_config(_section(doc, "autoGcg"))
+        result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
         formats.save_vocabulary(out / formats.VOCABULARY_FILE, result.vocabulary)
         gamma_dir = out / formats.GAMMA_DIR
         gamma_dir.mkdir(exist_ok=True)
@@ -315,17 +317,17 @@ def _cmd_auto_gcg(args: argparse.Namespace) -> int:
 def _cmd_auto_var(args: argparse.Namespace) -> int:
     doc, base = _load_config_doc(args.config)
     seed = _resolve_seed(doc, args.seed)
-    vocab = _resolve_vocabulary(doc, base, seed)
-    inputs = doc.get("inputs", {})
-    source = inputs.get("gammas") if isinstance(inputs, dict) else None
-    if not source:
-        raise ConfigError("auto-var needs inputs.gammas")
-    config = _auto_var_config(_section(doc, "autoVar"))
-    gammas = _load_gammas(doc, source, base, vocab)
-    result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     with _OutputDir(args.out) as out:
+        vocab = _resolve_vocabulary(doc, base, seed)
+        inputs = doc.get("inputs", {})
+        source = inputs.get("gammas") if isinstance(inputs, dict) else None
+        if not source:
+            raise ConfigError("auto-var needs inputs.gammas")
+        config = _auto_var_config(_section(doc, "autoVar"))
+        gammas = _load_gammas(doc, source, base, vocab)
+        result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
+        for warning in result.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
         gamma_dir = out / formats.GAMMA_DIR
         gamma_dir.mkdir(exist_ok=True)

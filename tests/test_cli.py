@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 from cggen import load_gamma_cg, load_vocabulary, save_cg, save_vocabulary
-from cggen import formats, generator
+from cggen import cli, formats, generator
 from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph
 from oracles import parse_dot
@@ -278,7 +278,7 @@ class TestStages:
 
 
 class TestPartialOutputRemoved:
-    """A command whose save fails leaves --out as it found it."""
+    """A command that fails leaves --out as it found it."""
 
     @pytest.fixture
     def configs(self, tmp_path):
@@ -329,6 +329,29 @@ class TestPartialOutputRemoved:
             assert list(out.iterdir()) == []
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, work",
+        [
+            ("generate", "generate_dataset"),
+            ("auto-voc", "auto_vocabulary"),
+            ("auto-gcg", "auto_gamma_cgs"),
+            ("auto-var", "auto_variables"),
+        ],
+    )
+    def test_nonempty_out_rejected_before_work(
+        self, configs, tmp_path, monkeypatch, capsys, command, work
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{work} ran although --out is not empty")
+
+        monkeypatch.setattr(cli, work, unreachable)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "leftover.txt").write_text("x")
+        assert main([command, "--config", str(configs[command]), "--out", str(out)]) == 2
+        assert "is not empty" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["leftover.txt"]
 
 
 class TestValidateStatsDot:
