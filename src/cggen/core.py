@@ -9,7 +9,9 @@ positions).
 
 All values are immutable after construction; construction validates the
 structural invariants and precomputes the order closures, so the subtype
-checks used everywhere else are O(1) set lookups.
+checks used everywhere else are O(1) set lookups. ``is_subtype`` and
+``most_specific`` check that their types exist; the generator's hot paths
+look up ``TypeHierarchy.up`` directly, on types already validated.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ class TypeHierarchy:
 
     ``parents`` maps every type id to its direct parents; the root maps to
     an empty tuple. Auto-generated hierarchies are trees, hand-authored ones
-    may be DAGs. The transitive closure is computed eagerly at construction.
+    may be DAGs. The transitive closure is computed eagerly at construction:
+    ``up[a]`` is the set of a's ancestors and a itself, so a <= b is
+    ``b in up[a]``. ``up`` is unchecked; an unknown ``a`` raises KeyError.
     """
 
     kind: str
@@ -43,6 +47,7 @@ class TypeHierarchy:
     labels: dict[str, str]
     parents: dict[str, tuple[str, ...]]
     arity: int | None = None
+    up: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (CONCEPT, RELATION):
@@ -110,6 +115,9 @@ class TypeHierarchy:
 
         object.__setattr__(self, "_ancestors", ancestors)
         object.__setattr__(
+            self, "up", {type_id: ups | {type_id} for type_id, ups in ancestors.items()}
+        )
+        object.__setattr__(
             self,
             "_children",
             {type_id: tuple(sorted(kids)) for type_id, kids in children.items()},
@@ -151,7 +159,7 @@ def is_subtype(hierarchy: TypeHierarchy, a: str, b: str) -> bool:
     """True iff a <= b: a equals b or descends from b in the hierarchy."""
     hierarchy.require(a)
     hierarchy.require(b)
-    return a == b or b in hierarchy.ancestors_of(a)
+    return b in hierarchy.up[a]
 
 
 def most_specific(hierarchy: TypeHierarchy, a: str, b: str) -> str | None:
@@ -187,11 +195,15 @@ def _walk_down(
     rng: random.Random,
     keep: Callable[[str], bool] | None = None,
 ) -> tuple[str, int]:
-    """Take up to ``moves`` uniform steps down to children passing ``keep``."""
+    """Take up to ``moves`` uniform steps down to children passing ``keep``.
+
+    Unchecked: ``type_id`` must be a member of ``hierarchy``.
+    """
+    children = hierarchy._children  # type: ignore[attr-defined]
     current = type_id
     taken = 0
     for _ in range(moves):
-        kids = hierarchy.children_of(current)
+        kids = children[current]
         if keep is not None:
             kids = [kid for kid in kids if keep(kid)]
         if not kids:
@@ -341,11 +353,13 @@ def signature_admits(
 ) -> bool:
     """True iff each argument type is <= the restriction at its position.
 
-    ``None`` marks an open position, which admits any restriction.
+    ``None`` marks an open position, which admits any restriction. Unchecked:
+    the relation type and every argument type must be in the vocabulary.
     """
-    restrictions = vocab.signature_of(relation_type).restrictions
+    up = vocab.concepts.up
+    restrictions = vocab.signatures[relation_type].restrictions
     return all(
-        arg_type is None or is_subtype(vocab.concepts, arg_type, restriction)
+        arg_type is None or restriction in up[arg_type]
         for arg_type, restriction in zip(arg_types, restrictions)
     )
 

@@ -5,6 +5,14 @@ concept-type label or a marker label) to an explicit set of admissible
 values. Instantiation draws one value per variable, relation-type variables
 first, then concept-type variables, then marker variables, filtering each
 stored domain down to the choices that keep the graph valid at that point.
+
+The filtering is compiled once per (vocabulary, gamma-CG) into a
+``DrawPlan``. Relation variables are drawn against the gamma-CG's own
+argument types, so their lists are fixed at compile time. A concept
+variable's list is compiled under every restriction that does not depend
+on a draw; per draw it is filtered only by the restrictions of incident
+relations that carry a relation variable. Marker variables filter per draw,
+against the mint's registry, which grows as markers are minted.
 """
 
 from __future__ import annotations
@@ -14,14 +22,11 @@ from dataclasses import dataclass
 from typing import Container, Mapping
 
 from .core import (
-    ConceptNode,
     ConceptualGraph,
     Marker,
-    RelationNode,
     ValidationReport,
     Violation,
     Vocabulary,
-    is_subtype,
     restriction_for,
     signature_admits,
     validate_graph,
@@ -115,6 +120,8 @@ def relation_type_domain(
     if not signature_compatible:
         return frozenset(candidates)
     arg_types = [gcg.graph.concepts[arg].type_id for arg in node.args]
+    for arg_type in arg_types:
+        vocab.concepts.require(arg_type)
     return frozenset(c for c in candidates if signature_admits(vocab, c, arg_types))
 
 
@@ -246,11 +253,165 @@ class MarkerMint:
 
 @dataclass(frozen=True)
 class InstantiationOutcome:
-    """Instantiated graph plus the audit trail the generator needs."""
+    """The drawn labels of one instantiation plus the audit trail.
 
-    graph: ConceptualGraph
+    ``labels`` maps each type-variable slot's node id to its drawn type and
+    ``markers`` each marker-variable slot's node id to its drawn marker;
+    every other label is the gamma-CG's own.
+    """
+
+    labels: dict[str, str]
+    markers: dict[str, str]
     assignments: tuple[tuple[str, str], ...]
     type_slots: tuple[tuple[str, str], ...]
+
+
+class DrawPlan:
+    """One gamma-CG compiled against one vocabulary for repeated draws.
+
+    Compiled once, with the checks the draw would make:
+    - incidence lists, in relation-id order;
+    - each relation variable's effective list: the domain values of the
+      node's arity whose signature admits the node's fixed argument types
+      (an argument under a concept variable is open);
+    - each concept variable's list: the domain values under every
+      restriction of an incident relation without a relation variable and
+      under the node's marker ceiling (unless a marker variable redraws the
+      marker);
+    - for each incident relation that carries a relation variable, the
+      restriction at that position for every type it can draw.
+
+    Every list keeps domain order, so a draw consumes the RNG exactly as
+    filtering the whole domain would. Unknown labels the draw would read
+    raise UnknownIdentifierError here. The mint passed to ``draw`` must
+    extend the same vocabulary.
+    """
+
+    def __init__(self, vocab: Vocabulary, gcg: GammaCG) -> None:
+        graph = gcg.graph
+        concepts = vocab.concepts
+        up = concepts.up
+        by_kind = {
+            kind: [v for v in gcg.variables if v.target.kind == kind] for kind in _TARGET_KINDS
+        }
+        concept_nodes = {v.target.node_id for v in by_kind[TARGET_CONCEPT_TYPE]}
+        marker_nodes = {v.target.node_id for v in by_kind[TARGET_MARKER]}
+        incidences: dict[str, list[tuple[str, int]]] = {}
+        for rel_id in sorted(graph.relations):
+            for position, arg in enumerate(graph.relations[rel_id].args):
+                incidences.setdefault(arg, []).append((rel_id, position))
+
+        drawable: dict[str, tuple[str, ...]] = {}
+        relation_steps = []
+        type_slots = []
+        for variable in by_kind[TARGET_RELATION_TYPE]:
+            node = graph.relations[variable.target.node_id]
+            hierarchy = vocab.relation_hierarchy(node.type_id)
+            arg_types = [
+                None if arg in concept_nodes else graph.concepts[arg].type_id
+                for arg in node.args
+            ]
+            for arg_type in arg_types:
+                if arg_type is not None:
+                    concepts.require(arg_type)
+            effective = tuple(
+                candidate
+                for candidate in variable.domain
+                if candidate in hierarchy and signature_admits(vocab, candidate, arg_types)
+            )
+            drawable[node.node_id] = effective
+            relation_steps.append((variable.name, node.node_id, effective))
+            type_slots.append((TARGET_RELATION_TYPE, node.node_id))
+
+        concept_steps = []
+        for variable in by_kind[TARGET_CONCEPT_TYPE]:
+            node_id = variable.target.node_id
+            fixed: list[str] = []
+            drawn: list[tuple[str, dict[str, str]]] = []
+            for rel_id, position in incidences.get(node_id, ()):
+                if rel_id in drawable:
+                    drawn.append(
+                        (rel_id, {t: restriction_for(vocab, t, position) for t in drawable[rel_id]})
+                    )
+                else:
+                    fixed.append(restriction_for(vocab, graph.relations[rel_id].type_id, position))
+            marker_id = graph.concepts[node_id].marker
+            if marker_id is not None and node_id not in marker_nodes:
+                marker = vocab.markers.get(marker_id)
+                if marker is None:
+                    raise UnknownIdentifierError(f"marker {marker_id!r} not in vocabulary")
+                fixed.append(marker.type_id)
+            effective = tuple(
+                candidate
+                for candidate in variable.domain
+                if candidate in up and all(bound in up[candidate] for bound in fixed)
+            )
+            concept_steps.append((variable.name, node_id, effective, tuple(drawn)))
+            type_slots.append((TARGET_CONCEPT_TYPE, node_id))
+
+        marker_steps = []
+        for variable in by_kind[TARGET_MARKER]:
+            node_id = variable.target.node_id
+            node_type = graph.concepts[node_id].type_id
+            if node_id not in concept_nodes:
+                concepts.require(node_type)
+            marker_steps.append((variable.name, node_id, node_type, variable.domain))
+
+        self.gcg = gcg
+        self._up = up
+        self._relation_steps = tuple(relation_steps)
+        self._concept_steps = tuple(concept_steps)
+        self._marker_steps = tuple(marker_steps)
+        self.type_slots = tuple(type_slots)
+
+    def draw(self, rng: random.Random, mint: MarkerMint) -> InstantiationOutcome:
+        """Draw every variable once; see ``instantiate``."""
+        up = self._up
+        labels: dict[str, str] = {}
+        assignments: list[tuple[str, str]] = []
+        for name, node_id, effective in self._relation_steps:
+            if not effective:
+                raise InstantiationError(
+                    f"variable {name!r} of {self.gcg.name!r} has no admissible relation type"
+                )
+            choice = effective[rng.randrange(len(effective))]
+            labels[node_id] = choice
+            assignments.append((name, choice))
+
+        for name, node_id, effective, drawn in self._concept_steps:
+            if drawn:
+                restrictions = [table[labels[rel_id]] for rel_id, table in drawn]
+                effective = [
+                    candidate
+                    for candidate in effective
+                    if all(restriction in up[candidate] for restriction in restrictions)
+                ]
+            if not effective:
+                raise InstantiationError(
+                    f"variable {name!r} of {self.gcg.name!r} has no admissible concept type"
+                )
+            choice = effective[rng.randrange(len(effective))]
+            labels[node_id] = choice
+            assignments.append((name, choice))
+
+        markers: dict[str, str] = {}
+        registry = mint.markers
+        for name, node_id, node_type, domain in self._marker_steps:
+            node_type = labels.get(node_id, node_type)
+            carried = up[node_type]
+            effective = [
+                candidate
+                for candidate in domain
+                if candidate in registry and registry[candidate].type_id in carried
+            ]
+            if effective:
+                choice = effective[rng.randrange(len(effective))]
+            else:
+                choice = mint.mint(node_type)
+            markers[node_id] = choice
+            assignments.append((name, choice))
+
+        return InstantiationOutcome(labels, markers, tuple(assignments), self.type_slots)
 
 
 def instantiate(
@@ -266,103 +427,8 @@ def instantiate(
     marker variables, so later effective domains reflect earlier choices.
     A type variable whose effective domain empties raises
     InstantiationError; an emptied marker domain falls through to minting.
+
+    Compiles a ``DrawPlan`` for this one call; a caller drawing the same
+    gamma-CG repeatedly compiles it once and calls ``DrawPlan.draw``.
     """
-    concept_types = {nid: node.type_id for nid, node in gcg.graph.concepts.items()}
-    concept_markers = {nid: node.marker for nid, node in gcg.graph.concepts.items()}
-    relation_types = {nid: node.type_id for nid, node in gcg.graph.relations.items()}
-    marker_registry = mint.markers
-
-    relation_vars = [v for v in gcg.variables if v.target.kind == TARGET_RELATION_TYPE]
-    concept_vars = [v for v in gcg.variables if v.target.kind == TARGET_CONCEPT_TYPE]
-    marker_vars = [v for v in gcg.variables if v.target.kind == TARGET_MARKER]
-    pending_marker_nodes = {v.target.node_id for v in marker_vars}
-    pending_concept_nodes = {v.target.node_id for v in concept_vars}
-
-    assignments: list[tuple[str, str]] = []
-    type_slots: list[tuple[str, str]] = []
-
-    for variable in relation_vars:
-        node_id = variable.target.node_id
-        node = gcg.graph.relations[node_id]
-        hierarchy = vocab.relation_hierarchy(relation_types[node_id])
-        # Argument labels with a pending concept variable adapt to the drawn
-        # relation later; only already-fixed labels constrain the draw here.
-        arg_types = [
-            None if arg in pending_concept_nodes else concept_types[arg] for arg in node.args
-        ]
-        effective = [
-            candidate
-            for candidate in variable.domain
-            if candidate in hierarchy and signature_admits(vocab, candidate, arg_types)
-        ]
-        if not effective:
-            raise InstantiationError(
-                f"variable {variable.name!r} of {gcg.name!r} has no admissible relation type"
-            )
-        choice = effective[rng.randrange(len(effective))]
-        relation_types[node_id] = choice
-        assignments.append((variable.name, choice))
-        type_slots.append((TARGET_RELATION_TYPE, node_id))
-
-    for variable in concept_vars:
-        node_id = variable.target.node_id
-        constraints: list[str] = []
-        for rel_id, position in gcg.graph.incidences(node_id):
-            constraints.append(
-                restriction_for(vocab, relation_types[rel_id], position)
-            )
-        marker_id = concept_markers[node_id]
-        marker_ceiling: str | None = None
-        if marker_id is not None and node_id not in pending_marker_nodes:
-            marker = marker_registry.get(marker_id)
-            if marker is None:
-                raise UnknownIdentifierError(f"marker {marker_id!r} not in vocabulary")
-            marker_ceiling = marker.type_id
-        effective = [
-            candidate
-            for candidate in variable.domain
-            if candidate in vocab.concepts
-            and all(is_subtype(vocab.concepts, candidate, c) for c in constraints)
-            and (
-                marker_ceiling is None
-                or is_subtype(vocab.concepts, candidate, marker_ceiling)
-            )
-        ]
-        if not effective:
-            raise InstantiationError(
-                f"variable {variable.name!r} of {gcg.name!r} has no admissible concept type"
-            )
-        choice = effective[rng.randrange(len(effective))]
-        concept_types[node_id] = choice
-        assignments.append((variable.name, choice))
-        type_slots.append((TARGET_CONCEPT_TYPE, node_id))
-
-    for variable in marker_vars:
-        node_id = variable.target.node_id
-        node_type = concept_types[node_id]
-        effective = [
-            candidate
-            for candidate in variable.domain
-            if candidate in marker_registry
-            and is_subtype(vocab.concepts, node_type, marker_registry[candidate].type_id)
-        ]
-        if effective:
-            choice = effective[rng.randrange(len(effective))]
-        else:
-            choice = mint.mint(node_type)
-        concept_markers[node_id] = choice
-        assignments.append((variable.name, choice))
-
-    concepts = {
-        nid: ConceptNode(nid, concept_types[nid], concept_markers[nid])
-        for nid in gcg.graph.concepts
-    }
-    relations = {
-        nid: RelationNode(nid, relation_types[nid], node.args)
-        for nid, node in gcg.graph.relations.items()
-    }
-    return InstantiationOutcome(
-        ConceptualGraph(concepts, relations),
-        tuple(assignments),
-        tuple(type_slots),
-    )
+    return DrawPlan(vocab, gcg).draw(rng, mint)

@@ -26,16 +26,15 @@ from .core import (
     RelationNode,
     Vocabulary,
     _walk_down,
-    most_specific,
     signature_admits,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
 from .gamma import (
     TARGET_CONCEPT_TYPE,
+    DrawPlan,
     GammaCG,
     InstantiationOutcome,
     MarkerMint,
-    instantiate,
     validate_gamma,
 )
 
@@ -104,63 +103,76 @@ class _Assembler:
     as-is; candidates with an incomparable type leave the pair unmerged, so
     a marker may legitimately sit on several nodes. Relation nodes are
     always added, with argument references redirected to merged nodes.
+    Concept nodes are built once, by ``snapshot``.
     """
 
     def __init__(self, vocab: Vocabulary) -> None:
-        self._vocab = vocab
-        self._concepts: dict[str, ConceptNode] = {}
+        self._up = vocab.concepts.up
+        self._types: dict[str, str] = {}
+        self._markers: dict[str, str | None] = {}
         self._relations: dict[str, RelationNode] = {}
         self._by_marker: dict[str, list[str]] = {}
 
     @property
     def size(self) -> int:
-        return len(self._concepts) + len(self._relations)
+        return len(self._types) + len(self._relations)
 
     def _fold(
         self,
-        node: ConceptNode,
+        node_id: str,
+        type_id: str,
+        marker: str | None,
         merged: list[tuple[str, str, str]],
         skipped: list[tuple[str, str, str]],
     ) -> str:
-        if node.marker is None:
-            self._concepts[node.node_id] = node
-            return node.node_id
-        candidates = self._by_marker.setdefault(node.marker, [])
-        for kept_id in candidates:
-            kept = self._concepts[kept_id]
-            winner = most_specific(self._vocab.concepts, kept.type_id, node.type_id)
-            if winner is None:
-                skipped.append((node.marker, kept_id, node.node_id))
-                continue
-            if winner != kept.type_id:
-                self._concepts[kept_id] = ConceptNode(kept_id, winner, node.marker)
-            merged.append((node.marker, kept_id, node.node_id))
-            return kept_id
-        self._concepts[node.node_id] = node
-        candidates.append(node.node_id)
-        return node.node_id
+        types = self._types
+        if marker is not None:
+            up = self._up
+            candidates = self._by_marker.setdefault(marker, [])
+            for kept_id in candidates:
+                kept_type = types[kept_id]
+                # The most specific of the two types, as core.most_specific.
+                if type_id in up[kept_type]:
+                    pass
+                elif kept_type in up[type_id]:
+                    types[kept_id] = type_id
+                else:
+                    skipped.append((marker, kept_id, node_id))
+                    continue
+                merged.append((marker, kept_id, node_id))
+                return kept_id
+            candidates.append(node_id)
+        types[node_id] = type_id
+        self._markers[node_id] = marker
+        return node_id
 
     def absorb(
         self,
         graph: ConceptualGraph,
         ids: Mapping[str, str] | None = None,
         labels: Mapping[str, str] | None = None,
+        markers: Mapping[str, str] | None = None,
     ) -> tuple[tuple[tuple[str, str, str], ...], tuple[tuple[str, str, str], ...]]:
         """Fold one graph in, each node under ``ids[node]`` typed ``labels[node]``.
 
-        A node missing from a mapping keeps its own id or type. The final
-        ids must not collide with ids absorbed before.
+        A concept node carries ``markers[node]``. A node missing from a
+        mapping keeps its own id, type or marker. The final ids must not
+        collide with ids absorbed before.
         """
         ids = ids or {}
         labels = labels or {}
+        markers = markers or {}
         merged: list[tuple[str, str, str]] = []
         skipped: list[tuple[str, str, str]] = []
         final: dict[str, str] = {}
         for node_id, node in graph.concepts.items():
-            node = ConceptNode(
-                ids.get(node_id, node_id), labels.get(node_id, node.type_id), node.marker
+            final[node_id] = self._fold(
+                ids.get(node_id, node_id),
+                labels.get(node_id, node.type_id),
+                markers.get(node_id, node.marker),
+                merged,
+                skipped,
             )
-            final[node_id] = self._fold(node, merged, skipped)
         for node_id, node in graph.relations.items():
             new_id = ids.get(node_id, node_id)
             self._relations[new_id] = RelationNode(
@@ -169,7 +181,12 @@ class _Assembler:
         return tuple(merged), tuple(skipped)
 
     def snapshot(self) -> ConceptualGraph:
-        return ConceptualGraph(dict(self._concepts), dict(self._relations))
+        markers = self._markers
+        concepts = {
+            node_id: ConceptNode(node_id, type_id, markers[node_id])
+            for node_id, type_id in self._types.items()
+        }
+        return ConceptualGraph(concepts, dict(self._relations))
 
 
 def join(vocab: Vocabulary, gc: ConceptualGraph, g: ConceptualGraph) -> ConceptualGraph:
@@ -197,30 +214,33 @@ def join(vocab: Vocabulary, gc: ConceptualGraph, g: ConceptualGraph) -> Conceptu
 
 
 def _specialise(
-    vocab: Vocabulary, outcome: InstantiationOutcome, max_spe: int, rng: random.Random
+    vocab: Vocabulary,
+    graph: ConceptualGraph,
+    outcome: InstantiationOutcome,
+    max_spe: int,
+    rng: random.Random,
 ) -> tuple[dict[str, str], tuple[tuple[str, int], ...]]:
     """Walk each type-variable label 0..max_spe steps down its hierarchy.
 
+    ``graph`` is the gamma-CG's graph that ``outcome`` was drawn from.
     Returns the new label of each type slot, keyed by node id, and the steps
     taken per slot. Relation labels only step to children whose signatures
     stay satisfied by the node's current argument types; concept labels may
     take any downward step (descending preserves every constraint).
     """
-    graph = outcome.graph
-    labels: dict[str, str] = {}
+    concepts = graph.concepts
+    labels = dict(outcome.labels)
     steps_taken: list[tuple[str, int]] = []
     for kind, node_id in outcome.type_slots:
         moves = rng.randint(0, max_spe)
         if kind == TARGET_CONCEPT_TYPE:
-            labels[node_id], taken = _walk_down(
-                vocab.concepts, graph.concepts[node_id].type_id, moves, rng
-            )
+            labels[node_id], taken = _walk_down(vocab.concepts, labels[node_id], moves, rng)
         else:
-            node = graph.relations[node_id]
-            arg_types = [labels.get(a, graph.concepts[a].type_id) for a in node.args]
+            args = graph.relations[node_id].args
+            arg_types = [labels.get(arg, concepts[arg].type_id) for arg in args]
             labels[node_id], taken = _walk_down(
-                vocab.relation_hierarchy(node.type_id),
-                node.type_id,
+                vocab.relation_hierarchy(labels[node_id]),
+                labels[node_id],
                 moves,
                 rng,
                 lambda child: signature_admits(vocab, child, arg_types),
@@ -231,7 +251,7 @@ def _specialise(
 
 def generate_one(
     vocab: Vocabulary,
-    gamma_set: Sequence[GammaCG],
+    plans: Sequence[DrawPlan],
     config: GeneratorConfig,
     rng: random.Random,
     *,
@@ -239,17 +259,18 @@ def generate_one(
 ) -> tuple[ConceptualGraph, GenerationProvenance]:
     """Build one CG of at least ``config.min_size`` nodes.
 
-    Draws gamma-CGs uniformly with replacement; a gamma-CG failing
-    instantiation INSTANTIATION_RETRIES times is skipped for this CG.
+    ``plans`` holds one ``DrawPlan(vocab, gcg)`` per gamma-CG. Draws them
+    uniformly with replacement; a gamma-CG failing instantiation
+    INSTANTIATION_RETRIES times is skipped for this CG.
     """
-    if not gamma_set:
-        raise ConfigError("gamma_set must be non-empty")
+    if not plans:
+        raise ConfigError("plans must be non-empty")
 
     assembler = _Assembler(vocab)
     # Sequential ids local to this CG; merged concepts still use up a number.
     next_concept = next_relation = 0
     draws: list[ComponentDraw] = []
-    failures = [0] * len(gamma_set)
+    failures = [0] * len(plans)
     skipped_gammas: set[int] = set()
     total_draws = 0
 
@@ -257,30 +278,30 @@ def generate_one(
         total_draws += 1
         if total_draws > _MAX_DRAWS_PER_CG:
             raise GenerationError("generation is not making progress towards min_size")
-        index = rng.randrange(len(gamma_set))
+        index = rng.randrange(len(plans))
         if index in skipped_gammas:
             continue
-        gcg = gamma_set[index]
+        plan = plans[index]
         try:
-            outcome = instantiate(vocab, gcg, rng, mint=mint)
+            outcome = plan.draw(rng, mint)
         except InstantiationError:
             failures[index] += 1
             if failures[index] >= INSTANTIATION_RETRIES:
                 skipped_gammas.add(index)
-                if len(skipped_gammas) == len(gamma_set):
+                if len(skipped_gammas) == len(plans):
                     raise GenerationError("every gamma-CG failed instantiation repeatedly")
             continue
 
-        labels, steps = _specialise(vocab, outcome, config.max_spe, rng)
-        graph = outcome.graph
+        graph = plan.gcg.graph
+        labels, steps = _specialise(vocab, graph, outcome, config.max_spe, rng)
         ids = {nid: f"c{next_concept + i}" for i, nid in enumerate(graph.concepts)}
         ids.update({nid: f"r{next_relation + j}" for j, nid in enumerate(graph.relations)})
         next_concept += len(graph.concepts)
         next_relation += len(graph.relations)
-        merged, skipped = assembler.absorb(graph, ids, labels)
+        merged, skipped = assembler.absorb(graph, ids, labels, outcome.markers)
         draws.append(
             ComponentDraw(
-                gamma_name=gcg.name,
+                gamma_name=plan.gcg.name,
                 assignments=outcome.assignments,
                 specialisations=steps,
                 merged=merged,
@@ -293,13 +314,13 @@ def generate_one(
 
 def _generate_indexed(
     vocab: Vocabulary,
-    gamma_set: Sequence[GammaCG],
+    plans: Sequence[DrawPlan],
     config: GeneratorConfig,
     index: int,
 ) -> tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]:
     rng = derive_rng(config.seed, "cg", index)
     mint = MarkerMint(vocab, f"cg{index}")
-    graph, provenance = generate_one(vocab, gamma_set, config, rng, mint=mint)
+    graph, provenance = generate_one(vocab, plans, config, rng, mint=mint)
     provenance = GenerationProvenance(cg_index=index, draws=provenance.draws)
     # Unsorted: generate_dataset sorts the markers of all CGs together.
     return graph, provenance, tuple(mint.minted.values())
@@ -320,7 +341,8 @@ def generate_dataset(
     """Generate exactly ``config.max_cgs`` graphs.
 
     Graph ``i`` is produced from a stream derived from (seed, i), so output
-    is identical for any ``jobs`` value. Markers minted while generating are
+    is identical for any ``jobs`` value. Each gamma-CG is compiled into its
+    ``DrawPlan`` once, for all graphs. Markers minted while generating are
     merged into the returned vocabulary in canonical (sorted) order.
     """
     if not gamma_set:
@@ -329,14 +351,15 @@ def generate_dataset(
     if problems:
         raise StructureError("invalid generator inputs:\n" + "\n".join(problems))
 
+    plans = [DrawPlan(vocab, gcg) for gcg in gamma_set]
     indices = range(config.max_cgs)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(
-                pool.map(lambda i: _generate_indexed(vocab, gamma_set, config, i), indices)
+                pool.map(lambda i: _generate_indexed(vocab, plans, config, i), indices)
             )
     else:
-        results = [_generate_indexed(vocab, gamma_set, config, i) for i in indices]
+        results = [_generate_indexed(vocab, plans, config, i) for i in indices]
 
     graphs = tuple(graph for graph, _, _ in results)
     provenances = tuple(provenance for _, provenance, _ in results)

@@ -6,11 +6,26 @@ never off the library's precomputed closures or domain functions.
 
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from cggen import ConceptualGraph, GammaCG, Marker, TypeHierarchy, Vocabulary
+from cggen import (
+    ConceptNode,
+    ConceptualGraph,
+    GammaCG,
+    InstantiationError,
+    Marker,
+    MarkerMint,
+    RelationNode,
+    TypeHierarchy,
+    UnknownIdentifierError,
+    Vocabulary,
+    is_subtype,
+    restriction_for,
+)
+from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
 from cggen.generator import GenerationProvenance
 
 
@@ -87,6 +102,131 @@ def brute_carriers(
         for marker_id, marker in markers.items()
         if brute_subtype(vocab.concepts, concept_type, marker.type_id)
     )
+
+
+def _brute_signature_admits(
+    vocab: Vocabulary, relation_type: str, arg_types: Sequence[str | None]
+) -> bool:
+    restrictions = vocab.signature_of(relation_type).restrictions
+    return all(
+        arg_type is None or is_subtype(vocab.concepts, arg_type, restriction)
+        for arg_type, restriction in zip(arg_types, restrictions)
+    )
+
+
+def brute_instantiate(
+    vocab: Vocabulary, gcg: GammaCG, rng: random.Random, *, mint: MarkerMint
+) -> tuple[ConceptualGraph, tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """One draw filtering every stored domain in full, with checked lookups.
+
+    The draw as it was before gamma-CGs were compiled into draw plans:
+    returns the instantiated graph, the assignments and the type slots.
+    """
+    concept_types = {nid: node.type_id for nid, node in gcg.graph.concepts.items()}
+    concept_markers = {nid: node.marker for nid, node in gcg.graph.concepts.items()}
+    relation_types = {nid: node.type_id for nid, node in gcg.graph.relations.items()}
+    marker_registry = mint.markers
+
+    relation_vars = [v for v in gcg.variables if v.target.kind == TARGET_RELATION_TYPE]
+    concept_vars = [v for v in gcg.variables if v.target.kind == TARGET_CONCEPT_TYPE]
+    marker_vars = [v for v in gcg.variables if v.target.kind == TARGET_MARKER]
+    pending_marker_nodes = {v.target.node_id for v in marker_vars}
+    pending_concept_nodes = {v.target.node_id for v in concept_vars}
+
+    assignments: list[tuple[str, str]] = []
+    type_slots: list[tuple[str, str]] = []
+
+    for variable in relation_vars:
+        node_id = variable.target.node_id
+        node = gcg.graph.relations[node_id]
+        hierarchy = vocab.relation_hierarchy(relation_types[node_id])
+        arg_types = [
+            None if arg in pending_concept_nodes else concept_types[arg] for arg in node.args
+        ]
+        effective = [
+            candidate
+            for candidate in variable.domain
+            if candidate in hierarchy and _brute_signature_admits(vocab, candidate, arg_types)
+        ]
+        if not effective:
+            raise InstantiationError(
+                f"variable {variable.name!r} of {gcg.name!r} has no admissible relation type"
+            )
+        choice = effective[rng.randrange(len(effective))]
+        relation_types[node_id] = choice
+        assignments.append((variable.name, choice))
+        type_slots.append((TARGET_RELATION_TYPE, node_id))
+
+    for variable in concept_vars:
+        node_id = variable.target.node_id
+        constraints: list[str] = []
+        for rel_id, position in gcg.graph.incidences(node_id):
+            constraints.append(restriction_for(vocab, relation_types[rel_id], position))
+        marker_id = concept_markers[node_id]
+        marker_ceiling: str | None = None
+        if marker_id is not None and node_id not in pending_marker_nodes:
+            marker = marker_registry.get(marker_id)
+            if marker is None:
+                raise UnknownIdentifierError(f"marker {marker_id!r} not in vocabulary")
+            marker_ceiling = marker.type_id
+        effective = [
+            candidate
+            for candidate in variable.domain
+            if candidate in vocab.concepts
+            and all(is_subtype(vocab.concepts, candidate, c) for c in constraints)
+            and (marker_ceiling is None or is_subtype(vocab.concepts, candidate, marker_ceiling))
+        ]
+        if not effective:
+            raise InstantiationError(
+                f"variable {variable.name!r} of {gcg.name!r} has no admissible concept type"
+            )
+        choice = effective[rng.randrange(len(effective))]
+        concept_types[node_id] = choice
+        assignments.append((variable.name, choice))
+        type_slots.append((TARGET_CONCEPT_TYPE, node_id))
+
+    for variable in marker_vars:
+        node_id = variable.target.node_id
+        node_type = concept_types[node_id]
+        effective = [
+            candidate
+            for candidate in variable.domain
+            if candidate in marker_registry
+            and is_subtype(vocab.concepts, node_type, marker_registry[candidate].type_id)
+        ]
+        if effective:
+            choice = effective[rng.randrange(len(effective))]
+        else:
+            choice = mint.mint(node_type)
+        concept_markers[node_id] = choice
+        assignments.append((variable.name, choice))
+
+    concepts = {
+        nid: ConceptNode(nid, concept_types[nid], concept_markers[nid])
+        for nid in gcg.graph.concepts
+    }
+    relations = {
+        nid: RelationNode(nid, relation_types[nid], node.args)
+        for nid, node in gcg.graph.relations.items()
+    }
+    return ConceptualGraph(concepts, relations), tuple(assignments), tuple(type_slots)
+
+
+def outcome_graph(gcg: GammaCG, outcome) -> ConceptualGraph:
+    """The gamma-CG's graph with an InstantiationOutcome's drawn labels and markers."""
+    concepts = {
+        node_id: ConceptNode(
+            node_id,
+            outcome.labels.get(node_id, node.type_id),
+            outcome.markers.get(node_id, node.marker),
+        )
+        for node_id, node in gcg.graph.concepts.items()
+    }
+    relations = {
+        node_id: RelationNode(node_id, outcome.labels.get(node_id, node.type_id), node.args)
+        for node_id, node in gcg.graph.relations.items()
+    }
+    return ConceptualGraph(concepts, relations)
 
 
 def recount_stats(dataset: list[ConceptualGraph]) -> dict:

@@ -62,6 +62,16 @@ class TestSubtype:
                 a, b = rng.choice(ids), rng.choice(ids)
                 assert is_subtype(hierarchy, a, b) == brute_subtype(hierarchy, a, b)
 
+    def test_unchecked_lookup_matches_brute_force_on_every_pair(self):
+        # The hot paths read `b in hierarchy.up[a]` without is_subtype's checks.
+        rng = fresh_rng("dag-up")
+        for trial in range(5):
+            hierarchy = random_dag_hierarchy(rng, rng.randint(2, 40))
+            assert set(hierarchy.up) == set(hierarchy.labels)
+            for a in hierarchy.labels:
+                for b in hierarchy.labels:
+                    assert (b in hierarchy.up[a]) == brute_subtype(hierarchy, a, b)
+
     def test_partial_order_properties(self):
         rng = fresh_rng("poset")
         for trial in range(5):

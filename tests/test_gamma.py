@@ -17,8 +17,12 @@ from cggen import (
     auto_gamma_cgs,
     AutoGcgConfig,
     ParamSpec,
+    auto_variables,
     auto_vocabulary,
+    AutoVarConfig,
     AutoVocConfig,
+    MarkerMint,
+    derive_rng,
     concept_type_domain,
     instantiate,
     marker_domain,
@@ -26,13 +30,25 @@ from cggen import (
     validate_domain,
     validate_graph,
 )
-from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
+from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
 from conftest import fresh_rng, make_hierarchy
-from oracles import brute_concept_domain, brute_marker_domain, brute_relation_domain
+from test_golden import README_CONFIG
+from oracles import (
+    brute_concept_domain,
+    brute_instantiate,
+    brute_marker_domain,
+    brute_relation_domain,
+    outcome_graph,
+)
 
 
 def gcg_of(graph, variables=(), name="g"):
     return GammaCG(name, graph, tuple(variables))
+
+
+def instantiated(vocab, gcg, rng, mint):
+    """The graph one instantiate call draws from the gamma-CG."""
+    return outcome_graph(gcg, instantiate(vocab, gcg, rng, mint=mint))
 
 
 @pytest.fixture
@@ -197,7 +213,7 @@ class TestValidateDomain:
 
 class TestInstantiate:
     def test_zero_variables_returns_graph_unchanged(self, tiny_vocab, mint, sample_gcg):
-        result = instantiate(tiny_vocab, sample_gcg, fresh_rng("inst0"), mint=mint).graph
+        result = instantiated(tiny_vocab, sample_gcg, fresh_rng("inst0"), mint)
         assert result == sample_gcg.graph
 
     def test_three_variable_kinds(self, tiny_vocab, mint, sample_gcg):
@@ -209,7 +225,7 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("inst3")
         for _ in range(50):
-            result = instantiate(tiny_vocab, gcg, rng, mint=mint).graph
+            result = instantiated(tiny_vocab, gcg, rng, mint)
             assert result.concepts["c0"].type_id in ("Person", "Student")
             assert result.concepts["c2"].marker in ("alice", "bob", "carol")
             assert result.relations["r1"].type_id in ("knows", "attends", "T2")
@@ -225,7 +241,7 @@ class TestInstantiate:
         gcg = gcg_of(graph, [variable])
         rng = fresh_rng("coverage")
         seen = {
-            instantiate(tiny_vocab, gcg, rng, mint=mint).graph.concepts["c0"].type_id
+            instantiated(tiny_vocab, gcg, rng, mint).concepts["c0"].type_id
             for _ in range(1000)
         }
         assert seen == {"Top", "Entity", "Act", "Place"}
@@ -241,7 +257,7 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("order")
         for _ in range(20):
-            result = instantiate(tiny_vocab, gcg, rng, mint=mint).graph
+            result = instantiated(tiny_vocab, gcg, rng, mint)
             assert result.relations["r1"].type_id == "attends"
             assert result.concepts["c0"].type_id == "Student"
             assert validate_graph(tiny_vocab, result).ok
@@ -255,7 +271,7 @@ class TestInstantiate:
         gcg = gcg_of(sample_gcg.graph, variables)
         rng = fresh_rng("fixed-args")
         for _ in range(30):
-            result = instantiate(tiny_vocab, gcg, rng, mint=mint).graph
+            result = instantiated(tiny_vocab, gcg, rng, mint)
             assert result.relations["r0"].type_id == "locatedIn"
 
     def test_type_variable_empty_effective_domain_raises(self, tiny_vocab, mint, sample_gcg):
@@ -272,7 +288,7 @@ class TestInstantiate:
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Place", "home")}, {})
         variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("alice",))]
         gcg = gcg_of(graph, variables)
-        result = instantiate(tiny_vocab, gcg, fresh_rng("mark-mint"), mint=mint).graph
+        result = instantiated(tiny_vocab, gcg, fresh_rng("mark-mint"), mint)
         minted = result.concepts["c0"].marker
         assert minted in mint.minted
         assert mint.minted[minted].type_id == "Place"
@@ -283,7 +299,7 @@ class TestInstantiate:
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
         variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("alice", "bob"))]
         gcg = gcg_of(graph, variables)
-        result = instantiate(tiny_vocab, gcg, fresh_rng("unmarked"), mint=mint).graph
+        result = instantiated(tiny_vocab, gcg, fresh_rng("unmarked"), mint)
         assert result.concepts["c0"].marker in ("alice", "bob")
         assert validate_graph(tiny_vocab, result).ok
 
@@ -326,6 +342,133 @@ class TestUnvalidatedInput:
         )
         with pytest.raises(UnknownIdentifierError):
             instantiate(tiny_vocab, gcg, fresh_rng("unvalidated"), mint=mint)
+
+
+def readme_auto_inputs():
+    """The vocabulary and gamma-CGs `cggen generate` builds from the README config."""
+    seed = README_CONFIG["seed"]
+    voc, gcg, var = (README_CONFIG[key] for key in ("autoVoc", "autoGcg", "autoVar"))
+    fixed = ParamSpec.fixed
+    vocab = auto_vocabulary(
+        AutoVocConfig(
+            concept_depth=fixed(voc["conceptDepth"]),
+            relation_depth=fixed(voc["relationDepth"]),
+            max_children=fixed(voc["maxChildren"]),
+            markers_per_type=fixed(voc["markersPerType"]),
+        ),
+        derive_rng(seed, "auto-voc"),
+    )
+    components = auto_gamma_cgs(
+        vocab,
+        AutoGcgConfig(fixed(gcg["count"]), fixed(gcg["minSize"])),
+        derive_rng(seed, "auto-gcg"),
+    )
+    variables = auto_variables(
+        components.vocabulary,
+        list(components.gammas),
+        AutoVarConfig(
+            concept_vars=fixed(var["conceptVars"]),
+            relation_vars=fixed(var["relationVars"]),
+            marker_vars=fixed(var["markerVars"]),
+            values_per_variable=fixed(var["valuesPerVariable"]),
+            specialisations=fixed(var["specialisations"]),
+        ),
+        derive_rng(seed, "auto-var"),
+    )
+    return components.vocabulary, list(variables.gammas)
+
+
+def tiny_gammas(vocab, sample_gcg):
+    """Hand-written variable sets on the sample graph plus dense auto-var ones."""
+    def var(name, kind, node, domain):
+        return Variable(name, VariableTarget(kind, node), domain)
+
+    hand = [
+        [
+            var("v1", TARGET_CONCEPT_TYPE, "c0", ("Person", "Student")),
+            var("v2", TARGET_MARKER, "c2", ("alice", "bob", "carol")),
+            var("v3", TARGET_RELATION_TYPE, "r1", ("knows", "attends", "T2")),
+        ],
+        [
+            var("v1", TARGET_RELATION_TYPE, "r1", ("attends", "knows")),
+            var("v2", TARGET_CONCEPT_TYPE, "c0", ("Person", "Student", "Top")),
+            var("v3", TARGET_MARKER, "c0", ("alice", "carol")),
+        ],
+        [var("v1", TARGET_RELATION_TYPE, "r0", ("knows",))],
+        [var("v1", TARGET_MARKER, "c3", ("home", "rex", "thing"))],
+        [var("v1", TARGET_MARKER, "c1", ("alice",))],
+    ]
+    dense = auto_variables(
+        vocab,
+        [sample_gcg] * 10,
+        AutoVarConfig(
+            concept_vars=ParamSpec.fixed(3),
+            relation_vars=ParamSpec.fixed(2),
+            marker_vars=ParamSpec.fixed(2),
+            values_per_variable=ParamSpec.fixed(3),
+            specialisations=ParamSpec.fixed(1),
+        ),
+        fresh_rng("oracle-vars"),
+    )
+    return [gcg_of(sample_gcg.graph, v, f"hand-{i}") for i, v in enumerate(hand)] + [
+        GammaCG(f"dense-{i}", gcg.graph, gcg.variables) for i, gcg in enumerate(dense.gammas)
+    ]
+
+
+class TestDrawPlanMatchesBruteForce:
+    """A compiled plan draws what filtering every whole domain draws, RNG call for call."""
+
+    SEEDS = 50
+
+    @staticmethod
+    def attempt(draw, rng):
+        try:
+            return draw(rng)
+        except InstantiationError as exc:
+            return str(exc)
+
+    def check(self, vocab, gammas):
+        drawn = failed = 0
+        for gcg in gammas:
+            brute_mint, plan_mint, bare_mint = (MarkerMint(vocab, "oracle") for _ in range(3))
+            plan = DrawPlan(vocab, gcg)
+            for seed in range(self.SEEDS):
+                rngs = [derive_rng(seed, "oracle", gcg.name) for _ in range(3)]
+                expected = self.attempt(
+                    lambda rng: brute_instantiate(vocab, gcg, rng, mint=brute_mint), rngs[0]
+                )
+                for rng, mint, draw in (
+                    (rngs[1], plan_mint, lambda rng: plan.draw(rng, plan_mint)),
+                    (
+                        rngs[2],
+                        bare_mint,
+                        lambda rng: instantiate(vocab, gcg, rng, mint=bare_mint),
+                    ),
+                ):
+                    got = self.attempt(draw, rng)
+                    if isinstance(expected, str):
+                        assert got == expected
+                    else:
+                        graph, assignments, type_slots = expected
+                        assert outcome_graph(gcg, got) == graph
+                        assert got.assignments == assignments
+                        assert got.type_slots == type_slots
+                    assert rng.getstate() == rngs[0].getstate()
+                    assert mint.minted == brute_mint.minted
+                failed += isinstance(expected, str)
+                drawn += 1
+        return drawn, failed
+
+    def test_readme_auto_inputs(self):
+        vocab, gammas = readme_auto_inputs()
+        assert len(gammas) == 20
+        drawn, failed = self.check(vocab, gammas)
+        # Both outcomes occur, so both paths are compared.
+        assert 0 < failed < drawn
+
+    def test_tiny_fixture(self, tiny_vocab, sample_gcg):
+        drawn, failed = self.check(tiny_vocab, tiny_gammas(tiny_vocab, sample_gcg))
+        assert 0 < failed < drawn
 
 
 class TestDomainOraclesOnRandomVocabularies:

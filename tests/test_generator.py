@@ -23,9 +23,13 @@ from cggen import (
     marker_domain,
     validate_graph,
 )
-from cggen.gamma import TARGET_MARKER, TARGET_RELATION_TYPE
+from cggen.gamma import TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
 from conftest import build_reference_gammas, fresh_rng, make_hierarchy
 from oracles import brute_carriers, brute_marker_domain
+
+
+def plans_of(vocab, gammas):
+    return [DrawPlan(vocab, gamma) for gamma in gammas]
 
 
 def cg(concepts, relations):
@@ -171,9 +175,8 @@ def plain_gamma(tiny_vocab):
 class TestGenerateOne:
     def test_single_component_reaching_min_size(self, tiny_vocab, mint, plain_gamma):
         config = GeneratorConfig(max_cgs=1, min_size=5, max_spe=0, seed=1)
-        graph, provenance = generate_one(
-            tiny_vocab, [plain_gamma], config, fresh_rng("one"), mint=mint
-        )
+        plans = plans_of(tiny_vocab, [plain_gamma])
+        graph, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("one"), mint=mint)
         assert canonical(graph) == canonical(plain_gamma.graph)
         assert [d.gamma_name for d in provenance.draws] == ["plain"]
         assert validate_graph(tiny_vocab, graph).ok
@@ -182,9 +185,10 @@ class TestGenerateOne:
         vocab, gammas, _ = reference_fixture
         config = GeneratorConfig(max_cgs=1, min_size=30, max_spe=3, seed=1)
         largest = max(g.graph.size for g in gammas)
+        plans = plans_of(vocab, gammas)
         for i in range(100):
             graph, _ = generate_one(
-                vocab, gammas, config, derive_rng(1, "sz", i), mint=MarkerMint(vocab, f"cg{i}")
+                vocab, plans, config, derive_rng(1, "sz", i), mint=MarkerMint(vocab, f"cg{i}")
             )
             assert 30 <= graph.size < 30 + largest
 
@@ -201,7 +205,8 @@ class TestGenerateOne:
             (Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("bob",)),),
         )
         config = GeneratorConfig(max_cgs=1, min_size=6, max_spe=0, seed=3)
-        out, provenance = generate_one(tiny_vocab, [gamma], config, fresh_rng("pinm"), mint=mint)
+        plans = plans_of(tiny_vocab, [gamma])
+        out, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("pinm"), mint=mint)
         bob_nodes = [n for n in out.concepts.values() if n.marker == "bob"]
         assert len(bob_nodes) == 1
         merges = [m for d in provenance.draws for m in d.merged]
@@ -220,9 +225,8 @@ class TestGenerateOne:
             (Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),),
         )
         config = GeneratorConfig(max_cgs=1, min_size=8, max_spe=0, seed=5)
-        graph, provenance = generate_one(
-            tiny_vocab, [broken, plain_gamma], config, fresh_rng("skip"), mint=mint
-        )
+        plans = plans_of(tiny_vocab, [broken, plain_gamma])
+        graph, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("skip"), mint=mint)
         assert {d.gamma_name for d in provenance.draws} == {"plain"}
         assert graph.size >= 8
 
@@ -239,7 +243,8 @@ class TestGenerateOne:
         )
         gamma = GammaCG("clash", graph)
         config = GeneratorConfig(max_cgs=1, min_size=12, max_spe=0, seed=2)
-        _, provenance = generate_one(tiny_vocab, [gamma], config, fresh_rng("skrec"), mint=mint)
+        plans = plans_of(tiny_vocab, [gamma])
+        _, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("skrec"), mint=mint)
         assert len(provenance.draws) >= 3
         skips = [s for d in provenance.draws for s in d.skipped_merges]
         assert skips
@@ -257,7 +262,9 @@ class TestGenerateOne:
         )
         config = GeneratorConfig(max_cgs=1, min_size=8, max_spe=0, seed=5)
         with pytest.raises(GenerationError):
-            generate_one(tiny_vocab, [broken], config, fresh_rng("allskip"), mint=mint)
+            generate_one(
+                tiny_vocab, plans_of(tiny_vocab, [broken]), config, fresh_rng("allskip"), mint=mint
+            )
 
     def test_empty_gamma_set_rejected(self, tiny_vocab, mint):
         config = GeneratorConfig(max_cgs=1, min_size=1, seed=1)
