@@ -238,22 +238,26 @@ class _OutputDir:
 
     def __init__(self, out: str) -> None:
         self.path = Path(out)
+        # The outermost directory this created, if any.
+        self.created: Path | None = None
 
     def __enter__(self) -> Path:
         if self.path.exists():
             if not self.path.is_dir() or any(self.path.iterdir()):
                 raise ConfigError(f"output directory {self.path} exists and is not empty")
-            self.created = False
         else:
+            created = self.path
+            while not created.parent.exists():
+                created = created.parent
             self.path.mkdir(parents=True)
-            self.created = True
+            self.created = created
         return self.path
 
     def __exit__(self, exc_type: type[BaseException] | None, *_: object) -> None:
         if exc_type is None:
             return
-        if self.created:
-            shutil.rmtree(self.path, ignore_errors=True)
+        if self.created is not None:
+            shutil.rmtree(self.created, ignore_errors=True)
             return
         for child in self.path.iterdir():
             if child.is_dir():

@@ -330,6 +330,14 @@ class TestPartialOutputRemoved:
         else:
             assert not out.exists()
 
+    def test_config_error_removes_created_parents(self, tmp_path):
+        # --out is entered before the config is checked, so a bad config
+        # must remove every directory that --out created.
+        config = write_config(tmp_path, {**FULL_AUTO, "generator": {"maxCGs": 0}})
+        out = tmp_path / "new" / "nested" / "out"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize(
         "command, work",
         [
