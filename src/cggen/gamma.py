@@ -362,7 +362,7 @@ class DrawPlan:
         self._relation_steps = tuple(relation_steps)
         self._concept_steps = tuple(concept_steps)
         self._marker_steps = tuple(marker_steps)
-        self.type_slots = tuple(type_slots)
+        self._type_slots = tuple(type_slots)
 
     def draw(self, rng: random.Random, mint: MarkerMint) -> InstantiationOutcome:
         """Draw every variable once; see ``instantiate``."""
@@ -411,7 +411,7 @@ class DrawPlan:
             markers[node_id] = choice
             assignments.append((name, choice))
 
-        return InstantiationOutcome(labels, markers, tuple(assignments), self.type_slots)
+        return InstantiationOutcome(labels, markers, tuple(assignments), self._type_slots)
 
 
 def instantiate(
