@@ -32,9 +32,7 @@ from .gamma import (
     MarkerMint,
     Variable,
     VariableTarget,
-    concept_type_domain,
-    marker_domain,
-    relation_type_domain,
+    _slot_domain,
 )
 from .generator import _Assembler
 
@@ -199,10 +197,10 @@ def auto_vocabulary(config: AutoVocConfig, rng: random.Random) -> Vocabulary:
         pending = [root]
         while pending:
             node = pending.pop(0)
-            for child in hierarchy.children_of(node):
+            for child in hierarchy.children[node]:
                 restrictions = []
                 for restriction in signatures[node].restrictions:
-                    kids = concepts.children_of(restriction)
+                    kids = concepts.children[restriction]
                     if kids and rng.random() < 0.5:
                         restrictions.append(kids[rng.randrange(len(kids))])
                     else:
@@ -247,7 +245,7 @@ def _signature_component(
     args: list[str] = []
     for position in range(arity):
         restriction = vocab.signature_of(relation_type).restrictions[position]
-        compatible = sorted(vocab.concepts.descendants_of(restriction) | {restriction})
+        compatible = sorted(vocab.concepts.down[restriction])
         concept_type = compatible[rng.randrange(len(compatible))]
         concept_type = random_descendant(vocab.concepts, concept_type, AUTO_SPECIALISE_STEPS, rng)
         admissible = mint.carriers(concept_type)
@@ -363,50 +361,33 @@ def auto_variables(
             claimed.update((kind, nid) for nid in chosen)
             return chosen
 
-        for node_id in pick_slots(
-            TARGET_RELATION_TYPE, sorted(gcg.graph.relations), n_relation
-        ):
-            admissible = relation_type_domain(
-                vocab, gcg, node_id, signature_compatible=signature_compatible
-            )
-            if not admissible:
-                warnings.append(f"{gcg.name}: no admissible relation types for {node_id}")
-                continue
-            k = max(1, sample_param(config.values_per_variable, (0, 100_000), rng))
-            values = _sample_domain(admissible, k, rng)
-            hierarchy = vocab.relation_hierarchy(gcg.graph.relations[node_id].type_id)
-            values = [random_descendant(hierarchy, value, spe, rng) for value in values]
-            new_variables.append(
-                Variable(next_name(), VariableTarget(TARGET_RELATION_TYPE, node_id), tuple(values))
-            )
-
-        for node_id in pick_slots(
-            TARGET_CONCEPT_TYPE, sorted(gcg.graph.concepts), n_concept
-        ):
-            admissible = concept_type_domain(vocab, gcg, node_id)
-            if not admissible:
-                warnings.append(f"{gcg.name}: no admissible concept types for {node_id}")
-                continue
-            k = max(1, sample_param(config.values_per_variable, (0, 100_000), rng))
-            values = _sample_domain(admissible, k, rng)
-            values = [random_descendant(vocab.concepts, value, spe, rng) for value in values]
-            new_variables.append(
-                Variable(next_name(), VariableTarget(TARGET_CONCEPT_TYPE, node_id), tuple(values))
-            )
-
         marked = [
             nid for nid in sorted(gcg.graph.concepts) if gcg.graph.concepts[nid].marker
         ]
-        for node_id in pick_slots(TARGET_MARKER, marked, n_marker):
-            admissible = marker_domain(vocab, gcg, node_id)
-            if not admissible:
-                warnings.append(f"{gcg.name}: no admissible markers for {node_id}")
-                continue
-            k = max(1, sample_param(config.values_per_variable, (0, 100_000), rng))
-            values = _sample_domain(admissible, k, rng)
-            new_variables.append(
-                Variable(next_name(), VariableTarget(TARGET_MARKER, node_id), tuple(values))
-            )
+        for kind, candidates, requested in (
+            (TARGET_RELATION_TYPE, sorted(gcg.graph.relations), n_relation),
+            (TARGET_CONCEPT_TYPE, sorted(gcg.graph.concepts), n_concept),
+            (TARGET_MARKER, marked, n_marker),
+        ):
+            for node_id in pick_slots(kind, candidates, requested):
+                admissible = _slot_domain(vocab, gcg, kind, node_id, signature_compatible)
+                if not admissible:
+                    # "relation types", "concept types" or "markers".
+                    plural = kind.replace("-", " ") + "s"
+                    warnings.append(f"{gcg.name}: no admissible {plural} for {node_id}")
+                    continue
+                k = max(1, sample_param(config.values_per_variable, (0, 100_000), rng))
+                values = _sample_domain(admissible, k, rng)
+                if kind != TARGET_MARKER:
+                    hierarchy = (
+                        vocab.concepts
+                        if kind == TARGET_CONCEPT_TYPE
+                        else vocab.relation_hierarchy(gcg.graph.relations[node_id].type_id)
+                    )
+                    values = [random_descendant(hierarchy, value, spe, rng) for value in values]
+                new_variables.append(
+                    Variable(next_name(), VariableTarget(kind, node_id), tuple(values))
+                )
 
         out.append(GammaCG(gcg.name, gcg.graph, gcg.variables + tuple(new_variables)))
 

@@ -461,9 +461,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (VocabularyError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except CggenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -8,10 +8,10 @@ ordered argument list of concept node ids (the same concept may fill several
 positions).
 
 All values are immutable after construction; construction validates the
-structural invariants and precomputes the order closures, so the subtype
-checks used everywhere else are O(1) set lookups. ``is_subtype`` and
-``most_specific`` check that their types exist; the generator's hot paths
-look up ``TypeHierarchy.up`` directly, on types already validated.
+structural invariants and precomputes each hierarchy's order as the maps
+``TypeHierarchy.up``, ``down`` and ``children``, so every order question is
+an O(1) lookup. ``is_subtype`` checks that its types exist; everything else
+reads the maps directly, on types already validated.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ class TypeHierarchy:
 
     ``parents`` maps every type id to its direct parents; the root maps to
     an empty tuple. Auto-generated hierarchies are trees, hand-authored ones
-    may be DAGs. The transitive closure is computed eagerly at construction:
-    ``up[a]`` is the set of a's ancestors and a itself, so a <= b is
-    ``b in up[a]``. ``up`` is unchecked; an unknown ``a`` raises KeyError.
+    may be DAGs. The order is computed eagerly at construction into three
+    maps: ``up[a]`` holds a's ancestors and a itself, so a <= b is
+    ``b in up[a]``; ``down[a]`` holds a's descendants and a itself;
+    ``children[a]`` holds a's direct children, sorted. The maps are
+    unchecked: an unknown ``a`` raises KeyError.
     """
 
     kind: str
@@ -48,6 +50,8 @@ class TypeHierarchy:
     parents: dict[str, tuple[str, ...]]
     arity: int | None = None
     up: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    down: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (CONCEPT, RELATION):
@@ -81,26 +85,24 @@ class TypeHierarchy:
                         f"type {type_id!r} references unknown parent {parent!r}"
                     )
 
-        ancestors: dict[str, frozenset[str]] = {}
+        up: dict[str, frozenset[str]] = {}
 
         def resolve(type_id: str, trail: tuple[str, ...]) -> frozenset[str]:
             if type_id in trail:
                 cycle = " -> ".join(trail + (type_id,))
                 raise VocabularyError(f"cycle in hierarchy order: {cycle}")
-            cached = ancestors.get(type_id)
+            cached = up.get(type_id)
             if cached is not None:
                 return cached
-            acc: set[str] = set()
+            acc = {type_id}
             for parent in self.parents[type_id]:
-                acc.add(parent)
                 acc |= resolve(parent, trail + (type_id,))
             result = frozenset(acc)
-            ancestors[type_id] = result
+            up[type_id] = result
             return result
 
         for type_id in self.labels:
-            resolve(type_id, ())
-            if type_id != self.root and self.root not in ancestors[type_id]:
+            if self.root not in resolve(type_id, ()):
                 raise VocabularyError(f"type {type_id!r} does not reach root")
 
         children: dict[str, list[str]] = {type_id: [] for type_id in self.labels}
@@ -108,24 +110,17 @@ class TypeHierarchy:
             for parent in parent_ids:
                 children[parent].append(type_id)
 
-        descendants: dict[str, set[str]] = {type_id: set() for type_id in self.labels}
-        for type_id, ups in ancestors.items():
-            for up in ups:
-                descendants[up].add(type_id)
+        down: dict[str, set[str]] = {type_id: set() for type_id in self.labels}
+        for type_id, ups in up.items():
+            for above in ups:
+                down[above].add(type_id)
 
-        object.__setattr__(self, "_ancestors", ancestors)
+        object.__setattr__(self, "up", up)
         object.__setattr__(
-            self, "up", {type_id: ups | {type_id} for type_id, ups in ancestors.items()}
+            self, "down", {type_id: frozenset(below) for type_id, below in down.items()}
         )
         object.__setattr__(
-            self,
-            "_children",
-            {type_id: tuple(sorted(kids)) for type_id, kids in children.items()},
-        )
-        object.__setattr__(
-            self,
-            "_descendants",
-            {type_id: frozenset(down) for type_id, down in descendants.items()},
+            self, "children", {type_id: tuple(sorted(kids)) for type_id, kids in children.items()}
         )
 
     def __contains__(self, type_id: str) -> bool:
@@ -140,35 +135,12 @@ class TypeHierarchy:
     def type_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
 
-    def ancestors_of(self, type_id: str) -> frozenset[str]:
-        """Proper ancestors (the type itself is excluded)."""
-        self.require(type_id)
-        return self._ancestors[type_id]  # type: ignore[attr-defined]
-
-    def descendants_of(self, type_id: str) -> frozenset[str]:
-        """Proper descendants (the type itself is excluded)."""
-        self.require(type_id)
-        return self._descendants[type_id]  # type: ignore[attr-defined]
-
-    def children_of(self, type_id: str) -> tuple[str, ...]:
-        self.require(type_id)
-        return self._children[type_id]  # type: ignore[attr-defined]
-
 
 def is_subtype(hierarchy: TypeHierarchy, a: str, b: str) -> bool:
     """True iff a <= b: a equals b or descends from b in the hierarchy."""
     hierarchy.require(a)
     hierarchy.require(b)
     return b in hierarchy.up[a]
-
-
-def most_specific(hierarchy: TypeHierarchy, a: str, b: str) -> str | None:
-    """The lower of two comparable types; None when they are incomparable."""
-    if is_subtype(hierarchy, a, b):
-        return a
-    if is_subtype(hierarchy, b, a):
-        return b
-    return None
 
 
 def random_descendant(
@@ -199,7 +171,7 @@ def _walk_down(
 
     Unchecked: ``type_id`` must be a member of ``hierarchy``.
     """
-    children = hierarchy._children  # type: ignore[attr-defined]
+    children = hierarchy.children
     current = type_id
     taken = 0
     for _ in range(moves):
@@ -280,13 +252,14 @@ class Vocabulary:
                     )
 
         # Monotonicity: r' <= r implies pointwise restriction(r') <= restriction(r).
+        concepts_up = self.concepts.up
         for hierarchy in self.relations.values():
             for sub in hierarchy.labels:
-                for sup in hierarchy.ancestors_of(sub):
-                    sub_sig = self.signatures[sub].restrictions
+                sub_sig = self.signatures[sub].restrictions
+                for sup in hierarchy.up[sub]:
                     sup_sig = self.signatures[sup].restrictions
                     for position, (below, above) in enumerate(zip(sub_sig, sup_sig)):
-                        if not is_subtype(self.concepts, below, above):
+                        if above not in concepts_up[below]:
                             raise VocabularyError(
                                 f"non-monotone signature: {sub!r} <= {sup!r} but position "
                                 f"{position} has {below!r} !<= {above!r}"
@@ -459,6 +432,7 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
     breaking a signature restriction, and marked nodes whose type is not a
     subtype of the marker's assigned type.
     """
+    up = vocab.concepts.up
     violations: list[Violation] = []
 
     for node_id in sorted(graph.concepts):
@@ -474,7 +448,7 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
                 violations.append(
                     Violation("unknown-marker", node_id, f"marker {node.marker!r} not in vocabulary")
                 )
-            elif not is_subtype(vocab.concepts, node.type_id, marker.type_id):
+            elif marker.type_id not in up[node.type_id]:
                 violations.append(
                     Violation(
                         "marker-type-violation",
@@ -490,7 +464,8 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
                 Violation("unknown-relation-type", node_id, f"type {node.type_id!r} not in vocabulary")
             )
             continue
-        arity = vocab.arity_of(node.type_id)
+        restrictions = vocab.signatures[node.type_id].restrictions
+        arity = len(restrictions)
         if len(node.args) != arity:
             violations.append(
                 Violation(
@@ -504,8 +479,8 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
             concept = graph.concepts[arg]
             if concept.type_id not in vocab.concepts:
                 continue  # already reported on the concept node
-            restriction = restriction_for(vocab, node.type_id, position)
-            if not is_subtype(vocab.concepts, concept.type_id, restriction):
+            restriction = restrictions[position]
+            if restriction not in up[concept.type_id]:
                 violations.append(
                     Violation(
                         "signature-violation",

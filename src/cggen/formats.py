@@ -199,10 +199,14 @@ def _load_hierarchy(
         if not isinstance(raw, dict):
             raise FormatError(f"{path}: {spot} must be an object")
         type_id = _field(raw, "id", str, path, spot)
+        if type_id in labels:
+            raise FormatError(f"{path}: duplicate type id {type_id!r} in {where}")
         labels[type_id] = _field(raw, "label", str, path, spot)
-        parents[type_id] = tuple(_field(raw, "parents", list, path, spot))
+        parent_ids = _field(raw, "parents", list, path, spot)
+        parents[type_id] = tuple(_list_of(parent_ids, str, path, f"{spot}.parents"))
         if kind == RELATION:
             restrictions = _field(raw, "signature", list, path, spot)
+            _list_of(restrictions, str, path, f"{spot}.signature")
             if arity is not None and len(restrictions) != arity:
                 raise VocabularyError(
                     f"{path}: {spot}.signature has {len(restrictions)} entries for arity {arity}"
@@ -240,6 +244,8 @@ def load_vocabulary(path: "str | Path") -> Vocabulary:
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: {where} must be an object")
         marker_id = _field(entry, "id", str, path, where)
+        if marker_id in markers:
+            raise FormatError(f"{path}: duplicate marker id {marker_id!r}")
         markers[marker_id] = Marker(marker_id, _field(entry, "type", str, path, where))
     try:
         return Vocabulary(concepts, relations, signatures, markers)

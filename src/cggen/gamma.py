@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Container, Mapping
+from typing import Mapping
 
 from .core import (
     ConceptualGraph,
@@ -137,9 +137,7 @@ def concept_type_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozen
     admissible = set(vocab.concepts.labels)
     for rel_id, position in gcg.graph.incidences(node_id):
         relation = gcg.graph.relations[rel_id]
-        restriction = restriction_for(vocab, relation.type_id, position)
-        allowed = vocab.concepts.descendants_of(restriction) | {restriction}
-        admissible &= allowed
+        admissible &= vocab.concepts.down[restriction_for(vocab, relation.type_id, position)]
     return frozenset(admissible)
 
 
@@ -153,8 +151,31 @@ def marker_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozenset[st
     current = vocab.markers.get(node.marker)
     if current is None:
         raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
-    below = vocab.concepts.descendants_of(current.type_id) | {current.type_id}
-    return frozenset(vocab.markers_typed(below))
+    return frozenset(vocab.markers_typed(vocab.concepts.down[current.type_id]))
+
+
+def _slot_domain(
+    vocab: Vocabulary, gcg: GammaCG, kind: str, node_id: str, signature_compatible: bool = False
+) -> frozenset[str]:
+    """The admissible values of one label slot, for validation and auto-var.
+
+    A marker slot on an unmarked node is declared individual by its
+    variable. The draw gives it a marker typed at or above the node's type,
+    or at or above some value a concept variable on the node can draw.
+    """
+    if kind == TARGET_RELATION_TYPE:
+        return relation_type_domain(vocab, gcg, node_id, signature_compatible=signature_compatible)
+    if kind == TARGET_CONCEPT_TYPE:
+        return concept_type_domain(vocab, gcg, node_id)
+    node = gcg.graph.concepts[node_id]
+    if node.marker is not None:
+        return marker_domain(vocab, gcg, node_id)
+    up = vocab.concepts.up
+    types = [node.type_id]
+    for variable in gcg.variables:
+        if variable.target == VariableTarget(TARGET_CONCEPT_TYPE, node_id):
+            types = [t for t in variable.domain if t in up]
+    return frozenset(vocab.markers_typed({above for t in types for above in up[t]}))
 
 
 def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> ValidationReport:
@@ -168,18 +189,7 @@ def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> Vali
 
     kind = variable.target.kind
     node_id = variable.target.node_id
-    admissible: Container[str]
-    if kind == TARGET_RELATION_TYPE:
-        admissible = relation_type_domain(vocab, gcg, node_id)
-    elif kind == TARGET_CONCEPT_TYPE:
-        admissible = concept_type_domain(vocab, gcg, node_id)
-    else:
-        node = gcg.graph.concepts[node_id]
-        if node.marker is None:
-            # Unmarked slot declared individual: any registered marker may be drawn.
-            admissible = vocab.markers
-        else:
-            admissible = marker_domain(vocab, gcg, node_id)
+    admissible = _slot_domain(vocab, gcg, kind, node_id)
     for value in variable.domain:
         if value not in admissible:
             violations.append(
@@ -240,8 +250,8 @@ class MarkerMint:
         return candidate
 
     def carriers(self, concept_type: str) -> list[str]:
-        """Registered and minted markers whose type is >= ``concept_type``, by id."""
-        above = self._vocab.concepts.ancestors_of(concept_type) | {concept_type}
+        """Registered and minted markers typed >= ``concept_type`` (a known type), by id."""
+        above = self._vocab.concepts.up[concept_type]
         found = self._vocab.markers_typed(above)
         by_type = self._minted_by_type
         found.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))

@@ -131,7 +131,7 @@ class _Assembler:
             candidates = self._by_marker.setdefault(marker, [])
             for kept_id in candidates:
                 kept_type = types[kept_id]
-                # The most specific of the two types, as core.most_specific.
+                # Keep the lower of two comparable types; leave incomparable ones apart.
                 if type_id in up[kept_type]:
                     pass
                 elif kept_type in up[type_id]:

@@ -88,6 +88,16 @@ def mint(tiny_vocab):
     return MarkerMint(tiny_vocab, "test")
 
 
+def random_dag_hierarchy(rng, n_nodes):
+    """Random DAG: node i picks 1-2 parents among earlier nodes."""
+    nodes = [f"t{i}" for i in range(n_nodes)]
+    parents = {"t0": ()}
+    for i in range(1, n_nodes):
+        count = min(i, rng.randint(1, 2))
+        parents[nodes[i]] = tuple(sorted(rng.sample(nodes[:i], count)))
+    return TypeHierarchy(CONCEPT, "t0", {n: n for n in nodes}, parents)
+
+
 def admissible_markers(vocab, concept_type):
     return sorted(
         marker_id
@@ -102,7 +112,7 @@ def build_component(vocab, relation_type, rng, concept_start, relation_index):
     concepts = {}
     args = []
     for position, restriction in enumerate(signature.restrictions):
-        pool = sorted(vocab.concepts.descendants_of(restriction) | {restriction})
+        pool = sorted(vocab.concepts.down[restriction])
         concept_type = pool[rng.randrange(len(pool))]
         markers = admissible_markers(vocab, concept_type)
         marker = markers[rng.randrange(len(markers))] if markers else None

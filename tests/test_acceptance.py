@@ -247,21 +247,21 @@ def test_criterion_6_auto_voc_structure():
         vocab = auto_vocabulary(FULL_AUTO_VOC, rng)
         concepts = vocab.concepts
         # depth 4 counted in levels: the deepest type has 3 ancestors
-        assert max(len(concepts.ancestors_of(t)) for t in concepts.labels) == 3
+        assert max(len(concepts.up[t]) - 1 for t in concepts.labels) == 3
         marker_counts: dict = {}
         for marker in vocab.markers.values():
             marker_counts[marker.type_id] = marker_counts.get(marker.type_id, 0) + 1
         assert set(marker_counts) == set(concepts.labels)
         assert all(count == 3 for count in marker_counts.values())
         for type_id in concepts.labels:
-            assert len(concepts.children_of(type_id)) <= 3
+            assert len(concepts.children[type_id]) <= 3
         for arity, hierarchy in vocab.relations.items():
-            assert max(len(hierarchy.ancestors_of(t)) for t in hierarchy.labels) == 2  # depth 3
+            assert max(len(hierarchy.up[t]) - 1 for t in hierarchy.labels) == 2  # depth 3
             for type_id in hierarchy.labels:
-                assert len(hierarchy.children_of(type_id)) <= 3
+                assert len(hierarchy.children[type_id]) <= 3
             assert vocab.signatures[hierarchy.root].restrictions == ("Top",) * arity
             for sub in hierarchy.labels:
-                for sup in hierarchy.ancestors_of(sub):
+                for sup in hierarchy.up[sub]:
                     for below, above in zip(
                         vocab.signatures[sub].restrictions,
                         vocab.signatures[sup].restrictions,

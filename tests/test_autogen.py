@@ -69,9 +69,9 @@ class TestAutoVocabulary:
             vocab = auto_vocabulary(DEPTH4_VOC_CONFIG, rng)
             concepts = vocab.concepts
             # depth 4 = 4 levels, so the deepest type has 3 ancestors
-            assert max(len(concepts.ancestors_of(t)) for t in concepts.labels) == 3
+            assert max(len(concepts.up[t]) - 1 for t in concepts.labels) == 3
             for type_id in concepts.labels:
-                assert len(concepts.children_of(type_id)) <= 3
+                assert len(concepts.children[type_id]) <= 3
             markers_by_type = {}
             for marker in vocab.markers.values():
                 markers_by_type.setdefault(marker.type_id, 0)
@@ -85,13 +85,13 @@ class TestAutoVocabulary:
             vocab = auto_vocabulary(DEPTH4_VOC_CONFIG, rng)
             for arity in (1, 2, 3):
                 hierarchy = vocab.relations[arity]
-                assert max(len(hierarchy.ancestors_of(t)) for t in hierarchy.labels) == 2
+                assert max(len(hierarchy.up[t]) - 1 for t in hierarchy.labels) == 2
                 root = hierarchy.root
                 assert vocab.signatures[root].restrictions == ("Top",) * arity
                 assert restriction_for(vocab, root, arity - 1) == "Top"
                 # Pointwise monotone over every ancestor/descendant pair.
                 for sub in hierarchy.labels:
-                    for sup in hierarchy.ancestors_of(sub):
+                    for sup in hierarchy.up[sub]:
                         for below, above in zip(
                             vocab.signatures[sub].restrictions,
                             vocab.signatures[sup].restrictions,

@@ -162,7 +162,7 @@ class TestStages:
         assert main(["auto-voc", "--config", str(config), "--out", str(out)]) == 0
         vocab = load_vocabulary(out / "vocabulary.json")
         concepts = vocab.concepts
-        assert max(len(concepts.ancestors_of(t)) for t in concepts.labels) == 3  # 4 levels
+        assert max(len(concepts.up[t]) - 1 for t in concepts.labels) == 3  # 4 levels
         marker_counts = {}
         for marker in vocab.markers.values():
             marker_counts[marker.type_id] = marker_counts.get(marker.type_id, 0) + 1

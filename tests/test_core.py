@@ -15,23 +15,12 @@ from cggen import (
     Vocabulary,
     VocabularyError,
     is_subtype,
-    most_specific,
     random_descendant,
     restriction_for,
     validate_graph,
 )
-from conftest import fresh_rng, make_hierarchy
+from conftest import fresh_rng, make_hierarchy, random_dag_hierarchy
 from oracles import brute_subtype
-
-
-def random_dag_hierarchy(rng, n_nodes):
-    """Random DAG: node i picks 1-2 parents among earlier nodes."""
-    nodes = [f"t{i}" for i in range(n_nodes)]
-    parents = {"t0": ()}
-    for i in range(1, n_nodes):
-        count = min(i, rng.randint(1, 2))
-        parents[nodes[i]] = tuple(sorted(rng.sample(nodes[:i], count)))
-    return TypeHierarchy(CONCEPT, "t0", {n: n for n in nodes}, parents)
 
 
 class TestSubtype:
@@ -63,14 +52,18 @@ class TestSubtype:
                 assert is_subtype(hierarchy, a, b) == brute_subtype(hierarchy, a, b)
 
     def test_unchecked_lookup_matches_brute_force_on_every_pair(self):
-        # The hot paths read `b in hierarchy.up[a]` without is_subtype's checks.
+        # Everything but is_subtype reads the up/down/children maps unchecked.
         rng = fresh_rng("dag-up")
         for trial in range(5):
             hierarchy = random_dag_hierarchy(rng, rng.randint(2, 40))
-            assert set(hierarchy.up) == set(hierarchy.labels)
+            for order in (hierarchy.up, hierarchy.down, hierarchy.children):
+                assert set(order) == set(hierarchy.labels)
             for a in hierarchy.labels:
                 for b in hierarchy.labels:
                     assert (b in hierarchy.up[a]) == brute_subtype(hierarchy, a, b)
+                    assert (b in hierarchy.down[a]) == brute_subtype(hierarchy, b, a)
+                    assert (b in hierarchy.children[a]) == (a in hierarchy.parents[b])
+                assert list(hierarchy.children[a]) == sorted(hierarchy.children[a])
 
     def test_partial_order_properties(self):
         rng = fresh_rng("poset")
@@ -85,37 +78,6 @@ class TestSubtype:
                     assert a == b
                 if is_subtype(hierarchy, a, b) and is_subtype(hierarchy, b, c):
                     assert is_subtype(hierarchy, a, c)
-
-
-class TestMostSpecific:
-    def test_equal(self, tiny_vocab):
-        assert most_specific(tiny_vocab.concepts, "Person", "Person") == "Person"
-
-    def test_child_parent(self, tiny_vocab):
-        assert most_specific(tiny_vocab.concepts, "Student", "Person") == "Student"
-        assert most_specific(tiny_vocab.concepts, "Person", "Student") == "Student"
-
-    def test_incomparable(self, tiny_vocab):
-        assert most_specific(tiny_vocab.concepts, "Person", "Place") is None
-
-    def test_unknown_identifier(self, tiny_vocab):
-        for a, b in (("Nope", "Person"), ("Person", "Nope"), ("Nope", "Nope")):
-            with pytest.raises(UnknownIdentifierError):
-                most_specific(tiny_vocab.concepts, a, b)
-
-    def test_against_brute_force(self):
-        rng = fresh_rng("most-specific")
-        hierarchy = random_dag_hierarchy(rng, 40)
-        ids = hierarchy.type_ids()
-        for _ in range(500):
-            a, b = rng.choice(ids), rng.choice(ids)
-            result = most_specific(hierarchy, a, b)
-            if brute_subtype(hierarchy, a, b):
-                assert result == a
-            elif brute_subtype(hierarchy, b, a):
-                assert result == b
-            else:
-                assert result is None
 
 
 class TestRandomDescendant:
@@ -151,7 +113,7 @@ class TestRandomDescendant:
                 # On a DAG the bound is on the walk: at most `steps` child edges.
                 reachable = {start}
                 for _ in range(steps):
-                    reachable |= {c for t in reachable for c in hierarchy.children_of(t)}
+                    reachable |= {c for t in reachable for c in hierarchy.children[t]}
                 assert result in reachable
 
 

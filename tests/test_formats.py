@@ -31,6 +31,7 @@ from cggen import (
     save_vocabulary,
     validate_gamma,
 )
+from cggen.cli import main
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
 from oracles import parse_dot
@@ -110,6 +111,40 @@ class TestVocabularyFormat:
         with pytest.raises(VocabularyError) as err:
             load_vocabulary(path)
         assert "attends" in str(err.value) and "knows" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc["relationTypes"][0]["types"][0].update(signature=[[1]]),
+                r"relationTypes\[0\]\.types\[0\]\.signature\[0\] must be str, found list",
+            ),
+            (
+                lambda doc: doc["conceptTypes"]["types"][1].update(parents=[[1]]),
+                r"conceptTypes\.types\[1\]\.parents\[0\] must be str, found list",
+            ),
+            (
+                lambda doc: doc["markers"].append(dict(doc["markers"][0])),
+                "duplicate marker id 'alice'",
+            ),
+            (
+                lambda doc: doc["conceptTypes"]["types"].append(
+                    dict(doc["conceptTypes"]["types"][0], label="Other")
+                ),
+                "duplicate type id 'Act' in conceptTypes",
+            ),
+        ],
+        ids=["signature-item", "parents-item", "duplicate-marker", "duplicate-type"],
+    )
+    def test_malformed_entry_is_format_error(self, tiny_vocab, tmp_path, edit, message):
+        path = tmp_path / "voc.json"
+        save_vocabulary(path, tiny_vocab)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message):
+            load_vocabulary(path)
+        assert main(["validate", str(path)]) == 2
 
 
 class TestGraphFormats:

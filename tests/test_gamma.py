@@ -210,6 +210,34 @@ class TestValidateDomain:
         report = validate_domain(tiny_vocab, gcg, variable)
         assert [v.code for v in report.violations] == ["empty-domain"]
 
+    def test_unmarked_marker_slot_rejects_markers_below_or_beside(self, tiny_vocab):
+        # An unmarked Person draws markers typed at or above Person: never
+        # home (Place) nor carol (Student).
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
+        variable = Variable(
+            "v1", VariableTarget(TARGET_MARKER, "c0"), ("alice", "carol", "home", "rex", "thing")
+        )
+        report = validate_domain(tiny_vocab, gcg_of(graph, [variable]), variable)
+        flagged = [v.message.split()[0] for v in report.violations]
+        assert flagged == ["'carol'", "'home'"]
+
+    @pytest.mark.parametrize("concept_domain", [None, ("Person", "Student")])
+    def test_unmarked_marker_slot_admits_what_the_draw_draws(
+        self, tiny_vocab, mint, concept_domain
+    ):
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
+        for marker_id in sorted(tiny_vocab.markers):
+            variable = Variable("v1", VariableTarget(TARGET_MARKER, "c0"), (marker_id,))
+            variables = [variable]
+            if concept_domain:
+                variables.append(
+                    Variable("v2", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), concept_domain)
+                )
+            gcg = gcg_of(graph, variables)
+            rng = fresh_rng("unmarked-slot", marker_id)
+            drawn = {instantiate(tiny_vocab, gcg, rng, mint=mint).markers["c0"] for _ in range(40)}
+            assert validate_domain(tiny_vocab, gcg, variable).ok == (marker_id in drawn), marker_id
+
 
 class TestInstantiate:
     def test_zero_variables_returns_graph_unchanged(self, tiny_vocab, mint, sample_gcg):

@@ -24,8 +24,8 @@ from cggen import (
     validate_graph,
 )
 from cggen.gamma import TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
-from conftest import build_reference_gammas, fresh_rng, make_hierarchy
-from oracles import brute_carriers, brute_marker_domain
+from conftest import build_reference_gammas, fresh_rng, make_hierarchy, random_dag_hierarchy
+from oracles import brute_carriers, brute_marker_domain, brute_subtype
 
 
 def plans_of(vocab, gammas):
@@ -154,6 +154,24 @@ class TestJoin:
             left = join(tiny_vocab, join(tiny_vocab, a, b), c)
             right = join(tiny_vocab, a, join(tiny_vocab, b, c))
             assert canonical(left) == canonical(right)
+
+    def test_merge_matches_brute_order_on_random_dags(self):
+        # Two nodes sharing a marker merge iff their types are comparable,
+        # and the merged node keeps the lower type.
+        rng = fresh_rng("join-order")
+        concepts = random_dag_hierarchy(rng, 40)
+        vocab = Vocabulary(concepts, {}, {}, {"m": Marker("m", "t0")})
+        ids = concepts.type_ids()
+        for _ in range(500):
+            a, b = rng.choice(ids), rng.choice(ids)
+            out = join(vocab, cg([ConceptNode("x", a, "m")], []), cg([ConceptNode("y", b, "m")], []))
+            types = sorted(node.type_id for node in out.concepts.values())
+            if brute_subtype(concepts, a, b):
+                assert types == [a]
+            elif brute_subtype(concepts, b, a):
+                assert types == [b]
+            else:
+                assert types == sorted([a, b])
 
 
 @pytest.fixture
