@@ -32,7 +32,7 @@ from .gamma import (
     MarkerMint,
     Variable,
     VariableTarget,
-    _slot_domain,
+    slot_domain,
 )
 from .generator import _Assembler
 
@@ -370,7 +370,10 @@ def auto_variables(
             (TARGET_MARKER, marked, n_marker),
         ):
             for node_id in pick_slots(kind, candidates, requested):
-                admissible = _slot_domain(vocab, gcg, kind, node_id, signature_compatible)
+                target = VariableTarget(kind, node_id)
+                admissible = slot_domain(
+                    vocab, gcg, target, signature_compatible=signature_compatible
+                )
                 if not admissible:
                     # "relation types", "concept types" or "markers".
                     plural = kind.replace("-", " ") + "s"
@@ -385,9 +388,7 @@ def auto_variables(
                         else vocab.relation_hierarchy(gcg.graph.relations[node_id].type_id)
                     )
                     values = [random_descendant(hierarchy, value, spe, rng) for value in values]
-                new_variables.append(
-                    Variable(next_name(), VariableTarget(kind, node_id), tuple(values))
-                )
+                new_variables.append(Variable(next_name(), target, tuple(values)))
 
         out.append(GammaCG(gcg.name, gcg.graph, gcg.variables + tuple(new_variables)))
 

@@ -8,6 +8,7 @@ parse error. Every behavior is a thin shell over the library.
 from __future__ import annotations
 
 import argparse
+import math
 import secrets
 import shutil
 import sys
@@ -41,16 +42,28 @@ def _check_keys(section: dict[str, Any], allowed: set[str], label: str) -> None:
         raise ConfigError(f"unknown keys in {label}: {', '.join(unknown)}")
 
 
+def _integer(value: Any, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label} must be an integer")
+    return value
+
+
+def _number(value: Any, label: str) -> float:
+    # JSON true and false load as bool, a subclass of int; NaN loads as a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{label} must be a number")
+    return float(value)
+
+
 def _param(value: Any, label: str) -> ParamSpec:
-    if isinstance(value, bool):
-        raise ConfigError(f"{label} must be a number or {{mean, stddev}}")
     if isinstance(value, (int, float)):
-        return ParamSpec.fixed(float(value))
+        return ParamSpec.fixed(_number(value, label))
     if isinstance(value, dict):
         _check_keys(value, {"mean", "stddev"}, label)
         if "mean" not in value:
             raise ConfigError(f"{label} needs a mean")
-        return ParamSpec.normal(float(value["mean"]), float(value.get("stddev", 0.0)))
+        mean = _number(value["mean"], f"{label}.mean")
+        return ParamSpec.normal(mean, _number(value.get("stddev", 0.0), f"{label}.stddev"))
     raise ConfigError(f"{label} must be a number or {{mean, stddev}}")
 
 
@@ -71,14 +84,14 @@ def _auto_voc_config(section: dict[str, Any]) -> AutoVocConfig:
         if key not in section:
             raise ConfigError(f"autoVoc.{key} is required")
     arities = section.get("arities", [1, 2, 3])
-    if not isinstance(arities, list) or not all(isinstance(a, int) for a in arities):
+    if not isinstance(arities, list):
         raise ConfigError("autoVoc.arities must be a list of integers")
     return AutoVocConfig(
         concept_depth=_param(section["conceptDepth"], "autoVoc.conceptDepth"),
         relation_depth=_param(section["relationDepth"], "autoVoc.relationDepth"),
         max_children=_param(section["maxChildren"], "autoVoc.maxChildren"),
         markers_per_type=_param(section["markersPerType"], "autoVoc.markersPerType"),
-        arities=tuple(arities),
+        arities=tuple(_integer(a, f"autoVoc.arities[{i}]") for i, a in enumerate(arities)),
     )
 
 
@@ -116,13 +129,10 @@ def _auto_var_config(section: dict[str, Any]) -> AutoVarConfig:
 
 def _generator_config(section: dict[str, Any], seed: int) -> GeneratorConfig:
     _check_keys(section, {"maxCGs", "minSize", "maxSpe"}, "generator")
-    for key in ("maxCGs", "minSize"):
-        if key not in section or not isinstance(section[key], int):
-            raise ConfigError(f"generator.{key} must be an integer")
     return GeneratorConfig(
-        max_cgs=section["maxCGs"],
-        min_size=section["minSize"],
-        max_spe=int(section.get("maxSpe", 0)),
+        max_cgs=_integer(section.get("maxCGs"), "generator.maxCGs"),
+        min_size=_integer(section.get("minSize"), "generator.minSize"),
+        max_spe=_integer(section.get("maxSpe", 0), "generator.maxSpe"),
         seed=seed,
     )
 
@@ -148,9 +158,7 @@ def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
         return override
     seed = doc.get("seed")
     if seed is not None:
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        return seed
+        return _integer(seed, "seed")
     return secrets.randbits(63)
 
 
@@ -159,6 +167,8 @@ def _resolve_vocabulary(
 ) -> Vocabulary:
     inputs = doc.get("inputs", {})
     file_source = inputs.get("vocabulary") if isinstance(inputs, dict) else None
+    if file_source is not None and not isinstance(file_source, str):
+        raise ConfigError("inputs.vocabulary must be a file path")
     has_auto = "autoVoc" in doc
     if bool(file_source) == has_auto:
         raise ConfigError("exactly one vocabulary source is required (inputs.vocabulary or autoVoc)")

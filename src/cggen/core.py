@@ -79,11 +79,13 @@ class TypeHierarchy:
                 continue
             if not parent_ids:
                 raise VocabularyError(f"type {type_id!r} has no parent")
-            for parent in parent_ids:
+            for index, parent in enumerate(parent_ids):
                 if parent not in self.labels:
                     raise VocabularyError(
                         f"type {type_id!r} references unknown parent {parent!r}"
                     )
+                if parent in parent_ids[:index]:
+                    raise VocabularyError(f"type {type_id!r} lists parent {parent!r} twice")
 
         up: dict[str, frozenset[str]] = {}
 

@@ -2,9 +2,13 @@
 
 A variable binds one label slot of the host graph (a relation-type label, a
 concept-type label or a marker label) to an explicit set of admissible
-values. Instantiation draws one value per variable, relation-type variables
-first, then concept-type variables, then marker variables, filtering each
-stored domain down to the choices that keep the graph valid at that point.
+values. ``slot_domain`` is the one definition of the values a slot admits
+under the vocabulary's orders and signatures: ``validate_gamma`` checks each
+stored domain against it and ``auto_variables`` samples domains from it.
+
+Instantiation draws one value per variable, relation-type variables first,
+then concept-type variables, then marker variables, filtering each stored
+domain down to the choices that keep the graph valid at that point.
 
 The filtering is compiled once per (vocabulary, gamma-CG) into a
 ``DrawPlan``. Relation variables are drawn against the gamma-CG's own
@@ -24,8 +28,6 @@ from typing import Mapping
 from .core import (
     ConceptualGraph,
     Marker,
-    ValidationReport,
-    Violation,
     Vocabulary,
     restriction_for,
     signature_admits,
@@ -100,77 +102,61 @@ class GammaCG:
         return frozenset((v.target.kind, v.target.node_id) for v in self.variables)
 
 
-def relation_type_domain(
+def slot_domain(
     vocab: Vocabulary,
     gcg: GammaCG,
-    node_id: str,
+    target: VariableTarget,
     *,
     signature_compatible: bool = False,
 ) -> frozenset[str]:
-    """Admissible relation types for a relation node's type label.
-
-    By default every relation type of the same arity qualifies. With
-    ``signature_compatible`` the candidates are further restricted to those
-    whose signature is satisfied by the node's current argument types.
-    """
-    node = gcg.graph.relations.get(node_id)
-    if node is None:
-        raise UnknownIdentifierError(f"{node_id!r} is not a relation node of {gcg.name!r}")
-    candidates = vocab.relation_hierarchy(node.type_id).labels
-    if not signature_compatible:
-        return frozenset(candidates)
-    arg_types = [gcg.graph.concepts[arg].type_id for arg in node.args]
-    for arg_type in arg_types:
-        vocab.concepts.require(arg_type)
-    return frozenset(c for c in candidates if signature_admits(vocab, c, arg_types))
-
-
-def concept_type_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozenset[str]:
-    """Concept types satisfying every signature restriction on the node.
-
-    For each relation node and position the concept fills, an admissible
-    type must be <= the restriction at that position; a node with no
-    incident relations admits all concept types.
-    """
-    if node_id not in gcg.graph.concepts:
-        raise UnknownIdentifierError(f"{node_id!r} is not a concept node of {gcg.name!r}")
-    admissible = set(vocab.concepts.labels)
-    for rel_id, position in gcg.graph.incidences(node_id):
-        relation = gcg.graph.relations[rel_id]
-        admissible &= vocab.concepts.down[restriction_for(vocab, relation.type_id, position)]
-    return frozenset(admissible)
-
-
-def marker_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> frozenset[str]:
-    """Markers whose assigned type is <= the node's current marker's type."""
-    node = gcg.graph.concepts.get(node_id)
-    if node is None:
-        raise UnknownIdentifierError(f"{node_id!r} is not a concept node of {gcg.name!r}")
-    if node.marker is None:
-        raise StructureError(f"concept node {node_id!r} carries no marker")
-    current = vocab.markers.get(node.marker)
-    if current is None:
-        raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
-    return frozenset(vocab.markers_typed(vocab.concepts.down[current.type_id]))
-
-
-def _slot_domain(
-    vocab: Vocabulary, gcg: GammaCG, kind: str, node_id: str, signature_compatible: bool = False
-) -> frozenset[str]:
     """The admissible values of one label slot, for validation and auto-var.
 
-    A marker slot on an unmarked node is declared individual by its
-    variable. The draw gives it a marker typed at or above the node's type,
-    or at or above some value a concept variable on the node can draw.
+    - A relation type: every relation type of the node's arity; with
+      ``signature_compatible``, only those whose signature admits the
+      node's current argument types.
+    - A concept type: every type at or below the restriction of each
+      incident relation at the node's position.
+    - A marker on a marked node: every marker typed at or below the type of
+      the node's current marker. On an unmarked node, which its variable
+      declares individual, the draw's rule: every marker typed at or above
+      the node's type, or at or above some value a concept variable on the
+      node can draw.
+
+    A node that is not of the target's kind, an unknown marker on a marked
+    node, an unknown relation type and, with ``signature_compatible``, an
+    unknown argument type raise UnknownIdentifierError. The node's other
+    labels are expected to have passed ``validate_graph``.
     """
+    kind, node_id = target.kind, target.node_id
+    graph = gcg.graph
     if kind == TARGET_RELATION_TYPE:
-        return relation_type_domain(vocab, gcg, node_id, signature_compatible=signature_compatible)
+        relation = graph.relations.get(node_id)
+        if relation is None:
+            raise UnknownIdentifierError(f"{node_id!r} is not a relation node of {gcg.name!r}")
+        candidates = vocab.relation_hierarchy(relation.type_id).labels
+        if not signature_compatible:
+            return frozenset(candidates)
+        arg_types = [graph.concepts[arg].type_id for arg in relation.args]
+        for arg_type in arg_types:
+            vocab.concepts.require(arg_type)
+        return frozenset(c for c in candidates if signature_admits(vocab, c, arg_types))
+
+    node = graph.concepts.get(node_id)
+    if node is None:
+        raise UnknownIdentifierError(f"{node_id!r} is not a concept node of {gcg.name!r}")
+    concepts = vocab.concepts
     if kind == TARGET_CONCEPT_TYPE:
-        return concept_type_domain(vocab, gcg, node_id)
-    node = gcg.graph.concepts[node_id]
+        admissible = set(concepts.labels)
+        for rel_id, position in graph.incidences(node_id):
+            relation_type = graph.relations[rel_id].type_id
+            admissible &= concepts.down[restriction_for(vocab, relation_type, position)]
+        return frozenset(admissible)
     if node.marker is not None:
-        return marker_domain(vocab, gcg, node_id)
-    up = vocab.concepts.up
+        current = vocab.markers.get(node.marker)
+        if current is None:
+            raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
+        return frozenset(vocab.markers_typed(concepts.down[current.type_id]))
+    up = concepts.up
     types = [node.type_id]
     for variable in gcg.variables:
         if variable.target == VariableTarget(TARGET_CONCEPT_TYPE, node_id):
@@ -178,41 +164,28 @@ def _slot_domain(
     return frozenset(vocab.markers_typed({above for t in types for above in up[t]}))
 
 
-def validate_domain(vocab: Vocabulary, gcg: GammaCG, variable: Variable) -> ValidationReport:
-    """Check a variable's stored domain against the computed admissible one."""
-    violations: list[Violation] = []
-    if not variable.domain:
-        violations.append(
-            Violation("empty-domain", variable.name, "variable domain must be non-empty")
-        )
-        return ValidationReport(tuple(violations))
-
-    kind = variable.target.kind
-    node_id = variable.target.node_id
-    admissible = _slot_domain(vocab, gcg, kind, node_id)
-    for value in variable.domain:
-        if value not in admissible:
-            violations.append(
-                Violation(
-                    "inadmissible-value",
-                    variable.name,
-                    f"{value!r} is not admissible for {kind} of {node_id!r}",
-                )
-            )
-    return ValidationReport(tuple(violations))
-
-
 def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
     """Report lines for the graph's labels, or else for every variable's domain.
 
     Admissible domains are computed from the graph's labels, so they are
-    checked only when every label is known and consistent.
+    checked only when every label is known and consistent. A variable's
+    stored domain must be non-empty and lie inside its slot's domain.
     """
     problems = validate_graph(vocab, gcg.graph).lines()
     if problems:
         return problems
     for variable in gcg.variables:
-        problems.extend(validate_domain(vocab, gcg, variable).lines())
+        name, target = variable.name, variable.target
+        if not variable.domain:
+            problems.append(f"empty-domain {name}: variable domain must be non-empty")
+            continue
+        admissible = slot_domain(vocab, gcg, target)
+        problems.extend(
+            f"inadmissible-value {name}: {value!r} is not admissible"
+            f" for {target.kind} of {target.node_id!r}"
+            for value in variable.domain
+            if value not in admissible
+        )
     return problems
 
 

@@ -69,6 +69,17 @@ def brute_relation_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[
     }
 
 
+def brute_signature_relation_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[str]:
+    """Relation types of the node's arity whose signature admits its argument types."""
+    graph = gcg.graph
+    arg_types = [graph.concepts[arg].type_id for arg in graph.relations[node_id].args]
+    return {
+        candidate
+        for candidate in brute_relation_domain(vocab, gcg, node_id)
+        if _brute_signature_admits(vocab, candidate, arg_types)
+    }
+
+
 def brute_concept_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[str]:
     """Concept types t with t <= restriction for every incident argument slot."""
     constraints: list[str] = []

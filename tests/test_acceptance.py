@@ -38,7 +38,13 @@ from cggen import (
     validate_graph,
 )
 from cggen.cli import main
-from cggen.gamma import concept_type_domain, marker_domain, relation_type_domain
+from cggen.gamma import (
+    TARGET_CONCEPT_TYPE,
+    TARGET_MARKER,
+    TARGET_RELATION_TYPE,
+    VariableTarget,
+    slot_domain,
+)
 from conftest import (
     REFERENCE_VAR_CONFIG,
     build_reference_gammas,
@@ -48,6 +54,7 @@ from oracles import (
     brute_concept_domain,
     brute_marker_domain,
     brute_relation_domain,
+    brute_signature_relation_domain,
     brute_subtype,
     recount_stats,
 )
@@ -221,17 +228,24 @@ def test_criterion_5_domain_oracles():
         vocab = gcg_result.vocabulary
         for gcg in gcg_result.gammas:
             for node_id in gcg.graph.relations:
-                assert relation_type_domain(vocab, gcg, node_id) == (
+                target = VariableTarget(TARGET_RELATION_TYPE, node_id)
+                # Validation's rule (arity) and auto-var's (signature).
+                assert slot_domain(vocab, gcg, target) == (
                     brute_relation_domain(vocab, gcg, node_id)
                 )
-                checked += 1
+                assert slot_domain(vocab, gcg, target, signature_compatible=True) == (
+                    brute_signature_relation_domain(vocab, gcg, node_id)
+                )
+                checked += 2
             for node_id in gcg.graph.concepts:
-                assert concept_type_domain(vocab, gcg, node_id) == (
+                target = VariableTarget(TARGET_CONCEPT_TYPE, node_id)
+                assert slot_domain(vocab, gcg, target) == (
                     brute_concept_domain(vocab, gcg, node_id)
                 )
                 checked += 1
                 if gcg.graph.concepts[node_id].marker is not None:
-                    assert marker_domain(vocab, gcg, node_id) == (
+                    target = VariableTarget(TARGET_MARKER, node_id)
+                    assert slot_domain(vocab, gcg, target) == (
                         brute_marker_domain(vocab, gcg, node_id)
                     )
                     checked += 1

@@ -14,12 +14,10 @@ from cggen import (
     auto_gamma_cgs,
     auto_variables,
     auto_vocabulary,
-    concept_type_domain,
-    marker_domain,
-    relation_type_domain,
     restriction_for,
     sample_param,
-    validate_domain,
+    slot_domain,
+    validate_gamma,
     validate_graph,
 )
 from conftest import fresh_rng, make_hierarchy
@@ -233,8 +231,8 @@ class TestAutoVariables:
         for gcg in result.gammas:
             kinds = sorted(v.target.kind for v in gcg.variables)
             assert kinds == ["concept-type", "marker", "relation-type"]
+            assert validate_gamma(vocab, gcg) == []
             for variable in gcg.variables:
-                assert validate_domain(vocab, gcg, variable).ok
                 assert 1 <= len(variable.domain) <= 4
 
     def test_marker_domains_follow_the_rule(self, built_inputs):
@@ -249,7 +247,7 @@ class TestAutoVariables:
         result = auto_variables(vocab, gammas, config, fresh_rng("var-mark"))
         for gcg in result.gammas:
             for variable in gcg.variables:
-                admissible = marker_domain(vocab, gcg, variable.target.node_id)
+                admissible = slot_domain(vocab, gcg, variable.target)
                 assert set(variable.domain) <= admissible
 
     def test_values_capped_by_admissible_set(self, built_inputs):
@@ -264,9 +262,7 @@ class TestAutoVariables:
         result = auto_variables(vocab, gammas, config, fresh_rng("var-cap"))
         for gcg in result.gammas:
             (variable,) = gcg.variables
-            admissible = relation_type_domain(
-                vocab, gcg, variable.target.node_id, signature_compatible=True
-            )
+            admissible = slot_domain(vocab, gcg, variable.target, signature_compatible=True)
             assert set(variable.domain) == admissible
 
     def test_truncation_warning(self, built_inputs):
@@ -313,5 +309,5 @@ class TestAutoVariables:
         result = auto_variables(vocab, gammas, config, fresh_rng("var-con"))
         for gcg in result.gammas:
             for variable in gcg.variables:
-                admissible = concept_type_domain(vocab, gcg, variable.target.node_id)
+                admissible = slot_domain(vocab, gcg, variable.target)
                 assert set(variable.domain) <= admissible

@@ -35,6 +35,39 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
+def config_with(path, value, drop=()):
+    """A copy of FULL_AUTO with the dotted ``path`` set to ``value``."""
+    config = json.loads(json.dumps(FULL_AUTO))
+    for section in drop:
+        del config[section]
+    *sections, key = path.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return config
+
+
+# (dotted path, value, field the error names, sections to drop)
+MALFORMED_RUN_VALUES = [
+    ("generator.maxSpe", "x", "generator.maxSpe", ()),
+    ("generator.maxSpe", None, "generator.maxSpe", ()),
+    ("generator.maxSpe", [1], "generator.maxSpe", ()),
+    ("generator.maxSpe", 2.7, "generator.maxSpe", ()),
+    ("generator.maxSpe", True, "generator.maxSpe", ()),
+    ("generator.maxCGs", True, "generator.maxCGs", ()),
+    ("generator.minSize", True, "generator.minSize", ()),
+    ("seed", True, "seed", ()),
+    ("autoVoc.arities", [1, True], "autoVoc.arities[1]", ()),
+    ("autoVoc.conceptDepth", {"mean": True}, "autoVoc.conceptDepth.mean", ()),
+    ("autoGcg.count", {"mean": float("nan")}, "autoGcg.count.mean", ()),
+    ("autoVar.markerVars", {"mean": None}, "autoVar.markerVars.mean", ()),
+    ("autoVar.markerVars", {"mean": 3, "stddev": "q"}, "autoVar.markerVars.stddev", ()),
+    ("inputs.vocabulary", 5, "inputs.vocabulary", ("autoVoc",)),
+    ("inputs.vocabulary", ["v.json"], "inputs.vocabulary", ("autoVoc",)),
+]
+
+
 def tree_bytes(root):
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -150,6 +183,21 @@ class TestGenerate:
         echoed = int(line.split(":")[1])
         manifest = json.loads((out / "dataset" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == echoed
+
+
+    @pytest.mark.parametrize(
+        "path, value, field, drop",
+        MALFORMED_RUN_VALUES,
+        ids=[f"{path}={json.dumps(value)}" for path, value, _, _ in MALFORMED_RUN_VALUES],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, path, value, field, drop):
+        config = write_config(tmp_path, config_with(path, value, drop))
+        out = tmp_path / "out"
+        # An uncaught exception would propagate out of main as a traceback.
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be" in err
+        assert not out.exists()
 
 
 class TestStages:
@@ -390,6 +438,18 @@ class TestValidateStatsDot:
             assert main(argv) == 1
             lines = capsys.readouterr().out.splitlines()
             assert [line.replace(str(path), "gcg-0") for line in lines] == expected
+
+    def test_validate_vocabulary_with_repeated_parent(self, tiny_vocab, tmp_path, capsys):
+        path = tmp_path / "voc.json"
+        save_vocabulary(path, tiny_vocab)
+        doc = json.loads(path.read_text())
+        entry = next(item for item in doc["conceptTypes"]["types"] if item["parents"])
+        entry["parents"] = entry["parents"] * 2
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        expected = f"type {entry['id']!r} lists parent {entry['parents'][0]!r} twice"
+        assert line.startswith(f"{path}: ") and line.endswith(expected)
 
     def test_validate_broken_cg_file(self, generated, tmp_path, capsys):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "NoSuchType")}, {})

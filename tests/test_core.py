@@ -136,6 +136,17 @@ class TestHierarchyInvariants:
                 {"r": (), "a": ("r",), "b": ("r",)},
             )
 
+    def test_repeated_parent_rejected(self):
+        # Listed twice, "a" would be a child of "r" twice over and be picked
+        # twice as often as "b" by random_descendant.
+        with pytest.raises(VocabularyError, match="type 'a' lists parent 'r' twice"):
+            TypeHierarchy(
+                CONCEPT,
+                "r",
+                {"r": "r", "a": "a", "b": "b"},
+                {"r": (), "a": ("r", "r"), "b": ("r",)},
+            )
+
     def test_parentless_non_root_rejected(self):
         with pytest.raises(VocabularyError, match="no parent"):
             TypeHierarchy(CONCEPT, "r", {"r": "r", "a": "a"}, {"r": (), "a": ()})

@@ -23,11 +23,9 @@ from cggen import (
     AutoVocConfig,
     MarkerMint,
     derive_rng,
-    concept_type_domain,
     instantiate,
-    marker_domain,
-    relation_type_domain,
-    validate_domain,
+    slot_domain,
+    validate_gamma,
     validate_graph,
 )
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
@@ -44,6 +42,11 @@ from oracles import (
 
 def gcg_of(graph, variables=(), name="g"):
     return GammaCG(name, graph, tuple(variables))
+
+
+def domain_of(vocab, gcg, kind, node_id, **options):
+    """``slot_domain`` of the slot ``kind`` of ``node_id``."""
+    return slot_domain(vocab, gcg, VariableTarget(kind, node_id), **options)
 
 
 def instantiated(vocab, gcg, rng, mint):
@@ -106,19 +109,19 @@ class TestRelationTypeDomain:
             },
             {"r0": RelationNode("r0", "T2", ("c0", "c1"))},
         )
-        assert relation_type_domain(vocab, gcg_of(graph), "r0") == {"T2"}
+        assert domain_of(vocab, gcg_of(graph), TARGET_RELATION_TYPE, "r0") == {"T2"}
 
     def test_same_arity_only(self, tiny_vocab, sample_gcg):
-        domain = relation_type_domain(tiny_vocab, sample_gcg, "r2")
+        domain = domain_of(tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "r2")
         assert domain == {"T3", "gives"}
         assert domain == brute_relation_domain(tiny_vocab, sample_gcg, "r2")
 
     def test_signature_compatible_excludes(self, tiny_vocab, sample_gcg):
         # r0 has args (Person, Place); "knows" needs (Person, Person), so the
         # stricter filter drops it while arity alone keeps it.
-        loose = relation_type_domain(tiny_vocab, sample_gcg, "r0")
-        strict = relation_type_domain(
-            tiny_vocab, sample_gcg, "r0", signature_compatible=True
+        loose = domain_of(tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "r0")
+        strict = domain_of(
+            tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "r0", signature_compatible=True
         )
         assert "knows" in loose
         assert "knows" not in strict
@@ -126,7 +129,7 @@ class TestRelationTypeDomain:
 
     def test_not_a_relation(self, tiny_vocab, sample_gcg):
         with pytest.raises(UnknownIdentifierError):
-            relation_type_domain(tiny_vocab, sample_gcg, "c0")
+            domain_of(tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "c0")
 
     def test_unknown_argument_type(self, tiny_vocab):
         graph = ConceptualGraph(
@@ -134,13 +137,15 @@ class TestRelationTypeDomain:
             {"r0": RelationNode("r0", "locatedIn", ("c0", "c1"))},
         )
         with pytest.raises(UnknownIdentifierError):
-            relation_type_domain(tiny_vocab, gcg_of(graph), "r0", signature_compatible=True)
+            domain_of(
+                tiny_vocab, gcg_of(graph), TARGET_RELATION_TYPE, "r0", signature_compatible=True
+            )
 
 
 class TestConceptTypeDomain:
     def test_isolated_node_admits_everything(self, tiny_vocab):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
-        assert concept_type_domain(tiny_vocab, gcg_of(graph), "c0") == set(
+        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_CONCEPT_TYPE, "c0") == set(
             tiny_vocab.concepts.labels
         )
 
@@ -149,19 +154,23 @@ class TestConceptTypeDomain:
             {"c0": ConceptNode("c0", "Entity")},
             {"r0": RelationNode("r0", "T1", ("c0",))},
         )
-        assert concept_type_domain(tiny_vocab, gcg_of(graph), "c0") == set(
+        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_CONCEPT_TYPE, "c0") == set(
             tiny_vocab.concepts.labels
         )
 
     def test_intersection_of_restrictions(self, tiny_vocab, sample_gcg):
         # c0 fills locatedIn[0] (Entity), knows[0] (Person), gives[0] (Person).
-        domain = concept_type_domain(tiny_vocab, sample_gcg, "c0")
+        domain = domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, "c0")
         assert domain == {"Person", "Student"}
         assert domain == brute_concept_domain(tiny_vocab, sample_gcg, "c0")
 
+    def test_not_a_concept(self, tiny_vocab, sample_gcg):
+        with pytest.raises(UnknownIdentifierError):
+            domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, "r0")
+
     def test_matches_brute_force_everywhere(self, tiny_vocab, sample_gcg):
         for node_id in sample_gcg.graph.concepts:
-            assert concept_type_domain(tiny_vocab, sample_gcg, node_id) == (
+            assert domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, node_id) == (
                 brute_concept_domain(tiny_vocab, sample_gcg, node_id)
             )
 
@@ -169,46 +178,50 @@ class TestConceptTypeDomain:
 class TestMarkerDomain:
     def test_top_marker_admits_all(self, tiny_vocab):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Top", "thing")}, {})
-        assert marker_domain(tiny_vocab, gcg_of(graph), "c0") == set(tiny_vocab.markers)
+        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0") == (
+            set(tiny_vocab.markers)
+        )
 
     def test_leaf_type_markers(self, tiny_vocab, sample_gcg):
         # alice: Person; markers at or below Person: alice, bob, carol.
-        domain = marker_domain(tiny_vocab, sample_gcg, "c0")
+        domain = domain_of(tiny_vocab, sample_gcg, TARGET_MARKER, "c0")
         assert domain == {"alice", "bob", "carol"}
         assert domain == brute_marker_domain(tiny_vocab, sample_gcg, "c0")
 
     def test_empty_below(self, tiny_vocab):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Place", "home")}, {})
-        assert marker_domain(tiny_vocab, gcg_of(graph), "c0") == {"home"}
+        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0") == {"home"}
 
-    def test_unmarked_node_is_precondition_error(self, tiny_vocab, sample_gcg):
-        with pytest.raises(StructureError, match="no marker"):
-            marker_domain(tiny_vocab, sample_gcg, "c3")
+    def test_unknown_marker(self, tiny_vocab):
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person", "nobody")}, {})
+        with pytest.raises(UnknownIdentifierError, match="nobody"):
+            domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0")
 
 
 class TestValidateDomain:
     def test_computed_domain_is_valid(self, tiny_vocab, sample_gcg):
-        domain = concept_type_domain(tiny_vocab, sample_gcg, "c0")
+        domain = domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, "c0")
         variable = Variable(
             "v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), tuple(domain)
         )
         gcg = gcg_of(sample_gcg.graph, [variable])
-        assert validate_domain(tiny_vocab, gcg, variable).ok
+        assert validate_gamma(tiny_vocab, gcg) == []
 
     def test_wrong_arity_value_flagged(self, tiny_vocab, sample_gcg):
         variable = Variable(
             "v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows", "state")
         )
         gcg = gcg_of(sample_gcg.graph, [variable])
-        report = validate_domain(tiny_vocab, gcg, variable)
-        assert len(report.violations) == 1
-        assert "state" in report.violations[0].message
+        assert validate_gamma(tiny_vocab, gcg) == [
+            "inadmissible-value v1: 'state' is not admissible for relation-type of 'r0'"
+        ]
 
     def test_empty_domain_flagged(self, tiny_vocab, sample_gcg):
         variable = Variable("v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), ())
         gcg = gcg_of(sample_gcg.graph, [variable])
-        report = validate_domain(tiny_vocab, gcg, variable)
-        assert [v.code for v in report.violations] == ["empty-domain"]
+        assert validate_gamma(tiny_vocab, gcg) == [
+            "empty-domain v1: variable domain must be non-empty"
+        ]
 
     def test_unmarked_marker_slot_rejects_markers_below_or_beside(self, tiny_vocab):
         # An unmarked Person draws markers typed at or above Person: never
@@ -217,18 +230,19 @@ class TestValidateDomain:
         variable = Variable(
             "v1", VariableTarget(TARGET_MARKER, "c0"), ("alice", "carol", "home", "rex", "thing")
         )
-        report = validate_domain(tiny_vocab, gcg_of(graph, [variable]), variable)
-        flagged = [v.message.split()[0] for v in report.violations]
+        lines = validate_gamma(tiny_vocab, gcg_of(graph, [variable]))
+        flagged = [line.split()[2] for line in lines]
         assert flagged == ["'carol'", "'home'"]
 
     @pytest.mark.parametrize("concept_domain", [None, ("Person", "Student")])
     def test_unmarked_marker_slot_admits_what_the_draw_draws(
         self, tiny_vocab, mint, concept_domain
     ):
+        # The concept variable on c0 (an isolated node) is always admissible,
+        # so the marker variable alone decides whether a line is reported.
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
         for marker_id in sorted(tiny_vocab.markers):
-            variable = Variable("v1", VariableTarget(TARGET_MARKER, "c0"), (marker_id,))
-            variables = [variable]
+            variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), (marker_id,))]
             if concept_domain:
                 variables.append(
                     Variable("v2", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), concept_domain)
@@ -236,7 +250,7 @@ class TestValidateDomain:
             gcg = gcg_of(graph, variables)
             rng = fresh_rng("unmarked-slot", marker_id)
             drawn = {instantiate(tiny_vocab, gcg, rng, mint=mint).markers["c0"] for _ in range(40)}
-            assert validate_domain(tiny_vocab, gcg, variable).ok == (marker_id in drawn), marker_id
+            assert (validate_gamma(tiny_vocab, gcg) == []) == (marker_id in drawn), marker_id
 
 
 class TestInstantiate:
@@ -519,14 +533,14 @@ class TestDomainOraclesOnRandomVocabularies:
             vocab = result.vocabulary
             for gcg in result.gammas:
                 for node_id in gcg.graph.relations:
-                    assert relation_type_domain(vocab, gcg, node_id) == (
+                    assert domain_of(vocab, gcg, TARGET_RELATION_TYPE, node_id) == (
                         brute_relation_domain(vocab, gcg, node_id)
                     )
                 for node_id in gcg.graph.concepts:
-                    assert concept_type_domain(vocab, gcg, node_id) == (
+                    assert domain_of(vocab, gcg, TARGET_CONCEPT_TYPE, node_id) == (
                         brute_concept_domain(vocab, gcg, node_id)
                     )
                     if gcg.graph.concepts[node_id].marker is not None:
-                        assert marker_domain(vocab, gcg, node_id) == (
+                        assert domain_of(vocab, gcg, TARGET_MARKER, node_id) == (
                             brute_marker_domain(vocab, gcg, node_id)
                         )

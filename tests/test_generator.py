@@ -20,7 +20,7 @@ from cggen import (
     generate_dataset,
     generate_one,
     join,
-    marker_domain,
+    slot_domain,
     validate_graph,
 )
 from cggen.gamma import TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
@@ -301,7 +301,7 @@ class TestMarkerMint:
         graph = cg([ConceptNode("c0", "Person", minted)], [])
         gcg = GammaCG("g", graph)
         extended = mint.extended_vocabulary()
-        assert minted in marker_domain(extended, gcg, "c0")
+        assert minted in slot_domain(extended, gcg, VariableTarget(TARGET_MARKER, "c0"))
         assert minted in extended.markers
         assert extended.markers[minted].type_id == "Person"
 
@@ -337,7 +337,8 @@ class TestMarkersByTypeOnDag:
                 assert mint.carriers(type_id) == brute_carriers(vocab, mint.markers, type_id)
             for marker in vocab.markers.values():
                 gcg = GammaCG("g", cg([ConceptNode("c0", marker.type_id, marker.marker_id)], []))
-                assert marker_domain(vocab, gcg, "c0") == brute_marker_domain(vocab, gcg, "c0")
+                target = VariableTarget(TARGET_MARKER, "c0")
+                assert slot_domain(vocab, gcg, target) == brute_marker_domain(vocab, gcg, "c0")
             if next_mint is not None:
                 mint.mint(next_mint)
 
