@@ -91,9 +91,23 @@ def _object(pairs: Sequence[tuple[str, str]], depth: int) -> str:
     return "{" + inner + body + "\n" + "  " * depth + "}"
 
 
+_ENTRY_INNER = ",\n" + "  " * 7
+_ENTRY_OPEN = "[\n" + "  " * 7
+_ENTRY_CLOSE = "\n" + "  " * 6 + "]"
+
+
 def _triples(entries: Sequence[tuple[str, ...]]) -> str:
-    """The "merged" or "skippedMerges" member value of a provenance draw."""
-    return _array([_array([_enc(item) for item in entry], 6) for entry in entries], 5)
+    """The "merged" or "skippedMerges" member value of a provenance draw.
+
+    Each entry is laid out as ``_array(..., 6)`` would, with one join.
+    """
+    return _array(
+        [
+            _ENTRY_OPEN + _ENTRY_INNER.join(map(_enc, entry)) + _ENTRY_CLOSE if entry else "[]"
+            for entry in entries
+        ],
+        5,
+    )
 
 
 def _parse(path: Path) -> dict[str, Any]:
@@ -431,6 +445,15 @@ def _load_draw(draw: Any, path: Path, where: str) -> ComponentDraw:
         raise FormatError(f"{path}: {where} must be an object")
     gamma = _field(draw, "gamma", str, path, where)
     assignments = _field(draw, "assignments", dict, path, where)
+    if not {str}.issuperset(map(type, assignments.values())):
+        # Only now look for the value that is not a string, so that a valid
+        # draw pays for one set lookup per value.
+        for name, value in assignments.items():
+            if not isinstance(value, str):
+                raise FormatError(
+                    f"{path}: field {where}.assignments.{name} must be str, "
+                    f"found {type(value).__name__}"
+                )
     specialisations = _field(draw, "specialisations", dict, path, where)
     for slot, steps in specialisations.items():
         if not isinstance(steps, int):
@@ -459,10 +482,13 @@ def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
         where = f"perCG[{index}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: {where} must be an object")
+        cg_index = _field(entry, "index", int, path, where)
+        if cg_index != index:
+            raise FormatError(f"{path}: {where}.index must be {index}, found {cg_index}")
         draws = _field(entry, "draws", list, path, where)
         loaded.append(
             GenerationProvenance(
-                cg_index=_field(entry, "index", int, path, where),
+                cg_index=cg_index,
                 draws=tuple(
                     _load_draw(draw, path, f"{where}.draws[{number}]")
                     for number, draw in enumerate(draws)

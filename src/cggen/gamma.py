@@ -123,9 +123,10 @@ def slot_domain(
       node can draw.
 
     A node that is not of the target's kind, an unknown marker on a marked
-    node, an unknown relation type and, with ``signature_compatible``, an
-    unknown argument type raise UnknownIdentifierError. The node's other
-    labels are expected to have passed ``validate_graph``.
+    node, an unknown type on an unmarked node's marker slot, an unknown
+    relation type and, with ``signature_compatible``, an unknown argument
+    type raise UnknownIdentifierError. The node's other labels are expected
+    to have passed ``validate_graph``.
     """
     kind, node_id = target.kind, target.node_id
     graph = gcg.graph
@@ -156,6 +157,7 @@ def slot_domain(
         if current is None:
             raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
         return frozenset(vocab.markers_typed(concepts.down[current.type_id]))
+    concepts.require(node.type_id)
     up = concepts.up
     types = [node.type_id]
     for variable in gcg.variables:

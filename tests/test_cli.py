@@ -540,6 +540,35 @@ def _truncate_per_cg(out):
     return "provenance.json", "perCG has 1 entries for 6 cgFiles"
 
 
+def _wrong_cg_index(out):
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    doc["perCG"][1]["index"] = 7
+    path.write_text(json.dumps(doc))
+    return "provenance.json", "perCG[1].index"
+
+
+def _set_first_assignment(out, value):
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    for i, entry in enumerate(doc["perCG"]):
+        for j, draw in enumerate(entry["draws"]):
+            if draw["assignments"]:
+                name = next(iter(draw["assignments"]))
+                draw["assignments"][name] = value
+                path.write_text(json.dumps(doc))
+                return "provenance.json", f"perCG[{i}].draws[{j}].assignments.{name}"
+    raise AssertionError("no draw with assignments")
+
+
+def _int_assignment(out):
+    return _set_first_assignment(out, 5)
+
+
+def _list_assignment(out):
+    return _set_first_assignment(out, [1])
+
+
 def _unhashable_relation_arg(out):
     path = out / "dataset" / "cg-0000.json"
     doc = json.loads(path.read_text())
@@ -607,6 +636,9 @@ class TestMalformedDataset:
             _drop_draw_gamma,
             _string_specialisation_steps,
             _truncate_per_cg,
+            _wrong_cg_index,
+            _int_assignment,
+            _list_assignment,
             _unhashable_relation_arg,
         ],
     )

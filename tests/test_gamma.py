@@ -197,6 +197,11 @@ class TestMarkerDomain:
         with pytest.raises(UnknownIdentifierError, match="nobody"):
             domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0")
 
+    def test_unknown_type_on_unmarked_node(self, tiny_vocab):
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Nope")}, {})
+        with pytest.raises(UnknownIdentifierError, match="Nope"):
+            domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0")
+
 
 class TestValidateDomain:
     def test_computed_domain_is_valid(self, tiny_vocab, sample_gcg):

@@ -162,12 +162,37 @@ class TestProvenanceWriter:
                 ),
                 GenerationProvenance(1, (ComponentDraw("g1", (("v1", "x"),), (), (), ()),)),
             ],
+            # The loader takes any list of strings as a merge entry; every
+            # length must still be laid out as json.dumps lays it out.
+            [
+                GenerationProvenance(
+                    0,
+                    (
+                        ComponentDraw(
+                            "g0",
+                            (),
+                            (),
+                            ((), (ODD[0],), (ODD[1], ODD[2]), tuple(ODD[2:6])),
+                            ((ODD[3], ODD[4], ODD[5], ODD[0]), (), (ODD[4],)),
+                        ),
+                    ),
+                ),
+            ],
         ],
-        ids=["no-cgs", "cg-without-draws", "odd-strings-and-empty-members"],
+        ids=[
+            "no-cgs",
+            "cg-without-draws",
+            "odd-strings-and-empty-members",
+            "merge-entries-of-0-1-2-4-items",
+        ],
     )
     def test_matches_json_dumps(self, provenances, tmp_path):
         path = provenance_path(tmp_path, provenances)
-        assert path.read_text(encoding="utf-8") == expected(provenance_doc(provenances))
+        text = path.read_text(encoding="utf-8")
+        assert text == expected(provenance_doc(provenances))
+        # Saving what the loader read back gives the same bytes.
+        loaded = formats._load_provenance(path)
+        assert provenance_path(tmp_path, loaded).read_text(encoding="utf-8") == text
 
     def test_repeated_key_keeps_dict_semantics(self, tmp_path):
         draw = ComponentDraw(
