@@ -9,7 +9,7 @@ independently reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     CONCEPT,
@@ -43,14 +43,17 @@ _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    """A number, optionally blurred by a normal distribution."""
-
+class _ParamSpec(NamedTuple):
     mean: float
     stddev: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class ParamSpec(_ParamSpec):
+    """A number, optionally blurred by a normal distribution."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.stddev < 0:
             raise ConfigError("stddev must be >= 0")
 
@@ -72,32 +75,34 @@ def sample_param(spec: ParamSpec, bounds: tuple[int, int], rng: random.Random) -
     return max(lo, min(hi, round(value)))
 
 
-@dataclass(frozen=True)
-class AutoVocConfig:
-    """Parameters of the vocabulary builder: tree depths, branching, markers."""
-
+class _AutoVocConfig(NamedTuple):
     concept_depth: ParamSpec
     relation_depth: ParamSpec
     max_children: ParamSpec
     markers_per_type: ParamSpec
     arities: tuple[int, ...] = (1, 2, 3)
 
-    def __post_init__(self) -> None:
+
+class AutoVocConfig(_AutoVocConfig):
+    """Parameters of the vocabulary builder: tree depths, branching, markers."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "AutoVocConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.arities:
             raise ConfigError("at least one relation arity is required")
         if any(a < 1 for a in self.arities):
             raise ConfigError("arities must be positive")
-        object.__setattr__(self, "arities", tuple(sorted(set(self.arities))))
+        return super().__new__(cls, *self[:-1], tuple(sorted(set(self.arities))))
 
 
-@dataclass(frozen=True)
-class AutoGcgConfig:
+class AutoGcgConfig(NamedTuple):
     count: ParamSpec
     min_size: ParamSpec
 
 
-@dataclass(frozen=True)
-class AutoVarConfig:
+class AutoVarConfig(NamedTuple):
     concept_vars: ParamSpec
     relation_vars: ParamSpec
     marker_vars: ParamSpec
@@ -211,8 +216,7 @@ def auto_vocabulary(config: AutoVocConfig, rng: random.Random) -> Vocabulary:
     return Vocabulary(concepts, relations, signatures, markers)
 
 
-@dataclass(frozen=True)
-class AutoGcgResult:
+class AutoGcgResult(NamedTuple):
     """Built gamma-CGs plus the vocabulary extended with any minted markers."""
 
     gammas: tuple[GammaCG, ...]
@@ -295,8 +299,7 @@ def auto_gamma_cgs(
     return AutoGcgResult(tuple(gammas), mint.extended_vocabulary())
 
 
-@dataclass(frozen=True)
-class AutoVarResult:
+class AutoVarResult(NamedTuple):
     gammas: tuple[GammaCG, ...]
     warnings: tuple[str, ...]
 

@@ -7,18 +7,21 @@ carry a type and an optional marker, relation nodes carry a type and an
 ordered argument list of concept node ids (the same concept may fill several
 positions).
 
-All values are immutable after construction; construction validates the
-structural invariants and precomputes each hierarchy's order as the maps
-``TypeHierarchy.up``, ``down`` and ``children``, so every order question is
-an O(1) lookup. ``is_subtype`` checks that its types exist; everything else
-reads the maps directly, on types already validated.
+Records here and in the other modules are immutable named tuples (the
+package imports no ``dataclasses``). A record that checks its fields does so
+in ``__init__``; one that rewrites a field does so in ``__new__``.
+``_replace`` and ``_make`` skip both, so build a new record instead.
+Construction validates the structural invariants and precomputes each
+hierarchy's order as the maps ``TypeHierarchy.up``, ``down`` and
+``children``, so every order question is an O(1) lookup. ``is_subtype``
+checks that its types exist; everything else reads the maps directly, on
+types already validated.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ArityError,
@@ -31,8 +34,19 @@ CONCEPT = "concept"
 RELATION = "relation"
 
 
-@dataclass(frozen=True)
-class TypeHierarchy:
+def _read_only(self: object, name: str, *value: object) -> None:
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class _TypeHierarchy(NamedTuple):
+    kind: str
+    root: str
+    labels: dict[str, str]
+    parents: dict[str, tuple[str, ...]]
+    arity: int | None = None
+
+
+class TypeHierarchy(_TypeHierarchy):
     """A partially ordered set of types stored as a direct-parent DAG.
 
     ``parents`` maps every type id to its direct parents; the root maps to
@@ -41,19 +55,16 @@ class TypeHierarchy:
     maps: ``up[a]`` holds a's ancestors and a itself, so a <= b is
     ``b in up[a]``; ``down[a]`` holds a's descendants and a itself;
     ``children[a]`` holds a's direct children, sorted. The maps are
-    unchecked: an unknown ``a`` raises KeyError.
+    unchecked: an unknown ``a`` raises KeyError. Equality ignores them.
     """
 
-    kind: str
-    root: str
-    labels: dict[str, str]
-    parents: dict[str, tuple[str, ...]]
-    arity: int | None = None
-    up: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    down: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    # No __slots__: the three maps live in the instance dict, set once here.
+    up: dict[str, frozenset[str]]
+    down: dict[str, frozenset[str]]
+    children: dict[str, tuple[str, ...]]
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.kind not in (CONCEPT, RELATION):
             raise VocabularyError(f"unknown hierarchy kind {self.kind!r}")
         if self.kind == RELATION:
@@ -187,32 +198,35 @@ def _walk_down(
     return current, taken
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Per relation type, the ordered concept-type restrictions of its arguments."""
 
     relation_type: str
     restrictions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(NamedTuple):
     """An individual marker and the concept type it instantiates."""
 
     marker_id: str
     type_id: str
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """The ontological bundle: concept types, relation types, signatures, markers."""
-
+class _Vocabulary(NamedTuple):
     concepts: TypeHierarchy
     relations: dict[int, TypeHierarchy]
     signatures: dict[str, Signature]
-    markers: dict[str, Marker] = field(default_factory=dict)
+    markers: dict[str, Marker]
 
-    def __post_init__(self) -> None:
+
+class Vocabulary(_Vocabulary):
+    """The ontological bundle: concept types, relation types, signatures, markers."""
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __new__(cls, concepts, relations, signatures, markers=None) -> "Vocabulary":
+        markers = {} if markers is None else markers
+        self = super().__new__(cls, concepts, relations, signatures, markers)
         if self.concepts.kind != CONCEPT:
             raise VocabularyError("concepts must be a concept hierarchy")
         arity_by_type: dict[str, int] = {}
@@ -277,6 +291,7 @@ class Vocabulary:
 
         object.__setattr__(self, "_arity_by_type", arity_by_type)
         object.__setattr__(self, "_markers_by_type", markers_by_type)
+        return self
 
     def has_relation_type(self, type_id: str) -> bool:
         return type_id in self._arity_by_type  # type: ignore[attr-defined]
@@ -339,8 +354,7 @@ def signature_admits(
     )
 
 
-@dataclass(frozen=True)
-class ConceptNode:
+class ConceptNode(NamedTuple):
     """A concept node: a type plus an optional individual marker."""
 
     node_id: str
@@ -348,8 +362,7 @@ class ConceptNode:
     marker: str | None = None
 
 
-@dataclass(frozen=True)
-class RelationNode:
+class RelationNode(NamedTuple):
     """A relation node: a type plus its ordered concept arguments."""
 
     node_id: str
@@ -357,8 +370,12 @@ class RelationNode:
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConceptualGraph:
+class _ConceptualGraph(NamedTuple):
+    concepts: dict[str, ConceptNode]
+    relations: dict[str, RelationNode]
+
+
+class ConceptualGraph(_ConceptualGraph):
     """A bipartite labeled multigraph of concept and relation nodes.
 
     Edges are materialized as the relation nodes' argument lists; positions
@@ -366,10 +383,9 @@ class ConceptualGraph:
     argument must reference a concept node of the same graph.
     """
 
-    concepts: dict[str, ConceptNode]
-    relations: dict[str, RelationNode]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         for node_id, node in self.concepts.items():
             if node.node_id != node_id:
                 raise StructureError(f"concept key {node_id!r} names node {node.node_id!r}")
@@ -407,15 +423,13 @@ class ConceptualGraph:
         return tuple(hits)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

@@ -10,9 +10,8 @@ documents, diagnostics and DOT labels alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CONCEPT,
@@ -146,7 +145,8 @@ def _field(
 ) -> Any:
     if key in document:
         value = document[key]
-        if isinstance(value, expected):
+        # JSON true and false are ints to isinstance; no field accepts them.
+        if isinstance(value, expected) and type(value) is not bool:
             return value
     context = f"{where}." if where else ""
     if key not in document:
@@ -456,22 +456,16 @@ def _load_draw(draw: Any, path: Path, where: str) -> ComponentDraw:
                 )
     specialisations = _field(draw, "specialisations", dict, path, where)
     for slot, steps in specialisations.items():
-        if not isinstance(steps, int):
+        if type(steps) is not int:
             raise FormatError(
                 f"{path}: field {where}.specialisations.{slot} must be int, "
                 f"found {type(steps).__name__}"
             )
-    merges = {}
+    merges = []
     for key in ("merged", "skippedMerges"):
         entries = _field(draw, key, list, path, where)
-        merges[key] = tuple(map(tuple, _list_of(entries, list, path, f"{where}.{key}")))
-    return ComponentDraw(
-        gamma_name=gamma,
-        assignments=tuple(assignments.items()),
-        specialisations=tuple(specialisations.items()),
-        merged=merges["merged"],
-        skipped_merges=merges["skippedMerges"],
-    )
+        merges.append(tuple(map(tuple, _list_of(entries, list, path, f"{where}.{key}"))))
+    return ComponentDraw(gamma, tuple(assignments.items()), tuple(specialisations.items()), *merges)
 
 
 def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
@@ -488,8 +482,8 @@ def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
         draws = _field(entry, "draws", list, path, where)
         loaded.append(
             GenerationProvenance(
-                cg_index=cg_index,
-                draws=tuple(
+                cg_index,
+                tuple(
                     _load_draw(draw, path, f"{where}.draws[{number}]")
                     for number, draw in enumerate(draws)
                 ),
@@ -498,8 +492,7 @@ def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
     return tuple(loaded)
 
 
-@dataclass(frozen=True)
-class LoadedDataset:
+class LoadedDataset(NamedTuple):
     graphs: tuple[ConceptualGraph, ...]
     files: tuple[str, ...]
     config: dict[str, Any]

@@ -22,8 +22,7 @@ against the mint's registry, which grows as markers are minted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     ConceptualGraph,
@@ -42,42 +41,51 @@ TARGET_MARKER = "marker"
 _TARGET_KINDS = (TARGET_RELATION_TYPE, TARGET_CONCEPT_TYPE, TARGET_MARKER)
 
 
-@dataclass(frozen=True)
-class VariableTarget:
-    """The label slot a variable is bound to."""
-
+class _VariableTarget(NamedTuple):
     kind: str
     node_id: str
 
-    def __post_init__(self) -> None:
+
+class VariableTarget(_VariableTarget):
+    """The label slot a variable is bound to."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.kind not in _TARGET_KINDS:
             raise StructureError(f"unknown variable target kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A named variable with an explicit, canonically sorted value domain."""
-
+class _Variable(NamedTuple):
     name: str
     target: VariableTarget
     domain: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", tuple(sorted(set(self.domain))))
+
+class Variable(_Variable):
+    """A named variable with an explicit, canonically sorted value domain."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, target: VariableTarget, domain: Iterable[str]) -> "Variable":
+        return super().__new__(cls, name, target, tuple(sorted(set(domain))))
 
 
-@dataclass(frozen=True)
-class GammaCG:
+class _GammaCG(NamedTuple):
+    name: str
+    graph: ConceptualGraph
+    variables: tuple[Variable, ...] = ()
+
+
+class GammaCG(_GammaCG):
     """A conceptual graph plus an ordered list of label variables.
 
     Zero variables are allowed so plain CGs flow through the same pipeline.
     """
 
-    name: str
-    graph: ConceptualGraph
-    variables: tuple[Variable, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         seen_names: set[str] = set()
         seen_slots: set[tuple[str, str]] = set()
         for variable in self.variables:
@@ -236,8 +244,7 @@ class MarkerMint:
         return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))
 
 
-@dataclass(frozen=True)
-class InstantiationOutcome:
+class InstantiationOutcome(NamedTuple):
     """The drawn labels of one instantiation plus the audit trail.
 
     ``labels`` maps each type-variable slot's node id to its drawn type and

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
@@ -51,16 +49,19 @@ def derive_rng(seed: int, *parts: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Stopping conditions of the generation loop."""
-
+class _GeneratorConfig(NamedTuple):
     max_cgs: int
     min_size: int
     max_spe: int = 0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class GeneratorConfig(_GeneratorConfig):
+    """Stopping conditions of the generation loop."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.max_cgs < 1:
             raise ConfigError("max_cgs must be >= 1")
         if self.min_size < 1:
@@ -69,8 +70,7 @@ class GeneratorConfig:
             raise ConfigError("max_spe must be >= 0")
 
 
-@dataclass(frozen=True)
-class ComponentDraw:
+class ComponentDraw(NamedTuple):
     """Provenance of one component absorbed into a generated CG."""
 
     gamma_name: str
@@ -80,14 +80,12 @@ class ComponentDraw:
     skipped_merges: tuple[tuple[str, str, str], ...]
 
 
-@dataclass(frozen=True)
-class GenerationProvenance:
+class GenerationProvenance(NamedTuple):
     cg_index: int
     draws: tuple[ComponentDraw, ...]
 
 
-@dataclass(frozen=True)
-class DatasetResult:
+class DatasetResult(NamedTuple):
     """Generated graphs, their provenance, and the marker-extended vocabulary."""
 
     graphs: tuple[ConceptualGraph, ...]
@@ -299,17 +297,9 @@ def generate_one(
         next_concept += len(graph.concepts)
         next_relation += len(graph.relations)
         merged, skipped = assembler.absorb(graph, ids, labels, outcome.markers)
-        draws.append(
-            ComponentDraw(
-                gamma_name=plan.gcg.name,
-                assignments=outcome.assignments,
-                specialisations=steps,
-                merged=merged,
-                skipped_merges=skipped,
-            )
-        )
+        draws.append(ComponentDraw(plan.gcg.name, outcome.assignments, steps, merged, skipped))
 
-    return assembler.snapshot(), GenerationProvenance(cg_index=0, draws=tuple(draws))
+    return assembler.snapshot(), GenerationProvenance(0, tuple(draws))
 
 
 def _generate_indexed(
@@ -321,7 +311,7 @@ def _generate_indexed(
     rng = derive_rng(config.seed, "cg", index)
     mint = MarkerMint(vocab, f"cg{index}")
     graph, provenance = generate_one(vocab, plans, config, rng, mint=mint)
-    provenance = GenerationProvenance(cg_index=index, draws=provenance.draws)
+    provenance = GenerationProvenance(index, provenance.draws)
     # Unsorted: generate_dataset sorts the markers of all CGs together.
     return graph, provenance, tuple(mint.minted.values())
 
@@ -354,6 +344,8 @@ def generate_dataset(
     plans = [DrawPlan(vocab, gcg) for gcg in gamma_set]
     indices = range(config.max_cgs)
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(lambda i: _generate_indexed(vocab, plans, config, i), indices)

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ConceptualGraph
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     """Per-dataset averages: nodes per CG, unique labels per CG, arity counts.
 
     Unique labels count concept types, relation types and markers together;

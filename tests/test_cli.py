@@ -548,6 +548,33 @@ def _wrong_cg_index(out):
     return "provenance.json", "perCG[1].index"
 
 
+def _bool_cg_index(out):
+    # true equals 1, the index perCG[1] must carry.
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    doc["perCG"][1]["index"] = True
+    path.write_text(json.dumps(doc))
+    return "provenance.json", "perCG[1].index must be int, found bool"
+
+
+def _bool_step(out):
+    path = out / "dataset" / "provenance.json"
+    doc = json.loads(path.read_text())
+    doc["perCG"][0]["draws"][0]["specialisations"] = {"concept-type:c0": False}
+    path.write_text(json.dumps(doc))
+    return "provenance.json", "perCG[0].draws[0].specialisations.concept-type:c0 must be int"
+
+
+def _bool_arity(out):
+    # true equals 1, the arity of relationTypes[0].
+    path = out / "vocabulary.json"
+    doc = json.loads(path.read_text())
+    assert doc["relationTypes"][0]["arity"] == 1
+    doc["relationTypes"][0]["arity"] = True
+    path.write_text(json.dumps(doc))
+    return "vocabulary.json", "relationTypes[0].arity must be int, found bool"
+
+
 def _set_first_assignment(out, value):
     path = out / "dataset" / "provenance.json"
     doc = json.loads(path.read_text())
@@ -637,6 +664,8 @@ class TestMalformedDataset:
             _string_specialisation_steps,
             _truncate_per_cg,
             _wrong_cg_index,
+            _bool_cg_index,
+            _bool_step,
             _int_assignment,
             _list_assignment,
             _unhashable_relation_arg,
@@ -647,6 +676,9 @@ class TestMalformedDataset:
 
     def test_gamma_domain_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _mixed_domain, ("validate", ""))
+
+    def test_vocabulary_format_error_exit_2(self, pristine, tmp_path, capsys):
+        self.check_exit_2(pristine, tmp_path, capsys, _bool_arity, ("validate", ""))
 
     @pytest.mark.parametrize(
         "mutate",
