@@ -266,7 +266,10 @@ class _OutputDir:
             created = self.path
             while not created.parent.exists():
                 created = created.parent
-            self.path.mkdir(parents=True)
+            try:
+                self.path.mkdir(parents=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {self.path}: {exc.strerror}")
             self.created = created
         return self.path
 
@@ -418,7 +421,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     graph = formats.load_cg(args.cg)
     text = formats.export_dot(graph)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -13,9 +13,9 @@ in ``__init__``; one that rewrites a field does so in ``__new__``.
 ``_replace`` and ``_make`` skip both, so build a new record instead.
 Construction validates the structural invariants and precomputes each
 hierarchy's order as the maps ``TypeHierarchy.up``, ``down`` and
-``children``, so every order question is an O(1) lookup. ``is_subtype``
-checks that its types exist; everything else reads the maps directly, on
-types already validated.
+``children``, so every order question is an O(1) lookup: a <= b is
+``b in hierarchy.up[a]``. The maps are unchecked; ``TypeHierarchy.require``
+is the checked entry point for a type that has not been validated yet.
 """
 
 from __future__ import annotations
@@ -147,13 +147,6 @@ class TypeHierarchy(_TypeHierarchy):
 
     def type_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
-
-
-def is_subtype(hierarchy: TypeHierarchy, a: str, b: str) -> bool:
-    """True iff a <= b: a equals b or descends from b in the hierarchy."""
-    hierarchy.require(a)
-    hierarchy.require(b)
-    return b in hierarchy.up[a]
 
 
 def random_descendant(
@@ -402,25 +395,10 @@ class ConceptualGraph(_ConceptualGraph):
                         f"relation {node.node_id!r} references missing concept {arg!r}"
                     )
 
-    @classmethod
-    def empty(cls) -> "ConceptualGraph":
-        return cls({}, {})
-
     @property
     def size(self) -> int:
         """Node count: concepts plus relations."""
         return len(self.concepts) + len(self.relations)
-
-    def incidences(self, concept_id: str) -> tuple[tuple[str, int], ...]:
-        """(relation id, position) pairs where the concept fills an argument."""
-        if concept_id not in self.concepts:
-            raise UnknownIdentifierError(f"unknown concept node {concept_id!r}")
-        hits: list[tuple[str, int]] = []
-        for rel_id in sorted(self.relations):
-            for position, arg in enumerate(self.relations[rel_id].args):
-                if arg == concept_id:
-                    hits.append((rel_id, position))
-        return tuple(hits)
 
 
 class Violation(NamedTuple):

@@ -116,6 +116,10 @@ def _parse(path: Path) -> dict[str, Any]:
         raise FormatError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}")
     if not isinstance(document, dict):
         raise FormatError(f"{path}: top-level value must be an object")
     return document

@@ -110,6 +110,15 @@ class GammaCG(_GammaCG):
         return frozenset((v.target.kind, v.target.node_id) for v in self.variables)
 
 
+def _incidences(graph: ConceptualGraph) -> dict[str, list[tuple[str, int]]]:
+    """Each concept's (relation id, position) argument slots, in relation-id order."""
+    incidences: dict[str, list[tuple[str, int]]] = {}
+    for rel_id in sorted(graph.relations):
+        for position, arg in enumerate(graph.relations[rel_id].args):
+            incidences.setdefault(arg, []).append((rel_id, position))
+    return incidences
+
+
 def slot_domain(
     vocab: Vocabulary,
     gcg: GammaCG,
@@ -156,7 +165,7 @@ def slot_domain(
     concepts = vocab.concepts
     if kind == TARGET_CONCEPT_TYPE:
         admissible = set(concepts.labels)
-        for rel_id, position in graph.incidences(node_id):
+        for rel_id, position in _incidences(graph).get(node_id, ()):
             relation_type = graph.relations[rel_id].type_id
             admissible &= concepts.down[restriction_for(vocab, relation_type, position)]
         return frozenset(admissible)
@@ -288,10 +297,7 @@ class DrawPlan:
         }
         concept_nodes = {v.target.node_id for v in by_kind[TARGET_CONCEPT_TYPE]}
         marker_nodes = {v.target.node_id for v in by_kind[TARGET_MARKER]}
-        incidences: dict[str, list[tuple[str, int]]] = {}
-        for rel_id in sorted(graph.relations):
-            for position, arg in enumerate(graph.relations[rel_id].args):
-                incidences.setdefault(arg, []).append((rel_id, position))
+        incidences = _incidences(graph)
 
         drawable: dict[str, tuple[str, ...]] = {}
         relation_steps = []

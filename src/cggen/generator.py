@@ -187,30 +187,6 @@ class _Assembler:
         return ConceptualGraph(concepts, dict(self._relations))
 
 
-def join(vocab: Vocabulary, gc: ConceptualGraph, g: ConceptualGraph) -> ConceptualGraph:
-    """Union of two graphs merging concept nodes that share a marker.
-
-    The merged node keeps the most specific of the two types and both
-    neighborhoods' argument references are redirected to it; unmarked nodes
-    never merge. Colliding node ids on the right-hand graph are renamed.
-    """
-    taken = set(gc.concepts) | set(gc.relations)
-    renames: dict[str, str] = {}
-    for node_id in list(g.concepts) + list(g.relations):
-        if node_id in taken:
-            suffix = 1
-            while f"{node_id}~{suffix}" in taken:
-                suffix += 1
-            renames[node_id] = f"{node_id}~{suffix}"
-            taken.add(renames[node_id])
-        else:
-            taken.add(node_id)
-    assembler = _Assembler(vocab)
-    assembler.absorb(gc)
-    assembler.absorb(g, renames)
-    return assembler.snapshot()
-
-
 def _specialise(
     vocab: Vocabulary,
     graph: ConceptualGraph,

@@ -21,9 +21,8 @@ from cggen import (
     auto_variables,
     auto_vocabulary,
     derive_rng,
-    is_subtype,
-    join,
 )
+from cggen.generator import _Assembler
 
 META_SEED = 20260808
 
@@ -99,10 +98,9 @@ def random_dag_hierarchy(rng, n_nodes):
 
 
 def admissible_markers(vocab, concept_type):
+    up = vocab.concepts.up[concept_type]
     return sorted(
-        marker_id
-        for marker_id, marker in vocab.markers.items()
-        if is_subtype(vocab.concepts, concept_type, marker.type_id)
+        marker_id for marker_id, marker in vocab.markers.items() if marker.type_id in up
     )
 
 
@@ -137,10 +135,10 @@ def build_reference_gammas(vocab, rng, count=8, min_size=8, binary_share=0.9):
     others = [t for arity, ids in by_arity.items() if arity != 2 for t in ids]
     gammas = []
     for index in range(count):
-        graph = ConceptualGraph.empty()
+        assembler = _Assembler(vocab)
         concept_counter = 0
         relation_counter = 0
-        while graph.size < min_size:
+        while assembler.size < min_size:
             if by_arity.get(2) and (rng.random() < binary_share or not others):
                 pool = by_arity[2]
             else:
@@ -151,8 +149,8 @@ def build_reference_gammas(vocab, rng, count=8, min_size=8, binary_share=0.9):
             )
             concept_counter += len(component.concepts)
             relation_counter += 1
-            graph = join(vocab, graph, component)
-        gammas.append(GammaCG(f"ref-{index}", graph))
+            assembler.absorb(component)
+        gammas.append(GammaCG(f"ref-{index}", assembler.snapshot()))
     return gammas
 
 

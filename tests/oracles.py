@@ -22,11 +22,10 @@ from cggen import (
     TypeHierarchy,
     UnknownIdentifierError,
     Vocabulary,
-    is_subtype,
     restriction_for,
 )
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
-from cggen.generator import GenerationProvenance
+from cggen.generator import GenerationProvenance, _Assembler
 
 
 def brute_reaches(parents: dict[str, tuple[str, ...]], a: str, b: str) -> bool:
@@ -48,6 +47,24 @@ def brute_reaches(parents: dict[str, tuple[str, ...]], a: str, b: str) -> bool:
 
 def brute_subtype(hierarchy: TypeHierarchy, a: str, b: str) -> bool:
     return brute_reaches(hierarchy.parents, a, b)
+
+
+def brute_incidences(graph: ConceptualGraph, concept_id: str) -> list[tuple[str, int]]:
+    """(relation id, position) pairs where the concept fills an argument, by relation id."""
+    return [
+        (rel_id, position)
+        for rel_id in sorted(graph.relations)
+        for position, arg in enumerate(graph.relations[rel_id].args)
+        if arg == concept_id
+    ]
+
+
+def fold(vocab: Vocabulary, *graphs: ConceptualGraph) -> ConceptualGraph:
+    """The generator's merge (join) of ``graphs``, in order; their node ids must not collide."""
+    assembler = _Assembler(vocab)
+    for graph in graphs:
+        assembler.absorb(graph)
+    return assembler.snapshot()
 
 
 def arity_of(vocab: Vocabulary, relation_type: str) -> int:
@@ -120,7 +137,7 @@ def _brute_signature_admits(
 ) -> bool:
     restrictions = vocab.signature_of(relation_type).restrictions
     return all(
-        arg_type is None or is_subtype(vocab.concepts, arg_type, restriction)
+        arg_type is None or brute_subtype(vocab.concepts, arg_type, restriction)
         for arg_type, restriction in zip(arg_types, restrictions)
     )
 
@@ -171,7 +188,7 @@ def brute_instantiate(
     for variable in concept_vars:
         node_id = variable.target.node_id
         constraints: list[str] = []
-        for rel_id, position in gcg.graph.incidences(node_id):
+        for rel_id, position in brute_incidences(gcg.graph, node_id):
             constraints.append(restriction_for(vocab, relation_types[rel_id], position))
         marker_id = concept_markers[node_id]
         marker_ceiling: str | None = None
@@ -184,8 +201,8 @@ def brute_instantiate(
             candidate
             for candidate in variable.domain
             if candidate in vocab.concepts
-            and all(is_subtype(vocab.concepts, candidate, c) for c in constraints)
-            and (marker_ceiling is None or is_subtype(vocab.concepts, candidate, marker_ceiling))
+            and all(brute_subtype(vocab.concepts, candidate, c) for c in constraints)
+            and (marker_ceiling is None or brute_subtype(vocab.concepts, candidate, marker_ceiling))
         ]
         if not effective:
             raise InstantiationError(
@@ -203,7 +220,7 @@ def brute_instantiate(
             candidate
             for candidate in variable.domain
             if candidate in marker_registry
-            and is_subtype(vocab.concepts, node_type, marker_registry[candidate].type_id)
+            and brute_subtype(vocab.concepts, node_type, marker_registry[candidate].type_id)
         ]
         if effective:
             choice = effective[rng.randrange(len(effective))]

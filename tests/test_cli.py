@@ -508,6 +508,31 @@ class TestValidateStatsDot:
         assert target.read_text() == text
 
 
+class TestUnwritableOutput:
+    """An output path the OS refuses is a configuration error, exit 2."""
+
+    def test_export_dot_into_missing_directory(self, tmp_path, capsys):
+        source = tmp_path / "cg.json"
+        save_cg(source, ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {}))
+        target = tmp_path / "missing-dir" / "x.dot"
+        capsys.readouterr()
+        assert main(["export-dot", str(source), "--out", str(target)]) == 2
+        assert f"cannot write {target}: No such file or directory" in capsys.readouterr().err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "auto-voc", "auto-gcg", "auto-var"])
+    def test_out_under_a_regular_file(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file.json"
+        blocker.write_text("{}")
+        out = blocker / "sub"
+        config = write_config(tmp_path, FULL_AUTO)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}: Not a directory" in err
+        assert blocker.read_text() == "{}"
+
+
 def _drop_nodes_mean(out):
     path = out / "dataset" / "manifest.json"
     doc = json.loads(path.read_text())
@@ -604,6 +629,19 @@ def _unhashable_relation_arg(out):
     return "cg-0000.json", "relations[0].args[0] must be str, found list"
 
 
+def _not_utf8(out):
+    path = out / "dataset" / "cg-0000.json"
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return "cg-0000.json", "not UTF-8 text"
+
+
+def _directory_for_file(out):
+    path = out / "dataset" / "cg-0000.json"
+    path.unlink()
+    path.mkdir()
+    return "cg-0000.json", "cannot read: Is a directory"
+
+
 def _mixed_domain(out):
     path = out / "gamma" / "gcg-0.json"
     doc = json.loads(path.read_text())
@@ -669,6 +707,8 @@ class TestMalformedDataset:
             _int_assignment,
             _list_assignment,
             _unhashable_relation_arg,
+            _not_utf8,
+            _directory_for_file,
         ],
     )
     def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
@@ -679,6 +719,20 @@ class TestMalformedDataset:
 
     def test_vocabulary_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _bool_arity, ("validate", ""))
+
+    @pytest.mark.parametrize("command", ["export-dot", "generate"])
+    def test_directory_as_input_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "x.json"
+        path.mkdir()
+        out = tmp_path / "out"
+        argv = {
+            "export-dot": ["export-dot", str(path)],
+            "generate": ["generate", "--config", str(path), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{path}: cannot read: Is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mutate",

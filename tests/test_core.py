@@ -14,7 +14,6 @@ from cggen import (
     ArityError,
     Vocabulary,
     VocabularyError,
-    is_subtype,
     random_descendant,
     restriction_for,
     validate_graph,
@@ -24,23 +23,28 @@ from oracles import brute_subtype
 
 
 class TestSubtype:
+    """a <= b is ``b in up[a]``; ``require`` checks a type before the lookup."""
+
     def test_reflexive_at_root(self, tiny_vocab):
-        assert is_subtype(tiny_vocab.concepts, "Top", "Top")
+        assert "Top" in tiny_vocab.concepts.up["Top"]
 
     def test_direct_edge(self, tiny_vocab):
-        assert is_subtype(tiny_vocab.concepts, "Person", "Entity")
+        assert "Entity" in tiny_vocab.concepts.up["Person"]
 
     def test_siblings_incomparable(self, tiny_vocab):
         concepts = tiny_vocab.concepts
         assert not brute_subtype(concepts, "Person", "Place")
-        assert not is_subtype(concepts, "Person", "Place")
-        assert not is_subtype(concepts, "Place", "Person")
+        assert "Place" not in concepts.up["Person"]
+        assert "Person" not in concepts.up["Place"]
 
     def test_unknown_identifier(self, tiny_vocab):
-        with pytest.raises(UnknownIdentifierError):
-            is_subtype(tiny_vocab.concepts, "Person", "Nope")
-        with pytest.raises(UnknownIdentifierError):
-            is_subtype(tiny_vocab.concepts, "Nope", "Person")
+        concepts = tiny_vocab.concepts
+        concepts.require("Person")
+        with pytest.raises(UnknownIdentifierError, match="unknown concept type 'Nope'"):
+            concepts.require("Nope")
+        relations = tiny_vocab.relations[2]
+        with pytest.raises(UnknownIdentifierError, match="unknown relation type 'Person'"):
+            relations.require("Person")
 
     def test_matches_brute_force_on_random_dags(self):
         rng = fresh_rng("dag-closure")
@@ -49,10 +53,10 @@ class TestSubtype:
             ids = hierarchy.type_ids()
             for _ in range(200):
                 a, b = rng.choice(ids), rng.choice(ids)
-                assert is_subtype(hierarchy, a, b) == brute_subtype(hierarchy, a, b)
+                assert (b in hierarchy.up[a]) == brute_subtype(hierarchy, a, b)
 
     def test_unchecked_lookup_matches_brute_force_on_every_pair(self):
-        # Everything but is_subtype reads the up/down/children maps unchecked.
+        # The up/down/children maps are read unchecked, on validated types.
         rng = fresh_rng("dag-up")
         for trial in range(5):
             hierarchy = random_dag_hierarchy(rng, rng.randint(2, 40))
@@ -70,14 +74,15 @@ class TestSubtype:
         for trial in range(5):
             hierarchy = random_dag_hierarchy(rng, rng.randint(2, 50))
             ids = hierarchy.type_ids()
+            up = hierarchy.up
             for a in ids:
-                assert is_subtype(hierarchy, a, a)
+                assert a in up[a]
             for _ in range(300):
                 a, b, c = (rng.choice(ids) for _ in range(3))
-                if is_subtype(hierarchy, a, b) and is_subtype(hierarchy, b, a):
+                if b in up[a] and a in up[b]:
                     assert a == b
-                if is_subtype(hierarchy, a, b) and is_subtype(hierarchy, b, c):
-                    assert is_subtype(hierarchy, a, c)
+                if b in up[a] and c in up[b]:
+                    assert c in up[a]
 
 
 class TestRandomDescendant:
@@ -109,7 +114,7 @@ class TestRandomDescendant:
                 start = rng.choice(ids)
                 steps = rng.randint(0, 4)
                 result = random_descendant(hierarchy, start, steps, rng)
-                assert is_subtype(hierarchy, result, start)
+                assert start in hierarchy.up[result]
                 # On a DAG the bound is on the walk: at most `steps` child edges.
                 reachable = {start}
                 for _ in range(steps):
@@ -245,12 +250,13 @@ class TestGraphStructure:
             [ConceptNode("c0", "Person", "alice")],
             [RelationNode("r0", "knows", ("c0", "c0"))],
         )
-        assert graph.incidences("c0") == (("r0", 0), ("r0", 1))
+        assert graph.relations["r0"].args == ("c0", "c0")
+        assert validate_graph(tiny_vocab, graph).ok
 
 
 class TestValidateGraph:
     def test_empty_graph_ok(self, tiny_vocab):
-        assert validate_graph(tiny_vocab, ConceptualGraph.empty()).ok
+        assert validate_graph(tiny_vocab, ConceptualGraph({}, {})).ok
 
     def test_valid_small_graph(self, tiny_vocab):
         graph = cg(

@@ -150,8 +150,8 @@ class TestVocabularyFormat:
 class TestGraphFormats:
     def test_empty_cg_round_trip(self, tmp_path):
         path = tmp_path / "cg.json"
-        save_cg(path, ConceptualGraph.empty())
-        assert load_cg(path) == ConceptualGraph.empty()
+        save_cg(path, ConceptualGraph({}, {}))
+        assert load_cg(path) == ConceptualGraph({}, {})
 
     def test_generic_marker_serialized_as_null(self, tmp_path):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {})
@@ -282,7 +282,7 @@ class TestDatasetFormat:
 
 class TestDotExport:
     def test_empty_graph(self):
-        text = export_dot(ConceptualGraph.empty())
+        text = export_dot(ConceptualGraph({}, {}))
         assert text == "graph cg {\n}\n"
         parse_dot(text)
 

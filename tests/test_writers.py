@@ -90,7 +90,7 @@ class TestCgWriter:
     @pytest.mark.parametrize(
         "graph",
         [
-            ConceptualGraph.empty(),
+            ConceptualGraph({}, {}),
             ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {}),
             odd_graph(),
         ],
@@ -113,7 +113,7 @@ class TestGammaCgWriter:
     @pytest.mark.parametrize(
         "gcg",
         [
-            GammaCG("empty", ConceptualGraph.empty()),
+            GammaCG("empty", ConceptualGraph({}, {})),
             GammaCG("plain", odd_graph()),
             gamma_with_variables(),
         ],
