@@ -428,10 +428,14 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
     """
     up = vocab.concepts.up
     violations: list[Violation] = []
+    # Each concept's up-set, or None when its type is unknown: the relation
+    # pass reads it instead of looking the argument's type up again.
+    above: dict[str, frozenset[str] | None] = {}
 
     for node_id in sorted(graph.concepts):
         node = graph.concepts[node_id]
-        if node.type_id not in vocab.concepts:
+        ups = above[node_id] = up.get(node.type_id)
+        if ups is None:
             violations.append(
                 Violation("unknown-concept-type", node_id, f"type {node.type_id!r} not in vocabulary")
             )
@@ -442,7 +446,7 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
                 violations.append(
                     Violation("unknown-marker", node_id, f"marker {node.marker!r} not in vocabulary")
                 )
-            elif marker.type_id not in up[node.type_id]:
+            elif marker.type_id not in ups:
                 violations.append(
                     Violation(
                         "marker-type-violation",
@@ -451,14 +455,17 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
                     )
                 )
 
-    for node_id in sorted(graph.relations):
-        node = graph.relations[node_id]
-        if not vocab.has_relation_type(node.type_id):
+    signatures = vocab.signatures
+    relations = graph.relations
+    for node_id in sorted(relations):
+        node = relations[node_id]
+        signature = signatures.get(node.type_id)
+        if signature is None:
             violations.append(
                 Violation("unknown-relation-type", node_id, f"type {node.type_id!r} not in vocabulary")
             )
             continue
-        restrictions = vocab.signatures[node.type_id].restrictions
+        restrictions = signature.restrictions
         arity = len(restrictions)
         if len(node.args) != arity:
             violations.append(
@@ -469,19 +476,19 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
                 )
             )
             continue
-        for position, arg in enumerate(node.args):
-            concept = graph.concepts[arg]
-            if concept.type_id not in vocab.concepts:
-                continue  # already reported on the concept node
-            restriction = restrictions[position]
-            if restriction not in up[concept.type_id]:
+        position = 0
+        for arg in node.args:
+            ups = above[arg]
+            # An unknown argument type is already reported on the concept node.
+            if ups is not None and restrictions[position] not in ups:
                 violations.append(
                     Violation(
                         "signature-violation",
                         node_id,
-                        f"argument {position} ({arg!r}: {concept.type_id!r}) "
-                        f"is not <= restriction {restriction!r}",
+                        f"argument {position} ({arg!r}: {graph.concepts[arg].type_id!r}) "
+                        f"is not <= restriction {restrictions[position]!r}",
                     )
                 )
+            position += 1
 
     return ValidationReport(tuple(violations))

@@ -10,6 +10,8 @@ documents, diagnostics and DOT labels alike.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -118,6 +120,8 @@ def _parse(path: Path) -> dict[str, Any]:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except RecursionError:
+        raise FormatError(f"{path}: nested too deeply to read")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}")
     if not isinstance(document, dict):
@@ -291,25 +295,70 @@ def _graph_fields(graph: ConceptualGraph) -> str:
     )
 
 
+# The CG, gamma-CG and provenance loaders check a document one column at a
+# time: each field of every entry is pulled into a list, and the item types
+# of a list are checked with one set comparison. Only when that bulk check
+# fails does the per-entry check run, to find the first bad entry and raise
+# the error naming it. A valid document so pays the checking overhead once
+# per column, not once per field of every entry, and a malformed one gets
+# the same diagnostic as from a check of one entry at a time.
+def _raise_first_malformed_node(entries: list[Any], key: str, path: Path) -> None:
+    """Raise the error of the first malformed entry of a graph's ``key`` list."""
+    for index, entry in enumerate(entries):
+        where = f"{key}[{index}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: {where} must be an object")
+        _field(entry, "id", str, path, where)
+        if key == "concepts":
+            marker = entry.get("marker")
+            if marker is not None and not isinstance(marker, str):
+                raise FormatError(f"{path}: {where}.marker must be a string or null")
+        else:
+            _field(entry, "args", list, path, where)
+        _field(entry, "type", str, path, where)
+
+
+def _require_unique(ids: list[str], nodes: dict[str, Any], key: str, path: Path) -> None:
+    if len(nodes) != len(ids):
+        seen: set[str] = set()
+        for index, node_id in enumerate(ids):
+            if node_id in seen:
+                raise FormatError(f"{path}: duplicate node id {node_id!r} at {key}[{index}].id")
+            seen.add(node_id)
+
+
 def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
-    concepts: dict[str, ConceptNode] = {}
-    for index, entry in enumerate(_field(document, "concepts", list, path)):
-        where = f"concepts[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: {where} must be an object")
-        node_id = _field(entry, "id", str, path, where)
-        marker = entry.get("marker")
-        if marker is not None and not isinstance(marker, str):
-            raise FormatError(f"{path}: {where}.marker must be a string or null")
-        concepts[node_id] = ConceptNode(node_id, _field(entry, "type", str, path, where), marker)
-    relations: dict[str, RelationNode] = {}
-    for index, entry in enumerate(_field(document, "relations", list, path)):
-        where = f"relations[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: {where} must be an object")
-        node_id = _field(entry, "id", str, path, where)
-        args = tuple(_field(entry, "args", list, path, where))
-        relations[node_id] = RelationNode(node_id, _field(entry, "type", str, path, where), args)
+    entries = _field(document, "concepts", list, path)
+    try:
+        ids = [entry["id"] for entry in entries]
+        types = [entry["type"] for entry in entries]
+        markers = [entry.get("marker") for entry in entries]  # a missing marker is generic
+        valid = (
+            {str}.issuperset(map(type, chain(ids, types)))
+            and {str, type(None)}.issuperset(map(type, markers))
+        )
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        _raise_first_malformed_node(entries, "concepts", path)
+    concepts = dict(zip(ids, map(ConceptNode, ids, types, markers)))
+    _require_unique(ids, concepts, "concepts", path)
+
+    entries = _field(document, "relations", list, path)
+    try:
+        ids = [entry["id"] for entry in entries]
+        types = [entry["type"] for entry in entries]
+        args = [entry["args"] for entry in entries]
+        valid = (
+            {str}.issuperset(map(type, chain(ids, types)))
+            and {list}.issuperset(map(type, args))
+        )
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        _raise_first_malformed_node(entries, "relations", path)
+    relations = dict(zip(ids, map(RelationNode, ids, types, map(tuple, args))))
+    _require_unique(ids, relations, "relations", path)
     try:
         return ConceptualGraph(concepts, relations)
     except StructureError as exc:
@@ -317,7 +366,7 @@ def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
     except TypeError:
         # An unhashable argument: find it only now, so loading a valid graph
         # never pays for a per-argument type check.
-        for index, entry in enumerate(document["relations"]):
+        for index, entry in enumerate(entries):
             _list_of(entry["args"], str, path, f"relations[{index}].args")
         raise
 
@@ -444,32 +493,64 @@ def _provenance_members(provenances: Sequence[GenerationProvenance]) -> Iterator
     yield "\n  ]" if provenances else "]"
 
 
-def _load_draw(draw: Any, path: Path, where: str) -> ComponentDraw:
-    if not isinstance(draw, dict):
-        raise FormatError(f"{path}: {where} must be an object")
-    gamma = _field(draw, "gamma", str, path, where)
-    assignments = _field(draw, "assignments", dict, path, where)
-    if not {str}.issuperset(map(type, assignments.values())):
-        # Only now look for the value that is not a string, so that a valid
-        # draw pays for one set lookup per value.
-        for name, value in assignments.items():
+def _raise_first_malformed_draw(draws: list[Any], path: Path, where: str) -> None:
+    """Raise the error of the first malformed draw of a perCG entry."""
+    for number, draw in enumerate(draws):
+        spot = f"{where}.draws[{number}]"
+        if not isinstance(draw, dict):
+            raise FormatError(f"{path}: {spot} must be an object")
+        _field(draw, "gamma", str, path, spot)
+        for name, value in _field(draw, "assignments", dict, path, spot).items():
             if not isinstance(value, str):
                 raise FormatError(
-                    f"{path}: field {where}.assignments.{name} must be str, "
+                    f"{path}: field {spot}.assignments.{name} must be str, "
                     f"found {type(value).__name__}"
                 )
-    specialisations = _field(draw, "specialisations", dict, path, where)
-    for slot, steps in specialisations.items():
-        if type(steps) is not int:
-            raise FormatError(
-                f"{path}: field {where}.specialisations.{slot} must be int, "
-                f"found {type(steps).__name__}"
-            )
-    merges = []
-    for key in ("merged", "skippedMerges"):
-        entries = _field(draw, key, list, path, where)
-        merges.append(tuple(map(tuple, _list_of(entries, list, path, f"{where}.{key}"))))
-    return ComponentDraw(gamma, tuple(assignments.items()), tuple(specialisations.items()), *merges)
+        for slot, steps in _field(draw, "specialisations", dict, path, spot).items():
+            if type(steps) is not int:
+                raise FormatError(
+                    f"{path}: field {spot}.specialisations.{slot} must be int, "
+                    f"found {type(steps).__name__}"
+                )
+        for key in ("merged", "skippedMerges"):
+            _list_of(_field(draw, key, list, path, spot), list, path, f"{spot}.{key}")
+
+
+_DRAW_FIELDS = itemgetter("gamma", "assignments", "specialisations", "merged", "skippedMerges")
+
+
+def _tuples(entries: list[list[str]]) -> tuple[tuple[str, ...], ...]:
+    return tuple(map(tuple, entries))
+
+
+def _load_draws(draws: list[Any], path: Path, where: str) -> tuple[ComponentDraw, ...]:
+    """The draws of one perCG entry."""
+    try:
+        columns = tuple(zip(*map(_DRAW_FIELDS, draws))) or ((),) * 5
+        gammas, assignments, specialisations, merged, skipped = columns
+        valid = (
+            {str}.issuperset(map(type, gammas))
+            and {dict}.issuperset(map(type, assignments + specialisations))
+            and {str}.issuperset(map(type, chain.from_iterable(map(dict.values, assignments))))
+            # Exactly int: JSON true and false are ints to isinstance.
+            and {int}.issuperset(map(type, chain.from_iterable(map(dict.values, specialisations))))
+            and {list}.issuperset(map(type, merged + skipped))
+            and {list}.issuperset(map(type, chain.from_iterable(merged + skipped)))
+        )
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        _raise_first_malformed_draw(draws, path, where)
+    return tuple(
+        map(
+            ComponentDraw,
+            gammas,
+            map(tuple, map(dict.items, assignments)),
+            map(tuple, map(dict.items, specialisations)),
+            map(_tuples, merged),
+            map(_tuples, skipped),
+        )
+    )
 
 
 def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
@@ -484,15 +565,7 @@ def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
         if cg_index != index:
             raise FormatError(f"{path}: {where}.index must be {index}, found {cg_index}")
         draws = _field(entry, "draws", list, path, where)
-        loaded.append(
-            GenerationProvenance(
-                cg_index,
-                tuple(
-                    _load_draw(draw, path, f"{where}.draws[{number}]")
-                    for number, draw in enumerate(draws)
-                ),
-            )
-        )
+        loaded.append(GenerationProvenance(cg_index, _load_draws(draws, path, where)))
     return tuple(loaded)
 
 

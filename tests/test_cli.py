@@ -642,6 +642,34 @@ def _directory_for_file(out):
     return "cg-0000.json", "cannot read: Is a directory"
 
 
+def _duplicate_concept_id(out):
+    path = out / "dataset" / "cg-0000.json"
+    doc = json.loads(path.read_text())
+    doc["concepts"].append(dict(doc["concepts"][0]))
+    path.write_text(json.dumps(doc))
+    index = len(doc["concepts"]) - 1
+    return "cg-0000.json", f"duplicate node id {doc['concepts'][0]['id']!r} at concepts[{index}].id"
+
+
+def _duplicate_relation_id(out):
+    # A second r0 with another relation's type and arguments: a valid graph
+    # once either copy is dropped.
+    path = out / "dataset" / "cg-0000.json"
+    doc = json.loads(path.read_text())
+    first = doc["relations"][0]
+    other = next(r for r in doc["relations"] if r["type"] != first["type"])
+    doc["relations"].append(dict(other, id=first["id"]))
+    path.write_text(json.dumps(doc))
+    index = len(doc["relations"]) - 1
+    return "cg-0000.json", f"duplicate node id {first['id']!r} at relations[{index}].id"
+
+
+def _deeply_nested(out):
+    path = out / "dataset" / "cg-0000.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    return "cg-0000.json", "nested too deeply to read"
+
+
 def _mixed_domain(out):
     path = out / "gamma" / "gcg-0.json"
     doc = json.loads(path.read_text())
@@ -709,6 +737,9 @@ class TestMalformedDataset:
             _unhashable_relation_arg,
             _not_utf8,
             _directory_for_file,
+            _duplicate_concept_id,
+            _duplicate_relation_id,
+            _deeply_nested,
         ],
     )
     def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
@@ -719,6 +750,27 @@ class TestMalformedDataset:
 
     def test_vocabulary_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _bool_arity, ("validate", ""))
+
+    def test_gamma_duplicate_node_id_exit_2(self, pristine, tmp_path, capsys):
+        def duplicate(out):
+            path = out / "gamma" / "gcg-0.json"
+            doc = json.loads(path.read_text())
+            doc["concepts"].append(dict(doc["concepts"][-1]))
+            path.write_text(json.dumps(doc))
+            index = len(doc["concepts"]) - 1
+            node_id = doc["concepts"][-1]["id"]
+            return "gcg-0.json", f"duplicate node id {node_id!r} at concepts[{index}].id"
+
+        self.check_exit_2(pristine, tmp_path, capsys, duplicate, ("validate", ""))
+
+    def test_deeply_nested_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{path}: nested too deeply to read" in err
 
     @pytest.mark.parametrize("command", ["export-dot", "generate"])
     def test_directory_as_input_file_exit_2(self, tmp_path, capsys, command):

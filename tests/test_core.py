@@ -299,6 +299,35 @@ class TestValidateGraph:
         codes = {v.code for v in validate_graph(tiny_vocab, graph).violations}
         assert codes == {"unknown-concept-type", "unknown-relation-type"}
 
+    def test_every_violation_kind_in_order(self, tiny_vocab):
+        # Concepts first, then relations, each by id; an argument whose
+        # concept type is unknown is reported on the concept node only.
+        graph = cg(
+            [
+                ConceptNode("c0", "Ghost", "nobody"),
+                ConceptNode("c1", "Person", "nobody"),
+                ConceptNode("c2", "Place", "alice"),
+                ConceptNode("c3", "Person"),
+                ConceptNode("c4", "Act"),
+            ],
+            [
+                RelationNode("r0", "unheard", ("c0",)),
+                RelationNode("r1", "knows", ("c3",)),
+                RelationNode("r2", "knows", ("c4", "c0")),
+                RelationNode("r3", "locatedIn", ("c3", "c4")),
+                RelationNode("r4", "gives", ("c0", "c3", "c3")),
+            ],
+        )
+        assert validate_graph(tiny_vocab, graph).lines() == [
+            "unknown-concept-type c0: type 'Ghost' not in vocabulary",
+            "unknown-marker c1: marker 'nobody' not in vocabulary",
+            "marker-type-violation c2: type 'Place' is not <= marker type 'Person'",
+            "unknown-relation-type r0: type 'unheard' not in vocabulary",
+            "arity-mismatch r1: 1 arguments for arity-2 type 'knows'",
+            "signature-violation r2: argument 0 ('c4': 'Act') is not <= restriction 'Person'",
+            "signature-violation r3: argument 1 ('c4': 'Act') is not <= restriction 'Place'",
+        ]
+
     def test_marker_type_violation(self, tiny_vocab):
         graph = cg([ConceptNode("c0", "Place", "alice")], [])
         report = validate_graph(tiny_vocab, graph)

@@ -8,6 +8,7 @@ from cggen import (
     ConceptualGraph,
     FormatError,
     GammaCG,
+    GenerationProvenance,
     GeneratorConfig,
     ParamSpec,
     RelationNode,
@@ -232,8 +233,7 @@ class TestDatasetFormat:
         assert compute_stats(loaded.graphs) == loaded.stats
         assert loaded.config["maxCGs"] == config.max_cgs
         assert loaded.config["seed"] == config.seed
-        assert loaded.provenances is not None
-        assert len(loaded.provenances) == len(dataset.provenances)
+        assert loaded.provenances == dataset.provenances
 
     def test_byte_determinism(self, built, tmp_path):
         _, _, dataset, config = built
@@ -278,6 +278,125 @@ class TestDatasetFormat:
                 provenances=dataset.provenances[:-1],
                 stats=compute_stats(dataset.graphs),
             )
+
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def _drop(doc, keys):
+    for key in keys[:-1]:
+        doc = doc[key]
+    del doc[keys[-1]]
+
+
+class TestEntryLoaders:
+    """The CG and provenance loaders check in bulk, then locate the first bad entry."""
+
+    @pytest.fixture
+    def directory(self, built, tmp_path):
+        _, _, dataset, config = built
+        directory = tmp_path / "ds"
+        save_dataset(
+            directory,
+            dataset.graphs,
+            config=config,
+            provenances=dataset.provenances,
+            stats=compute_stats(dataset.graphs),
+        )
+        return directory
+
+    @pytest.mark.parametrize(
+        "file_name, edit, message",
+        [
+            (
+                "cg-0000.json",
+                lambda doc: _set(doc, ["concepts", 1], "c1"),
+                r"concepts\[1\] must be an object",
+            ),
+            (
+                "cg-0000.json",
+                lambda doc: _set(doc, ["relations", 0], ["r0"]),
+                r"relations\[0\] must be an object",
+            ),
+            (
+                "cg-0000.json",
+                lambda doc: _set(doc, ["concepts", 0, "id"], 5),
+                r"field concepts\[0\]\.id must be str, found int",
+            ),
+            (
+                "cg-0000.json",
+                lambda doc: _drop(doc, ["relations", 0, "type"]),
+                r"missing field relations\[0\]\.type",
+            ),
+            (
+                "cg-0000.json",
+                lambda doc: _set(doc, ["concepts", 0, "marker"], 3),
+                r"concepts\[0\]\.marker must be a string or null",
+            ),
+            (
+                "cg-0000.json",
+                lambda doc: _set(doc, ["relations", 0, "args"], "c0"),
+                r"field relations\[0\]\.args must be list, found str",
+            ),
+            (
+                "cg-0000.json",
+                # Two bad entries: the first one is named.
+                lambda doc: (
+                    _set(doc, ["concepts", 2, "type"], None),
+                    _drop(doc, ["concepts", 1, "id"]),
+                ),
+                r"missing field concepts\[1\]\.id",
+            ),
+            (
+                "provenance.json",
+                lambda doc: _set(doc, ["perCG", 0, "draws", 0], 1),
+                r"perCG\[0\]\.draws\[0\] must be an object",
+            ),
+            (
+                "provenance.json",
+                lambda doc: _set(doc, ["perCG", 0, "draws", 0, "merged"], {}),
+                r"field perCG\[0\]\.draws\[0\]\.merged must be list, found dict",
+            ),
+        ],
+        ids=[
+            "concept-not-object",
+            "relation-not-object",
+            "int-id",
+            "missing-type",
+            "int-marker",
+            "string-args",
+            "first-of-two",
+            "draw-not-object",
+            "merged-not-list",
+        ],
+    )
+    def test_malformed_entry_is_format_error(self, directory, file_name, edit, message):
+        path = directory / file_name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message):
+            load_dataset(directory)
+        assert main(["stats", str(directory)]) == 2
+
+    def test_lenient_shapes_still_load(self, directory):
+        cg_path = directory / "cg-0000.json"
+        doc = json.loads(cg_path.read_text())
+        del doc["concepts"][0]["marker"]
+        cg_path.write_text(json.dumps(doc))
+        assert load_cg(cg_path).concepts[doc["concepts"][0]["id"]].marker is None
+        doc["concepts"] = doc["relations"] = []
+        cg_path.write_text(json.dumps(doc))
+        assert load_cg(cg_path) == ConceptualGraph({}, {})
+        provenance_path = directory / "provenance.json"
+        doc = json.loads(provenance_path.read_text())
+        doc["perCG"][0]["draws"] = []
+        provenance_path.write_text(json.dumps(doc))
+        assert load_dataset(directory).provenances[0] == GenerationProvenance(0, ())
 
 
 class TestDotExport:
