@@ -15,9 +15,7 @@ from .core import (
     CONCEPT,
     RELATION,
     ConceptNode,
-    ConceptualGraph,
     Marker,
-    RelationNode,
     Signature,
     TypeHierarchy,
     Vocabulary,
@@ -230,8 +228,10 @@ def _signature_component(
     rng: random.Random,
     concept_counter: int,
     relation_counter: int,
-) -> ConceptualGraph:
+) -> tuple[list[ConceptNode], list[tuple[str, str, range]]]:
     """One relation node with freshly typed and marked concept arguments.
+
+    Returned as the concept and relation rows of ``_Assembler.absorb``.
 
     Every label is treated as unconstrained: the relation type is drawn
     uniformly within its arity and specialized, each argument type is drawn
@@ -245,8 +245,7 @@ def _signature_component(
     relation_type = same_arity[rng.randrange(len(same_arity))]
     relation_type = random_descendant(hierarchy, relation_type, AUTO_SPECIALISE_STEPS, rng)
 
-    concepts: dict[str, ConceptNode] = {}
-    args: list[str] = []
+    concepts: list[ConceptNode] = []
     for position in range(arity):
         restriction = vocab.signature_of(relation_type).restrictions[position]
         compatible = sorted(vocab.concepts.down[restriction])
@@ -257,13 +256,8 @@ def _signature_component(
             marker = admissible[rng.randrange(len(admissible))]
         else:
             marker = mint.mint(concept_type)
-        node_id = f"c{concept_counter + position}"
-        concepts[node_id] = ConceptNode(node_id, concept_type, marker)
-        args.append(node_id)
-
-    relation_id = f"r{relation_counter}"
-    relations = {relation_id: RelationNode(relation_id, relation_type, tuple(args))}
-    return ConceptualGraph(concepts, relations)
+        concepts.append(ConceptNode(f"c{concept_counter + position}", concept_type, marker))
+    return concepts, [(f"r{relation_counter}", relation_type, range(arity))]
 
 
 def auto_gamma_cgs(
@@ -288,12 +282,12 @@ def auto_gamma_cgs(
         concept_counter = 0
         relation_counter = 0
         while assembler.size < target_size:
-            component = _signature_component(
+            concepts, relations = _signature_component(
                 vocab, mint, all_relation_types, rng, concept_counter, relation_counter
             )
-            concept_counter += len(component.concepts)
+            concept_counter += len(concepts)
             relation_counter += 1
-            assembler.absorb(component)
+            assembler.absorb(concepts, relations)
         gammas.append(GammaCG(f"gcg-{index}", assembler.snapshot()))
 
     return AutoGcgResult(tuple(gammas), mint.extended_vocabulary())

@@ -186,7 +186,7 @@ def _walk_down(
             kids = [kid for kid in kids if keep(kid)]
         if not kids:
             break
-        current = kids[rng.randrange(len(kids))]
+        current = rng.choice(kids)
         taken += 1
     return current, taken
 

@@ -9,11 +9,12 @@ documents, diagnostics and DOT labels alike.
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CONCEPT,
@@ -48,7 +49,9 @@ def _dump(path: Path, document: dict[str, Any]) -> None:
 # json.dumps(document, indent=2) + "\n" directly: every scalar goes through
 # the C string encoder, every node or draw through one %-template. This is
 # several times faster than json.dumps with an indent, which always runs the
-# pure-Python encoder. docs/formats.md states the layout.
+# pure-Python encoder. They stream a document node by node and draw by draw,
+# so no writer holds the whole text of a CG or of its provenance.
+# docs/formats.md states the layout.
 _enc = json.encoder.encode_basestring_ascii
 _int = int.__repr__
 
@@ -58,7 +61,7 @@ _VARIABLE = (
     '{\n      "name": %s,\n      "target": {\n        "kind": %s,\n        "node": %s\n'
     '      },\n      "domain": %s\n    }'
 )
-_CG_ENTRY = '{\n      "index": %s,\n      "draws": %s\n    }'
+_CG_ENTRY = '{\n      "index": %s,\n      "draws": '
 _DRAW = (
     '{\n          "gamma": %s,\n          "assignments": %s,\n'
     '          "specialisations": %s,\n          "merged": %s,\n'
@@ -83,12 +86,42 @@ def _array(items: Sequence[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def _object(pairs: Sequence[tuple[str, str]], depth: int) -> str:
-    """A JSON object from (key, encoded value) pairs; a repeated key keeps its last value."""
+def _stream(items: Iterable[str], depth: int) -> Iterator[str]:
+    """``_array(list(items), depth)``, one item at a time.
+
+    ``_array`` keeps its own body: built as a join of this generator, the
+    ~10k ``_triples`` calls of a large-cg provenance took about 14% longer.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    separator = "[" + inner
+    for item in items:
+        yield separator + item
+        separator = "," + inner
+    yield "[]" if separator[0] == "[" else "\n" + "  " * depth + "]"
+
+
+_BY_ID = itemgetter(0)
+
+
+@functools.cache
+def _relation_template(arity: int) -> str:
+    """The %-template of a relation node whose ``args`` holds ``arity`` items."""
+    return _RELATION % ("%s", "%s", _array(["%s"] * arity, 3))
+
+
+_MEMBER = "%s: %s".__mod__
+
+
+def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], depth: int) -> str:
+    """A JSON object from (key, value) pairs, each value through ``encode``.
+
+    A repeated key keeps its last value.
+    """
     if not pairs:
         return "{}"
+    mapping = dict(pairs)
     inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join([_enc(key) + ": " + value for key, value in dict(pairs).items()])
+    body = ("," + inner).join(map(_MEMBER, zip(map(_enc, mapping), map(encode, mapping.values()))))
     return "{" + inner + body + "\n" + "  " * depth + "}"
 
 
@@ -275,23 +308,23 @@ def load_vocabulary(path: "str | Path") -> Vocabulary:
         raise VocabularyError(f"{path}: {exc}") from exc
 
 
-def _graph_fields(graph: ConceptualGraph) -> str:
-    """The "concepts" and "relations" members of a cg or gamma-cg document."""
-    concepts = graph.concepts
-    relations = graph.relations
-    concept_items = []
-    for node_id in sorted(concepts):
-        node = concepts[node_id]
-        marker = "null" if node.marker is None else _enc(node.marker)
-        concept_items.append(_CONCEPT % (_enc(node_id), _enc(node.type_id), marker))
-    relation_items = []
-    for node_id in sorted(relations):
-        node = relations[node_id]
-        args = _array([_enc(arg) for arg in node.args], 3)
-        relation_items.append(_RELATION % (_enc(node_id), _enc(node.type_id), args))
-    return (
-        '  "concepts": ' + _array(concept_items, 1)
-        + ',\n  "relations": ' + _array(relation_items, 1)
+def _graph_fields(graph: ConceptualGraph) -> Iterator[str]:
+    """The "concepts" and "relations" members of a cg or gamma-cg document, node by node."""
+    yield '  "concepts": '
+    yield from _stream(
+        (
+            _CONCEPT % (_enc(node_id), _enc(type_id), "null" if marker is None else _enc(marker))
+            for node_id, type_id, marker in sorted(graph.concepts.values(), key=_BY_ID)
+        ),
+        1,
+    )
+    yield ',\n  "relations": '
+    yield from _stream(
+        (
+            _relation_template(len(args)) % (_enc(node_id), _enc(type_id), *map(_enc, args))
+            for node_id, type_id, args in sorted(graph.relations.values(), key=_BY_ID)
+        ),
+        1,
     )
 
 
@@ -361,18 +394,19 @@ def _load_graph(document: dict[str, Any], path: Path) -> ConceptualGraph:
     _require_unique(ids, relations, "relations", path)
     try:
         return ConceptualGraph(concepts, relations)
-    except StructureError as exc:
-        raise StructureError(f"{path}: {exc}") from exc
-    except TypeError:
-        # An unhashable argument: find it only now, so loading a valid graph
-        # never pays for a per-argument type check.
+    except (StructureError, TypeError) as exc:
+        # A missing concept, or an unhashable argument, may be an argument
+        # that is not a string: look for one only now, so loading a valid
+        # graph never pays for a per-argument type check.
         for index, entry in enumerate(entries):
             _list_of(entry["args"], str, path, f"relations[{index}].args")
-        raise
+        if isinstance(exc, TypeError):
+            raise
+        raise StructureError(f"{path}: {exc}") from exc
 
 
 def save_cg(path: "str | Path", graph: ConceptualGraph) -> None:
-    _write(Path(path), "cg", (_graph_fields(graph),))
+    _write(Path(path), "cg", _graph_fields(graph))
 
 
 def load_cg(path: "str | Path") -> ConceptualGraph:
@@ -383,7 +417,7 @@ def load_cg(path: "str | Path") -> ConceptualGraph:
 
 
 def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
-    variables = [
+    variables = (
         _VARIABLE
         % (
             _enc(variable.name),
@@ -392,13 +426,14 @@ def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
             _array([_enc(value) for value in variable.domain], 3),
         )
         for variable in gcg.variables
-    ]
-    members = '  "name": %s,\n%s,\n  "variables": %s' % (
-        _enc(gcg.name),
-        _graph_fields(gcg.graph),
-        _array(variables, 1),
     )
-    _write(Path(path), "gamma-cg", (members,))
+    members = chain(
+        ('  "name": %s,\n' % _enc(gcg.name),),
+        _graph_fields(gcg.graph),
+        (',\n  "variables": ',),
+        _stream(variables, 1),
+    )
+    _write(Path(path), "gamma-cg", members)
 
 
 def load_gamma_cg(path: "str | Path") -> GammaCG:
@@ -473,24 +508,28 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
 
 
 def _provenance_members(provenances: Sequence[GenerationProvenance]) -> Iterator[str]:
-    """The "perCG" member, one CG at a time, so the whole text is never held at once."""
-    separator = "\n    "
-    yield '  "perCG": ['
+    """The "perCG" member, draw by draw, so the whole text is never held at once."""
+    separator = "[\n    "
+    yield '  "perCG": '
     for provenance in provenances:
-        draws = [
-            _DRAW
-            % (
-                _enc(draw.gamma_name),
-                _object([(name, _enc(value)) for name, value in draw.assignments], 5),
-                _object([(slot, _int(steps)) for slot, steps in draw.specialisations], 5),
-                _triples(draw.merged),
-                _triples(draw.skipped_merges),
-            )
-            for draw in provenance.draws
-        ]
-        yield separator + _CG_ENTRY % (_int(provenance.cg_index), _array(draws, 3))
+        yield separator + _CG_ENTRY % _int(provenance.cg_index)
+        yield from _stream(
+            (
+                _DRAW
+                % (
+                    _enc(draw.gamma_name),
+                    _object(draw.assignments, _enc, 5),
+                    _object(draw.specialisations, _int, 5),
+                    _triples(draw.merged),
+                    _triples(draw.skipped_merges),
+                )
+                for draw in provenance.draws
+            ),
+            3,
+        )
+        yield "\n    }"
         separator = ",\n    "
-    yield "\n  ]" if provenances else "]"
+    yield "\n  ]" if provenances else "[]"
 
 
 def _raise_first_malformed_draw(draws: list[Any], path: Path, where: str) -> None:

@@ -264,7 +264,6 @@ class InstantiationOutcome(NamedTuple):
     labels: dict[str, str]
     markers: dict[str, str]
     assignments: tuple[tuple[str, str], ...]
-    type_slots: tuple[tuple[str, str], ...]
 
 
 class DrawPlan:
@@ -280,7 +279,12 @@ class DrawPlan:
       under the node's marker ceiling (unless a marker variable redraws the
       marker);
     - for each incident relation that carries a relation variable, the
-      restriction at that position for every type it can draw.
+      restriction at that position for every type it can draw;
+    - ``rows``, the one attribute the generator reads to assemble a draw:
+      the concepts by position (``ConceptNode``s), the relations by
+      position as (id, type, argument positions), and the type slots in
+      draw order as (provenance key, node id, hierarchy, argument (id,
+      type) pairs, or ``None`` for a concept slot).
 
     Every list keeps domain order, so a draw consumes the RNG exactly as
     filtering the whole domain would. Unknown labels the draw would read
@@ -301,10 +305,18 @@ class DrawPlan:
 
         drawable: dict[str, tuple[str, ...]] = {}
         relation_steps = []
-        type_slots = []
+        slots = []
         for variable in by_kind[TARGET_RELATION_TYPE]:
             node = graph.relations[variable.target.node_id]
             hierarchy = vocab.relation_hierarchy(node.type_id)
+            slots.append(
+                (
+                    f"{TARGET_RELATION_TYPE}:{node.node_id}",
+                    node.node_id,
+                    hierarchy,
+                    tuple((arg, graph.concepts[arg].type_id) for arg in node.args),
+                )
+            )
             arg_types = [
                 None if arg in concept_nodes else graph.concepts[arg].type_id
                 for arg in node.args
@@ -319,7 +331,6 @@ class DrawPlan:
             )
             drawable[node.node_id] = effective
             relation_steps.append((variable.name, node.node_id, effective))
-            type_slots.append((TARGET_RELATION_TYPE, node.node_id))
 
         concept_steps = []
         for variable in by_kind[TARGET_CONCEPT_TYPE]:
@@ -345,7 +356,7 @@ class DrawPlan:
                 if candidate in up and all(bound in up[candidate] for bound in fixed)
             )
             concept_steps.append((variable.name, node_id, effective, tuple(drawn)))
-            type_slots.append((TARGET_CONCEPT_TYPE, node_id))
+            slots.append((f"{TARGET_CONCEPT_TYPE}:{node_id}", node_id, concepts, None))
 
         marker_steps = []
         for variable in by_kind[TARGET_MARKER]:
@@ -355,12 +366,20 @@ class DrawPlan:
                 concepts.require(node_type)
             marker_steps.append((variable.name, node_id, node_type, variable.domain))
 
+        position = {node_id: index for index, node_id in enumerate(graph.concepts)}
         self.gcg = gcg
         self._up = up
         self._relation_steps = tuple(relation_steps)
         self._concept_steps = tuple(concept_steps)
         self._marker_steps = tuple(marker_steps)
-        self._type_slots = tuple(type_slots)
+        self.rows = (
+            tuple(graph.concepts.values()),
+            tuple(
+                (node.node_id, node.type_id, tuple(position[arg] for arg in node.args))
+                for node in graph.relations.values()
+            ),
+            tuple(slots),
+        )
 
     def draw(self, rng: random.Random, mint: MarkerMint) -> InstantiationOutcome:
         """Draw every variable once; see ``instantiate``."""
@@ -372,7 +391,7 @@ class DrawPlan:
                 raise InstantiationError(
                     f"variable {name!r} of {self.gcg.name!r} has no admissible relation type"
                 )
-            choice = effective[rng.randrange(len(effective))]
+            choice = rng.choice(effective)
             labels[node_id] = choice
             assignments.append((name, choice))
 
@@ -380,15 +399,13 @@ class DrawPlan:
             if drawn:
                 restrictions = [table[labels[rel_id]] for rel_id, table in drawn]
                 effective = [
-                    candidate
-                    for candidate in effective
-                    if all(restriction in up[candidate] for restriction in restrictions)
+                    candidate for candidate in effective if up[candidate].issuperset(restrictions)
                 ]
             if not effective:
                 raise InstantiationError(
                     f"variable {name!r} of {self.gcg.name!r} has no admissible concept type"
                 )
-            choice = effective[rng.randrange(len(effective))]
+            choice = rng.choice(effective)
             labels[node_id] = choice
             assignments.append((name, choice))
 
@@ -403,13 +420,13 @@ class DrawPlan:
                 if candidate in registry and registry[candidate].type_id in carried
             ]
             if effective:
-                choice = effective[rng.randrange(len(effective))]
+                choice = rng.choice(effective)
             else:
                 choice = mint.mint(node_type)
             markers[node_id] = choice
             assignments.append((name, choice))
 
-        return InstantiationOutcome(labels, markers, tuple(assignments), self._type_slots)
+        return InstantiationOutcome(labels, markers, tuple(assignments))
 
 
 def instantiate(

@@ -7,6 +7,10 @@ specialized label by label (only labels that were type variables, at most
 individual marker collapse to one node that keeps the most specific of the
 types and inherits both neighborhoods.
 
+A draw is assembled by position from the rows its gamma-CG's ``DrawPlan``
+compiled once; its nodes take the CG's next ``c<i>``/``r<j>`` ids, so no
+id is remapped through a dict.
+
 Dataset generation derives one independent RNG stream per output index from
 the seed, so results are reproducible and independent of scheduling.
 """
@@ -15,20 +19,20 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
     ConceptualGraph,
     Marker,
     RelationNode,
+    TypeHierarchy,
     Vocabulary,
     _walk_down,
     signature_admits,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
 from .gamma import (
-    TARGET_CONCEPT_TYPE,
     DrawPlan,
     GammaCG,
     InstantiationOutcome,
@@ -115,67 +119,51 @@ class _Assembler:
     def size(self) -> int:
         return len(self._types) + len(self._relations)
 
-    def _fold(
-        self,
-        node_id: str,
-        type_id: str,
-        marker: str | None,
-        merged: list[tuple[str, str, str]],
-        skipped: list[tuple[str, str, str]],
-    ) -> str:
-        types = self._types
-        if marker is not None:
-            up = self._up
-            candidates = self._by_marker.setdefault(marker, [])
-            for kept_id in candidates:
-                kept_type = types[kept_id]
-                # Keep the lower of two comparable types; leave incomparable ones apart.
-                if type_id in up[kept_type]:
-                    pass
-                elif kept_type in up[type_id]:
-                    types[kept_id] = type_id
-                else:
-                    skipped.append((marker, kept_id, node_id))
-                    continue
-                merged.append((marker, kept_id, node_id))
-                return kept_id
-            candidates.append(node_id)
-        types[node_id] = type_id
-        self._markers[node_id] = marker
-        return node_id
-
     def absorb(
         self,
-        graph: ConceptualGraph,
-        ids: Mapping[str, str] | None = None,
-        labels: Mapping[str, str] | None = None,
-        markers: Mapping[str, str] | None = None,
+        concepts: Iterable[tuple[str, str, str | None]],
+        relations: Iterable[tuple[str, str, Sequence[int]]],
     ) -> tuple[tuple[tuple[str, str, str], ...], tuple[tuple[str, str, str], ...]]:
-        """Fold one graph in, each node under ``ids[node]`` typed ``labels[node]``.
+        """Fold one component in; return its merge entries and skipped merges.
 
-        A concept node carries ``markers[node]``. A node missing from a
-        mapping keeps its own id, type or marker. The final ids must not
-        collide with ids absorbed before.
+        ``concepts`` holds (id, type, marker) rows and ``relations`` holds
+        (id, type, argument positions) rows, each position indexing
+        ``concepts``. The ids must not collide with ids absorbed before.
         """
-        ids = ids or {}
-        labels = labels or {}
-        markers = markers or {}
+        up = self._up
+        types = self._types
+        markers = self._markers
+        by_marker = self._by_marker
         merged: list[tuple[str, str, str]] = []
         skipped: list[tuple[str, str, str]] = []
-        final: dict[str, str] = {}
-        for node_id, node in graph.concepts.items():
-            final[node_id] = self._fold(
-                ids.get(node_id, node_id),
-                labels.get(node_id, node.type_id),
-                markers.get(node_id, node.marker),
-                merged,
-                skipped,
-            )
-        for node_id, node in graph.relations.items():
-            new_id = ids.get(node_id, node_id)
-            self._relations[new_id] = RelationNode(
-                new_id, labels.get(node_id, node.type_id), tuple(final[a] for a in node.args)
-            )
+        final: list[str] = []
+        for node_id, type_id, marker in concepts:
+            if marker is not None:
+                candidates = by_marker.setdefault(marker, [])
+                for kept_id in candidates:
+                    kept_type = types[kept_id]
+                    # Keep the lower of two comparable types; leave incomparable ones apart.
+                    if type_id in up[kept_type]:
+                        pass
+                    elif kept_type in up[type_id]:
+                        types[kept_id] = type_id
+                    else:
+                        skipped.append((marker, kept_id, node_id))
+                        continue
+                    merged.append((marker, kept_id, node_id))
+                    final.append(kept_id)
+                    break
+                else:
+                    candidates.append(node_id)
+                    kept_id = None
+                if kept_id is not None:
+                    continue
+            final.append(node_id)
+            types[node_id] = type_id
+            markers[node_id] = marker
+        added = self._relations
+        for node_id, type_id, args in relations:
+            added[node_id] = RelationNode(node_id, type_id, tuple([final[a] for a in args]))
         return tuple(merged), tuple(skipped)
 
     def snapshot(self) -> ConceptualGraph:
@@ -189,37 +177,36 @@ class _Assembler:
 
 def _specialise(
     vocab: Vocabulary,
-    graph: ConceptualGraph,
+    slots: Sequence[tuple[str, str, TypeHierarchy, tuple[tuple[str, str], ...] | None]],
     outcome: InstantiationOutcome,
-    max_spe: int,
+    spread: Sequence[int],
     rng: random.Random,
 ) -> tuple[dict[str, str], tuple[tuple[str, int], ...]]:
-    """Walk each type-variable label 0..max_spe steps down its hierarchy.
+    """Walk each type-variable label down its hierarchy, ``rng.choice(spread)`` moves at most.
 
-    ``graph`` is the gamma-CG's graph that ``outcome`` was drawn from.
-    Returns the new label of each type slot, keyed by node id, and the steps
-    taken per slot. Relation labels only step to children whose signatures
-    stay satisfied by the node's current argument types; concept labels may
-    take any downward step (descending preserves every constraint).
+    ``slots`` are the type slots of the draw's ``DrawPlan.rows`` and
+    ``spread`` is ``range(max_spe + 1)``. Returns the drawn labels, extended
+    in place with the new label of each type slot, and the steps taken per
+    slot. Relation labels only step to children whose signatures stay
+    satisfied by the node's current argument types; concept labels may take
+    any downward step (descending preserves every constraint).
     """
-    concepts = graph.concepts
-    labels = dict(outcome.labels)
+    labels = outcome.labels
     steps_taken: list[tuple[str, int]] = []
-    for kind, node_id in outcome.type_slots:
-        moves = rng.randint(0, max_spe)
-        if kind == TARGET_CONCEPT_TYPE:
-            labels[node_id], taken = _walk_down(vocab.concepts, labels[node_id], moves, rng)
+    for key, node_id, hierarchy, args in slots:
+        moves = rng.choice(spread)
+        if args is None:
+            labels[node_id], taken = _walk_down(hierarchy, labels[node_id], moves, rng)
         else:
-            args = graph.relations[node_id].args
-            arg_types = [labels.get(arg, concepts[arg].type_id) for arg in args]
+            arg_types = [labels.get(arg, type_id) for arg, type_id in args]
             labels[node_id], taken = _walk_down(
-                vocab.relation_hierarchy(labels[node_id]),
+                hierarchy,
                 labels[node_id],
                 moves,
                 rng,
                 lambda child: signature_admits(vocab, child, arg_types),
             )
-        steps_taken.append((f"{kind}:{node_id}", taken))
+        steps_taken.append((key, taken))
     return labels, tuple(steps_taken)
 
 
@@ -235,7 +222,8 @@ def generate_one(
 
     ``plans`` holds one ``DrawPlan(vocab, gcg)`` per gamma-CG. Draws them
     uniformly with replacement; a gamma-CG failing instantiation
-    INSTANTIATION_RETRIES times is skipped for this CG.
+    INSTANTIATION_RETRIES times is skipped for this CG. Each draw's concept
+    and relation rows are absorbed under the next sequential ids.
     """
     if not plans:
         raise ConfigError("plans must be non-empty")
@@ -244,6 +232,8 @@ def generate_one(
     # Sequential ids local to this CG; merged concepts still use up a number.
     next_concept = next_relation = 0
     draws: list[ComponentDraw] = []
+    indices = range(len(plans))
+    spread = range(config.max_spe + 1)
     failures = [0] * len(plans)
     skipped_gammas: set[int] = set()
     total_draws = 0
@@ -252,7 +242,7 @@ def generate_one(
         total_draws += 1
         if total_draws > _MAX_DRAWS_PER_CG:
             raise GenerationError("generation is not making progress towards min_size")
-        index = rng.randrange(len(plans))
+        index = rng.choice(indices)
         if index in skipped_gammas:
             continue
         plan = plans[index]
@@ -266,13 +256,20 @@ def generate_one(
                     raise GenerationError("every gamma-CG failed instantiation repeatedly")
             continue
 
-        graph = plan.gcg.graph
-        labels, steps = _specialise(vocab, graph, outcome, config.max_spe, rng)
-        ids = {nid: f"c{next_concept + i}" for i, nid in enumerate(graph.concepts)}
-        ids.update({nid: f"r{next_relation + j}" for j, nid in enumerate(graph.relations)})
-        next_concept += len(graph.concepts)
-        next_relation += len(graph.relations)
-        merged, skipped = assembler.absorb(graph, ids, labels, outcome.markers)
+        concept_rows, relation_rows, slots = plan.rows
+        labels, steps = _specialise(vocab, slots, outcome, spread, rng)
+        markers = outcome.markers
+        concepts = [
+            (f"c{number}", labels.get(node_id, type_id), markers.get(node_id, marker))
+            for number, (node_id, type_id, marker) in enumerate(concept_rows, next_concept)
+        ]
+        relations = [
+            (f"r{number}", labels.get(node_id, type_id), args)
+            for number, (node_id, type_id, args) in enumerate(relation_rows, next_relation)
+        ]
+        next_concept += len(concepts)
+        next_relation += len(relations)
+        merged, skipped = assembler.absorb(concepts, relations)
         draws.append(ComponentDraw(plan.gcg.name, outcome.assignments, steps, merged, skipped))
 
     return assembler.snapshot(), GenerationProvenance(0, tuple(draws))

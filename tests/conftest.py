@@ -23,6 +23,7 @@ from cggen import (
     derive_rng,
 )
 from cggen.generator import _Assembler
+from oracles import absorb
 
 META_SEED = 20260808
 
@@ -149,7 +150,7 @@ def build_reference_gammas(vocab, rng, count=8, min_size=8, binary_share=0.9):
             )
             concept_counter += len(component.concepts)
             relation_counter += 1
-            assembler.absorb(component)
+            absorb(assembler, component)
         gammas.append(GammaCG(f"ref-{index}", assembler.snapshot()))
     return gammas
 

@@ -17,6 +17,7 @@ from cggen import (
     GammaCG,
     InstantiationError,
     Marker,
+    GeneratorConfig,
     MarkerMint,
     RelationNode,
     TypeHierarchy,
@@ -25,7 +26,12 @@ from cggen import (
     restriction_for,
 )
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
-from cggen.generator import GenerationProvenance, _Assembler
+from cggen.generator import (
+    INSTANTIATION_RETRIES,
+    ComponentDraw,
+    GenerationProvenance,
+    _Assembler,
+)
 
 
 def brute_reaches(parents: dict[str, tuple[str, ...]], a: str, b: str) -> bool:
@@ -59,11 +65,21 @@ def brute_incidences(graph: ConceptualGraph, concept_id: str) -> list[tuple[str,
     ]
 
 
+def absorb(assembler: _Assembler, graph: ConceptualGraph):
+    """Fold ``graph`` into ``assembler`` under its own node ids."""
+    position = {node_id: index for index, node_id in enumerate(graph.concepts)}
+    relations = [
+        (node.node_id, node.type_id, [position[arg] for arg in node.args])
+        for node in graph.relations.values()
+    ]
+    return assembler.absorb(graph.concepts.values(), relations)
+
+
 def fold(vocab: Vocabulary, *graphs: ConceptualGraph) -> ConceptualGraph:
     """The generator's merge (join) of ``graphs``, in order; their node ids must not collide."""
     assembler = _Assembler(vocab)
     for graph in graphs:
-        assembler.absorb(graph)
+        absorb(assembler, graph)
     return assembler.snapshot()
 
 
@@ -238,6 +254,94 @@ def brute_instantiate(
         for nid, node in gcg.graph.relations.items()
     }
     return ConceptualGraph(concepts, relations), tuple(assignments), tuple(type_slots)
+
+
+def _reference_walk(hierarchy, type_id, moves, rng, keep=None):
+    """The downward walk as it was: ``randrange`` over the children passing ``keep``."""
+    parents = hierarchy.parents
+    current = type_id
+    taken = 0
+    for _ in range(moves):
+        kids = [kid for kid in sorted(parents) if current in parents[kid]]
+        kids = [kid for kid in kids if keep is None or keep(kid)]
+        if not kids:
+            break
+        current = kids[rng.randrange(len(kids))]
+        taken += 1
+    return current, taken
+
+
+def reference_generate_one(
+    vocab: Vocabulary,
+    gammas: Sequence[GammaCG],
+    config: GeneratorConfig,
+    rng: random.Random,
+    *,
+    mint: MarkerMint,
+) -> tuple[ConceptualGraph, GenerationProvenance]:
+    """``generate_one`` as it was before draw plans compiled the assembly step.
+
+    Each draw instantiates with ``brute_instantiate``, takes ``randint(0,
+    max_spe)`` moves per type slot down a ``randrange`` walk that checks
+    each child of a relation label against its signature, then remaps every
+    node id through a dict to the next ``c<i>``/``r<j>`` and folds the
+    component in. A gamma-CG that fails INSTANTIATION_RETRIES times is set
+    aside for the CG.
+    """
+    assembler = _Assembler(vocab)
+    next_concept = next_relation = 0
+    draws: list[ComponentDraw] = []
+    failures = [0] * len(gammas)
+    skipped_gammas: set[int] = set()
+    while assembler.size < config.min_size:
+        index = rng.randrange(len(gammas))
+        if index in skipped_gammas:
+            continue
+        gcg = gammas[index]
+        try:
+            graph, assignments, type_slots = brute_instantiate(vocab, gcg, rng, mint=mint)
+        except InstantiationError:
+            failures[index] += 1
+            if failures[index] >= INSTANTIATION_RETRIES:
+                skipped_gammas.add(index)
+            continue
+        labels: dict[str, str] = {}
+        steps = []
+        for kind, node_id in type_slots:
+            moves = rng.randint(0, config.max_spe)
+            if kind == TARGET_CONCEPT_TYPE:
+                current = graph.concepts[node_id].type_id
+                labels[node_id], taken = _reference_walk(vocab.concepts, current, moves, rng)
+            else:
+                node = graph.relations[node_id]
+                arg_types = [labels.get(arg, graph.concepts[arg].type_id) for arg in node.args]
+                labels[node_id], taken = _reference_walk(
+                    vocab.relations[arity_of(vocab, node.type_id)],
+                    node.type_id,
+                    moves,
+                    rng,
+                    lambda child: _brute_signature_admits(vocab, child, arg_types),
+                )
+            steps.append((f"{kind}:{node_id}", taken))
+        ids = {nid: f"c{next_concept + i}" for i, nid in enumerate(graph.concepts)}
+        ids.update({nid: f"r{next_relation + j}" for j, nid in enumerate(graph.relations)})
+        next_concept += len(graph.concepts)
+        next_relation += len(graph.relations)
+        component = ConceptualGraph(
+            {
+                ids[nid]: ConceptNode(ids[nid], labels.get(nid, node.type_id), node.marker)
+                for nid, node in graph.concepts.items()
+            },
+            {
+                ids[nid]: RelationNode(
+                    ids[nid], labels.get(nid, node.type_id), tuple(ids[arg] for arg in node.args)
+                )
+                for nid, node in graph.relations.items()
+            },
+        )
+        merged, skipped = absorb(assembler, component)
+        draws.append(ComponentDraw(gcg.name, assignments, tuple(steps), merged, skipped))
+    return assembler.snapshot(), GenerationProvenance(0, tuple(draws))
 
 
 def outcome_graph(gcg: GammaCG, outcome) -> ConceptualGraph:

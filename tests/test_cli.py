@@ -629,6 +629,14 @@ def _unhashable_relation_arg(out):
     return "cg-0000.json", "relations[0].args[0] must be str, found list"
 
 
+def _number_relation_arg(out):
+    path = out / "dataset" / "cg-0000.json"
+    doc = json.loads(path.read_text())
+    doc["relations"][0]["args"][0] = 7
+    path.write_text(json.dumps(doc))
+    return "cg-0000.json", "relations[0].args[0] must be str, found int"
+
+
 def _not_utf8(out):
     path = out / "dataset" / "cg-0000.json"
     path.write_bytes(b"\xff\xfe" + path.read_bytes())
@@ -735,6 +743,7 @@ class TestMalformedDataset:
             _int_assignment,
             _list_assignment,
             _unhashable_relation_arg,
+            _number_relation_arg,
             _not_utf8,
             _directory_for_file,
             _duplicate_concept_id,
@@ -750,6 +759,18 @@ class TestMalformedDataset:
 
     def test_vocabulary_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _bool_arity, ("validate", ""))
+
+    def test_gamma_number_relation_arg_exit_2(self, pristine, tmp_path, capsys):
+        def number_arg(out):
+            path = out / "gamma" / "gcg-0.json"
+            doc = json.loads(path.read_text())
+            doc["relations"][-1]["args"][-1] = 7
+            path.write_text(json.dumps(doc))
+            index = len(doc["relations"]) - 1
+            position = len(doc["relations"][-1]["args"]) - 1
+            return "gcg-0.json", f"relations[{index}].args[{position}] must be str, found int"
+
+        self.check_exit_2(pristine, tmp_path, capsys, number_arg, ("validate", ""))
 
     def test_gamma_duplicate_node_id_exit_2(self, pristine, tmp_path, capsys):
         def duplicate(out):

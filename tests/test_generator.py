@@ -22,9 +22,17 @@ from cggen import (
     slot_domain,
     validate_graph,
 )
-from cggen.gamma import TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
+from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
+from cggen.generator import validate_inputs
 from conftest import build_reference_gammas, fresh_rng, make_hierarchy, random_dag_hierarchy
-from oracles import brute_carriers, brute_incidences, brute_marker_domain, brute_subtype, fold
+from oracles import (
+    brute_carriers,
+    brute_incidences,
+    brute_marker_domain,
+    brute_subtype,
+    fold,
+    reference_generate_one,
+)
 
 
 def plans_of(vocab, gammas):
@@ -293,6 +301,81 @@ class TestGenerateOne:
         config = GeneratorConfig(max_cgs=1, min_size=1, seed=1)
         with pytest.raises(ConfigError):
             generate_one(tiny_vocab, [], config, fresh_rng("none"), mint=mint)
+
+
+def oracle_gammas():
+    """Gamma-CGs over tiny_vocab whose draws exercise every step of the loop.
+
+    "repeat" has a relation whose two arguments are one concept under a
+    concept variable, so its relation variable constrains that concept
+    twice; "filtered" walks down from T2 between a Person and a Place,
+    where the signature of knows (Person, Person) filters it out. The
+    markers recur across draws, so nodes merge, and "thing" (Top) lands on
+    incomparable types, so merges are skipped.
+    """
+
+    def variable(name, kind, node, *domain):
+        return Variable(name, VariableTarget(kind, node), domain)
+
+    repeat = GammaCG(
+        "repeat",
+        cg(
+            [ConceptNode("c0", "Person"), ConceptNode("c1", "Place", "home")],
+            [
+                RelationNode("r0", "knows", ("c0", "c0")),
+                RelationNode("r1", "locatedIn", ("c0", "c1")),
+            ],
+        ),
+        (
+            variable("vr", TARGET_RELATION_TYPE, "r0", "T2", "knows", "attends"),
+            variable("vc", TARGET_CONCEPT_TYPE, "c0", "Person", "Student"),
+            variable("vm", TARGET_MARKER, "c0", "alice", "bob", "carol", "thing"),
+        ),
+    )
+    filtered = GammaCG(
+        "filtered",
+        cg(
+            [ConceptNode("a", "Person", "alice"), ConceptNode("b", "Place")],
+            [RelationNode("e", "T2", ("a", "b"))],
+        ),
+        (
+            variable("w", TARGET_RELATION_TYPE, "e", "T2"),
+            variable("m", TARGET_MARKER, "b", "home", "thing"),
+        ),
+    )
+    ternary = GammaCG(
+        "ternary",
+        cg(
+            [ConceptNode("p", "Person", "bob"), ConceptNode("q", "Entity", "rex")],
+            [RelationNode("g", "gives", ("p", "q", "p")), RelationNode("s", "state", ("q",))],
+        ),
+        (variable("t", TARGET_CONCEPT_TYPE, "q", "Entity", "Person", "Place"),),
+    )
+    return [repeat, filtered, ternary]
+
+
+class TestRngConsumption:
+    """generate_one draws from the RNG exactly as the loop it replaced."""
+
+    @pytest.mark.parametrize("max_spe", [0, 3])
+    def test_matches_reference_loop(self, tiny_vocab, max_spe):
+        gammas = oracle_gammas()
+        assert validate_inputs(tiny_vocab, gammas) == []
+        plans = plans_of(tiny_vocab, gammas)
+        config = GeneratorConfig(max_cgs=1, min_size=60, max_spe=max_spe)
+        steps = merges = skips = 0
+        for seed in range(24):
+            rng, mint = derive_rng(seed, "rng"), MarkerMint(tiny_vocab, "m")
+            got = generate_one(tiny_vocab, plans, config, rng, mint=mint)
+            rng, mint = derive_rng(seed, "rng"), MarkerMint(tiny_vocab, "m")
+            want = reference_generate_one(tiny_vocab, gammas, config, rng, mint=mint)
+            assert got == want
+            draws = got[1].draws
+            steps += sum(taken for draw in draws for _, taken in draw.specialisations)
+            merges += sum(len(draw.merged) for draw in draws)
+            skips += sum(len(draw.skipped_merges) for draw in draws)
+        assert merges and skips
+        assert bool(steps) == bool(max_spe)
 
 
 class TestMarkerMint:

@@ -55,6 +55,18 @@ def odd_graph():
     return ConceptualGraph(concepts, relations)
 
 
+def wide_graph():
+    """Relations of arity 0, 4 and 5: each arity has its own relation template."""
+    concepts = {f"c{i}": ConceptNode(f"c{i}", "Top", ODD[i]) for i in range(5)}
+    relations = {
+        "r0": RelationNode("r0", "nullary", ()),
+        "r1": RelationNode("r1", "quaternary", ("c3", "c0", "c3", "c1")),
+        "r2": RelationNode("r2", "quinary", ("c4", "c3", "c2", "c1", "c0")),
+        "r3": RelationNode("r3", "nullary", ()),
+    }
+    return ConceptualGraph(concepts, relations)
+
+
 def gamma_with_variables():
     graph = odd_graph()
     concept = sorted(graph.concepts)[0]
@@ -93,8 +105,9 @@ class TestCgWriter:
             ConceptualGraph({}, {}),
             ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {}),
             odd_graph(),
+            wide_graph(),
         ],
-        ids=["empty", "one-generic", "odd-strings-arity-1-3"],
+        ids=["empty", "one-generic", "odd-strings-arity-1-3", "arity-0-4-5"],
     )
     def test_matches_json_dumps(self, graph, tmp_path):
         path = tmp_path / "cg.json"
@@ -116,8 +129,13 @@ class TestGammaCgWriter:
             GammaCG("empty", ConceptualGraph({}, {})),
             GammaCG("plain", odd_graph()),
             gamma_with_variables(),
+            GammaCG(
+                "wide",
+                wide_graph(),
+                (Variable("v", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("nullary",)),),
+            ),
         ],
-        ids=["empty", "no-variables", "variables"],
+        ids=["empty", "no-variables", "variables", "arity-0-4-5"],
     )
     def test_matches_json_dumps(self, gcg, tmp_path):
         path = tmp_path / "gamma.json"
