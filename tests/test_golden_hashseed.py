@@ -18,10 +18,10 @@ import cggen
 from test_golden import GOLDEN_FILES, GOLDEN_SHA256, README_CONFIG, tree_digest
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "1"])
-def test_golden_digest_under_fixed_hash_seed(tmp_path, hash_seed):
+def run_generate(tmp_path, run_config, hash_seed):
+    """Run `cggen generate` on ``run_config`` in a child with a fixed hash seed; the output path."""
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(README_CONFIG))
+    config.write_text(json.dumps(run_config))
     out = tmp_path / "out"
     src = str(Path(cggen.__file__).resolve().parent.parent)
     env = dict(
@@ -37,4 +37,10 @@ def test_golden_digest_under_fixed_hash_seed(tmp_path, hash_seed):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+    return out
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_golden_digest_under_fixed_hash_seed(tmp_path, hash_seed):
+    out = run_generate(tmp_path, README_CONFIG, hash_seed)
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
