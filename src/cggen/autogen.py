@@ -298,15 +298,6 @@ class AutoVarResult(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def _sample_domain(
-    admissible: frozenset[str], requested: int, rng: random.Random
-) -> list[str]:
-    pool = sorted(admissible)
-    if requested >= len(pool):
-        return pool
-    return rng.sample(pool, requested)
-
-
 def auto_variables(
     vocab: Vocabulary,
     gammas: "list[GammaCG] | tuple[GammaCG, ...]",
@@ -319,10 +310,10 @@ def auto_variables(
 
     Slots are chosen uniformly among the free ones; each domain is a sample
     of ``values_per_variable`` elements of the computed admissible domain,
-    and type-label domains are then specialized up to ``specialisations``
-    steps per value. May be run on gamma-CGs that already carry variables;
-    requesting more variables than there are free slots truncates the count
-    and emits a warning.
+    drawn by index from its values in id order, and type-label domains are
+    then specialized up to ``specialisations`` steps per value. May be run
+    on gamma-CGs that already carry variables; requesting more variables
+    than there are free slots truncates the count and emits a warning.
     """
     warnings: list[str] = []
     out: list[GammaCG] = []
@@ -377,7 +368,7 @@ def auto_variables(
                     warnings.append(f"{gcg.name}: no admissible {plural} for {node_id}")
                     continue
                 k = max(1, sample_param(config.values_per_variable, (0, 100_000), rng))
-                values = _sample_domain(admissible, k, rng)
+                values = admissible if k >= len(admissible) else rng.sample(admissible, k)
                 if kind != TARGET_MARKER:
                     hierarchy = (
                         vocab.concepts

@@ -281,6 +281,9 @@ class Vocabulary(_Vocabulary):
                     f"marker {marker.marker_id!r} has unknown type {marker.type_id!r}"
                 )
             markers_by_type.setdefault(marker.type_id, []).append(marker.marker_id)
+        # Each type's ids in id order, so markers_typed only merges presorted runs.
+        for marker_ids in markers_by_type.values():
+            marker_ids.sort()
 
         object.__setattr__(self, "_arity_by_type", arity_by_type)
         object.__setattr__(self, "_markers_by_type", markers_by_type)
@@ -306,9 +309,12 @@ class Vocabulary(_Vocabulary):
         return self.signatures[relation_type]
 
     def markers_typed(self, type_ids: Iterable[str]) -> list[str]:
-        """Ids of the registered markers whose type is in the set ``type_ids``."""
+        """Ids of the registered markers whose type is in the set ``type_ids``, in id order.
+
+        The index holds each type's ids sorted, so this sort only merges presorted runs.
+        """
         by_type = self._markers_by_type  # type: ignore[attr-defined]
-        return [marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ())]
+        return sorted([marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ())])
 
     def with_markers(self, extra: "list[Marker] | tuple[Marker, ...]") -> "Vocabulary":
         """A copy of this vocabulary with additional markers registered."""

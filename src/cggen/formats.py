@@ -45,13 +45,14 @@ def _dump(path: Path, document: dict[str, Any]) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
-# The CG, gamma-CG and provenance writers emit the layout of
-# json.dumps(document, indent=2) + "\n" directly: every scalar goes through
-# the C string encoder, every node or draw through one %-template. This is
-# several times faster than json.dumps with an indent, which always runs the
-# pure-Python encoder. They stream a document node by node and draw by draw,
-# so no writer holds the whole text of a CG or of its provenance.
-# docs/formats.md states the layout.
+# Every writer but the manifest's (``_dump``, a handful of fields) emits the
+# layout of json.dumps(document, indent=2) + "\n" directly: every scalar goes
+# through the C string encoder, every node, marker or draw through one
+# %-template. This is several times faster than json.dumps with an indent,
+# which always runs the pure-Python encoder. The CG, gamma-CG and provenance
+# writers stream a document node by node and draw by draw, so no writer holds
+# the whole text of a CG or of its provenance. docs/formats.md states the
+# layout.
 _enc = json.encoder.encode_basestring_ascii
 _int = int.__repr__
 
@@ -61,6 +62,7 @@ _VARIABLE = (
     '{\n      "name": %s,\n      "target": {\n        "kind": %s,\n        "node": %s\n'
     '      },\n      "domain": %s\n    }'
 )
+_MARKER = '{\n      "id": %s,\n      "type": %s\n    }'
 _CG_ENTRY = '{\n      "index": %s,\n      "draws": '
 _DRAW = (
     '{\n          "gamma": %s,\n          "assignments": %s,\n'
@@ -210,35 +212,43 @@ def _list_of(value: list[Any], expected: type, path: Path, where: str) -> list[A
     return value
 
 
-def _hierarchy_doc(hierarchy: TypeHierarchy, signatures: dict[str, Signature] | None) -> dict[str, Any]:
+def _hierarchy_members(
+    hierarchy: TypeHierarchy, signatures: dict[str, Signature] | None, depth: int
+) -> str:
+    """The "root" and "types" members of a hierarchy object whose members sit at ``depth``."""
+    labels, parents = hierarchy.labels, hierarchy.parents
     types = []
-    for type_id in sorted(hierarchy.labels, key=lambda t: hierarchy.labels[t]):
-        entry: dict[str, Any] = {
-            "id": type_id,
-            "label": hierarchy.labels[type_id],
-            "parents": sorted(hierarchy.parents[type_id]),
-        }
+    for type_id in sorted(labels, key=labels.__getitem__):
+        members = [
+            ("id", _enc(type_id)),
+            ("label", _enc(labels[type_id])),
+            ("parents", _array([_enc(parent) for parent in sorted(parents[type_id])], depth + 2)),
+        ]
         if signatures is not None:
-            entry["signature"] = list(signatures[type_id].restrictions)
-        types.append(entry)
-    return {"root": hierarchy.root, "types": types}
+            restrictions = signatures[type_id].restrictions
+            members.append(("signature", _array([_enc(t) for t in restrictions], depth + 2)))
+        types.append(_object(members, str, depth + 1))
+    pad = "  " * depth
+    return '%s"root": %s,\n%s"types": %s' % (pad, _enc(hierarchy.root), pad, _array(types, depth))
 
 
 def save_vocabulary(path: "str | Path", vocab: Vocabulary) -> None:
-    document = {
-        "formatVersion": FORMAT_VERSION,
-        "kind": "vocabulary",
-        "conceptTypes": _hierarchy_doc(vocab.concepts, None),
-        "relationTypes": [
-            {"arity": arity, **_hierarchy_doc(vocab.relations[arity], vocab.signatures)}
-            for arity in sorted(vocab.relations)
-        ],
-        "markers": [
-            {"id": marker.marker_id, "type": marker.type_id}
-            for marker in sorted(vocab.markers.values(), key=lambda m: m.marker_id)
-        ],
-    }
-    _dump(Path(path), document)
+    concepts = "{\n%s\n  }" % _hierarchy_members(vocab.concepts, None, 2)
+    relations = [
+        '{\n      "arity": %s,\n%s\n    }'
+        % (_int(arity), _hierarchy_members(vocab.relations[arity], vocab.signatures, 3))
+        for arity in sorted(vocab.relations)
+    ]
+    markers = [
+        _MARKER % (_enc(marker_id), _enc(type_id))
+        for marker_id, type_id in sorted(vocab.markers.values(), key=_BY_ID)
+    ]
+    members = '  "conceptTypes": %s,\n  "relationTypes": %s,\n  "markers": %s' % (
+        concepts,
+        _array(relations, 1),
+        _array(markers, 1),
+    )
+    _write(Path(path), "vocabulary", (members,))
 
 
 def _load_hierarchy(

@@ -125,8 +125,8 @@ def slot_domain(
     target: VariableTarget,
     *,
     signature_compatible: bool = False,
-) -> frozenset[str]:
-    """The admissible values of one label slot, for validation and auto-var.
+) -> tuple[str, ...]:
+    """The admissible values of one label slot in id order, for validation and auto-var.
 
     - A relation type: every relation type of the node's arity; with
       ``signature_compatible``, only those whose signature admits the
@@ -143,7 +143,8 @@ def slot_domain(
     node, an unknown type on an unmarked node's marker slot, an unknown
     relation type and, with ``signature_compatible``, an unknown argument
     type raise UnknownIdentifierError. The node's other labels are expected
-    to have passed ``validate_graph``.
+    to have passed ``validate_graph``. Id order makes a sample drawn by
+    index independent of string hashing.
     """
     kind, node_id = target.kind, target.node_id
     graph = gcg.graph
@@ -151,13 +152,13 @@ def slot_domain(
         relation = graph.relations.get(node_id)
         if relation is None:
             raise UnknownIdentifierError(f"{node_id!r} is not a relation node of {gcg.name!r}")
-        candidates = vocab.relation_hierarchy(relation.type_id).labels
+        candidates = vocab.relation_hierarchy(relation.type_id).type_ids()
         if not signature_compatible:
-            return frozenset(candidates)
+            return candidates
         arg_types = [graph.concepts[arg].type_id for arg in relation.args]
         for arg_type in arg_types:
             vocab.concepts.require(arg_type)
-        return frozenset(c for c in candidates if signature_admits(vocab, c, arg_types))
+        return tuple(c for c in candidates if signature_admits(vocab, c, arg_types))
 
     node = graph.concepts.get(node_id)
     if node is None:
@@ -168,19 +169,19 @@ def slot_domain(
         for rel_id, position in _incidences(graph).get(node_id, ()):
             relation_type = graph.relations[rel_id].type_id
             admissible &= concepts.down[restriction_for(vocab, relation_type, position)]
-        return frozenset(admissible)
+        return tuple(sorted(admissible))
     if node.marker is not None:
         current = vocab.markers.get(node.marker)
         if current is None:
             raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
-        return frozenset(vocab.markers_typed(concepts.down[current.type_id]))
+        return tuple(vocab.markers_typed(concepts.down[current.type_id]))
     concepts.require(node.type_id)
     up = concepts.up
     types = [node.type_id]
     for variable in gcg.variables:
         if variable.target == VariableTarget(TARGET_CONCEPT_TYPE, node_id):
             types = [t for t in variable.domain if t in up]
-    return frozenset(vocab.markers_typed({above for t in types for above in up[t]}))
+    return tuple(vocab.markers_typed({above for t in types for above in up[t]}))
 
 
 def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
@@ -198,12 +199,12 @@ def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
         if not variable.domain:
             problems.append(f"empty-domain {name}: variable domain must be non-empty")
             continue
-        admissible = slot_domain(vocab, gcg, target)
+        outside = set(variable.domain).difference(slot_domain(vocab, gcg, target))
         problems.extend(
             f"inadmissible-value {name}: {value!r} is not admissible"
             f" for {target.kind} of {target.node_id!r}"
             for value in variable.domain
-            if value not in admissible
+            if value in outside
         )
     return problems
 
@@ -223,6 +224,8 @@ class MarkerMint:
         self.minted: dict[str, Marker] = {}
         self._all = dict(vocab.markers)
         self._minted_by_type: dict[str, list[str]] = {}
+        # carriers() per concept type, until the next mint.
+        self._carriers: dict[str, tuple[str, ...]] = {}
 
     @property
     def markers(self) -> Mapping[str, Marker]:
@@ -239,15 +242,19 @@ class MarkerMint:
         self.minted[candidate] = marker
         self._all[candidate] = marker
         self._minted_by_type.setdefault(concept_type, []).append(candidate)
+        self._carriers.clear()
         return candidate
 
-    def carriers(self, concept_type: str) -> list[str]:
+    def carriers(self, concept_type: str) -> tuple[str, ...]:
         """Registered and minted markers typed >= ``concept_type`` (a known type), by id."""
-        above = self._vocab.concepts.up[concept_type]
-        found = self._vocab.markers_typed(above)
-        by_type = self._minted_by_type
-        found.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))
-        return sorted(found)
+        found = self._carriers.get(concept_type)
+        if found is None:
+            above = self._vocab.concepts.up[concept_type]
+            ids = self._vocab.markers_typed(above)
+            by_type = self._minted_by_type
+            ids.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))
+            found = self._carriers[concept_type] = tuple(sorted(ids))
+        return found
 
     def extended_vocabulary(self) -> Vocabulary:
         return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))

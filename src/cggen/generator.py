@@ -172,7 +172,8 @@ class _Assembler:
             node_id: ConceptNode(node_id, type_id, markers[node_id])
             for node_id, type_id in self._types.items()
         }
-        return ConceptualGraph(concepts, dict(self._relations))
+        # _make skips __init__'s checks: the assembler built every node itself.
+        return ConceptualGraph._make((concepts, dict(self._relations)))
 
 
 def _specialise(

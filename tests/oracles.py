@@ -139,12 +139,14 @@ def brute_marker_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[st
 
 def brute_carriers(
     vocab: Vocabulary, markers: Mapping[str, Marker], concept_type: str
-) -> list[str]:
+) -> tuple[str, ...]:
     """Markers a concept of ``concept_type`` may carry (type >= it), sorted by id."""
-    return sorted(
-        marker_id
-        for marker_id, marker in markers.items()
-        if brute_subtype(vocab.concepts, concept_type, marker.type_id)
+    return tuple(
+        sorted(
+            marker_id
+            for marker_id, marker in markers.items()
+            if brute_subtype(vocab.concepts, concept_type, marker.type_id)
+        )
     )
 
 
@@ -395,6 +397,33 @@ def recount_stats(dataset: list[ConceptualGraph]) -> dict:
         "nb_labels_mean": mean(nbl),
         "nb_labels_stddev": pstdev(nbl),
         "arity_counts": {a: mean([c.get(a, 0) for c in per_arity]) for a in arities},
+    }
+
+
+def vocabulary_doc(vocab: Vocabulary) -> dict:
+    """The vocabulary document as a dict; the writer must match json.dumps(doc, indent=2)."""
+
+    def hierarchy(h: TypeHierarchy, signed: bool) -> dict:
+        types = []
+        for type_id, label in sorted(h.labels.items(), key=lambda item: item[1]):
+            entry = {"id": type_id, "label": label, "parents": sorted(h.parents[type_id])}
+            if signed:
+                entry["signature"] = list(vocab.signatures[type_id].restrictions)
+            types.append(entry)
+        return {"root": h.root, "types": types}
+
+    return {
+        "formatVersion": "1.0.0",
+        "kind": "vocabulary",
+        "conceptTypes": hierarchy(vocab.concepts, False),
+        "relationTypes": [
+            {"arity": arity, **hierarchy(vocab.relations[arity], True)}
+            for arity in sorted(vocab.relations)
+        ],
+        "markers": [
+            {"id": marker_id, "type": vocab.markers[marker_id].type_id}
+            for marker_id in sorted(vocab.markers)
+        ],
     }
 
 

@@ -426,9 +426,28 @@ class TestMarkersByTypeOnDag:
             for marker in vocab.markers.values():
                 gcg = GammaCG("g", cg([ConceptNode("c0", marker.type_id, marker.marker_id)], []))
                 target = VariableTarget(TARGET_MARKER, "c0")
-                assert slot_domain(vocab, gcg, target) == brute_marker_domain(vocab, gcg, "c0")
+                assert slot_domain(vocab, gcg, target) == tuple(
+                    sorted(brute_marker_domain(vocab, gcg, "c0"))
+                )
             if next_mint is not None:
                 mint.mint(next_mint)
+
+    def test_carriers_follow_mints_interleaved_across_types(self, dag_vocab):
+        # carriers() is memoised per type: a mint of any type must be seen by
+        # the next carriers() call of every type, asked before it or not.
+        mint = MarkerMint(dag_vocab, "t")
+        types = dag_vocab.concepts.type_ids()
+        rng = fresh_rng("carriers-interleaved")
+        minted = 0
+        for _ in range(200):
+            type_id = rng.choice(types)
+            if rng.random() < 0.25:
+                mint.mint(type_id)
+                minted += 1
+            else:
+                want = brute_carriers(dag_vocab, mint.markers, type_id)
+                assert mint.carriers(type_id) == want
+        assert minted >= 20
 
 
 class TestGenerateDataset:
@@ -437,6 +456,9 @@ class TestGenerateDataset:
         result = generate_dataset(vocab, gammas, config)
         assert len(result.graphs) == config.max_cgs
         for graph in result.graphs:
+            # The assembler builds each CG without ConceptualGraph's own
+            # checks; it must still pass them.
+            assert ConceptualGraph(*graph) == graph
             assert validate_graph(result.vocabulary, graph).ok
 
     def test_determinism(self, reference_fixture):

@@ -1,10 +1,10 @@
 """Byte-identity contract for a rich-inputs-shaped config.
 
-The README goldens register 45 markers. This config registers 1800
-(100 on each of 18 concept types), builds 20 gamma-CGs of at least 50 nodes and puts
-12 variables on each, so the marker index, the carrier lists of auto-gcg
-and the sorted slot domains auto-var samples from all act at the scale
-they are meant for. It runs under two fixed `PYTHONHASHSEED` values too, as
+The README goldens register 45 markers. This config registers 1800 (100
+on each of 18 concept types), builds 20 gamma-CGs of at least 50 nodes
+and puts 12 variables on each, so the marker index, the carrier lists of
+auto-gcg and the sorted slot domains auto-var samples from all act at the
+scale they are meant for. It runs under two fixed `PYTHONHASHSEED` values too, as
 `test_golden_hashseed.py` does for the README config, so an order taken
 from iterating a set of ids fails every test run.
 

@@ -9,29 +9,38 @@ import json
 import pytest
 
 from cggen import (
+    CONCEPT,
+    RELATION,
     AutoGcgConfig,
+    AutoVocConfig,
     ConceptNode,
     ConceptualGraph,
     GammaCG,
     GeneratorConfig,
+    Marker,
     ParamSpec,
     RelationNode,
+    Signature,
+    TypeHierarchy,
     Variable,
     VariableTarget,
+    Vocabulary,
     auto_gamma_cgs,
     auto_variables,
     auto_vocabulary,
     compute_stats,
+    derive_rng,
     generate_dataset,
     save_cg,
     save_dataset,
     save_gamma_cg,
+    save_vocabulary,
 )
 from cggen import formats
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
 from cggen.generator import ComponentDraw, GenerationProvenance
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
-from oracles import cg_doc, gamma_cg_doc, provenance_doc
+from oracles import cg_doc, gamma_cg_doc, provenance_doc, vocabulary_doc
 
 # Non-ASCII, astral (a surrogate pair in JSON), quote, backslash and controls.
 ODD = ["café", "\U0001f600x", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f", " "]
@@ -81,6 +90,40 @@ def gamma_with_variables():
     )
 
 
+def readme_vocabulary(markers_per_type):
+    """The README config's vocabulary, as `cggen generate` builds it at seed 42."""
+    config = AutoVocConfig(
+        concept_depth=ParamSpec.fixed(4),
+        relation_depth=ParamSpec.fixed(3),
+        max_children=ParamSpec.fixed(3),
+        markers_per_type=ParamSpec.fixed(markers_per_type),
+    )
+    return auto_vocabulary(config, derive_rng(42, "auto-voc"))
+
+
+def odd_vocabulary():
+    """ODD strings as ids and labels, a type with two parents and an arity-4 relation."""
+    top, a, b, both = ODD[0], ODD[1], ODD[2], ODD[3]
+    concepts = TypeHierarchy(
+        CONCEPT,
+        top,
+        {top: "Top", a: ODD[4], b: ODD[5], both: "bé"},
+        {top: (), a: (top,), b: (top,), both: (a, b)},
+    )
+    quaternary = TypeHierarchy(
+        RELATION, "T4", {"T4": "T4", 'r"4': "r\\4"}, {"T4": (), 'r"4': ("T4",)}, arity=4
+    )
+    unary = TypeHierarchy(RELATION, "T1", {"T1": "T1é"}, {"T1": ()}, arity=1)
+    signatures = {
+        "T4": Signature("T4", (top,) * 4),
+        'r"4': Signature('r"4', (both, a, top, b)),
+        "T1": Signature("T1", (top,)),
+    }
+    types = [both, a, b, top, both, a]
+    markers = {text + "m": Marker(text + "m", type_id) for text, type_id in zip(ODD, types)}
+    return Vocabulary(concepts, {4: quaternary, 1: unary}, signatures, markers)
+
+
 @pytest.fixture(scope="module")
 def generated():
     vocab = auto_vocabulary(REFERENCE_VOC_CONFIG, fresh_rng("writer-voc"))
@@ -120,6 +163,18 @@ class TestCgWriter:
             path = tmp_path / f"cg{index}.json"
             save_cg(path, graph)
             assert path.read_text(encoding="utf-8") == expected(cg_doc(graph))
+
+
+class TestVocabularyWriter:
+    @pytest.mark.parametrize(
+        "vocab",
+        [readme_vocabulary(3), readme_vocabulary(100), readme_vocabulary(0), odd_vocabulary()],
+        ids=["readme", "100-markers-per-type", "no-markers", "odd-strings-dag-arity-4"],
+    )
+    def test_matches_json_dumps(self, vocab, tmp_path):
+        path = tmp_path / "vocabulary.json"
+        save_vocabulary(path, vocab)
+        assert path.read_text(encoding="utf-8") == expected(vocabulary_doc(vocab))
 
 
 class TestGammaCgWriter:
