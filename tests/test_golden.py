@@ -2,10 +2,16 @@
 
 The digest covers every file's relative path and bytes. It may only change
 in a change that sets out to alter the output and says so in CHANGES.md.
+
+The content digest covers the same tree with the provenance read as a JSON
+value, so it holds through a change of the provenance's whitespace alone
+and fails on any change of what the run wrote.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from cggen.cli import main
 
@@ -26,6 +32,7 @@ README_CONFIG = {
 
 GOLDEN_FILES = 73
 GOLDEN_SHA256 = "151ecde206dc4b060e9a735979d5bd0b2ccf6d7f7943728a7d7125d0032b2d09"
+GOLDEN_CONTENT_SHA256 = "00b1e99ca8c3dcf859a23af24cd719e0ce6165c9142790780379d0b341dcb4be"
 
 
 def tree_digest(root):
@@ -38,10 +45,33 @@ def tree_digest(root):
     return len(files), digest.hexdigest()
 
 
-def test_generate_output_digest_is_pinned(tmp_path, capsys):
-    config = tmp_path / "run.json"
+def content_digest(root):
+    """``tree_digest`` with dataset/provenance.json entering as its sorted-key JSON value."""
+    digest = hashlib.sha256()
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    for path in files:
+        name = path.relative_to(root).as_posix()
+        data = path.read_bytes()
+        if name == "dataset/provenance.json":
+            data = json.dumps(json.loads(data), sort_keys=True).encode("utf-8")
+        digest.update(name.encode("utf-8") + b"\0")
+        digest.update(data + b"\0")
+    return len(files), digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    config = root / "run.json"
     config.write_text(json.dumps(README_CONFIG))
-    out = tmp_path / "out"
+    out = root / "out"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
+    return out
+
+
+def test_generate_output_digest_is_pinned(readme_run):
+    assert tree_digest(readme_run) == (GOLDEN_FILES, GOLDEN_SHA256)
+
+
+def test_generate_output_content_is_pinned(readme_run):
+    assert content_digest(readme_run) == (GOLDEN_FILES, GOLDEN_CONTENT_SHA256)
