@@ -225,6 +225,8 @@ def _signature_component(
     vocab: Vocabulary,
     mint: MarkerMint,
     all_relation_types: tuple[str, ...],
+    same_arity: dict[int, tuple[str, ...]],
+    compatible: dict[str, list[str]],
     rng: random.Random,
     concept_counter: int,
     relation_counter: int,
@@ -232,6 +234,9 @@ def _signature_component(
     """One relation node with freshly typed and marked concept arguments.
 
     Returned as the concept and relation rows of ``_Assembler.absorb``.
+    ``same_arity`` maps each arity to its relation type ids and
+    ``compatible`` each concept type to the ids of the types at or below it,
+    both sorted once by the caller.
 
     Every label is treated as unconstrained: the relation type is drawn
     uniformly within its arity and specialized, each argument type is drawn
@@ -240,16 +245,17 @@ def _signature_component(
     """
     seed_type = all_relation_types[rng.randrange(len(all_relation_types))]
     arity = vocab.arity_of(seed_type)
-    hierarchy = vocab.relations[arity]
-    same_arity = hierarchy.type_ids()
-    relation_type = same_arity[rng.randrange(len(same_arity))]
-    relation_type = random_descendant(hierarchy, relation_type, AUTO_SPECIALISE_STEPS, rng)
+    candidates = same_arity[arity]
+    relation_type = candidates[rng.randrange(len(candidates))]
+    relation_type = random_descendant(
+        vocab.relations[arity], relation_type, AUTO_SPECIALISE_STEPS, rng
+    )
 
     concepts: list[ConceptNode] = []
     for position in range(arity):
         restriction = vocab.signature_of(relation_type).restrictions[position]
-        compatible = sorted(vocab.concepts.down[restriction])
-        concept_type = compatible[rng.randrange(len(compatible))]
+        below = compatible[restriction]
+        concept_type = below[rng.randrange(len(below))]
         concept_type = random_descendant(vocab.concepts, concept_type, AUTO_SPECIALISE_STEPS, rng)
         admissible = mint.carriers(concept_type)
         if admissible:
@@ -274,6 +280,8 @@ def auto_gamma_cgs(
         raise ConfigError("vocabulary has no relation types")
     count = sample_param(config.count, (1, 100_000), rng)
     mint = MarkerMint(vocab, "gcg")
+    same_arity = {arity: hierarchy.type_ids() for arity, hierarchy in vocab.relations.items()}
+    compatible = {type_id: sorted(down) for type_id, down in vocab.concepts.down.items()}
 
     gammas: list[GammaCG] = []
     for index in range(count):
@@ -283,7 +291,14 @@ def auto_gamma_cgs(
         relation_counter = 0
         while assembler.size < target_size:
             concepts, relations = _signature_component(
-                vocab, mint, all_relation_types, rng, concept_counter, relation_counter
+                vocab,
+                mint,
+                all_relation_types,
+                same_arity,
+                compatible,
+                rng,
+                concept_counter,
+                relation_counter,
             )
             concept_counter += len(concepts)
             relation_counter += 1
