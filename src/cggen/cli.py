@@ -20,7 +20,7 @@ import secrets
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import formats
 from .autogen import (
@@ -32,10 +32,16 @@ from .autogen import (
     auto_variables,
     auto_vocabulary,
 )
-from .core import Vocabulary, validate_graph
+from .core import ConceptualGraph, Marker, Vocabulary, validate_graph
 from .errors import CggenError, ConfigError, FormatError, StructureError, VocabularyError
 from .gamma import GammaCG, validate_gamma
-from .generator import GeneratorConfig, derive_rng, generate_dataset, validate_inputs
+from .generator import (
+    GenerationProvenance,
+    GeneratorConfig,
+    derive_rng,
+    generate_cgs,
+    validate_inputs,
+)
 from .metrics import compute_stats, stats_table
 
 EXIT_OK = 0
@@ -205,8 +211,8 @@ def _load_gammas(
     """The gamma-CGs of ``inputs.gammas``, checked first when auto-var will run.
 
     Auto-var computes admissible domains from the graphs' labels, so an
-    unknown label is reported beforehand with the lines generate_dataset
-    would report. Without auto-var, generate_dataset checks them itself.
+    unknown label is reported beforehand with the lines generate_cgs would
+    report. Without auto-var, generate_cgs checks them itself.
     """
     gammas = [formats.load_gamma_cg(path) for path in _gamma_paths(source, base)]
     if "autoVar" in doc:
@@ -286,6 +292,16 @@ class _OutputDir:
                 child.unlink(missing_ok=True)
 
 
+def _minted_into(
+    cgs: Iterable[tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]],
+    minted: list[Marker],
+) -> Iterator[tuple[ConceptualGraph, GenerationProvenance]]:
+    """Each CG's graph and provenance, its minted markers appended to ``minted``."""
+    for graph, provenance, markers in cgs:
+        minted.extend(markers)
+        yield graph, provenance
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     doc, base = _load_config_doc(args.config)
     seed = _resolve_seed(doc, args.seed)
@@ -294,16 +310,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         gammas, vocab = _resolve_gammas(doc, base, seed, vocab)
         config = _generator_config(_section(doc, "generator"), seed)
         gammas = _apply_auto_var(doc, gammas, vocab, seed)
-        result = generate_dataset(vocab, gammas, config, jobs=args.jobs)
-        stats = compute_stats(result.graphs)
-        formats.save_result(out, result, gammas)
-        formats.save_dataset(
-            out / formats.DATASET_DIR,
-            result.graphs,
-            config=config,
-            provenances=result.provenances,
-            stats=stats,
-        )
+        cgs = generate_cgs(vocab, gammas, config, jobs=args.jobs)
+        minted: list[Marker] = []
+        stats = formats.write_dataset(out / formats.DATASET_DIR, _minted_into(cgs, minted), config)
+        formats.save_stage(out, vocab.with_markers(minted), gammas)
     print(f"seed: {seed}")
     print(stats_table(stats))
     return EXIT_OK
@@ -328,13 +338,9 @@ def _cmd_auto_gcg(args: argparse.Namespace) -> int:
         vocab = _resolve_vocabulary(doc, base, seed)
         config = _auto_gcg_config(_section(doc, "autoGcg"))
         result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
-        formats.save_vocabulary(out / formats.VOCABULARY_FILE, result.vocabulary)
-        gamma_dir = out / formats.GAMMA_DIR
-        gamma_dir.mkdir(exist_ok=True)
-        for gcg in result.gammas:
-            formats.save_gamma_cg(gamma_dir / f"{gcg.name}.json", gcg)
+        formats.save_stage(out, result.vocabulary, result.gammas)
     print(f"seed: {seed}")
-    print(f"wrote {len(result.gammas)} gamma-CGs to {gamma_dir}")
+    print(f"wrote {len(result.gammas)} gamma-CGs to {out / formats.GAMMA_DIR}")
     return EXIT_OK
 
 
@@ -352,13 +358,9 @@ def _cmd_auto_var(args: argparse.Namespace) -> int:
         result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
-        gamma_dir = out / formats.GAMMA_DIR
-        gamma_dir.mkdir(exist_ok=True)
-        for gcg in result.gammas:
-            formats.save_gamma_cg(gamma_dir / f"{gcg.name}.json", gcg)
+        formats.save_stage(out, vocab, result.gammas)
     print(f"seed: {seed}")
-    print(f"wrote {len(result.gammas)} gamma-CGs to {gamma_dir}")
+    print(f"wrote {len(result.gammas)} gamma-CGs to {out / formats.GAMMA_DIR}")
     return EXIT_OK
 
 

@@ -316,10 +316,11 @@ class Vocabulary(_Vocabulary):
         by_type = self._markers_by_type  # type: ignore[attr-defined]
         return sorted([marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ())])
 
-    def with_markers(self, extra: "list[Marker] | tuple[Marker, ...]") -> "Vocabulary":
-        """A copy of this vocabulary with additional markers registered."""
+    def with_markers(self, extra: Iterable[Marker]) -> "Vocabulary":
+        """A copy of this vocabulary with additional markers registered, in id order."""
         merged = dict(self.markers)
-        for marker in extra:
+        # A Marker tuple sorts by its id first.
+        for marker in sorted(extra):
             if marker.marker_id in merged:
                 raise VocabularyError(f"marker {marker.marker_id!r} already registered")
             merged[marker.marker_id] = marker

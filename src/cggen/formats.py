@@ -30,7 +30,7 @@ from .core import (
 from .errors import FormatError, StructureError, VocabularyError
 from .gamma import GammaCG, Variable, VariableTarget
 from .generator import ComponentDraw, DatasetResult, GenerationProvenance, GeneratorConfig
-from .metrics import DatasetStats
+from .metrics import DatasetStats, StatsTally
 
 FORMAT_VERSION = "1.0.0"
 
@@ -239,16 +239,15 @@ def save_vocabulary(path: "str | Path", vocab: Vocabulary) -> None:
         % (_int(arity), _hierarchy_members(vocab.relations[arity], vocab.signatures, 3))
         for arity in sorted(vocab.relations)
     ]
-    markers = [
+    markers = (
         _MARKER % (_enc(marker_id), _enc(type_id))
         for marker_id, type_id in sorted(vocab.markers.values(), key=_BY_ID)
-    ]
-    members = '  "conceptTypes": %s,\n  "relationTypes": %s,\n  "markers": %s' % (
+    )
+    members = '  "conceptTypes": %s,\n  "relationTypes": %s,\n  "markers": ' % (
         concepts,
         _array(relations, 1),
-        _array(markers, 1),
     )
-    _write(Path(path), "vocabulary", (members,))
+    _write(Path(path), "vocabulary", chain((members,), _stream(markers, 1)))
 
 
 def _load_hierarchy(
@@ -517,8 +516,12 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
     }
 
 
-def _provenance_members(provenances: Sequence[GenerationProvenance]) -> Iterator[str]:
-    """The "perCG" member, draw by draw, so the whole text is never held at once."""
+def _provenance_members(provenances: Iterable[GenerationProvenance]) -> Iterator[str]:
+    """The "perCG" member, draw by draw, so the whole text is never held at once.
+
+    Each entry is taken from ``provenances`` only when the one before it is
+    written, so a lazy iterable is written as it is produced.
+    """
     separator = "[\n    "
     yield '  "perCG": '
     for provenance in provenances:
@@ -539,7 +542,7 @@ def _provenance_members(provenances: Sequence[GenerationProvenance]) -> Iterator
         )
         yield "\n    }"
         separator = ",\n    "
-    yield "\n  ]" if provenances else "[]"
+    yield "[]" if separator[0] == "[" else "\n  ]"
 
 
 def _raise_first_malformed_draw(draws: list[Any], path: Path, where: str) -> None:
@@ -626,28 +629,32 @@ class LoadedDataset(NamedTuple):
     provenances: tuple[GenerationProvenance, ...] | None
 
 
-def save_dataset(
+def write_dataset(
     directory: "str | Path",
-    graphs: Sequence[ConceptualGraph],
-    *,
+    cgs: Iterable[tuple[ConceptualGraph, GenerationProvenance]],
     config: GeneratorConfig,
-    provenances: Sequence[GenerationProvenance],
-    stats: DatasetStats,
-) -> None:
-    """Write one document per CG, the manifest and the provenance."""
+) -> DatasetStats:
+    """Write a dataset one CG at a time; return its statistics.
+
+    Each CG's document is written as soon as ``cgs`` yields it, its perCG
+    entry is appended to the open provenance and its counts are added to
+    the running statistics, so no CG is held after its turn. The manifest
+    goes last.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if stats.cg_count != len(graphs):
-        raise FormatError(
-            f"stats cover {stats.cg_count} CGs but {len(graphs)} were given"
-        )
-    if len(provenances) != len(graphs):
-        raise FormatError(
-            f"provenances cover {len(provenances)} CGs but {len(graphs)} were given"
-        )
-    file_names = [f"cg-{index:04d}.json" for index in range(len(graphs))]
-    for name, graph in zip(file_names, graphs):
-        save_cg(directory / name, graph)
+    file_names: list[str] = []
+    tally = StatsTally()
+
+    def provenances() -> Iterator[GenerationProvenance]:
+        for index, (graph, provenance) in enumerate(cgs):
+            file_names.append(f"cg-{index:04d}.json")
+            save_cg(directory / file_names[-1], graph)
+            tally.add(graph)
+            yield provenance
+
+    _write(directory / PROVENANCE_FILE, "provenance", _provenance_members(provenances()))
+    stats = tally.stats()
     manifest: dict[str, Any] = {
         "formatVersion": FORMAT_VERSION,
         "kind": "dataset-manifest",
@@ -657,7 +664,33 @@ def save_dataset(
         "provenanceFile": PROVENANCE_FILE,
     }
     _dump(directory / MANIFEST_FILE, manifest)
-    _write(directory / PROVENANCE_FILE, "provenance", _provenance_members(provenances))
+    return stats
+
+
+def save_dataset(
+    directory: "str | Path",
+    graphs: Sequence[ConceptualGraph],
+    *,
+    config: GeneratorConfig,
+    provenances: Sequence[GenerationProvenance],
+    stats: DatasetStats,
+) -> None:
+    """Write one document per CG, the manifest and the provenance.
+
+    ``stats`` must be ``compute_stats(graphs)``; ``write_dataset`` recounts
+    it as it writes.
+    """
+    if stats.cg_count != len(graphs):
+        raise FormatError(
+            f"stats cover {stats.cg_count} CGs but {len(graphs)} were given"
+        )
+    if len(provenances) != len(graphs):
+        raise FormatError(
+            f"provenances cover {len(provenances)} CGs but {len(graphs)} were given"
+        )
+    written = write_dataset(directory, zip(graphs, provenances), config)
+    if written != stats:
+        raise FormatError(f"stats {stats} do not match the graphs' {written}")
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:
@@ -695,15 +728,20 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     )
 
 
-def save_result(directory: "str | Path", result: DatasetResult, gammas: Sequence[GammaCG]) -> None:
-    """Write a self-contained output directory: vocabulary, gamma-CGs, dataset."""
+def save_stage(directory: "str | Path", vocab: Vocabulary, gammas: Iterable[GammaCG]) -> None:
+    """Write a vocabulary and its gamma-CGs: vocabulary.json and gamma/<name>.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_vocabulary(directory / VOCABULARY_FILE, result.vocabulary)
+    save_vocabulary(directory / VOCABULARY_FILE, vocab)
     gamma_dir = directory / GAMMA_DIR
     gamma_dir.mkdir(exist_ok=True)
     for gcg in gammas:
         save_gamma_cg(gamma_dir / f"{gcg.name}.json", gcg)
+
+
+def save_result(directory: "str | Path", result: DatasetResult, gammas: Sequence[GammaCG]) -> None:
+    """Write the vocabulary and gamma-CGs of a collected run; ``save_dataset`` writes its CGs."""
+    save_stage(directory, result.vocabulary, gammas)
 
 
 def _dot_escape(text: str) -> str:

@@ -257,7 +257,7 @@ class MarkerMint:
         return found
 
     def extended_vocabulary(self) -> Vocabulary:
-        return self._vocab.with_markers(sorted(self.minted.values(), key=lambda m: m.marker_id))
+        return self._vocab.with_markers(self.minted.values())
 
 
 class InstantiationOutcome(NamedTuple):

@@ -17,9 +17,11 @@ the seed, so results are reproducible and independent of scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .core import (
     ConceptNode,
@@ -44,6 +46,8 @@ from .gamma import (
 INSTANTIATION_RETRIES = 16
 # Hard cap on component draws per CG; trips only on inputs that cannot grow.
 _MAX_DRAWS_PER_CG = 100_000
+
+_T = TypeVar("_T")
 
 
 def derive_rng(seed: int, *parts: object) -> random.Random:
@@ -286,13 +290,49 @@ def _generate_indexed(
     mint = MarkerMint(vocab, f"cg{index}")
     graph, provenance = generate_one(vocab, plans, config, rng, mint=mint)
     provenance = GenerationProvenance(index, provenance.draws)
-    # Unsorted: generate_dataset sorts the markers of all CGs together.
     return graph, provenance, tuple(mint.minted.values())
 
 
 def validate_inputs(vocab: Vocabulary, gamma_set: Sequence[GammaCG]) -> list[str]:
     """Lines describing why the inputs are unusable; empty when they are fine."""
     return [f"{gcg.name}: {line}" for gcg in gamma_set for line in validate_gamma(vocab, gcg)]
+
+
+def generate_cgs(
+    vocab: Vocabulary,
+    gamma_set: Sequence[GammaCG],
+    config: GeneratorConfig,
+    *,
+    jobs: int = 1,
+) -> Iterator[tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]]:
+    """CG ``i``'s graph, provenance and minted markers, for each ``i`` in index order.
+
+    The inputs are checked when this is called, before any draw; the CGs
+    are then built one at a time, as the iterator is advanced. Graph ``i``
+    is produced from a stream derived from (seed, i), so the output is the
+    same for any ``jobs`` value; ``jobs`` > 1 builds the CGs ahead on that
+    many threads. Each gamma-CG is compiled into its ``DrawPlan`` once, for
+    all graphs.
+    """
+    if not gamma_set:
+        raise ConfigError("gamma_set must be non-empty")
+    problems = validate_inputs(vocab, gamma_set)
+    if problems:
+        raise StructureError("invalid generator inputs:\n" + "\n".join(problems))
+
+    plans = [DrawPlan(vocab, gcg) for gcg in gamma_set]
+    build = functools.partial(_generate_indexed, vocab, plans, config)
+    indices = range(config.max_cgs)
+    if jobs > 1:
+        return _pooled(build, indices, jobs)
+    return map(build, indices)
+
+
+def _pooled(build: Callable[[int], _T], indices: range, jobs: int) -> Iterator[_T]:
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(build, indices)
 
 
 def generate_dataset(
@@ -302,35 +342,13 @@ def generate_dataset(
     *,
     jobs: int = 1,
 ) -> DatasetResult:
-    """Generate exactly ``config.max_cgs`` graphs.
+    """Generate exactly ``config.max_cgs`` graphs and hold them all.
 
-    Graph ``i`` is produced from a stream derived from (seed, i), so output
-    is identical for any ``jobs`` value. Each gamma-CG is compiled into its
-    ``DrawPlan`` once, for all graphs. Markers minted while generating are
-    merged into the returned vocabulary in canonical (sorted) order.
+    Collects ``generate_cgs``: the graphs and provenances in index order,
+    and the vocabulary extended with every marker minted on the way.
+    ``cggen generate`` writes each CG as soon as ``generate_cgs`` yields it
+    instead, so it holds one CG at a time where this holds the dataset.
     """
-    if not gamma_set:
-        raise ConfigError("gamma_set must be non-empty")
-    problems = validate_inputs(vocab, gamma_set)
-    if problems:
-        raise StructureError("invalid generator inputs:\n" + "\n".join(problems))
-
-    plans = [DrawPlan(vocab, gcg) for gcg in gamma_set]
-    indices = range(config.max_cgs)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda i: _generate_indexed(vocab, plans, config, i), indices)
-            )
-    else:
-        results = [_generate_indexed(vocab, plans, config, i) for i in indices]
-
-    graphs = tuple(graph for graph, _, _ in results)
-    provenances = tuple(provenance for _, provenance, _ in results)
-    minted: list[Marker] = []
-    for _, _, markers in results:
-        minted.extend(markers)
-    vocabulary = vocab.with_markers(sorted(minted, key=lambda m: m.marker_id))
+    graphs, provenances, minted = zip(*generate_cgs(vocab, gamma_set, config, jobs=jobs))
+    vocabulary = vocab.with_markers(chain.from_iterable(minted))
     return DatasetResult(graphs, provenances, vocabulary)

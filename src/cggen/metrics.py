@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .core import ConceptualGraph
 from .errors import ConfigError
@@ -25,49 +25,73 @@ class DatasetStats(NamedTuple):
     arity_counts: dict[int, float]
 
 
-def _pstdev(values: list[int]) -> float:
-    """Population stddev, correctly rounded on every Python version (3.10 rounds twice)."""
-    n = len(values)
+def _pstdev(n: int, total: int, squares: int) -> float:
+    """Population stddev of n integers from their sum and sum of squares.
+
+    Correctly rounded on every Python version (3.10 rounds twice).
+    """
     # sqrt(num) / n, with the root scaled past 100 bits and rounded to odd so
     # that the one rounding to float is correct.
-    num = n * sum(v * v for v in values) - sum(values) ** 2
+    num = n * squares - total**2
     shift = max(0, n.bit_length() - num.bit_length() // 2 + 110)
     scaled = num << 2 * shift
     root = math.isqrt(scaled // (n * n))
     return (root | (root * root * n * n != scaled)) / (1 << shift)
 
 
-def compute_stats(dataset: Sequence[ConceptualGraph]) -> DatasetStats:
-    """Recount nodes, labels and per-arity relation nodes over a dataset."""
-    if not dataset:
-        raise ConfigError("dataset must be non-empty")
+class StatsTally:
+    """Running sums over a dataset's CGs, added one CG at a time.
 
-    node_counts: list[int] = []
-    label_counts: list[int] = []
-    arity_totals: dict[int, int] = {}
+    The count, sum and sum of squares of the node and label counts, and the
+    relation nodes per arity, are all that ``stats`` needs, so no CG is kept.
+    """
 
-    for graph in dataset:
-        node_counts.append(graph.size)
+    def __init__(self) -> None:
+        self.count = 0
+        self._nodes = self._nodes_squared = 0
+        self._labels = self._labels_squared = 0
+        self._arity_totals: dict[int, int] = {}
+
+    def add(self, graph: ConceptualGraph) -> None:
         labels: set[str] = set()
         for node in graph.concepts.values():
             labels.add(node.type_id)
             if node.marker is not None:
                 labels.add(node.marker)
+        arity_totals = self._arity_totals
         for node in graph.relations.values():
             labels.add(node.type_id)
             arity = len(node.args)
             arity_totals[arity] = arity_totals.get(arity, 0) + 1
-        label_counts.append(len(labels))
+        self.count += 1
+        size = graph.size
+        self._nodes += size
+        self._nodes_squared += size * size
+        self._labels += len(labels)
+        self._labels_squared += len(labels) ** 2
 
-    n = len(dataset)
-    return DatasetStats(
-        cg_count=n,
-        nb_nodes_mean=sum(node_counts) / n,
-        nb_nodes_stddev=_pstdev(node_counts),
-        nb_labels_mean=sum(label_counts) / n,
-        nb_labels_stddev=_pstdev(label_counts),
-        arity_counts={arity: total / n for arity, total in sorted(arity_totals.items())},
-    )
+    def stats(self) -> DatasetStats:
+        n = self.count
+        if not n:
+            raise ConfigError("dataset must be non-empty")
+        return DatasetStats(
+            cg_count=n,
+            nb_nodes_mean=self._nodes / n,
+            nb_nodes_stddev=_pstdev(n, self._nodes, self._nodes_squared),
+            nb_labels_mean=self._labels / n,
+            nb_labels_stddev=_pstdev(n, self._labels, self._labels_squared),
+            arity_counts={
+                arity: total / n for arity, total in sorted(self._arity_totals.items())
+            },
+        )
+
+
+def compute_stats(dataset: Iterable[ConceptualGraph]) -> DatasetStats:
+    """Recount nodes, labels and per-arity relation nodes over a dataset."""
+    tally = StatsTally()
+    for graph in dataset:
+        tally.add(graph)
+    return tally.stats()
 
 
 def stats_table(stats: DatasetStats) -> str:

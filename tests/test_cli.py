@@ -389,7 +389,7 @@ class TestPartialOutputRemoved:
     @pytest.mark.parametrize(
         "command, work",
         [
-            ("generate", "generate_dataset"),
+            ("generate", "generate_cgs"),
             ("auto-voc", "auto_vocabulary"),
             ("auto-gcg", "auto_gamma_cgs"),
             ("auto-var", "auto_variables"),
