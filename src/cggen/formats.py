@@ -127,23 +127,26 @@ def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], dept
     return "{" + inner + body + "\n" + "  " * depth + "}"
 
 
-_ENTRY_INNER = ",\n" + "  " * 7
-_ENTRY_OPEN = "[\n" + "  " * 7
-_ENTRY_CLOSE = "\n" + "  " * 6 + "]"
+_TRIPLE = "[%s, %s, %s]"
+
+
+@functools.cache
+def _triples_template(count: int) -> str:
+    """The %-template of a "merged" or "skippedMerges" value of ``count`` triples."""
+    return _array([_TRIPLE] * count, 5)
 
 
 def _triples(entries: Sequence[tuple[str, ...]]) -> str:
     """The "merged" or "skippedMerges" member value of a provenance draw.
 
-    Each entry is laid out as ``_array(..., 6)`` would, with one join.
+    One entry per line, each entry's strings on that line, as
+    ``json.dumps(entry)`` lays them out. The generator's entries are all
+    triples and take one cached template per entry count; an entry of
+    another length, which the loader accepts too, takes the general path.
     """
-    return _array(
-        [
-            _ENTRY_OPEN + _ENTRY_INNER.join(map(_enc, entry)) + _ENTRY_CLOSE if entry else "[]"
-            for entry in entries
-        ],
-        5,
-    )
+    if {3}.issuperset(map(len, entries)):
+        return _triples_template(len(entries)) % tuple(map(_enc, chain.from_iterable(entries)))
+    return _array(["[%s]" % ", ".join(map(_enc, entry)) for entry in entries], 5)
 
 
 def _parse(path: Path) -> dict[str, Any]:

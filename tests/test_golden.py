@@ -31,7 +31,7 @@ README_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "151ecde206dc4b060e9a735979d5bd0b2ccf6d7f7943728a7d7125d0032b2d09"
+GOLDEN_SHA256 = "e96ef3eba1aad3a331f87eb4a8ae14d70a09d5dc76f7de57bb9facefccb512f9"
 GOLDEN_CONTENT_SHA256 = "00b1e99ca8c3dcf859a23af24cd719e0ce6165c9142790780379d0b341dcb4be"
 
 

@@ -20,7 +20,7 @@ LARGE_CONFIG = {
 }
 
 GOLDEN_FILES = 25
-GOLDEN_SHA256 = "b8328e9c6b5ed7c66421fd0868c0c413da21ccd6a8c39530d9362df1584cb6ab"
+GOLDEN_SHA256 = "c4bb2d28c452d82c69ed0f9c0f3a0933fb2ba8a260a490359d38bd6f4be4280a"
 
 
 def test_large_cg_output_digest_is_pinned(tmp_path, capsys):

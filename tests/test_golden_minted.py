@@ -20,7 +20,7 @@ MINTED_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "8fa67799bd259a5469638abc994912d356ab51d76cd597cdce37efbdfbbcef0c"
+GOLDEN_SHA256 = "b05959e7b41dd3bc3ce2734b7bdd377b4aa519c4e296f1d0dd18c39aa5eea9a0"
 
 
 def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys):

@@ -19,8 +19,8 @@ from test_golden import tree_digest
 
 GOLDEN_FILES = 111
 GOLDEN_SHA256 = {
-    0: "b98c1bfe791b8152402488eef26a99ced4d50c941586330b4204d1f83a907ae1",
-    3: "e79839d89dc0ca246d887c6c145bf6e19ab635a36610d494f740fb38d87f3613",
+    0: "18787041d789d8ac0073b7e37adf581b1578af8a08b847e55611e87b3d7fec43",
+    3: "f68ee86f7ccedbab6842393d8f9387123bc48789e249821f8987e43c1fecebf8",
 }
 
 

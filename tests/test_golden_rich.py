@@ -35,7 +35,7 @@ RICH_CONFIG = {
 }
 
 GOLDEN_FILES = 26
-GOLDEN_SHA256 = "989b44e11c486611f330d4bf19ef1e747c24e2ebd9b9e16888b040b4ca664ae4"
+GOLDEN_SHA256 = "fcde66370fd6f5efdd3fe937752a0d67e963f038d7a95263cfd16fa32ca4f15b"
 
 
 def test_rich_output_digest_is_pinned(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The fixed-layout writers must emit exactly json.dumps(doc, indent=2) + "\\n".
+"""The fixed-layout writers must emit the layout docs/formats.md documents.
 
-The dict documents come from tests/oracles.py, built independently of the
-library's writers.
+That is json.dumps(doc, indent=2) + "\\n", except that each entry of a
+provenance draw's "merged" and "skippedMerges" lists sits on one line, as
+json.dumps(entry) writes it. The dict documents come from tests/oracles.py,
+built independently of the library's writers.
 """
 
 import json
@@ -31,6 +33,7 @@ from cggen import (
     compute_stats,
     derive_rng,
     generate_dataset,
+    load_dataset,
     save_cg,
     save_dataset,
     save_gamma_cg,
@@ -48,6 +51,22 @@ ODD = ["café", "\U0001f600x", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f", "
 
 def expected(doc):
     return json.dumps(doc, indent=2) + "\n"
+
+
+def expected_provenance(provenances):
+    """The provenance layout: ``expected`` with each merge entry on one line."""
+    doc = provenance_doc(provenances)
+    entries = []
+    for cg_entry in doc["perCG"]:
+        for draw in cg_entry["draws"]:
+            for key in ("merged", "skippedMerges"):
+                entries.extend(draw[key])
+                first = len(entries) - len(draw[key])
+                draw[key] = [f"@entry-{n}@" for n in range(first, len(entries))]
+    text = expected(doc)
+    for number, entry in enumerate(entries):
+        text = text.replace(f'"@entry-{number}@"', json.dumps(entry), 1)
+    return text
 
 
 def odd_graph():
@@ -236,7 +255,7 @@ class TestProvenanceWriter:
                 GenerationProvenance(1, (ComponentDraw("g1", (("v1", "x"),), (), (), ()),)),
             ],
             # The loader takes any list of strings as a merge entry; every
-            # length must still be laid out as json.dumps lays it out.
+            # length must still be laid out on one line, as json.dumps lays it out.
             [
                 GenerationProvenance(
                     0,
@@ -262,7 +281,7 @@ class TestProvenanceWriter:
     def test_matches_json_dumps(self, provenances, tmp_path):
         path = provenance_path(tmp_path, provenances)
         text = path.read_text(encoding="utf-8")
-        assert text == expected(provenance_doc(provenances))
+        assert text == expected_provenance(provenances)
         # Saving what the loader read back gives the same bytes.
         loaded = formats._load_provenance(path)
         assert provenance_path(tmp_path, loaded).read_text(encoding="utf-8") == text
@@ -277,7 +296,7 @@ class TestProvenanceWriter:
         )
         provenances = [GenerationProvenance(0, (draw,))]
         text = provenance_path(tmp_path, provenances).read_text(encoding="utf-8")
-        assert text == expected(provenance_doc(provenances))
+        assert text == expected_provenance(provenances)
         document = json.loads(text)["perCG"][0]["draws"][0]
         assert list(document["assignments"].items()) == [("a", "3"), ("b", "2")]
         assert list(document["specialisations"].items()) == [("s", 5), ("t", 2)]
@@ -293,4 +312,22 @@ class TestProvenanceWriter:
             stats=compute_stats(dataset.graphs),
         )
         text = (directory / "provenance.json").read_text(encoding="utf-8")
-        assert text == expected(provenance_doc(dataset.provenances))
+        assert text == expected_provenance(dataset.provenances)
+
+    def test_old_layout_loads_to_equal_records(self, generated, tmp_path):
+        # Before merge entries took one line each, the provenance was laid
+        # out as json.dumps(document, indent=2); the loader reads both.
+        _, dataset, config = generated
+        directory = tmp_path / "ds"
+        save_dataset(
+            directory,
+            dataset.graphs,
+            config=config,
+            provenances=dataset.provenances,
+            stats=compute_stats(dataset.graphs),
+        )
+        path = directory / "provenance.json"
+        old_layout = expected(provenance_doc(dataset.provenances))
+        assert old_layout != path.read_text(encoding="utf-8")
+        path.write_text(old_layout, encoding="utf-8")
+        assert load_dataset(directory).provenances == dataset.provenances
