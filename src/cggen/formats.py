@@ -641,8 +641,8 @@ def write_dataset(
 
     Each CG's document is written as soon as ``cgs`` yields it, its perCG
     entry is appended to the open provenance and its counts are added to
-    the running statistics, so no CG is held after its turn. The manifest
-    goes last.
+    the running statistics, so the memory this needs does not grow with
+    the number of CGs. The manifest goes last.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

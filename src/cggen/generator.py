@@ -21,7 +21,7 @@ import functools
 import hashlib
 import random
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
@@ -46,8 +46,6 @@ from .gamma import (
 INSTANTIATION_RETRIES = 16
 # Hard cap on component draws per CG; trips only on inputs that cannot grow.
 _MAX_DRAWS_PER_CG = 100_000
-
-_T = TypeVar("_T")
 
 
 def derive_rng(seed: int, *parts: object) -> random.Random:
@@ -280,12 +278,16 @@ def generate_one(
     return assembler.snapshot(), GenerationProvenance(0, tuple(draws))
 
 
+# One generated CG: its graph, its provenance and the markers minted for it.
+_Generated = tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]
+
+
 def _generate_indexed(
     vocab: Vocabulary,
     plans: Sequence[DrawPlan],
     config: GeneratorConfig,
     index: int,
-) -> tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]:
+) -> _Generated:
     rng = derive_rng(config.seed, "cg", index)
     mint = MarkerMint(vocab, f"cg{index}")
     graph, provenance = generate_one(vocab, plans, config, rng, mint=mint)
@@ -304,7 +306,7 @@ def generate_cgs(
     config: GeneratorConfig,
     *,
     jobs: int = 1,
-) -> Iterator[tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]]:
+) -> Iterator[_Generated]:
     """CG ``i``'s graph, provenance and minted markers, for each ``i`` in index order.
 
     The inputs are checked when this is called, before any draw; the CGs
@@ -328,7 +330,7 @@ def generate_cgs(
     return map(build, indices)
 
 
-def _pooled(build: Callable[[int], _T], indices: range, jobs: int) -> Iterator[_T]:
+def _pooled(build: Callable[[int], _Generated], indices: range, jobs: int) -> Iterator[_Generated]:
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

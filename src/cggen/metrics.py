@@ -47,7 +47,7 @@ class StatsTally:
     """
 
     def __init__(self) -> None:
-        self.count = 0
+        self._count = 0
         self._nodes = self._nodes_squared = 0
         self._labels = self._labels_squared = 0
         self._arity_totals: dict[int, int] = {}
@@ -63,15 +63,15 @@ class StatsTally:
             labels.add(node.type_id)
             arity = len(node.args)
             arity_totals[arity] = arity_totals.get(arity, 0) + 1
-        self.count += 1
-        size = graph.size
-        self._nodes += size
-        self._nodes_squared += size * size
-        self._labels += len(labels)
-        self._labels_squared += len(labels) ** 2
+        self._count += 1
+        nodes, distinct = graph.size, len(labels)
+        self._nodes += nodes
+        self._nodes_squared += nodes * nodes
+        self._labels += distinct
+        self._labels_squared += distinct * distinct
 
     def stats(self) -> DatasetStats:
-        n = self.count
+        n = self._count
         if not n:
             raise ConfigError("dataset must be non-empty")
         return DatasetStats(

@@ -268,6 +268,18 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="cgFiles"):
             load_dataset(directory)
 
+    def test_stats_that_are_not_the_recount_rejected_on_save(self, built, tmp_path):
+        _, _, dataset, config = built
+        stats = compute_stats(dataset.graphs)
+        with pytest.raises(FormatError, match="do not match"):
+            save_dataset(
+                tmp_path / "ds",
+                dataset.graphs,
+                config=config,
+                provenances=dataset.provenances,
+                stats=stats._replace(nb_nodes_mean=stats.nb_nodes_mean + 1),
+            )
+
     def test_provenance_count_mismatch_rejected_on_save(self, built, tmp_path):
         _, _, dataset, config = built
         with pytest.raises(FormatError, match="provenances cover 4 CGs but 5"):
