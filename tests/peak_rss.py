@@ -3,7 +3,7 @@
 Runs ``console_main`` on the README's run configuration with ``minSize``
 4000 at 4 and at 16 CGs, each in its own child of this process, and reads
 each child's own peak resident set with ``os.wait4``. Exits 1 if the 16-CG
-run peaks more than ``--slack-mb`` (default 4) above the 4-CG run.
+run peaks more than ``SLACK_MB`` above the 4-CG run.
 
 A child's peak counts the resident set of the process that started it, so
 this one imports neither cggen nor pytest: it reads the configuration from
@@ -12,7 +12,6 @@ the README's JSON block.
     PYTHONPATH=src python tests/peak_rss.py
 """
 
-import argparse
 import json
 import os
 import re
@@ -23,6 +22,8 @@ from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CODE = "from cggen.cli import console_main; console_main()"
+# How far, in MB, the 16-CG peak may rise above the 4-CG peak.
+SLACK_MB = 4
 
 
 def peak_rss_mb(work: Path, max_cgs: int) -> float:
@@ -42,15 +43,12 @@ def peak_rss_mb(work: Path, max_cgs: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--slack-mb", type=float, default=4.0)
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
         small = peak_rss_mb(Path(work), 4)
         large = peak_rss_mb(Path(work), 16)
     print(f"peak RSS: 4 CGs {small:.1f} MB, 16 CGs {large:.1f} MB")
-    if large > small + args.slack_mb:
-        print(f"error: 16 CGs peak more than {args.slack_mb} MB above 4 CGs", file=sys.stderr)
+    if large > small + SLACK_MB:
+        print(f"error: 16 CGs peak more than {SLACK_MB} MB above 4 CGs", file=sys.stderr)
         return 1
     return 0
 

@@ -30,13 +30,13 @@ from cggen import (
     load_dataset,
     load_gamma_cg,
     load_vocabulary,
-    save_cg,
     save_dataset,
     save_gamma_cg,
     save_vocabulary,
     validate_graph,
 )
 from cggen.cli import main
+from cggen.formats import save_cg
 from cggen.gamma import (
     TARGET_CONCEPT_TYPE,
     TARGET_MARKER,

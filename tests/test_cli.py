@@ -3,10 +3,11 @@ import shutil
 
 import pytest
 
-from cggen import load_gamma_cg, load_vocabulary, save_cg, save_vocabulary
+from cggen import load_gamma_cg, load_vocabulary, save_vocabulary
 from cggen import cli, formats, generator
 from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph
+from cggen.formats import save_cg
 from oracles import parse_dot
 
 FULL_AUTO = {

@@ -26,13 +26,15 @@ from cggen import (
     load_dataset,
     load_gamma_cg,
     load_vocabulary,
-    save_cg,
     save_dataset,
     save_gamma_cg,
     save_vocabulary,
     validate_gamma,
+    write_dataset,
 )
+from cggen import formats
 from cggen.cli import main
+from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
 from oracles import parse_dot
@@ -252,6 +254,19 @@ class TestDatasetFormat:
         for name in files_one:
             assert (one / name).read_bytes() == (two / name).read_bytes()
 
+    @pytest.mark.parametrize("batch_bytes", [0, 3000])
+    def test_batch_size_leaves_the_bytes(self, built, tmp_path, monkeypatch, batch_bytes):
+        # Each CG document alone, or a few per batch, instead of all in one batch.
+        _, _, dataset, config = built
+        cgs = list(zip(dataset.graphs, dataset.provenances))
+        write_dataset(tmp_path / "one", cgs, config)
+        monkeypatch.setattr(formats, "_BATCH_BYTES", batch_bytes)
+        write_dataset(tmp_path / "two", cgs, config)
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_manifest_count_mismatch_rejected(self, built, tmp_path):
         _, _, dataset, config = built
         directory = tmp_path / "ds"
@@ -267,18 +282,6 @@ class TestDatasetFormat:
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="cgFiles"):
             load_dataset(directory)
-
-    def test_stats_that_are_not_the_recount_rejected_on_save(self, built, tmp_path):
-        _, _, dataset, config = built
-        stats = compute_stats(dataset.graphs)
-        with pytest.raises(FormatError, match="do not match"):
-            save_dataset(
-                tmp_path / "ds",
-                dataset.graphs,
-                config=config,
-                provenances=dataset.provenances,
-                stats=stats._replace(nb_nodes_mean=stats.nb_nodes_mean + 1),
-            )
 
     def test_provenance_count_mismatch_rejected_on_save(self, built, tmp_path):
         _, _, dataset, config = built

@@ -1,7 +1,7 @@
 """`cggen generate` holds one CG at a time and checks its inputs before writing.
 
-Each CG is written as soon as it is generated, so the graphs alive when a
-CG document is saved must not depend on how many CGs the run makes.
+Each CG is encoded as soon as it is generated, so the graphs alive when a
+CG document is encoded must not depend on how many CGs the run makes.
 """
 
 import copy
@@ -16,15 +16,15 @@ from test_golden import README_CONFIG
 
 
 def most_live_graphs(tmp_path, monkeypatch, max_cgs):
-    """The most ConceptualGraph objects alive at any save_cg call of a README run."""
+    """The most ConceptualGraph objects alive as any CG of a README run is encoded."""
     counts = []
-    save_cg = formats.save_cg
+    cg_document = formats._cg_document
 
-    def counting_save_cg(path, graph):
+    def counting_cg_document(graph):
         counts.append(sum(type(obj) is ConceptualGraph for obj in gc.get_objects()))
-        save_cg(path, graph)
+        return cg_document(graph)
 
-    monkeypatch.setattr(formats, "save_cg", counting_save_cg)
+    monkeypatch.setattr(formats, "_cg_document", counting_cg_document)
     config = copy.deepcopy(README_CONFIG)
     config["generator"]["maxCGs"] = max_cgs
     path = tmp_path / f"run-{max_cgs}.json"

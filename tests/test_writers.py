@@ -34,12 +34,12 @@ from cggen import (
     derive_rng,
     generate_dataset,
     load_dataset,
-    save_cg,
     save_dataset,
     save_gamma_cg,
     save_vocabulary,
 )
 from cggen import formats
+from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
 from cggen.generator import ComponentDraw, GenerationProvenance
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
@@ -182,6 +182,14 @@ class TestCgWriter:
             path = tmp_path / f"cg{index}.json"
             save_cg(path, graph)
             assert path.read_text(encoding="utf-8") == expected(cg_doc(graph))
+
+    def test_short_writes_are_completed(self, monkeypatch, tmp_path):
+        # os.write may take fewer bytes than it is given; the writer writes the rest.
+        write = formats.os.write
+        monkeypatch.setattr(formats.os, "write", lambda fd, data: write(fd, data[:7]))
+        path = tmp_path / "cg.json"
+        save_cg(path, odd_graph())
+        assert path.read_text(encoding="utf-8") == expected(cg_doc(odd_graph()))
 
 
 class TestVocabularyWriter:
