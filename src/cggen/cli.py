@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import gc
 import math
-import secrets
 import shutil
 import sys
 from pathlib import Path
@@ -172,6 +171,9 @@ def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
     seed = doc.get("seed")
     if seed is not None:
         return _integer(seed, "seed")
+    # Imported here: secrets loads OpenSSL, which no read-only command needs.
+    import secrets
+
     return secrets.randbits(63)
 
 
@@ -387,10 +389,13 @@ def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
             diagnostics.extend(f"{path}: {line}" for line in validate_gamma(vocab, gcg))
     dataset_dir = directory / formats.DATASET_DIR
     if dataset_dir.is_dir():
-        loaded = formats.load_dataset(dataset_dir)
-        for name, graph in zip(loaded.files, loaded.graphs):
+        # Held back until the whole dataset has loaded: a load error reports
+        # only itself, whatever the CGs before it held.
+        lines: list[str] = []
+        for name, graph in formats.iter_dataset(dataset_dir):
             report = validate_graph(vocab, graph)
-            diagnostics.extend(f"{dataset_dir / name}: {line}" for line in report.lines())
+            lines.extend(f"{dataset_dir / name}: {line}" for line in report.lines())
+        diagnostics.extend(lines)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -426,8 +431,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    loaded = formats.load_dataset(Path(args.dataset))
-    stats = compute_stats(loaded.graphs)
+    stats = compute_stats(graph for _, graph in formats.iter_dataset(args.dataset))
     print(stats_table(stats))
     return EXIT_OK
 

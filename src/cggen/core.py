@@ -21,6 +21,8 @@ is the checked entry point for a type that has not been validated yet.
 from __future__ import annotations
 
 import random
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -370,6 +372,10 @@ class RelationNode(NamedTuple):
     args: tuple[str, ...]
 
 
+_NODE_ID = itemgetter(0)
+_ARGS = itemgetter(2)
+
+
 class _ConceptualGraph(NamedTuple):
     concepts: dict[str, ConceptNode]
     relations: dict[str, RelationNode]
@@ -386,6 +392,20 @@ class ConceptualGraph(_ConceptualGraph):
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
+        concepts, relations = self.concepts, self.relations
+        # Three bulk checks; only when one fails does the loop below find
+        # the first fault to name.
+        try:
+            valid = (
+                list(concepts) == list(map(_NODE_ID, concepts.values()))
+                and list(relations) == list(map(_NODE_ID, relations.values()))
+                and concepts.keys().isdisjoint(relations)
+                and concepts.keys() >= set(chain.from_iterable(map(_ARGS, relations.values())))
+            )
+        except TypeError:  # an unhashable argument: the loop meets it in order
+            valid = False
+        if valid:
+            return
         for node_id, node in self.concepts.items():
             if node.node_id != node_id:
                 raise StructureError(f"concept key {node_id!r} names node {node.node_id!r}")

@@ -624,8 +624,8 @@ def _tuples(entries: list[list[str]]) -> tuple[tuple[str, ...], ...]:
     return tuple(map(tuple, entries))
 
 
-def _load_draws(draws: list[Any], path: Path, where: str) -> tuple[ComponentDraw, ...]:
-    """The draws of one perCG entry."""
+def _draw_columns(draws: list[Any], path: Path, where: str) -> tuple[tuple[Any, ...], ...]:
+    """The draws of one perCG entry as five checked columns, one per draw field."""
     try:
         columns = tuple(zip(*map(_DRAW_FIELDS, draws))) or ((),) * 5
         gammas, assignments, specialisations, merged, skipped = columns
@@ -642,6 +642,34 @@ def _load_draws(draws: list[Any], path: Path, where: str) -> tuple[ComponentDraw
         valid = False
     if not valid:
         _raise_first_malformed_draw(draws, path, where)
+    return columns
+
+
+def check_provenance(path: Path, cg_count: int) -> list[tuple[tuple[Any, ...], ...]]:
+    """Check the provenance document of a dataset of ``cg_count`` CGs.
+
+    Returns the draws of each perCG entry as the columns ``_draw_columns``
+    checked. Only ``load_dataset`` builds records from them.
+    """
+    document = _parse(path)
+    _check_header(document, path, "provenance")
+    entries = _field(document, "perCG", list, path)
+    checked = []
+    for index, entry in enumerate(entries):
+        where = f"perCG[{index}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: {where} must be an object")
+        cg_index = _field(entry, "index", int, path, where)
+        if cg_index != index:
+            raise FormatError(f"{path}: {where}.index must be {index}, found {cg_index}")
+        checked.append(_draw_columns(_field(entry, "draws", list, path, where), path, where))
+    if len(entries) != cg_count:
+        raise FormatError(f"{path}: perCG has {len(entries)} entries for {cg_count} cgFiles")
+    return checked
+
+
+def _draws(columns: tuple[tuple[Any, ...], ...]) -> tuple[ComponentDraw, ...]:
+    gammas, assignments, specialisations, merged, skipped = columns
     return tuple(
         map(
             ComponentDraw,
@@ -654,20 +682,9 @@ def _load_draws(draws: list[Any], path: Path, where: str) -> tuple[ComponentDraw
     )
 
 
-def _load_provenance(path: Path) -> tuple[GenerationProvenance, ...]:
-    document = _parse(path)
-    _check_header(document, path, "provenance")
-    loaded = []
-    for index, entry in enumerate(_field(document, "perCG", list, path)):
-        where = f"perCG[{index}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: {where} must be an object")
-        cg_index = _field(entry, "index", int, path, where)
-        if cg_index != index:
-            raise FormatError(f"{path}: {where}.index must be {index}, found {cg_index}")
-        draws = _field(entry, "draws", list, path, where)
-        loaded.append(GenerationProvenance(cg_index, _load_draws(draws, path, where)))
-    return tuple(loaded)
+def _load_provenance(path: Path, cg_count: int) -> tuple[GenerationProvenance, ...]:
+    checked = check_provenance(path, cg_count)
+    return tuple(map(GenerationProvenance, range(len(checked)), map(_draws, checked)))
 
 
 class LoadedDataset(NamedTuple):
@@ -676,6 +693,58 @@ class LoadedDataset(NamedTuple):
     config: dict[str, Any]
     stats: DatasetStats
     provenances: tuple[GenerationProvenance, ...] | None
+
+
+class DatasetManifest(NamedTuple):
+    """A dataset's checked manifest.json."""
+
+    files: tuple[str, ...]
+    stats: DatasetStats
+    config: dict[str, Any]
+    # The provenance document, or None when the manifest names none.
+    provenance: Path | None
+
+
+def read_manifest(directory: "str | Path") -> DatasetManifest:
+    """Check the manifest of the dataset in ``directory``; no CG is read."""
+    directory = Path(directory)
+    path = directory / MANIFEST_FILE
+    manifest = _parse(path)
+    _check_header(manifest, path, "dataset-manifest")
+    file_names = _field(manifest, "cgFiles", list, path)
+    _list_of(file_names, str, path, "cgFiles")
+    stats = _load_stats(_field(manifest, "stats", dict, path), path)
+    if stats.cg_count != len(file_names):
+        raise FormatError(
+            f"{path}: cgFiles lists {len(file_names)} files for cgCount {stats.cg_count}"
+        )
+    provenance_file = manifest.get("provenanceFile")
+    if provenance_file is not None and not isinstance(provenance_file, str):
+        raise FormatError(f"{path}: field provenanceFile must be str or null")
+    return DatasetManifest(
+        files=tuple(file_names),
+        stats=stats,
+        config=_field(manifest, "config", dict, path),
+        provenance=directory / provenance_file if provenance_file else None,
+    )
+
+
+def iter_dataset(directory: "str | Path") -> Iterator[tuple[str, ConceptualGraph]]:
+    """Each CG of a dataset with its file name, loaded one at a time.
+
+    The manifest is checked before the first CG is loaded, the CGs are
+    loaded in its ``cgFiles`` order, and the provenance is checked after the
+    last one, so the first error is the one ``load_dataset`` reports. No
+    provenance record is built, and each CG is freed once the caller drops
+    it: the memory this needs does not grow with the number of CGs, except
+    for the provenance document, which is parsed whole.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    for name in manifest.files:
+        yield name, load_cg(directory / name)
+    if manifest.provenance is not None:
+        check_provenance(manifest.provenance, len(manifest.files))
 
 
 def write_dataset(
@@ -745,36 +814,23 @@ def save_dataset(
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:
+    """Load a whole dataset: every CG and, if the manifest names one, its provenance records.
+
+    The checks and their order are those of ``iter_dataset``, which reads
+    one CG at a time and builds no provenance record; ``cggen validate``
+    and ``cggen stats`` read a dataset through it.
+    """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_FILE
-    manifest = _parse(manifest_path)
-    _check_header(manifest, manifest_path, "dataset-manifest")
-    file_names = _field(manifest, "cgFiles", list, manifest_path)
-    _list_of(file_names, str, manifest_path, "cgFiles")
-    stats = _load_stats(_field(manifest, "stats", dict, manifest_path), manifest_path)
-    if stats.cg_count != len(file_names):
-        raise FormatError(
-            f"{manifest_path}: cgFiles lists {len(file_names)} files "
-            f"for cgCount {stats.cg_count}"
-        )
-    graphs = tuple(load_cg(directory / name) for name in file_names)
-    provenances: tuple[GenerationProvenance, ...] | None = None
-    provenance_file = manifest.get("provenanceFile")
-    if provenance_file is not None and not isinstance(provenance_file, str):
-        raise FormatError(f"{manifest_path}: field provenanceFile must be str or null")
-    if provenance_file:
-        provenance_path = directory / provenance_file
-        provenances = _load_provenance(provenance_path)
-        if len(provenances) != len(file_names):
-            raise FormatError(
-                f"{provenance_path}: perCG has {len(provenances)} entries "
-                f"for {len(file_names)} cgFiles"
-            )
+    manifest = read_manifest(directory)
+    graphs = tuple(load_cg(directory / name) for name in manifest.files)
+    provenances = None
+    if manifest.provenance is not None:
+        provenances = _load_provenance(manifest.provenance, len(graphs))
     return LoadedDataset(
         graphs=graphs,
-        files=tuple(file_names),
-        config=_field(manifest, "config", dict, manifest_path),
-        stats=stats,
+        files=manifest.files,
+        config=manifest.config,
+        stats=manifest.stats,
         provenances=provenances,
     )
 

@@ -18,7 +18,6 @@ the seed, so results are reproducible and independent of scheduling.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -50,6 +49,9 @@ _MAX_DRAWS_PER_CG = 100_000
 
 def derive_rng(seed: int, *parts: object) -> random.Random:
     """An independent stream keyed by (seed, parts), stable across platforms."""
+    # Imported here: hashlib loads OpenSSL, which no read-only command needs.
+    import hashlib
+
     material = ":".join([str(seed), *(str(part) for part in parts)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

@@ -729,6 +729,7 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert file_name in err and field in err
+        return err
 
     @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
     @pytest.mark.parametrize(
@@ -754,6 +755,48 @@ class TestMalformedDataset:
     )
     def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
         self.check_exit_2(pristine, tmp_path, capsys, mutate, argv)
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_load_error_after_a_violation_reports_only_itself(
+        self, pristine, tmp_path, capsys, command
+    ):
+        # cggen validate reads one CG at a time, so cg-0000's violation is
+        # found before cg-0001 fails to load; only the load error is reported.
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        first = out / "dataset" / "cg-0000.json"
+        doc = json.loads(first.read_text())
+        doc["relations"][0]["type"] = "NoSuchRel"
+        first.write_text(json.dumps(doc))
+        second = out / "dataset" / "cg-0001.json"
+        doc = json.loads(second.read_text())
+        doc["relations"][0]["args"][0] = "nosuch"
+        second.write_text(json.dumps(doc))
+        relation = doc["relations"][0]["id"]
+        line = f"{second}: relation {relation!r} references missing concept 'nosuch'"
+        capsys.readouterr()
+        target = out if command == "validate" else out / "dataset"
+        assert main([command, str(target)]) == 1
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert (captured.out, captured.err) == (line + "\n", "")
+        else:
+            assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+    @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
+    def test_malformed_cg_reported_before_malformed_provenance(
+        self, pristine, tmp_path, capsys, argv
+    ):
+        def both(out):
+            _truncate_per_cg(out)
+            path = out / "dataset" / "cg-0001.json"
+            doc = json.loads(path.read_text())
+            doc["relations"][0]["args"][0] = 7
+            path.write_text(json.dumps(doc))
+            return "cg-0001.json", "relations[0].args[0] must be str, found int"
+
+        err = self.check_exit_2(pristine, tmp_path, capsys, both, argv)
+        assert "provenance.json" not in err
 
     def test_gamma_domain_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _mixed_domain, ("validate", ""))

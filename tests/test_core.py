@@ -245,6 +245,31 @@ class TestGraphStructure:
         with pytest.raises(StructureError, match="both kinds"):
             cg([ConceptNode("x", "Person")], [RelationNode("x", "state", ())])
 
+    def test_key_must_name_its_node(self):
+        concepts = {"c0": ConceptNode("c0", "Person")}
+        with pytest.raises(StructureError) as caught:
+            ConceptualGraph({**concepts, "c1": ConceptNode("c9", "Person")}, {})
+        assert str(caught.value) == "concept key 'c1' names node 'c9'"
+        with pytest.raises(StructureError) as caught:
+            ConceptualGraph(concepts, {"r0": RelationNode("r1", "knows", ("c0", "c0"))})
+        assert str(caught.value) == "relation key 'r0' names node 'r1'"
+
+    def test_first_fault_is_named(self):
+        # A relation key naming another node is reported before a missing
+        # concept, and missing concepts in relation and argument order.
+        concepts = {"c0": ConceptNode("c0", "Person")}
+        relations = {
+            "r0": RelationNode("r0", "knows", ("c0", "c7")),
+            "r1": RelationNode("r1", "knows", ("c5", "c0")),
+        }
+        with pytest.raises(StructureError) as caught:
+            ConceptualGraph(concepts, relations)
+        assert str(caught.value) == "relation 'r0' references missing concept 'c7'"
+        relations["r2"] = RelationNode("r9", "knows", ("c0", "c0"))
+        with pytest.raises(StructureError) as caught:
+            ConceptualGraph(concepts, relations)
+        assert str(caught.value) == "relation key 'r2' names node 'r9'"
+
     def test_multigraph_positions_allowed(self, tiny_vocab):
         graph = cg(
             [ConceptNode("c0", "Person", "alice")],

@@ -175,15 +175,26 @@ def test_constructors_rewrite_and_default(tiny_vocab):
         ParamSpec(1, stddev=-1)
 
 
-def test_import_loads_no_record_machinery():
+def loaded_by_cli_import(*modules):
+    """Those of ``modules`` that ``import cggen.cli`` loads in a fresh interpreter."""
     # -S keeps the interpreter's site imports out of sys.modules.
     code = "import sys, cggen.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code, "dataclasses", "inspect", "concurrent.futures"],
+        [sys.executable, "-S", "-c", code, *modules],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_record_machinery():
+    assert loaded_by_cli_import("dataclasses", "inspect", "concurrent.futures") == "[]"
+
+
+def test_import_loads_no_openssl():
+    # Only generating needs hashlib (derive_rng) and secrets (an unseeded
+    # run); cggen validate and cggen stats never load OpenSSL.
+    assert loaded_by_cli_import("_hashlib", "hashlib", "secrets") == "[]"

@@ -1,7 +1,9 @@
-"""`cggen generate` holds one CG at a time and checks its inputs before writing.
+"""`cggen generate`, `validate` and `stats` hold one CG at a time; generate
+checks its inputs before writing.
 
-Each CG is encoded as soon as it is generated, so the graphs alive when a
-CG document is encoded must not depend on how many CGs the run makes.
+Each CG is encoded as soon as it is generated, and read back one at a time,
+so the graphs alive when a CG document is encoded or loaded must not depend
+on how many CGs the run makes.
 """
 
 import copy
@@ -15,27 +17,55 @@ from cggen.cli import main
 from test_golden import README_CONFIG
 
 
-def most_live_graphs(tmp_path, monkeypatch, max_cgs):
-    """The most ConceptualGraph objects alive as any CG of a README run is encoded."""
+def counted(monkeypatch, name):
+    """The ConceptualGraph objects alive at each call of ``formats.<name>``, as a list."""
     counts = []
-    cg_document = formats._cg_document
+    real = getattr(formats, name)
 
-    def counting_cg_document(graph):
+    def counting(*args):
         counts.append(sum(type(obj) is ConceptualGraph for obj in gc.get_objects()))
-        return cg_document(graph)
+        return real(*args)
 
-    monkeypatch.setattr(formats, "_cg_document", counting_cg_document)
+    monkeypatch.setattr(formats, name, counting)
+    return counts
+
+
+def generate(tmp_path, max_cgs):
+    """The output directory of a README run at ``max_cgs`` CGs."""
     config = copy.deepcopy(README_CONFIG)
     config["generator"]["maxCGs"] = max_cgs
     path = tmp_path / f"run-{max_cgs}.json"
     path.write_text(json.dumps(config))
-    assert main(["generate", "--config", str(path), "--out", str(tmp_path / f"out-{max_cgs}")]) == 0
+    out = tmp_path / f"out-{max_cgs}"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
+def most_live_graphs(tmp_path, monkeypatch, max_cgs):
+    """The most ConceptualGraph objects alive as any CG of a README run is encoded."""
+    with monkeypatch.context() as patch:
+        counts = counted(patch, "_cg_document")
+        generate(tmp_path, max_cgs)
     assert len(counts) == max_cgs
     return max(counts)
 
 
 def test_live_graphs_do_not_grow_with_the_dataset(tmp_path, monkeypatch, capsys):
     assert most_live_graphs(tmp_path, monkeypatch, 2) == most_live_graphs(tmp_path, monkeypatch, 8)
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_read_back_holds_one_cg_at_a_time(tmp_path, monkeypatch, capsys, command):
+    most = []
+    for max_cgs in (2, 8):
+        out = generate(tmp_path, max_cgs)
+        with monkeypatch.context() as patch:
+            counts = counted(patch, "load_cg")
+            target = out if command == "validate" else out / "dataset"
+            assert main([command, str(target)]) == 0
+        assert len(counts) == max_cgs
+        most.append(max(counts))
+    assert most[0] == most[1]
 
 
 @pytest.fixture

@@ -291,7 +291,7 @@ class TestProvenanceWriter:
         text = path.read_text(encoding="utf-8")
         assert text == expected_provenance(provenances)
         # Saving what the loader read back gives the same bytes.
-        loaded = formats._load_provenance(path)
+        loaded = formats._load_provenance(path, len(provenances))
         assert provenance_path(tmp_path, loaded).read_text(encoding="utf-8") == text
 
     def test_repeated_key_keeps_dict_semantics(self, tmp_path):
