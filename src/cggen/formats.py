@@ -48,13 +48,16 @@ def _dump(path: Path, document: dict[str, Any]) -> None:
 
 # Every writer but the manifest's (``_dump``, a handful of fields) emits the
 # layout of json.dumps(document, indent=2) + "\n" directly: every scalar goes
-# through the C string encoder, every node, marker or draw through one
-# %-template. This is several times faster than json.dumps with an indent,
-# which always runs the pure-Python encoder. A CG or gamma-CG document is
-# built whole and written with one system call; building it takes about
-# three times the file's size at its peak (1.5 MB for a CG of 4000 nodes).
-# The vocabulary and provenance writers stream marker by marker and draw by
-# draw, so neither holds its whole text. docs/formats.md states the layout.
+# through the C string encoder, every node, marker, draw or merge entry
+# through one %-template, and the items of an array take one join. This is
+# several times faster than json.dumps with an indent, which always runs the
+# pure-Python encoder. A CG or gamma-CG document is built whole and written
+# with one system call; building it takes about three times the file's size
+# at its peak (1.5 MB for a CG of 4000 nodes). The vocabulary and provenance
+# writers stream marker by marker and draw by draw, so neither holds its
+# whole text; within one write, the provenance writer reuses the text of the
+# "assignments" and "specialisations" objects it encoded last, so a repeated
+# one is encoded once. docs/formats.md states the layout.
 _enc = json.encoder.encode_basestring_ascii
 _int = int.__repr__
 
@@ -142,8 +145,9 @@ def _array(items: Sequence[str], depth: int) -> str:
 def _stream(items: Iterable[str], depth: int) -> Iterator[str]:
     """``_array(list(items), depth)``, one item at a time.
 
-    ``_array`` keeps its own body: built as a join of this generator, the
-    ~10k ``_triples`` calls of a large-cg provenance took about 14% longer.
+    ``_array`` keeps its own body: a join of this generator took about
+    1.7 times as long for an array of three items, and ten times as long
+    for one of 4000 (timeit, CPython 3.11).
     """
     inner = "\n" + "  " * (depth + 1)
     separator = "[" + inner
@@ -178,13 +182,18 @@ def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], dept
     return "{" + inner + body + "\n" + "  " * depth + "}"
 
 
+# How many encoded objects of each kind a provenance write keeps. Each entry
+# also keeps its key alive, so without this bound the cache grows with the
+# number of CGs: `cggen generate` at 16 and 64 CGs of 4000 nodes
+# (tests/peak_rss.py, CPython 3.11) peaked at 30.3 and 30.6 MB with 1,024
+# entries, 31.9 and 33.2 MB with 4,096, and 32.0 and 42.5 MB unbounded.
+_OBJECT_CACHE = 1024
+
 _TRIPLE = "[%s, %s, %s]"
-
-
-@functools.cache
-def _triples_template(count: int) -> str:
-    """The %-template of a "merged" or "skippedMerges" value of ``count`` triples."""
-    return _array([_TRIPLE] * count, 5)
+# The lines of a "merged" or "skippedMerges" value, whose entries sit at depth 6.
+_TRIPLES_OPEN = "[\n" + "  " * 6
+_TRIPLES_SEPARATOR = ",\n" + "  " * 6
+_TRIPLES_CLOSE = "\n" + "  " * 5 + "]"
 
 
 def _triples(entries: Sequence[tuple[str, ...]]) -> str:
@@ -192,14 +201,17 @@ def _triples(entries: Sequence[tuple[str, ...]]) -> str:
 
     One entry per line, each entry's strings on that line, as
     ``json.dumps(entry)`` lays them out. The generator's entries are all
-    triples and take one cached template per entry count; an entry of
-    another length, which the loader accepts too, takes the general path.
+    triples: each fills ``_TRIPLE`` and the lines take one join. An entry
+    of another length, which the loader accepts too, fails to unpack, and
+    the whole value then takes the general path.
     """
     if not entries:
         return "[]"
-    if all(len(entry) == 3 for entry in entries):
-        return _triples_template(len(entries)) % tuple(map(_enc, chain.from_iterable(entries)))
-    return _array(["[%s]" % ", ".join(map(_enc, entry)) for entry in entries], 5)
+    try:
+        lines = [_TRIPLE % (_enc(a), _enc(b), _enc(c)) for a, b, c in entries]
+    except ValueError:
+        return _array(["[%s]" % ", ".join(map(_enc, entry)) for entry in entries], 5)
+    return _TRIPLES_OPEN + _TRIPLES_SEPARATOR.join(lines) + _TRIPLES_CLOSE
 
 
 def _parse(path: Path) -> dict[str, Any]:
@@ -571,6 +583,14 @@ def _provenance_members(provenances: Iterable[GenerationProvenance]) -> Iterator
     Each entry is taken from ``provenances`` only when the one before it is
     written, so a lazy iterable is written as it is produced.
     """
+    # Draws repeat the same few assignment and specialisation tuples (572
+    # and 30 distinct among the 4,942 draws of 4 CGs of 4000 nodes from the
+    # README's inputs), so each object is encoded once per distinct tuple.
+    # The caches live for one write, and their bound keeps the tuples they
+    # hold from growing with the number of CGs.
+    cache = functools.lru_cache(maxsize=_OBJECT_CACHE)
+    assignments = cache(lambda pairs: _object(pairs, _enc, 5))
+    specialisations = cache(lambda pairs: _object(pairs, _int, 5))
     separator = "[\n    "
     yield '  "perCG": '
     for provenance in provenances:
@@ -580,8 +600,8 @@ def _provenance_members(provenances: Iterable[GenerationProvenance]) -> Iterator
                 _DRAW
                 % (
                     _enc(draw.gamma_name),
-                    _object(draw.assignments, _enc, 5),
-                    _object(draw.specialisations, _int, 5),
+                    assignments(draw.assignments),
+                    specialisations(draw.specialisations),
                     _triples(draw.merged),
                     _triples(draw.skipped_merges),
                 )

@@ -166,7 +166,15 @@ def slot_domain(
     concepts = vocab.concepts
     if kind == TARGET_CONCEPT_TYPE:
         admissible = set(concepts.labels)
-        for rel_id, position in _incidences(graph).get(node_id, ()):
+        # Only this node's slots, in relation-id order, so that an unknown
+        # relation type raises for the lowest relation id.
+        slots = sorted(
+            (rel_id, position)
+            for rel_id, relation in graph.relations.items()
+            for position, arg in enumerate(relation.args)
+            if arg == node_id
+        )
+        for rel_id, position in slots:
             relation_type = graph.relations[rel_id].type_id
             admissible &= concepts.down[restriction_for(vocab, relation_type, position)]
         return tuple(sorted(admissible))

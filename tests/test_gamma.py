@@ -168,6 +168,19 @@ class TestConceptTypeDomain:
         with pytest.raises(UnknownIdentifierError):
             domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, "r0")
 
+    def test_unknown_relation_types_raise_for_the_lowest_relation_id(self, tiny_vocab):
+        # "r10" sorts before "r2" but is added after it; the node "c1"
+        # sits in neither and must not matter.
+        graph = ConceptualGraph(
+            {"c0": ConceptNode("c0", "Person"), "c1": ConceptNode("c1", "Place")},
+            {
+                "r2": RelationNode("r2", "NoSuchB", ("c0", "c1")),
+                "r10": RelationNode("r10", "NoSuchA", ("c1", "c0")),
+            },
+        )
+        with pytest.raises(UnknownIdentifierError, match="^unknown relation type 'NoSuchA'$"):
+            domain_of(tiny_vocab, gcg_of(graph), TARGET_CONCEPT_TYPE, "c0")
+
     def test_matches_brute_force_everywhere(self, tiny_vocab, sample_gcg):
         for node_id in sample_gcg.graph.concepts:
             assert domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, node_id) == (

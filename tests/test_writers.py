@@ -7,6 +7,7 @@ built independently of the library's writers.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -47,6 +48,11 @@ from oracles import cg_doc, gamma_cg_doc, provenance_doc, vocabulary_doc
 
 # Non-ASCII, astral (a surrogate pair in JSON), quote, backslash and controls.
 ODD = ["café", "\U0001f600x", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f", " "]
+
+
+# Draws of different CGs that share these tuples, as generated draws often do.
+SHARED_ASSIGNMENTS = ((ODD[0], "alice"), ("v2", ODD[5]))
+SHARED_STEPS = (("concept-type:c0", 2), ("marker:c1", 0))
 
 
 def expected(doc):
@@ -278,12 +284,47 @@ class TestProvenanceWriter:
                     ),
                 ),
             ],
+            # The writer encodes each distinct assignments and specialisations
+            # tuple once; draws that share them must still get their own merges.
+            [
+                GenerationProvenance(
+                    index,
+                    (
+                        ComponentDraw("g0", SHARED_ASSIGNMENTS, SHARED_STEPS, merged, ()),
+                        # Equal to the first draw's tuple, but another object.
+                        ComponentDraw(
+                            "g1", tuple(list(SHARED_ASSIGNMENTS)), SHARED_STEPS, (), merged[::-1]
+                        ),
+                    ),
+                )
+                for index, merged in enumerate(
+                    [(("c0", "c1", "c2"),), (("c3", ODD[1], "c4"), ("c5", "c6", ODD[0]))]
+                )
+            ],
+            # A draw whose triples are mixed with an entry of two items takes
+            # the general path for that value only.
+            [
+                GenerationProvenance(
+                    0,
+                    (
+                        ComponentDraw(
+                            "g0",
+                            SHARED_ASSIGNMENTS,
+                            SHARED_STEPS,
+                            (("c0", "c1", "c2"), (ODD[2], ODD[3]), (ODD[4], "c5", "c6")),
+                            (("c7", "c8", ODD[0]),),
+                        ),
+                    ),
+                ),
+            ],
         ],
         ids=[
             "no-cgs",
             "cg-without-draws",
             "odd-strings-and-empty-members",
             "merge-entries-of-0-1-2-4-items",
+            "shared-objects-with-different-merges",
+            "merge-entries-of-3-and-2-items",
         ],
     )
     def test_matches_json_dumps(self, provenances, tmp_path):
@@ -308,6 +349,44 @@ class TestProvenanceWriter:
         document = json.loads(text)["perCG"][0]["draws"][0]
         assert list(document["assignments"].items()) == [("a", "3"), ("b", "2")]
         assert list(document["specialisations"].items()) == [("s", 5), ("t", 2)]
+
+    def test_more_distinct_objects_than_the_cache_holds(self, tmp_path):
+        # Each draw has its own assignments and specialisations. After the
+        # first pass the earliest tuples are evicted, and the second pass, in
+        # the same order, must encode them again to the same text.
+        count = formats._OBJECT_CACHE + 10
+        draws = tuple(
+            ComponentDraw(
+                "g0",
+                ((f"v{n}", ODD[n % len(ODD)]), ("w", f"m{n}"), (f"v{n}", f"last{n}")),
+                ((f"concept-type:c{n % 7}", n % 3), (f"marker:c{n}", n)),
+                (),
+                (),
+            )
+            for n in range(count)
+        )
+        provenances = [GenerationProvenance(0, draws), GenerationProvenance(1, draws)]
+        text = provenance_path(tmp_path, provenances).read_text(encoding="utf-8")
+        assert text == expected_provenance(provenances)
+        document = json.loads(text)["perCG"][1]["draws"][0]
+        assert list(document["assignments"].items()) == [("v0", "last0"), ("w", "m0")]
+
+    def test_no_cache_state_outlives_a_write(self, tmp_path):
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
+        config = GeneratorConfig(max_cgs=1, min_size=1)
+        assignments = (("v0", "alice"), ("v1", "bob"))
+        steps = (("concept-type:c0", 1),)
+        references = sys.getrefcount(assignments), sys.getrefcount(steps)
+        for number, merged in enumerate([(("c0", "c1", "c2"),), (("c3", "c4", "c5"),)]):
+            draw = ComponentDraw("g0", assignments, steps, merged, ())
+            provenances = [GenerationProvenance(0, (draw,))]
+            directory = tmp_path / f"ds-{number}"
+            formats.write_dataset(directory, zip([graph], provenances), config)
+            text = (directory / "provenance.json").read_text(encoding="utf-8")
+            assert text == expected_provenance(provenances)
+            del draw, provenances
+            # Nothing the write cached still holds the tuples it was given.
+            assert (sys.getrefcount(assignments), sys.getrefcount(steps)) == references
 
     def test_generated_provenance(self, generated, tmp_path):
         _, dataset, config = generated
