@@ -542,6 +542,46 @@ def _drop_nodes_mean(out):
     return "manifest.json", "stats.nbNodes.mean"
 
 
+def _edit_manifest(out, edit):
+    path = out / "dataset" / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _list_max_cgs(out):
+    _edit_manifest(out, lambda doc: doc["config"].update(maxCGs=[]))
+    return "manifest.json", "field config.maxCGs must be int, found list"
+
+
+def _bool_seed(out):
+    _edit_manifest(out, lambda doc: doc["config"].update(seed=True))
+    return "manifest.json", "field config.seed must be int, found bool"
+
+
+def _nan_nodes_mean(out):
+    # json.loads reads the NaN that json.dumps writes.
+    _edit_manifest(out, lambda doc: doc["stats"]["nbNodes"].update(mean=float("nan")))
+    return "manifest.json", "field stats.nbNodes.mean must be int or float, found nan"
+
+
+def _huge_nodes_mean(out):
+    # An integer beyond the float range, which json.loads reads exactly.
+    _edit_manifest(out, lambda doc: doc["stats"]["nbNodes"].update(mean=10**400))
+    return "manifest.json", "field stats.nbNodes.mean must be int or float, found 1000"
+
+
+def _empty_provenance_file(out):
+    # An empty name would otherwise read as "no provenance" and skip its check.
+    _edit_manifest(out, lambda doc: doc.update(provenanceFile=""))
+    return "manifest.json", "field provenanceFile must be a file name or null"
+
+
+def _drop_provenance_file(out):
+    _edit_manifest(out, lambda doc: doc.pop("provenanceFile"))
+    return "manifest.json", "missing field provenanceFile"
+
+
 def _drop_draw_gamma(out):
     path = out / "dataset" / "provenance.json"
     doc = json.loads(path.read_text())
@@ -736,6 +776,12 @@ class TestMalformedDataset:
         "mutate",
         [
             _drop_nodes_mean,
+            _list_max_cgs,
+            _bool_seed,
+            _nan_nodes_mean,
+            _huge_nodes_mean,
+            _empty_provenance_file,
+            _drop_provenance_file,
             _drop_draw_gamma,
             _string_specialisation_steps,
             _truncate_per_cg,

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,7 @@ from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
 from oracles import parse_dot
+from test_field_parity import DOCUMENTS, case_id, cases, generate, mutated
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +415,108 @@ class TestEntryLoaders:
         doc["perCG"][0]["draws"] = []
         provenance_path.write_text(json.dumps(doc))
         assert load_dataset(directory).provenances[0] == GenerationProvenance(0, ())
+
+
+def _json_type(table):
+    """The "JSON type" column of docs/formats.md for one table row."""
+    kinds = table["type"] if isinstance(table["type"], list) else [table["type"]]
+    text = " or ".join(kinds)
+    if "minimum" in table:
+        text = "finite " + text
+    if "minLength" in table:
+        text = "non-empty " + text
+    inner = table.get("items", table.get("additionalProperties"))
+    return text if inner is None else f"{text} of {_json_type(inner)}s"
+
+
+def _field_rows(table, prefix=""):
+    """(field, JSON type, required) for every property of ``table``, depth first."""
+    for key, row in table.get("properties", {}).items():
+        name = prefix + key
+        yield name, _json_type(row), "yes" if key in table["required"] else "no"
+        yield from _field_rows(row, name + ".")
+        yield from _field_rows(row.get("items", {}), name + "[].")
+
+
+KINDS = dict(zip(DOCUMENTS, ["vocabulary", "gamma-cg", "cg", "dataset-manifest", "provenance"]))
+
+
+class TestFieldTables:
+    """The loaders' field tables: the documentation and the interpreter's two checks."""
+
+    def test_docs_list_every_field_of_every_table(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        documented = {}
+        for section in text.split("\n## ")[1:]:
+            kind, _, body = section.partition("\n")
+            rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \| (yes|no) \|$", body, re.MULTILINE)
+            if rows:
+                documented[kind] = rows
+        expected = {kind: list(_field_rows(table)) for kind, table in formats._TABLES.items()}
+        assert documented == expected
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        """Every document of a small output, with each single-field fault of the parity guard.
+
+        The first draw of a CG merges nothing, so one more fault breaks a
+        merge entry; two more break a bound and a minimum length, which no
+        change of type does.
+        """
+        out = generate(tmp_path_factory.mktemp("tables"))
+        mutated_documents = [
+            (
+                document,
+                case_id(document, path, mutation),
+                json.loads(mutated((out / document).read_text(), path, mutation)),
+            )
+            for document, path, mutation in cases(out)
+        ]
+        provenance = json.loads((out / "dataset" / "provenance.json").read_text())
+        draw = next(d for entry in provenance["perCG"] for d in entry["draws"] if d["merged"])
+        draw["merged"][0] = None
+        mutated_documents.append(("dataset/provenance.json", "a null merge entry", provenance))
+        for label, edit in [
+            ("a NaN mean", lambda doc: doc["stats"]["nbNodes"].update(mean=float("nan"))),
+            ("an empty provenanceFile", lambda doc: doc.update(provenanceFile="")),
+        ]:
+            manifest = json.loads((out / "dataset" / "manifest.json").read_text())
+            edit(manifest)
+            mutated_documents.append(("dataset/manifest.json", label, manifest))
+        return mutated_documents
+
+    def test_bulk_check_fails_exactly_when_the_locator_raises(self, documents):
+        located = 0
+        for document, label, doc in documents:
+            checks = [KINDS[document]]
+            if KINDS[document] in ("cg", "gamma-cg"):
+                checks.append("arguments")
+            for kind in checks:
+                try:
+                    bulk = formats._BULK[kind]([doc], {})
+                except KeyError:
+                    bulk = False
+                try:
+                    formats._locate(formats._CHECKED[kind], doc, Path(document), "")
+                except FormatError:
+                    located += 1
+                    assert not bulk, label
+                else:
+                    assert bulk, label
+        assert located > len(documents) / 2
+
+    def test_columns_checked_in_blocks_are_the_whole_columns(self, documents, monkeypatch):
+        def bulk(document, doc):
+            columns = {}
+            try:
+                fits = formats._BULK[KINDS[document]]([doc], columns)
+            except KeyError:
+                return None
+            return fits, columns if fits else None
+
+        whole = [bulk(document, doc) for document, _, doc in documents]
+        monkeypatch.setattr(formats, "_BLOCK", 2)
+        assert [bulk(document, doc) for document, _, doc in documents] == whole
 
 
 class TestDotExport:
