@@ -7,8 +7,22 @@ parse error. Every behavior is a thin shell over the library.
 The ``cggen`` process (``console_main``) runs with the cyclic garbage
 collector off. cggen's data holds no reference cycles, so reference counting
 frees all of it; left on, the collector repeatedly walks the lists and dicts
-that ``json.loads`` and the generator build, for nothing. ``main`` itself
-leaves the collector alone, so library and in-process callers are unaffected.
+that ``json.loads`` and the generator build, for nothing.
+
+Once ``main`` has returned its exit code, the process flushes stdout and
+stderr and ends with ``os._exit``. That skips the interpreter's teardown,
+which frees every module and object one by one, for memory the operating
+system reclaims anyway: 9-15 ms of every child (CPython 3.11, one core of a
+2-core VM). It also skips what teardown does besides: the atexit handlers,
+of which cggen registers none, and the flushing of files left open, of which
+cggen leaves none. Every writer closes its file in a ``with`` block or with
+``os.close``, and the tests turn a ``ResourceWarning`` (a file never closed)
+into an error. An exception from ``main``, argparse's ``SystemExit``
+(``--help``, a usage error) and a failed flush leave the normal way, so the
+interpreter reports them as it always has.
+
+``main`` itself leaves the collector and teardown alone, so library and
+in-process callers are unaffected.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -151,7 +166,7 @@ def _generator_config(section: dict[str, Any], seed: int) -> GeneratorConfig:
 
 def _load_config_doc(config_path: str) -> tuple[dict[str, Any], Path]:
     path = Path(config_path)
-    doc = formats._parse(path)
+    doc = formats.read_json(path)
     _check_keys(
         doc,
         {"seed", "autoVoc", "autoGcg", "autoVar", "generator", "inputs"},
@@ -398,6 +413,14 @@ def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
         diagnostics.extend(lines)
 
 
+def _admit(path: Path, vocab: Vocabulary | None, kind: Any) -> None:
+    """Refuse a file ``cggen validate`` cannot check, before it is loaded."""
+    if kind not in ("vocabulary", "cg", "gamma-cg"):
+        raise ConfigError(f"{path}: cannot validate documents of kind {kind!r}")
+    if kind != "vocabulary" and vocab is None:
+        raise ConfigError(f"{path}: --vocab is required to validate a {kind} file")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     diagnostics: list[str] = []
     vocab: Vocabulary | None = None
@@ -409,20 +432,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             if path.is_dir():
                 _validate_directory(path, diagnostics)
                 continue
-            doc = formats._parse(path)
-            kind = doc.get("kind")
-            if kind == "vocabulary":
-                formats.load_vocabulary(path)
-            elif kind in ("cg", "gamma-cg"):
-                if vocab is None:
-                    raise ConfigError(f"{path}: --vocab is required to validate a {kind} file")
-                if kind == "cg":
-                    lines = validate_graph(vocab, formats.load_cg(path)).lines()
-                else:
-                    lines = validate_gamma(vocab, formats.load_gamma_cg(path))
-                diagnostics.extend(f"{path}: {line}" for line in lines)
+            loaded = formats.load_document(path, lambda kind: _admit(path, vocab, kind))
+            if isinstance(loaded, ConceptualGraph):
+                lines = validate_graph(vocab, loaded).lines()
+            elif isinstance(loaded, GammaCG):
+                lines = validate_gamma(vocab, loaded)
             else:
-                raise ConfigError(f"{path}: cannot validate documents of kind {kind!r}")
+                continue
+            diagnostics.extend(f"{path}: {line}" for line in lines)
         except (VocabularyError, StructureError) as exc:
             diagnostics.append(str(exc))
     for line in diagnostics:
@@ -512,4 +529,14 @@ def console_main() -> None:
     # Reference counting frees everything cggen builds; the cyclic collector
     # would only rescan it (see the module docstring).
     gc.disable()
-    raise SystemExit(main())
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without it
+                stream.flush()
+    except (OSError, ValueError):
+        # A closed pipe or stream: the interpreter's exit flushes again and
+        # reports the failure as it would without the shortcut below.
+        raise SystemExit(code)
+    # The output is out; skip the teardown (see the module docstring).
+    os._exit(code)

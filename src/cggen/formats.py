@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from itertools import chain, islice
@@ -215,7 +216,8 @@ def _triples(entries: Sequence[tuple[str, ...]]) -> str:
     return _TRIPLES_OPEN + _TRIPLES_SEPARATOR.join(lines) + _TRIPLES_CLOSE
 
 
-def _parse(path: Path) -> dict[str, Any]:
+def read_json(path: Path) -> dict[str, Any]:
+    """The JSON object in ``path``; a ``FormatError`` naming the file otherwise."""
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -248,14 +250,14 @@ def _check_header(document: dict[str, Any], path: Path, kind: str) -> None:
 # The field rules of each document kind, one table per kind, in the subset
 # of JSON Schema (draft 2020-12) that the loaders use: "type", "properties"
 # with "required", "items", "additionalProperties" (the values of a map),
-# "minimum" with "maximum", and "minLength". Our own "message" keyword gives
+# "minimum", "maximum", "enum" and "minLength". Our own "message" keyword gives
 # the error for a value that does not fit, where the accepted types' names
 # would not say it. An optional property reads as null when it is absent.
 # docs/formats.md lists the fields of every table; a test compares the two.
 _STRING = {"type": "string"}
 _INTEGER = {"type": "integer"}
 # json.loads reads NaN and Infinity; neither lies within these bounds.
-_NUMBER = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
+_NON_NEGATIVE = {"type": "number", "minimum": 0, "maximum": sys.float_info.max}
 _STRINGS = {"type": "array", "items": _STRING}
 _LISTS = {"type": "array", "items": {"type": "array"}}
 
@@ -281,8 +283,8 @@ _GRAPH_FIELDS = {
 _TYPE_FIELDS = {"id": _STRING, "label": _STRING, "parents": _STRINGS}
 _RELATION_TYPES = _entries(_table(**_TYPE_FIELDS, signature=_STRINGS))
 _VARIABLE_TABLE = _table(name=_STRING, target=_table(kind=_STRING, node=_STRING), domain=_STRINGS)
-_MEANS = _table(mean=_NUMBER, stddev=_NUMBER)
-_COUNTS = {"type": "object", "additionalProperties": _NUMBER}
+_MEANS = _table(mean=_NON_NEGATIVE, stddev=_NON_NEGATIVE)
+_COUNTS = {"type": "object", "additionalProperties": _NON_NEGATIVE}
 _FILE_NAME = {
     "type": ["string", "null"],
     "minLength": 1,
@@ -304,9 +306,13 @@ _TABLES = {
     "cg": _table(**_GRAPH_FIELDS),
     "gamma-cg": _table(name=_STRING, **_GRAPH_FIELDS, variables=_entries(_VARIABLE_TABLE)),
     "dataset-manifest": _table(
+        # The bounds of GeneratorConfig, and the one policy cggen has.
         config=_table(
-            maxCGs=_INTEGER, minSize=_INTEGER, maxSpe=_INTEGER, seed=_INTEGER,
-            relationDomainPolicy=_STRING,
+            maxCGs={"type": "integer", "minimum": 1},
+            minSize={"type": "integer", "minimum": 1},
+            maxSpe={"type": "integer", "minimum": 0},
+            seed=_INTEGER,
+            relationDomainPolicy={"type": "string", "enum": ["signature-compatible"]},
         ),
         stats=_table(cgCount=_INTEGER, nbNodes=_MEANS, nbLabels=_MEANS, arityCounts=_COUNTS),
         cgFiles=_STRINGS,
@@ -332,9 +338,12 @@ def _types(table: dict[str, Any]) -> list[type]:
 
 def _constraint(table: dict[str, Any]) -> Callable[[Any], bool] | None:
     """What a value of an accepted type must also pass, if ``table`` says."""
-    if "minimum" in table:  # NaN fails both comparisons
-        low, high = table["minimum"], table["maximum"]
+    if "minimum" in table:  # NaN fails every comparison
+        low, high = table["minimum"], table.get("maximum", math.inf)
         return lambda value: low <= value <= high
+    if "enum" in table:
+        choices = table["enum"]
+        return lambda value: value in choices
     if "minLength" in table:
         least = table["minLength"]
         return lambda value: type(value) is not str or len(value) >= least
@@ -400,8 +409,13 @@ def _locate(table: dict[str, Any], value: Any, path: Path, where: str, field: st
     """Raise the error of the first value, depth first, that does not fit ``table``."""
     types, constraint = _types(table), _constraint(table)
     if type(value) not in types or not (constraint is None or constraint(value)):
-        found = type(value).__name__ if type(value) not in types else repr(value)
+        fits = type(value) in types
         expected = " or ".join(python.__name__ for python in types)
+        if fits and "enum" in table:
+            expected = " or ".join(map(repr, table["enum"]))
+        elif fits and "minimum" in table and value < table["minimum"]:
+            expected += f" >= {table['minimum']}"
+        found = repr(value) if fits else type(value).__name__
         message = table.get("message", field + "{where} must be " + expected + ", found {found}")
         raise FormatError(f"{path}: " + message.format(where=where, found=found))
     for key, row in table.get("properties", {}).items():
@@ -430,11 +444,16 @@ def _check(kind: str, document: dict[str, Any], path: Path) -> dict[str, list[An
     raise AssertionError(f"{path}: the bulk check failed but the locator found no fault")
 
 
+def _checked(document: dict[str, Any], path: Path, kind: str) -> dict[str, list[Any]]:
+    """The columns of ``document``, once its header and fields are checked as a ``kind``."""
+    _check_header(document, path, kind)
+    return _check(kind, document, path)
+
+
 def _read(path: Path, kind: str) -> tuple[dict[str, Any], dict[str, list[Any]]]:
     """A document of ``kind`` and its columns, once its header and fields are checked."""
-    document = _parse(path)
-    _check_header(document, path, kind)
-    return document, _check(kind, document, path)
+    document = read_json(path)
+    return document, _checked(document, path, kind)
 
 
 def _require_unique(ids: list[Any], distinct: int, path: Path, message: str) -> None:
@@ -501,7 +520,11 @@ def _load_hierarchy(
 
 def load_vocabulary(path: "str | Path") -> Vocabulary:
     path = Path(path)
-    document, columns = _read(path, "vocabulary")
+    return _vocabulary(read_json(path), path)
+
+
+def _vocabulary(document: dict[str, Any], path: Path) -> Vocabulary:
+    columns = _checked(document, path, "vocabulary")
     concepts = _load_hierarchy(document["conceptTypes"], CONCEPT, None, path, "conceptTypes")
     relations: dict[int, TypeHierarchy] = {}
     signatures: dict[str, Signature] = {}
@@ -571,7 +594,11 @@ def save_cg(path: "str | Path", graph: ConceptualGraph) -> None:
 def load_cg(path: "str | Path") -> ConceptualGraph:
     # iter_dataset passes a Path per CG; building another took 2.8 us a call.
     path = path if isinstance(path, Path) else Path(path)
-    return _load_graph(*_read(path, "cg"), path)
+    return _cg(read_json(path), path)
+
+
+def _cg(document: dict[str, Any], path: Path) -> ConceptualGraph:
+    return _load_graph(document, _checked(document, path, "cg"), path)
 
 
 def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
@@ -592,8 +619,11 @@ def save_gamma_cg(path: "str | Path", gcg: GammaCG) -> None:
 
 def load_gamma_cg(path: "str | Path") -> GammaCG:
     path = Path(path)
-    document, columns = _read(path, "gamma-cg")
-    graph = _load_graph(document, columns, path)
+    return _gamma_cg(read_json(path), path)
+
+
+def _gamma_cg(document: dict[str, Any], path: Path) -> GammaCG:
+    graph = _load_graph(document, _checked(document, path, "gamma-cg"), path)
     variables: list[Variable] = []
     for index, entry in enumerate(document["variables"]):
         name, target, domain = entry["name"], entry["target"], tuple(entry["domain"])
@@ -605,6 +635,32 @@ def load_gamma_cg(path: "str | Path") -> GammaCG:
         return GammaCG(document["name"], graph, tuple(variables))
     except StructureError as exc:
         raise StructureError(f"{path}: {exc}") from exc
+
+
+_LOADERS: dict[str, Callable[[dict[str, Any], Path], Any]] = {
+    "vocabulary": _vocabulary,
+    "cg": _cg,
+    "gamma-cg": _gamma_cg,
+}
+
+
+def load_document(
+    path: "str | Path", admit: Callable[[Any], None] = lambda kind: None
+) -> Vocabulary | ConceptualGraph | GammaCG:
+    """The vocabulary, CG or gamma-CG in ``path``, by its ``kind``, parsed once.
+
+    ``admit(kind)`` is called with the document's ``kind`` before anything
+    else is checked, and may raise to refuse it. A ``kind`` other than
+    these three is a ``FormatError``.
+    """
+    path = Path(path)
+    document = read_json(path)
+    kind = document.get("kind")
+    admit(kind)
+    load = _LOADERS.get(kind) if isinstance(kind, str) else None
+    if load is None:
+        raise FormatError(f"{path}: cannot load documents of kind {kind!r}")
+    return load(document, path)
 
 
 def _stats_doc(stats: DatasetStats) -> dict[str, Any]:

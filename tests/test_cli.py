@@ -468,6 +468,40 @@ class TestValidateStatsDot:
         dataset_file = next((generated / "dataset").glob("cg-*.json"))
         assert main(["validate", str(dataset_file)]) == 2
 
+    def test_validate_parses_each_file_once(self, generated, monkeypatch):
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+        vocab = generated / "vocabulary.json"
+        files = [generated / "dataset" / "cg-0000.json", generated / "gamma" / "gcg-0.json", vocab]
+        assert main(["validate", "--vocab", str(vocab), *map(str, files)]) == 0
+        # --vocab's file, then each argument's.
+        assert parsed == [path.read_text() for path in [vocab, *files]]
+
+    @pytest.mark.parametrize(
+        "name, vocab, message",
+        [
+            ("dataset/cg-0000.json", False, "--vocab is required to validate a cg file"),
+            ("gamma/gcg-0.json", False, "--vocab is required to validate a gamma-cg file"),
+            ("dataset/manifest.json", True, "cannot validate documents of kind 'dataset-manifest'"),
+            ("dataset/provenance.json", True, "cannot validate documents of kind 'provenance'"),
+        ],
+    )
+    def test_file_refused_before_its_fields_are_checked(
+        self, generated, capsys, name, vocab, message
+    ):
+        # The formatVersion is gone too, so a load would fail on it first.
+        path = generated / name
+        doc = json.loads(path.read_text())
+        del doc["formatVersion"]
+        path.write_text(json.dumps(doc))
+        argv = ["validate", str(path)]
+        if vocab:
+            argv += ["--vocab", str(generated / "vocabulary.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_stats_zero_stddev_for_identical_cgs(self, generated, tmp_path, capsys):
         from cggen import (
             GenerationProvenance,
@@ -569,6 +603,24 @@ def _huge_nodes_mean(out):
     # An integer beyond the float range, which json.loads reads exactly.
     _edit_manifest(out, lambda doc: doc["stats"]["nbNodes"].update(mean=10**400))
     return "manifest.json", "field stats.nbNodes.mean must be int or float, found 1000"
+
+
+def _negative_max_cgs(out):
+    _edit_manifest(out, lambda doc: doc["config"].update(maxCGs=-7))
+    return "manifest.json", "field config.maxCGs must be int >= 1, found -7"
+
+
+def _other_domain_policy(out):
+    _edit_manifest(out, lambda doc: doc["config"].update(relationDomainPolicy="none"))
+    return (
+        "manifest.json",
+        "field config.relationDomainPolicy must be 'signature-compatible', found 'none'",
+    )
+
+
+def _negative_nodes_stddev(out):
+    _edit_manifest(out, lambda doc: doc["stats"]["nbNodes"].update(stddev=-1.0))
+    return "manifest.json", "field stats.nbNodes.stddev must be int or float >= 0, found -1.0"
 
 
 def _empty_provenance_file(out):
@@ -780,6 +832,9 @@ class TestMalformedDataset:
             _bool_seed,
             _nan_nodes_mean,
             _huge_nodes_mean,
+            _negative_max_cgs,
+            _other_domain_policy,
+            _negative_nodes_stddev,
             _empty_provenance_file,
             _drop_provenance_file,
             _drop_draw_gamma,

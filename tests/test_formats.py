@@ -417,16 +417,20 @@ class TestEntryLoaders:
         assert load_dataset(directory).provenances[0] == GenerationProvenance(0, ())
 
 
-def _json_type(table):
+def _json_type(table, plural=""):
     """The "JSON type" column of docs/formats.md for one table row."""
+    if "enum" in table:
+        return " or ".join(json.dumps(value) for value in table["enum"])
     kinds = table["type"] if isinstance(table["type"], list) else [table["type"]]
-    text = " or ".join(kinds)
-    if "minimum" in table:
+    text = " or ".join(kinds) + plural
+    if "maximum" in table:
         text = "finite " + text
+    if "minimum" in table:
+        text += f" >= {table['minimum']}"
     if "minLength" in table:
         text = "non-empty " + text
     inner = table.get("items", table.get("additionalProperties"))
-    return text if inner is None else f"{text} of {_json_type(inner)}s"
+    return text if inner is None else f"{text} of {_json_type(inner, 's')}"
 
 
 def _field_rows(table, prefix=""):
@@ -460,8 +464,8 @@ class TestFieldTables:
         """Every document of a small output, with each single-field fault of the parity guard.
 
         The first draw of a CG merges nothing, so one more fault breaks a
-        merge entry; two more break a bound and a minimum length, which no
-        change of type does.
+        merge entry; five more break a bound, a value list and a minimum
+        length, which no change of type does.
         """
         out = generate(tmp_path_factory.mktemp("tables"))
         mutated_documents = [
@@ -478,6 +482,9 @@ class TestFieldTables:
         mutated_documents.append(("dataset/provenance.json", "a null merge entry", provenance))
         for label, edit in [
             ("a NaN mean", lambda doc: doc["stats"]["nbNodes"].update(mean=float("nan"))),
+            ("a negative deviation", lambda doc: doc["stats"]["nbNodes"].update(stddev=-1.0)),
+            ("no CG at all", lambda doc: doc["config"].update(maxCGs=0)),
+            ("another policy", lambda doc: doc["config"].update(relationDomainPolicy="none")),
             ("an empty provenanceFile", lambda doc: doc.update(provenanceFile="")),
         ]:
             manifest = json.loads((out / "dataset" / "manifest.json").read_text())

@@ -1,3 +1,6 @@
+import hashlib
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -37,6 +40,29 @@ from oracles import (
 
 def plans_of(vocab, gammas):
     return [DrawPlan(vocab, gamma) for gamma in gammas]
+
+
+def hashlib_rng(seed, *parts):
+    """derive_rng's stream, its SHA-256 taken through hashlib."""
+    material = ":".join([str(seed), *(str(part) for part in parts)])
+    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+@pytest.mark.parametrize("lean_module", [True, False], ids=["lean-sha256", "hashlib"])
+def test_derive_rng_gives_the_hashlib_stream(monkeypatch, lean_module):
+    keys = [(0, ()), (42, ("auto-voc",)), (7, ("cg", 3)), (-5, ("sz", 0, "é")), (2**70, (1.5,))]
+    references = [hashlib_rng(seed, *parts) for seed, parts in keys]
+    expected = [[rng.getrandbits(32) for _ in range(64)] for rng in references]
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    if not lean_module:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    streams = [derive_rng(seed, *parts) for seed, parts in keys]
+    assert [[rng.getrandbits(32) for _ in range(64)] for rng in streams] == expected
+    assert len(calls) == (0 if lean_module else len(keys))
 
 
 def cg(concepts, relations):

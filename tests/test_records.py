@@ -195,6 +195,7 @@ def test_import_loads_no_record_machinery():
 
 
 def test_import_loads_no_openssl():
-    # Only generating needs hashlib (derive_rng) and secrets (an unseeded
-    # run); cggen validate and cggen stats never load OpenSSL.
+    # Only an unseeded run needs secrets, and with it OpenSSL; derive_rng
+    # imports its SHA-256 when it is called, and cggen validate and cggen
+    # stats never call it.
     assert loaded_by_cli_import("_hashlib", "hashlib", "secrets") == "[]"
