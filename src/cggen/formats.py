@@ -14,10 +14,10 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .core import (
     CONCEPT,
@@ -35,13 +35,13 @@ from .gamma import GammaCG, Variable, VariableTarget
 from .generator import ComponentDraw, DatasetResult, GenerationProvenance, GeneratorConfig
 from .metrics import DatasetStats, StatsTally
 
-FORMAT_VERSION = "1.0.0"
+FORMAT_VERSION = "2.0.0"
 
 VOCABULARY_FILE = "vocabulary.json"
 GAMMA_DIR = "gamma"
 DATASET_DIR = "dataset"
 MANIFEST_FILE = "manifest.json"
-PROVENANCE_FILE = "provenance.json"
+DERIVATIONS_FILE = "derivations.jsonl"
 
 
 def _dump(path: Path, document: dict[str, Any]) -> None:
@@ -55,11 +55,11 @@ def _dump(path: Path, document: dict[str, Any]) -> None:
 # several times faster than json.dumps with an indent, which always runs the
 # pure-Python encoder. A CG or gamma-CG document is built whole and written
 # with one system call; building it takes about three times the file's size
-# at its peak (1.5 MB for a CG of 4000 nodes). The vocabulary and provenance
-# writers stream marker by marker and draw by draw, so neither holds its
-# whole text; within one write, the provenance writer reuses the text of the
-# "assignments" and "specialisations" objects it encoded last, so a repeated
-# one is encoded once. docs/formats.md states the layout.
+# at its peak (1.5 MB for a CG of 4000 nodes). The vocabulary writer streams
+# marker by marker and the derivations writer draw by draw, so neither holds
+# its whole text; within one dataset, the derivations writer reuses the text
+# of the "assignments" and "specialisations" objects it encoded last, so a
+# repeated one is encoded once. docs/formats.md states the layout.
 _enc = json.encoder.encode_basestring_ascii
 _int = int.__repr__
 
@@ -70,11 +70,9 @@ _VARIABLE = (
     '      },\n      "domain": %s\n    }'
 )
 _MARKER = '{\n      "id": %s,\n      "type": %s\n    }'
-_CG_ENTRY = '{\n      "index": %s,\n      "draws": '
+# A derivations line is laid out as json.dumps(value): no newline inside.
 _DRAW = (
-    '{\n          "gamma": %s,\n          "assignments": %s,\n'
-    '          "specialisations": %s,\n          "merged": %s,\n'
-    '          "skippedMerges": %s\n        }'
+    '{"gamma": %s, "assignments": %s, "specialisations": %s, "merged": %s, "skippedMerges": %s}'
 )
 
 
@@ -85,14 +83,6 @@ _GAMMA_CG = (
     _HEADER % _enc("gamma-cg")
     + '  "name": %s,\n  "concepts": %s,\n  "relations": %s,\n  "variables": %s\n}\n'
 )
-
-
-def _write(path: Path, kind: str, members: Iterable[str]) -> None:
-    """Write a document: the header, then the text of its other top-level members."""
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(_HEADER % _enc(kind))
-        handle.writelines(members)
-        handle.write("\n}\n")
 
 
 def _write_bytes(path: "str | Path", data: bytes) -> None:
@@ -171,20 +161,24 @@ def _relation_template(arity: int) -> str:
 _MEMBER = "%s: %s".__mod__
 
 
-def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], depth: int) -> str:
-    """A JSON object from (key, value) pairs, each value through ``encode``.
+def _members(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str]) -> Iterator[str]:
+    """The members of a JSON object from (key, value) pairs, each value through ``encode``.
 
     A repeated key keeps its last value.
     """
+    mapping = dict(pairs)
+    return map(_MEMBER, zip(map(_enc, mapping), map(encode, mapping.values())))
+
+
+def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], depth: int) -> str:
+    """A JSON object from (key, value) pairs, its members laid out for ``depth`` + 1."""
     if not pairs:
         return "{}"
-    mapping = dict(pairs)
     inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(map(_MEMBER, zip(map(_enc, mapping), map(encode, mapping.values()))))
-    return "{" + inner + body + "\n" + "  " * depth + "}"
+    return "{" + inner + ("," + inner).join(_members(pairs, encode)) + "\n" + "  " * depth + "}"
 
 
-# How many encoded objects of each kind a provenance write keeps. Each entry
+# How many encoded objects of each kind a dataset write keeps. Each entry
 # also keeps its key alive, so without this bound the cache grows with the
 # number of CGs: `cggen generate` at 16 and 64 CGs of 4000 nodes
 # (tests/peak_rss.py, CPython 3.11) peaked at 30.3 and 30.6 MB with 1,024
@@ -192,50 +186,46 @@ def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], dept
 _OBJECT_CACHE = 1024
 
 _TRIPLE = "[%s, %s, %s]"
-# The lines of a "merged" or "skippedMerges" value, whose entries sit at depth 6.
-_TRIPLES_OPEN = "[\n" + "  " * 6
-_TRIPLES_SEPARATOR = ",\n" + "  " * 6
-_TRIPLES_CLOSE = "\n" + "  " * 5 + "]"
 
 
-def _triples(entries: Sequence[tuple[str, ...]]) -> str:
-    """The "merged" or "skippedMerges" member value of a provenance draw.
+def _compact(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str]) -> str:
+    """A JSON object from (key, value) pairs, on one line."""
+    return "{" + ", ".join(_members(pairs, encode)) + "}"
 
-    One entry per line, each entry's strings on that line, as
-    ``json.dumps(entry)`` lays them out. The generator's entries are all
-    triples: each fills ``_TRIPLE`` and the lines take one join. An entry
-    of another length, which the loader accepts too, fails to unpack, and
-    the whole value then takes the general path.
-    """
-    if not entries:
-        return "[]"
-    try:
-        lines = [_TRIPLE % (_enc(a), _enc(b), _enc(c)) for a, b, c in entries]
-    except ValueError:
-        return _array(["[%s]" % ", ".join(map(_enc, entry)) for entry in entries], 5)
-    return _TRIPLES_OPEN + _TRIPLES_SEPARATOR.join(lines) + _TRIPLES_CLOSE
+
+def _triples(entries: Sequence[tuple[str, str, str]]) -> str:
+    """The "merged" or "skippedMerges" member value of a derivation draw."""
+    return "[" + ", ".join([_TRIPLE % (_enc(a), _enc(b), _enc(c)) for a, b, c in entries]) + "]"
 
 
 def read_json(path: Path) -> dict[str, Any]:
     """The JSON object in ``path``; a ``FormatError`` naming the file otherwise."""
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except RecursionError:
-        raise FormatError(f"{path}: nested too deeply to read")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}")
+    return _object_in(text, path)
+
+
+def _object_in(text: str, path: Path, line: int | None = None) -> dict[str, Any]:
+    """The JSON object in ``text``, which is ``path`` or its line ``line``."""
+    where = path if line is None else f"{path}:{line}"
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{line or exc.lineno}:{exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise FormatError(f"{where}: nested too deeply to read")
     if not isinstance(document, dict):
-        raise FormatError(f"{path}: top-level value must be an object")
+        raise FormatError(f"{where}: top-level value must be an object")
     return document
 
 
-def _check_header(document: dict[str, Any], path: Path, kind: str) -> None:
+def _check_header(document: dict[str, Any], path: "Path | str", kind: str) -> None:
     version = document.get("formatVersion")
     if not isinstance(version, str):
         raise FormatError(f"{path}: missing formatVersion")
@@ -250,16 +240,25 @@ def _check_header(document: dict[str, Any], path: Path, kind: str) -> None:
 # The field rules of each document kind, one table per kind, in the subset
 # of JSON Schema (draft 2020-12) that the loaders use: "type", "properties"
 # with "required", "items", "additionalProperties" (the values of a map),
-# "minimum", "maximum", "enum" and "minLength". Our own "message" keyword gives
-# the error for a value that does not fit, where the accepted types' names
-# would not say it. An optional property reads as null when it is absent.
+# "minimum", "maximum", "minItems" and "maxItems". Our own "message" keyword
+# gives the error for a value that does not fit, where the accepted types'
+# names would not say it. An optional property reads as null when it is absent.
 # docs/formats.md lists the fields of every table; a test compares the two.
 _STRING = {"type": "string"}
 _INTEGER = {"type": "integer"}
 # json.loads reads NaN and Infinity; neither lies within these bounds.
 _NON_NEGATIVE = {"type": "number", "minimum": 0, "maximum": sys.float_info.max}
 _STRINGS = {"type": "array", "items": _STRING}
-_LISTS = {"type": "array", "items": {"type": "array"}}
+_TRIPLES = {
+    "type": "array",
+    "items": {
+        "type": "array",
+        "items": _STRING,
+        "minItems": 3,
+        "maxItems": 3,
+        "message": "{where} must be an array of 3 strings",
+    },
+}
 
 
 def _table(*optional: str, **properties: dict[str, Any]) -> dict[str, Any]:
@@ -285,17 +284,12 @@ _RELATION_TYPES = _entries(_table(**_TYPE_FIELDS, signature=_STRINGS))
 _VARIABLE_TABLE = _table(name=_STRING, target=_table(kind=_STRING, node=_STRING), domain=_STRINGS)
 _MEANS = _table(mean=_NON_NEGATIVE, stddev=_NON_NEGATIVE)
 _COUNTS = {"type": "object", "additionalProperties": _NON_NEGATIVE}
-_FILE_NAME = {
-    "type": ["string", "null"],
-    "minLength": 1,
-    "message": "field {where} must be a file name or null",
-}
 _DRAW_TABLE = _table(
     gamma=_STRING,
     assignments={"type": "object", "additionalProperties": _STRING},
     specialisations={"type": "object", "additionalProperties": _INTEGER},
-    merged=_LISTS,
-    skippedMerges=_LISTS,
+    merged=_TRIPLES,
+    skippedMerges=_TRIPLES,
 )
 _TABLES = {
     "vocabulary": _table(
@@ -306,19 +300,18 @@ _TABLES = {
     "cg": _table(**_GRAPH_FIELDS),
     "gamma-cg": _table(name=_STRING, **_GRAPH_FIELDS, variables=_entries(_VARIABLE_TABLE)),
     "dataset-manifest": _table(
-        # The bounds of GeneratorConfig, and the one policy cggen has.
+        # The bounds of GeneratorConfig.
         config=_table(
             maxCGs={"type": "integer", "minimum": 1},
             minSize={"type": "integer", "minimum": 1},
             maxSpe={"type": "integer", "minimum": 0},
             seed=_INTEGER,
-            relationDomainPolicy={"type": "string", "enum": ["signature-compatible"]},
         ),
         stats=_table(cgCount=_INTEGER, nbNodes=_MEANS, nbLabels=_MEANS, arityCounts=_COUNTS),
         cgFiles=_STRINGS,
-        provenanceFile=_FILE_NAME,
     ),
-    "provenance": _table(perCG=_entries(_table(index=_INTEGER, draws=_entries(_DRAW_TABLE)))),
+    # Each line of the derivations file after its header.
+    "derivations": _table(draws=_entries(_DRAW_TABLE)),
 }
 
 _ARGUMENTS = _table(relations=_entries(_table(args=_STRINGS)))
@@ -336,23 +329,21 @@ def _types(table: dict[str, Any]) -> list[type]:
     return [python for kind in kinds for python in _PYTHON_TYPES[kind]]
 
 
-def _constraint(table: dict[str, Any]) -> Callable[[Any], bool] | None:
-    """What a value of an accepted type must also pass, if ``table`` says."""
+def _constraint(table: dict[str, Any]) -> Callable[[list[Any]], bool] | None:
+    """Whether the values of a column, all of accepted types, pass what ``table`` also says."""
     if "minimum" in table:  # NaN fails every comparison
         low, high = table["minimum"], table.get("maximum", math.inf)
-        return lambda value: low <= value <= high
-    if "enum" in table:
-        choices = table["enum"]
-        return lambda value: value in choices
-    if "minLength" in table:
-        least = table["minLength"]
-        return lambda value: type(value) is not str or len(value) >= least
+        return lambda column: all(low <= value <= high for value in column)
+    if "minItems" in table:
+        # One set comparison of the lengths: a call per array took twice as long.
+        lengths = frozenset(range(table["minItems"], table["maxItems"] + 1))
+        return lambda column: lengths.issuperset(map(len, column))
     return None
 
 
 # A longer column is checked block by block, each in full while it is in the
-# cache: on a 4 x 4000-node provenance, 9.6 ms against 12.5 ms for whole
-# columns (a fresh CPython 3.11 process, 2-core VM).
+# cache: on the draws of 4 x 4000-node CGs, read as one document, 9.6 ms
+# against 12.5 ms for whole columns (a fresh CPython 3.11 process, 2-core VM).
 _BLOCK = 1024
 
 
@@ -389,7 +380,7 @@ def _compile(
             return True
         if not accepts(map(type, column)):
             return False
-        if constraint is not None and not all(map(constraint, column)):
+        if constraint is not None and not constraint(column):
             return False
         for key, required, child, check_child in properties:
             pulled = [e[key] for e in column] if required else [e.get(key) for e in column]
@@ -408,12 +399,10 @@ def _compile(
 def _locate(table: dict[str, Any], value: Any, path: Path, where: str, field: str = "") -> None:
     """Raise the error of the first value, depth first, that does not fit ``table``."""
     types, constraint = _types(table), _constraint(table)
-    if type(value) not in types or not (constraint is None or constraint(value)):
+    if type(value) not in types or not (constraint is None or constraint([value])):
         fits = type(value) in types
         expected = " or ".join(python.__name__ for python in types)
-        if fits and "enum" in table:
-            expected = " or ".join(map(repr, table["enum"]))
-        elif fits and "minimum" in table and value < table["minimum"]:
+        if fits and "minimum" in table and value < table["minimum"]:
             expected += f" >= {table['minimum']}"
         found = repr(value) if fits else type(value).__name__
         message = table.get("message", field + "{where} must be " + expected + ", found {found}")
@@ -432,7 +421,7 @@ def _locate(table: dict[str, Any], value: Any, path: Path, where: str, field: st
 _BULK = {kind: _compile(table) for kind, table in _CHECKED.items()}
 
 
-def _check(kind: str, document: dict[str, Any], path: Path) -> dict[str, list[Any]]:
+def _check(kind: str, document: dict[str, Any], path: "Path | str") -> dict[str, list[Any]]:
     """The columns of ``document`` if it fits the table of ``kind``; else its first fault."""
     columns: dict[str, list[Any]] = {}
     try:
@@ -448,12 +437,6 @@ def _checked(document: dict[str, Any], path: Path, kind: str) -> dict[str, list[
     """The columns of ``document``, once its header and fields are checked as a ``kind``."""
     _check_header(document, path, kind)
     return _check(kind, document, path)
-
-
-def _read(path: Path, kind: str) -> tuple[dict[str, Any], dict[str, list[Any]]]:
-    """A document of ``kind`` and its columns, once its header and fields are checked."""
-    document = read_json(path)
-    return document, _checked(document, path, kind)
 
 
 def _require_unique(ids: list[Any], distinct: int, path: Path, message: str) -> None:
@@ -501,7 +484,10 @@ def save_vocabulary(path: "str | Path", vocab: Vocabulary) -> None:
         concepts,
         _array(relations, 1),
     )
-    _write(Path(path), "vocabulary", chain((members,), _stream(markers, 1)))
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(_HEADER % _enc("vocabulary") + members)
+        handle.writelines(_stream(markers, 1))
+        handle.write("\n}\n")
 
 
 def _load_hierarchy(
@@ -539,7 +525,9 @@ def _vocabulary(document: dict[str, Any], path: Path) -> Vocabulary:
     arities = columns["relationTypes[].arity"]
     _require_unique(arities, len(relations), path, "duplicate relation hierarchy for arity {id}")
     ids = columns["markers[].id"]
-    markers = dict(zip(ids, map(Marker, ids, columns["markers[].type"])))
+    # One string per type, not one per marker: the 22,081 markers of 64 CGs
+    # of 4000 nodes then hold 1.2 MB less.
+    markers = dict(zip(ids, map(Marker, ids, map(sys.intern, columns["markers[].type"]))))
     _require_unique(ids, len(markers), path, "duplicate marker id {id!r}")
     try:
         return Vocabulary(concepts, relations, signatures, markers)
@@ -694,75 +682,55 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
         "minSize": config.min_size,
         "maxSpe": config.max_spe,
         "seed": config.seed,
-        # Always this value; kept so that the manifest format stays the same.
-        "relationDomainPolicy": "signature-compatible",
     }
 
 
-def _provenance_members(provenances: Iterable[GenerationProvenance]) -> Iterator[str]:
-    """The "perCG" member, draw by draw, so the whole text is never held at once.
+_DERIVATIONS_HEADER = '{"formatVersion": %s, "kind": "derivations"}\n' % _enc(FORMAT_VERSION)
 
-    Each entry is taken from ``provenances`` only when the one before it is
-    written, so a lazy iterable is written as it is produced.
-    """
+
+def _derivation_writer() -> Callable[[GenerationProvenance], Iterator[str]]:
+    """What encodes the derivations line of each CG of one dataset, draw by draw."""
     # Draws repeat the same few assignment and specialisation tuples (572
     # and 30 distinct among the 4,942 draws of 4 CGs of 4000 nodes from the
     # README's inputs), so each object is encoded once per distinct tuple.
-    # The caches live for one write, and their bound keeps the tuples they
+    # The caches live for one dataset, and their bound keeps the tuples they
     # hold from growing with the number of CGs.
     cache = functools.lru_cache(maxsize=_OBJECT_CACHE)
-    assignments = cache(lambda pairs: _object(pairs, _enc, 5))
-    specialisations = cache(lambda pairs: _object(pairs, _int, 5))
-    separator = "[\n    "
-    yield '  "perCG": '
-    for provenance in provenances:
-        yield separator + _CG_ENTRY % _int(provenance.cg_index)
-        yield from _stream(
-            (
-                _DRAW
-                % (
-                    _enc(draw.gamma_name),
-                    assignments(draw.assignments),
-                    specialisations(draw.specialisations),
-                    _triples(draw.merged),
-                    _triples(draw.skipped_merges),
-                )
-                for draw in provenance.draws
-            ),
-            3,
-        )
-        yield "\n    }"
-        separator = ",\n    "
-    yield "[]" if separator[0] == "[" else "\n  ]"
+    assignments = cache(lambda pairs: _compact(pairs, _enc))
+    specialisations = cache(lambda pairs: _compact(pairs, _int))
+
+    def line(provenance: GenerationProvenance) -> Iterator[str]:
+        separator = '{"draws": ['
+        for draw in provenance.draws:
+            yield separator + _DRAW % (
+                _enc(draw.gamma_name),
+                assignments(draw.assignments),
+                specialisations(draw.specialisations),
+                _triples(draw.merged),
+                _triples(draw.skipped_merges),
+            )
+            separator = ", "
+        yield '{"draws": []}\n' if separator[0] == "{" else "]}\n"
+
+    return line
 
 
-def check_provenance(path: Path, cg_count: int) -> dict[str, list[Any]]:
-    """Check the provenance document of a dataset of ``cg_count`` CGs; return its columns."""
-    _, columns = _read(path, "provenance")
-    indices = columns["perCG[].index"]
-    for index, cg_index in enumerate(indices):
-        if cg_index != index:
-            raise FormatError(f"{path}: perCG[{index}].index must be {index}, found {cg_index}")
-    if len(indices) != cg_count:
-        raise FormatError(f"{path}: perCG has {len(indices)} entries for {cg_count} cgFiles")
-    return columns
+# The columns of a derivations line, in ComponentDraw's field order.
+_DRAW_COLUMNS = itemgetter(*("draws[]." + key for key in _DRAW_TABLE["properties"]))
 
 
-def _load_provenance(path: Path, cg_count: int) -> tuple[GenerationProvenance, ...]:
-    columns = check_provenance(path, cg_count)
-    draw = "perCG[].draws[]."
+def _provenance(columns: dict[str, list[Any]]) -> GenerationProvenance:
+    """The record of a checked derivations line, from its columns."""
+    gammas, assignments, specialisations, merged, skipped = _DRAW_COLUMNS(columns)
     draws = map(
         ComponentDraw,
-        columns[draw + "gamma"],
-        map(tuple, map(dict.items, columns[draw + "assignments"])),
-        map(tuple, map(dict.items, columns[draw + "specialisations"])),
-        (tuple(map(tuple, entries)) for entries in columns[draw + "merged"]),
-        (tuple(map(tuple, entries)) for entries in columns[draw + "skippedMerges"]),
+        gammas,
+        map(tuple, map(dict.items, assignments)),
+        map(tuple, map(dict.items, specialisations)),
+        (tuple(map(tuple, entries)) for entries in merged),
+        (tuple(map(tuple, entries)) for entries in skipped),
     )
-    return tuple(
-        GenerationProvenance(index, tuple(islice(draws, len(entry))))
-        for index, entry in enumerate(columns["perCG[].draws"])
-    )
+    return GenerationProvenance(tuple(draws))
 
 
 class LoadedDataset(NamedTuple):
@@ -770,7 +738,7 @@ class LoadedDataset(NamedTuple):
     files: tuple[str, ...]
     config: dict[str, Any]
     stats: DatasetStats
-    provenances: tuple[GenerationProvenance, ...] | None
+    provenances: tuple[GenerationProvenance, ...]
 
 
 class DatasetManifest(NamedTuple):
@@ -779,46 +747,75 @@ class DatasetManifest(NamedTuple):
     files: tuple[str, ...]
     stats: DatasetStats
     config: dict[str, Any]
-    # The provenance document, or None when the manifest names none.
-    provenance: Path | None
 
 
 def read_manifest(directory: "str | Path") -> DatasetManifest:
     """Check the manifest of the dataset in ``directory``; no CG is read."""
-    directory = Path(directory)
-    path = directory / MANIFEST_FILE
-    manifest, _ = _read(path, "dataset-manifest")
+    path = Path(directory) / MANIFEST_FILE
+    manifest = read_json(path)
+    _checked(manifest, path, "dataset-manifest")
     stats = _load_stats(manifest["stats"], path)
     file_names = manifest["cgFiles"]
     if stats.cg_count != len(file_names):
         raise FormatError(
             f"{path}: cgFiles lists {len(file_names)} files for cgCount {stats.cg_count}"
         )
-    provenance_file = manifest["provenanceFile"]
-    return DatasetManifest(
-        files=tuple(file_names),
-        stats=stats,
-        config=manifest["config"],
-        provenance=None if provenance_file is None else directory / provenance_file,
-    )
+    return DatasetManifest(files=tuple(file_names), stats=stats, config=manifest["config"])
+
+
+def _readline(lines: TextIO, path: Path) -> str:
+    try:
+        return lines.readline()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}")
+
+
+def _derivation(lines: TextIO, path: Path, number: int, name: str) -> dict[str, list[Any]]:
+    """The columns of line ``number`` of the derivations file ``path``, CG ``name``'s."""
+    text = _readline(lines, path)
+    if not text:
+        raise FormatError(f"{path}: no line {number}, the derivation of {name}")
+    return _check("derivations", _object_in(text, path, number), f"{path}:{number}")
+
+
+def _dataset(
+    directory: Path, files: Sequence[str], derivation: Callable[[dict[str, list[Any]]], Any]
+) -> Iterator[tuple[str, ConceptualGraph, Any]]:
+    """Each of ``files`` with its CG and ``derivation`` of its derivations line's columns.
+
+    In ``files`` order, each CG is loaded, then its line is read and
+    checked. Nothing is kept from one CG to the next: the parsed line of a
+    CG of 4000 nodes takes about 4 MB.
+    """
+    path = directory / DERIVATIONS_FILE
+    try:
+        lines = path.open(encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no such file")
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}")
+    with lines:
+        _check_header(_object_in(_readline(lines, path), path, 1), f"{path}:1", "derivations")
+        for number, name in enumerate(files, 2):
+            graph = load_cg(directory / name)
+            yield name, graph, derivation(_derivation(lines, path, number, name))
+        if _readline(lines, path):
+            raise FormatError(f"{path}: more lines than a header and one per CG")
 
 
 def iter_dataset(directory: "str | Path") -> Iterator[tuple[str, ConceptualGraph]]:
     """Each CG of a dataset with its file name, loaded one at a time.
 
-    The manifest is checked before the first CG is loaded, the CGs are
-    loaded in its ``cgFiles`` order, and the provenance is checked after the
-    last one, so the first error is the one ``load_dataset`` reports. No
-    provenance record is built, and each CG is freed once the caller drops
-    it: the memory this needs does not grow with the number of CGs, except
-    for the provenance document, which is parsed whole.
+    The manifest is checked before the first CG is loaded, and each CG's
+    derivation is checked right after the CG, in ``cgFiles`` order, so the
+    first error is the one ``load_dataset`` reports. No provenance record is
+    built, and each CG is freed once the caller drops it: the memory this
+    needs does not grow with the number of CGs.
     """
     directory = Path(directory)
-    manifest = read_manifest(directory)
-    for name in manifest.files:
-        yield name, load_cg(directory / name)
-    if manifest.provenance is not None:
-        check_provenance(manifest.provenance, len(manifest.files))
+    files = read_manifest(directory).files
+    for name, graph, _ in _dataset(directory, files, lambda columns: None):
+        yield name, graph
 
 
 def write_dataset(
@@ -828,27 +825,26 @@ def write_dataset(
 ) -> DatasetStats:
     """Write a dataset one CG at a time; return its statistics.
 
-    Each CG is encoded as soon as ``cgs`` yields it, its perCG entry is
-    appended to the open provenance and its counts are added to the running
-    statistics. Its document is written with the next batch, at most about
-    1 MiB of encoded text later, so the memory this needs does not grow with
-    the number of CGs. The manifest goes last.
+    Each CG is encoded as soon as ``cgs`` yields it, its derivation is
+    appended to the open derivations file and its counts are added to the
+    running statistics. Its document is written with the next batch, at
+    most about 1 MiB of encoded text later, so the memory this needs does
+    not grow with the number of CGs. The manifest goes last.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     file_names: list[str] = []
     tally = StatsTally()
     batch = _Batch()
-
-    def provenances() -> Iterator[GenerationProvenance]:
+    derivation = _derivation_writer()
+    with (directory / DERIVATIONS_FILE).open("w", encoding="utf-8") as lines:
+        lines.write(_DERIVATIONS_HEADER)
         for index, (graph, provenance) in enumerate(cgs):
             file_names.append(f"cg-{index:04d}.json")
             batch.add(os.path.join(directory, file_names[-1]), _cg_document(graph))
             tally.add(graph)
-            yield provenance
+            lines.writelines(derivation(provenance))
         batch.flush()
-
-    _write(directory / PROVENANCE_FILE, "provenance", _provenance_members(provenances()))
     stats = tally.stats()
     manifest: dict[str, Any] = {
         "formatVersion": FORMAT_VERSION,
@@ -856,7 +852,6 @@ def write_dataset(
         "config": _config_doc(config),
         "stats": _stats_doc(stats),
         "cgFiles": file_names,
-        "provenanceFile": PROVENANCE_FILE,
     }
     _dump(directory / MANIFEST_FILE, manifest)
     return stats
@@ -870,7 +865,7 @@ def save_dataset(
     provenances: Sequence[GenerationProvenance],
     stats: DatasetStats,
 ) -> None:
-    """Write one document per CG, the manifest and the provenance.
+    """Write one document per CG, the derivations and the manifest.
 
     ``stats`` must be ``compute_stats(graphs)``. Only its CG count is
     checked: the manifest takes the statistics ``write_dataset`` recounts
@@ -888,7 +883,7 @@ def save_dataset(
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:
-    """Load a whole dataset: every CG and, if the manifest names one, its provenance records.
+    """Load a whole dataset: every CG and its provenance record.
 
     The checks and their order are those of ``iter_dataset``, which reads
     one CG at a time and builds no provenance record; ``cggen validate``
@@ -896,16 +891,16 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
-    graphs = tuple(load_cg(directory / name) for name in manifest.files)
-    provenances = None
-    if manifest.provenance is not None:
-        provenances = _load_provenance(manifest.provenance, len(graphs))
+    graphs, provenances = [], []
+    for _, graph, provenance in _dataset(directory, manifest.files, _provenance):
+        graphs.append(graph)
+        provenances.append(provenance)
     return LoadedDataset(
-        graphs=graphs,
+        graphs=tuple(graphs),
         files=manifest.files,
         config=manifest.config,
         stats=manifest.stats,
-        provenances=provenances,
+        provenances=tuple(provenances),
     )
 
 

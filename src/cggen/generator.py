@@ -100,7 +100,8 @@ class ComponentDraw(NamedTuple):
 
 
 class GenerationProvenance(NamedTuple):
-    cg_index: int
+    """The derivation of one generated CG: its draws, in order."""
+
     draws: tuple[ComponentDraw, ...]
 
 
@@ -288,7 +289,7 @@ def generate_one(
         merged, skipped = assembler.absorb(concepts, relations)
         draws.append(ComponentDraw(plan.gcg.name, outcome.assignments, steps, merged, skipped))
 
-    return assembler.snapshot(), GenerationProvenance(0, tuple(draws))
+    return assembler.snapshot(), GenerationProvenance(tuple(draws))
 
 
 # One generated CG: its graph, its provenance and the markers minted for it.
@@ -304,7 +305,6 @@ def _generate_indexed(
     rng = derive_rng(config.seed, "cg", index)
     mint = MarkerMint(vocab, f"cg{index}")
     graph, provenance = generate_one(vocab, plans, config, rng, mint=mint)
-    provenance = GenerationProvenance(index, provenance.draws)
     return graph, provenance, tuple(mint.minted.values())
 
 

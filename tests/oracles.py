@@ -6,6 +6,7 @@ never off the library's precomputed closures or domain functions.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
@@ -343,7 +344,7 @@ def reference_generate_one(
         )
         merged, skipped = absorb(assembler, component)
         draws.append(ComponentDraw(gcg.name, assignments, tuple(steps), merged, skipped))
-    return assembler.snapshot(), GenerationProvenance(0, tuple(draws))
+    return assembler.snapshot(), GenerationProvenance(tuple(draws))
 
 
 def outcome_graph(gcg: GammaCG, outcome) -> ConceptualGraph:
@@ -413,7 +414,7 @@ def vocabulary_doc(vocab: Vocabulary) -> dict:
         return {"root": h.root, "types": types}
 
     return {
-        "formatVersion": "1.0.0",
+        "formatVersion": "2.0.0",
         "kind": "vocabulary",
         "conceptTypes": hierarchy(vocab.concepts, False),
         "relationTypes": [
@@ -429,7 +430,7 @@ def vocabulary_doc(vocab: Vocabulary) -> dict:
 
 def cg_doc(graph: ConceptualGraph) -> dict:
     """The cg document as a dict; the writer must match json.dumps(doc, indent=2)."""
-    return {"formatVersion": "1.0.0", "kind": "cg", **_graph_members(graph)}
+    return {"formatVersion": "2.0.0", "kind": "cg", **_graph_members(graph)}
 
 
 def _graph_members(graph: ConceptualGraph) -> dict:
@@ -447,7 +448,7 @@ def _graph_members(graph: ConceptualGraph) -> dict:
 
 def gamma_cg_doc(gcg: GammaCG) -> dict:
     return {
-        "formatVersion": "1.0.0",
+        "formatVersion": "2.0.0",
         "kind": "gamma-cg",
         "name": gcg.name,
         **_graph_members(gcg.graph),
@@ -462,27 +463,22 @@ def gamma_cg_doc(gcg: GammaCG) -> dict:
     }
 
 
-def provenance_doc(provenances: list[GenerationProvenance]) -> dict:
-    return {
-        "formatVersion": "1.0.0",
-        "kind": "provenance",
-        "perCG": [
+def derivations_text(provenances: list[GenerationProvenance]) -> str:
+    """The derivations file of a dataset: its header, then one line per CG, by json.dumps."""
+    lines = [{"formatVersion": "2.0.0", "kind": "derivations"}]
+    for provenance in provenances:
+        draws = [
             {
-                "index": provenance.cg_index,
-                "draws": [
-                    {
-                        "gamma": draw.gamma_name,
-                        "assignments": {name: value for name, value in draw.assignments},
-                        "specialisations": {slot: steps for slot, steps in draw.specialisations},
-                        "merged": [list(entry) for entry in draw.merged],
-                        "skippedMerges": [list(entry) for entry in draw.skipped_merges],
-                    }
-                    for draw in provenance.draws
-                ],
+                "gamma": draw.gamma_name,
+                "assignments": {name: value for name, value in draw.assignments},
+                "specialisations": {slot: steps for slot, steps in draw.specialisations},
+                "merged": [list(entry) for entry in draw.merged],
+                "skippedMerges": [list(entry) for entry in draw.skipped_merges],
             }
-            for provenance in provenances
-        ],
-    }
+            for draw in provenance.draws
+        ]
+        lines.append({"draws": draws})
+    return "".join(json.dumps(line) + "\n" for line in lines)
 
 
 _NODE_RE = re.compile(r'^\s*"(?P<id>(?:[^"\\]|\\.)*)" \[shape=(?P<shape>box|ellipse), label="(?:[^"\\]|\\.)*"\];$')

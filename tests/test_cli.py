@@ -9,6 +9,7 @@ from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph
 from cggen.formats import save_cg
 from oracles import parse_dot
+from test_field_parity import read, write
 
 FULL_AUTO = {
     "seed": 424242,
@@ -87,9 +88,11 @@ class TestGenerate:
             f"gcg-{i}.json" for i in range(8)
         ]
         dataset = out / "dataset"
-        assert (dataset / "manifest.json").is_file()
-        assert (dataset / "provenance.json").is_file()
-        assert len(list(dataset.glob("cg-*.json"))) == 6
+        assert sorted(p.name for p in dataset.iterdir()) == [
+            *(f"cg-{i:04d}.json" for i in range(6)),
+            "derivations.jsonl",
+            "manifest.json",
+        ]
         printed = capsys.readouterr().out
         assert "seed: 424242" in printed
         assert "NbN" in printed
@@ -484,7 +487,6 @@ class TestValidateStatsDot:
             ("dataset/cg-0000.json", False, "--vocab is required to validate a cg file"),
             ("gamma/gcg-0.json", False, "--vocab is required to validate a gamma-cg file"),
             ("dataset/manifest.json", True, "cannot validate documents of kind 'dataset-manifest'"),
-            ("dataset/provenance.json", True, "cannot validate documents of kind 'provenance'"),
         ],
     )
     def test_file_refused_before_its_fields_are_checked(
@@ -518,16 +520,10 @@ class TestValidateStatsDot:
             directory,
             [graph, graph],
             config=GeneratorConfig(max_cgs=2, min_size=1, seed=0),
-            provenances=[GenerationProvenance(cg_index=i, draws=()) for i in range(2)],
+            provenances=[GenerationProvenance(draws=())] * 2,
             stats=compute_stats([graph, graph]),
         )
-        # cggen always writes a provenance; manifests from elsewhere may name none.
-        manifest_path = directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["provenanceFile"] = None
-        manifest_path.write_text(json.dumps(manifest))
-        (directory / "provenance.json").unlink()
-        assert load_dataset(directory).provenances is None
+        assert load_dataset(directory).provenances == (GenerationProvenance(()),) * 2
         capsys.readouterr()
         assert main(["stats", str(directory)]) == 0
         row = capsys.readouterr().out.splitlines()[1]
@@ -610,77 +606,52 @@ def _negative_max_cgs(out):
     return "manifest.json", "field config.maxCGs must be int >= 1, found -7"
 
 
-def _other_domain_policy(out):
-    _edit_manifest(out, lambda doc: doc["config"].update(relationDomainPolicy="none"))
-    return (
-        "manifest.json",
-        "field config.relationDomainPolicy must be 'signature-compatible', found 'none'",
-    )
-
-
 def _negative_nodes_stddev(out):
     _edit_manifest(out, lambda doc: doc["stats"]["nbNodes"].update(stddev=-1.0))
     return "manifest.json", "field stats.nbNodes.stddev must be int or float >= 0, found -1.0"
 
 
-def _empty_provenance_file(out):
-    # An empty name would otherwise read as "no provenance" and skip its check.
-    _edit_manifest(out, lambda doc: doc.update(provenanceFile=""))
-    return "manifest.json", "field provenanceFile must be a file name or null"
+def _edit_first_derivation(out, edit):
+    """Edit line 2 of the derivations file, the derivation of cg-0000.json."""
+    doc = json.loads(read(out / "dataset", "derivations.jsonl:2"))
+    edit(doc)
+    write(out / "dataset", "derivations.jsonl:2", json.dumps(doc))
 
 
-def _drop_provenance_file(out):
-    _edit_manifest(out, lambda doc: doc.pop("provenanceFile"))
-    return "manifest.json", "missing field provenanceFile"
+def _drop_last_derivation(out):
+    path = out / "dataset" / "derivations.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    return "derivations.jsonl", "no line 7, the derivation of cg-0005.json"
+
+
+def _null_derivation(out):
+    write(out / "dataset", "derivations.jsonl:2", "null")
+    return "derivations.jsonl:2", "top-level value must be an object"
 
 
 def _drop_draw_gamma(out):
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    del doc["perCG"][0]["draws"][0]["gamma"]
-    path.write_text(json.dumps(doc))
-    return "provenance.json", "perCG[0].draws[0].gamma"
+    _edit_first_derivation(out, lambda doc: doc["draws"][0].pop("gamma"))
+    return "derivations.jsonl:2", "draws[0].gamma"
 
 
 def _string_specialisation_steps(out):
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    doc["perCG"][0]["draws"][0]["specialisations"] = {"concept-type:c0": "two"}
-    path.write_text(json.dumps(doc))
-    return "provenance.json", "perCG[0].draws[0].specialisations.concept-type:c0"
-
-
-def _truncate_per_cg(out):
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    doc["perCG"] = doc["perCG"][:1]
-    path.write_text(json.dumps(doc))
-    return "provenance.json", "perCG has 1 entries for 6 cgFiles"
-
-
-def _wrong_cg_index(out):
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    doc["perCG"][1]["index"] = 7
-    path.write_text(json.dumps(doc))
-    return "provenance.json", "perCG[1].index"
-
-
-def _bool_cg_index(out):
-    # true equals 1, the index perCG[1] must carry.
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    doc["perCG"][1]["index"] = True
-    path.write_text(json.dumps(doc))
-    return "provenance.json", "perCG[1].index must be int, found bool"
+    _edit_first_derivation(
+        out, lambda doc: doc["draws"][0].update(specialisations={"concept-type:c0": "two"})
+    )
+    return "derivations.jsonl:2", "draws[0].specialisations.concept-type:c0"
 
 
 def _bool_step(out):
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    doc["perCG"][0]["draws"][0]["specialisations"] = {"concept-type:c0": False}
-    path.write_text(json.dumps(doc))
-    return "provenance.json", "perCG[0].draws[0].specialisations.concept-type:c0 must be int"
+    _edit_first_derivation(
+        out, lambda doc: doc["draws"][0].update(specialisations={"concept-type:c0": False})
+    )
+    return "derivations.jsonl:2", "draws[0].specialisations.concept-type:c0 must be int"
+
+
+def _short_merge_entry(out):
+    _edit_first_derivation(out, lambda doc: doc["draws"][0].update(merged=[[1, 2]]))
+    return "derivations.jsonl:2", "draws[0].merged[0] must be an array of 3 strings"
 
 
 def _bool_arity(out):
@@ -694,15 +665,13 @@ def _bool_arity(out):
 
 
 def _set_first_assignment(out, value):
-    path = out / "dataset" / "provenance.json"
-    doc = json.loads(path.read_text())
-    for i, entry in enumerate(doc["perCG"]):
-        for j, draw in enumerate(entry["draws"]):
-            if draw["assignments"]:
-                name = next(iter(draw["assignments"]))
-                draw["assignments"][name] = value
-                path.write_text(json.dumps(doc))
-                return "provenance.json", f"perCG[{i}].draws[{j}].assignments.{name}"
+    doc = json.loads(read(out / "dataset", "derivations.jsonl:2"))
+    for j, draw in enumerate(doc["draws"]):
+        if draw["assignments"]:
+            name = next(iter(draw["assignments"]))
+            draw["assignments"][name] = value
+            write(out / "dataset", "derivations.jsonl:2", json.dumps(doc))
+            return "derivations.jsonl:2", f"draws[{j}].assignments.{name}"
     raise AssertionError("no draw with assignments")
 
 
@@ -833,16 +802,13 @@ class TestMalformedDataset:
             _nan_nodes_mean,
             _huge_nodes_mean,
             _negative_max_cgs,
-            _other_domain_policy,
             _negative_nodes_stddev,
-            _empty_provenance_file,
-            _drop_provenance_file,
+            _drop_last_derivation,
+            _null_derivation,
             _drop_draw_gamma,
             _string_specialisation_steps,
-            _truncate_per_cg,
-            _wrong_cg_index,
-            _bool_cg_index,
             _bool_step,
+            _short_merge_entry,
             _int_assignment,
             _list_assignment,
             _unhashable_relation_arg,
@@ -885,11 +851,11 @@ class TestMalformedDataset:
             assert (captured.out, captured.err) == ("", f"error: {line}\n")
 
     @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
-    def test_malformed_cg_reported_before_malformed_provenance(
+    def test_malformed_cg_reported_before_a_later_malformed_derivation(
         self, pristine, tmp_path, capsys, argv
     ):
         def both(out):
-            _truncate_per_cg(out)
+            write(out / "dataset", "derivations.jsonl:4", "null")
             path = out / "dataset" / "cg-0001.json"
             doc = json.loads(path.read_text())
             doc["relations"][0]["args"][0] = 7
@@ -897,7 +863,7 @@ class TestMalformedDataset:
             return "cg-0001.json", "relations[0].args[0] must be str, found int"
 
         err = self.check_exit_2(pristine, tmp_path, capsys, both, argv)
-        assert "provenance.json" not in err
+        assert "derivations.jsonl" not in err
 
     def test_gamma_domain_format_error_exit_2(self, pristine, tmp_path, capsys):
         self.check_exit_2(pristine, tmp_path, capsys, _mixed_domain, ("validate", ""))

@@ -1,14 +1,14 @@
 """What ``cggen validate`` answers when one field of a saved document is broken.
 
 A small seeded output (2 CGs of 30 nodes) is generated once. For every
-field path of its vocabulary, first gamma-CG, first CG, manifest and
-provenance (the first entry of each list only), the field is deleted, set
-to null, or set to one value of another JSON type. ``cggen validate <out>``
-then runs on the tree, and its exit code, standard output and standard
-error, with the output directory written ``<out>``, must equal the pins in
-``field_parity.json``. Every mutated document is still valid JSON, so no
-message of the JSON decoder, which differs between Python versions, is
-pinned.
+field path of its vocabulary, first gamma-CG, first CG, manifest, and the
+header and first CG's line of its derivations file (the first entry of each
+list only), the field is deleted, set to null, or set to one value of
+another JSON type. ``cggen validate <out>`` then runs on the tree, and its
+exit code, standard output and standard error, with the output directory
+written ``<out>``, must equal the pins in ``field_parity.json``. Every
+mutated document is still valid JSON, so no message of the JSON decoder,
+which differs between Python versions, is pinned.
 
     python tests/test_field_parity.py
 
@@ -34,7 +34,9 @@ DOCUMENTS = (
     "gamma/gcg-0.json",
     "dataset/cg-0000.json",
     "dataset/manifest.json",
-    "dataset/provenance.json",
+    # Lines of a file are named <file>:<line number>.
+    "dataset/derivations.jsonl:1",
+    "dataset/derivations.jsonl:2",
 )
 CONFIG = {
     "seed": 7,
@@ -78,10 +80,32 @@ def field_paths(value, prefix=()):
         yield from field_paths(value[0], prefix + (0,))
 
 
+def source(out: Path, document: str) -> tuple[Path, int | None]:
+    """The file that holds ``document``, and its line number if it is one line."""
+    name, _, line = document.partition(":")
+    return out / name, int(line) if line else None
+
+
+def read(out: Path, document: str) -> str:
+    path, line = source(out, document)
+    text = path.read_text()
+    return text if line is None else text.splitlines()[line - 1]
+
+
+def write(out: Path, document: str, text: str) -> None:
+    """Put ``text`` in place of ``document``: a whole file, or one line of it."""
+    path, line = source(out, document)
+    if line is not None:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = text + "\n"
+        text = "".join(lines)
+    path.write_text(text)
+
+
 def cases(out: Path):
     """(document, path, mutation) for every mutation that changes a document."""
     for document in DOCUMENTS:
-        doc = json.loads((out / document).read_text())
+        doc = json.loads(read(out, document))
         for path in field_paths(doc):
             for mutation in MUTATIONS:
                 if mutation == "delete" and isinstance(path[-1], int):
@@ -111,15 +135,14 @@ def mutated(text: str, path, mutation: str) -> str:
 
 def answer(out: Path, document: str, path, mutation: str) -> dict:
     """``cggen validate``'s exit code and output with one field of ``document`` broken."""
-    target = out / document
-    text = target.read_text()
-    target.write_text(mutated(text, path, mutation))
+    text = read(out, document)
+    write(out, document, mutated(text, path, mutation))
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["validate", str(out)])
     finally:
-        target.write_text(text)
+        write(out, document, text)
     return {
         "exit": code,
         "stdout": stdout.getvalue().replace(str(out), "<out>"),

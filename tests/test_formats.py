@@ -40,7 +40,7 @@ from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
 from oracles import parse_dot
-from test_field_parity import DOCUMENTS, case_id, cases, generate, mutated
+from test_field_parity import case_id, cases, generate, mutated, read, write
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +74,13 @@ class TestVocabularyFormat:
 
     def test_malformed_json_has_position(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{\n  "formatVersion": "1.0.0",\n  broken\n}')
+        path.write_text('{\n  "formatVersion": "2.0.0",\n  broken\n}')
         with pytest.raises(FormatError, match=r"bad\.json:3"):
             load_vocabulary(path)
 
     def test_missing_field_diagnostic(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"formatVersion": "1.0.0", "kind": "vocabulary"}))
+        path.write_text(json.dumps({"formatVersion": "2.0.0", "kind": "vocabulary"}))
         with pytest.raises(FormatError, match="conceptTypes"):
             load_vocabulary(path)
 
@@ -89,9 +89,9 @@ class TestVocabularyFormat:
         path = tmp_path / "voc.json"
         save_vocabulary(path, vocab)
         doc = json.loads(path.read_text())
-        doc["formatVersion"] = "2.0.0"
+        doc["formatVersion"] = "3.0.0"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="unsupported major version"):
+        with pytest.raises(FormatError, match="unsupported major version '3.0.0'"):
             load_vocabulary(path)
 
     def test_signature_longer_than_arity_is_validation_error(self, built, tmp_path):
@@ -182,7 +182,7 @@ class TestGraphFormats:
         path.write_text(
             json.dumps(
                 {
-                    "formatVersion": "1.0.0",
+                    "formatVersion": "2.0.0",
                     "kind": "cg",
                     "concepts": [],
                     "relations": [{"id": "r0", "type": "t", "args": ["ghost"]}],
@@ -286,6 +286,35 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="cgFiles"):
             load_dataset(directory)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:-1], r"derivations\.jsonl: no line 6, the derivation of cg-0004"),
+            (lambda lines: lines + [lines[-1]], "more lines than a header and one per CG"),
+            (lambda lines: [], r"derivations\.jsonl:1:1: Expecting value"),
+        ],
+        ids=["line-missing", "line-extra", "empty-file"],
+    )
+    def test_one_derivation_line_per_cg(self, built, tmp_path, edit, message):
+        _, _, dataset, config = built
+        write_dataset(tmp_path, zip(dataset.graphs, dataset.provenances), config)
+        path = tmp_path / "derivations.jsonl"
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        with pytest.raises(FormatError, match=message):
+            load_dataset(tmp_path)
+
+    def test_format_1_dataset_rejected(self, built, tmp_path):
+        # Format 1 kept every CG's draws in one provenance.json; no loader reads it.
+        _, _, dataset, config = built
+        directory = tmp_path / "ds"
+        write_dataset(directory, zip(dataset.graphs, dataset.provenances), config)
+        path = directory / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc.update(formatVersion="1.0.0", provenanceFile="provenance.json")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="unsupported major version '1.0.0'"):
+            load_dataset(directory)
+
     def test_provenance_count_mismatch_rejected_on_save(self, built, tmp_path):
         _, _, dataset, config = built
         with pytest.raises(FormatError, match="provenances cover 4 CGs but 5"):
@@ -312,7 +341,7 @@ def _drop(doc, keys):
 
 
 class TestEntryLoaders:
-    """The CG and provenance loaders check in bulk, then locate the first bad entry."""
+    """The CG and derivations loaders check in bulk, then locate the first bad entry."""
 
     @pytest.fixture
     def directory(self, built, tmp_path):
@@ -370,14 +399,24 @@ class TestEntryLoaders:
                 r"missing field concepts\[1\]\.id",
             ),
             (
-                "provenance.json",
-                lambda doc: _set(doc, ["perCG", 0, "draws", 0], 1),
-                r"perCG\[0\]\.draws\[0\] must be an object",
+                "derivations.jsonl:2",
+                lambda doc: _set(doc, ["draws", 0], 1),
+                r"derivations\.jsonl:2: draws\[0\] must be an object",
             ),
             (
-                "provenance.json",
-                lambda doc: _set(doc, ["perCG", 0, "draws", 0, "merged"], {}),
-                r"field perCG\[0\]\.draws\[0\]\.merged must be list, found dict",
+                "derivations.jsonl:2",
+                lambda doc: _set(doc, ["draws", 0, "merged"], {}),
+                r"field draws\[0\]\.merged must be list, found dict",
+            ),
+            (
+                "derivations.jsonl:2",
+                lambda doc: _set(doc, ["draws", 0, "skippedMerges"], [["m", "c0"]]),
+                r"draws\[0\]\.skippedMerges\[0\] must be an array of 3 strings",
+            ),
+            (
+                "derivations.jsonl:2",
+                lambda doc: _set(doc, ["draws", 0, "merged"], [["m", 1, "c2"]]),
+                r"draws\[0\]\.merged\[0\]\[1\] must be str, found int",
             ),
         ],
         ids=[
@@ -390,13 +429,14 @@ class TestEntryLoaders:
             "first-of-two",
             "draw-not-object",
             "merged-not-list",
+            "merge-entry-of-2",
+            "merge-entry-with-int",
         ],
     )
     def test_malformed_entry_is_format_error(self, directory, file_name, edit, message):
-        path = directory / file_name
-        doc = json.loads(path.read_text())
+        doc = json.loads(read(directory, file_name))
         edit(doc)
-        path.write_text(json.dumps(doc))
+        write(directory, file_name, json.dumps(doc))
         with pytest.raises(FormatError, match=message):
             load_dataset(directory)
         assert main(["stats", str(directory)]) == 2
@@ -410,27 +450,26 @@ class TestEntryLoaders:
         doc["concepts"] = doc["relations"] = []
         cg_path.write_text(json.dumps(doc))
         assert load_cg(cg_path) == ConceptualGraph({}, {})
-        provenance_path = directory / "provenance.json"
-        doc = json.loads(provenance_path.read_text())
-        doc["perCG"][0]["draws"] = []
-        provenance_path.write_text(json.dumps(doc))
-        assert load_dataset(directory).provenances[0] == GenerationProvenance(0, ())
+        path = directory / "derivations.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = '{"draws": []}\n'
+        path.write_text("".join(lines))
+        assert load_dataset(directory).provenances[0] == GenerationProvenance(())
 
 
 def _json_type(table, plural=""):
     """The "JSON type" column of docs/formats.md for one table row."""
-    if "enum" in table:
-        return " or ".join(json.dumps(value) for value in table["enum"])
     kinds = table["type"] if isinstance(table["type"], list) else [table["type"]]
-    text = " or ".join(kinds) + plural
+    text = " or ".join(kind for kind in kinds if kind != "null") + plural
     if "maximum" in table:
         text = "finite " + text
     if "minimum" in table:
         text += f" >= {table['minimum']}"
-    if "minLength" in table:
-        text = "non-empty " + text
     inner = table.get("items", table.get("additionalProperties"))
-    return text if inner is None else f"{text} of {_json_type(inner, 's')}"
+    if inner is not None:
+        count = f"{table['minItems']} " if "minItems" in table else ""
+        text += f" of {count}{_json_type(inner, 's')}"
+    return text + " or null" if "null" in kinds else text
 
 
 def _field_rows(table, prefix=""):
@@ -442,7 +481,14 @@ def _field_rows(table, prefix=""):
         yield from _field_rows(row.get("items", {}), name + "[].")
 
 
-KINDS = dict(zip(DOCUMENTS, ["vocabulary", "gamma-cg", "cg", "dataset-manifest", "provenance"]))
+# The table of each document of the parity guard; the derivations header has none.
+KINDS = {
+    "vocabulary.json": "vocabulary",
+    "gamma/gcg-0.json": "gamma-cg",
+    "dataset/cg-0000.json": "cg",
+    "dataset/manifest.json": "dataset-manifest",
+    "dataset/derivations.jsonl:2": "derivations",
+}
 
 
 class TestFieldTables:
@@ -463,29 +509,27 @@ class TestFieldTables:
     def documents(self, tmp_path_factory):
         """Every document of a small output, with each single-field fault of the parity guard.
 
-        The first draw of a CG merges nothing, so one more fault breaks a
-        merge entry; five more break a bound, a value list and a minimum
-        length, which no change of type does.
+        The first draw of a CG merges nothing, so two more faults break a
+        merge entry; three more break a bound, which no change of type does.
         """
         out = generate(tmp_path_factory.mktemp("tables"))
         mutated_documents = [
             (
                 document,
                 case_id(document, path, mutation),
-                json.loads(mutated((out / document).read_text(), path, mutation)),
+                json.loads(mutated(read(out, document), path, mutation)),
             )
             for document, path, mutation in cases(out)
+            if document in KINDS
         ]
-        provenance = json.loads((out / "dataset" / "provenance.json").read_text())
-        draw = next(d for entry in provenance["perCG"] for d in entry["draws"] if d["merged"])
-        draw["merged"][0] = None
-        mutated_documents.append(("dataset/provenance.json", "a null merge entry", provenance))
+        for label, entry in [("a null merge entry", None), ("a merge entry of 2", ["m", "c0"])]:
+            line = json.loads(read(out, "dataset/derivations.jsonl:2"))
+            next(draw for draw in line["draws"] if draw["merged"])["merged"][0] = entry
+            mutated_documents.append(("dataset/derivations.jsonl:2", label, line))
         for label, edit in [
             ("a NaN mean", lambda doc: doc["stats"]["nbNodes"].update(mean=float("nan"))),
             ("a negative deviation", lambda doc: doc["stats"]["nbNodes"].update(stddev=-1.0)),
             ("no CG at all", lambda doc: doc["config"].update(maxCGs=0)),
-            ("another policy", lambda doc: doc["config"].update(relationDomainPolicy="none")),
-            ("an empty provenanceFile", lambda doc: doc.update(provenanceFile="")),
         ]:
             manifest = json.loads((out / "dataset" / "manifest.json").read_text())
             edit(manifest)

@@ -3,9 +3,9 @@
 The digest covers every file's relative path and bytes. It may only change
 in a change that sets out to alter the output and says so in CHANGES.md.
 
-The content digest covers the same tree with the provenance read as a JSON
-value, so it holds through a change of the provenance's whitespace alone
-and fails on any change of what the run wrote.
+The content digest covers the same tree with each line of the derivations
+file read as a JSON value, so it holds through a change of that file's
+whitespace alone and fails on any change of what the run wrote.
 """
 
 import hashlib
@@ -31,8 +31,8 @@ README_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "e96ef3eba1aad3a331f87eb4a8ae14d70a09d5dc76f7de57bb9facefccb512f9"
-GOLDEN_CONTENT_SHA256 = "00b1e99ca8c3dcf859a23af24cd719e0ce6165c9142790780379d0b341dcb4be"
+GOLDEN_SHA256 = "03fc9b0f4f934f3fbb5582107894a88eeab00f75f680195dae5b0a37277f2a25"
+GOLDEN_CONTENT_SHA256 = "b1883f974c42a63ab4648ce62f7017975b01f1e815535a795dcfa1cd51deb424"
 
 
 def tree_digest(root):
@@ -46,14 +46,15 @@ def tree_digest(root):
 
 
 def content_digest(root):
-    """``tree_digest`` with dataset/provenance.json entering as its sorted-key JSON value."""
+    """``tree_digest`` with each line of dataset/derivations.jsonl as its sorted-key JSON value."""
     digest = hashlib.sha256()
     files = sorted(p for p in root.rglob("*") if p.is_file())
     for path in files:
         name = path.relative_to(root).as_posix()
         data = path.read_bytes()
-        if name == "dataset/provenance.json":
-            data = json.dumps(json.loads(data), sort_keys=True).encode("utf-8")
+        if name == "dataset/derivations.jsonl":
+            lines = data.decode("utf-8").splitlines()
+            data = "".join(json.dumps(json.loads(line), sort_keys=True) for line in lines).encode()
         digest.update(name.encode("utf-8") + b"\0")
         digest.update(data + b"\0")
     return len(files), digest.hexdigest()

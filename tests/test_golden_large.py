@@ -20,7 +20,7 @@ LARGE_CONFIG = {
 }
 
 GOLDEN_FILES = 25
-GOLDEN_SHA256 = "c4bb2d28c452d82c69ed0f9c0f3a0933fb2ba8a260a490359d38bd6f4be4280a"
+GOLDEN_SHA256 = "bc30e9ac686e20f5ffc7b50ba31e32fd70f219b9011028901e2fa0443ad3b211"
 
 
 def test_large_cg_output_digest_is_pinned(tmp_path, capsys):
@@ -29,8 +29,8 @@ def test_large_cg_output_digest_is_pinned(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
     capsys.readouterr()
-    provenance = json.loads((out / "dataset" / "provenance.json").read_text())
-    draws = [draw for entry in provenance["perCG"] for draw in entry["draws"]]
+    lines = (out / "dataset" / "derivations.jsonl").read_text().splitlines()[1:]
+    draws = [draw for line in lines for draw in json.loads(line)["draws"]]
     assert len(draws) == 1149
     assert sum(len(draw["merged"]) for draw in draws) == 6524
     assert sum(len(draw["skippedMerges"]) for draw in draws) == 5645

@@ -20,7 +20,7 @@ MINTED_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "b05959e7b41dd3bc3ce2734b7bdd377b4aa519c4e296f1d0dd18c39aa5eea9a0"
+GOLDEN_SHA256 = "3ec36bade21bfecc95d24e68eb62261f942d013d4c1d08d2e58fb3f3b93adde3"
 
 
 def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys):

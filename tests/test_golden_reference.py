@@ -19,8 +19,8 @@ from test_golden import tree_digest
 
 GOLDEN_FILES = 111
 GOLDEN_SHA256 = {
-    0: "18787041d789d8ac0073b7e37adf581b1578af8a08b847e55611e87b3d7fec43",
-    3: "f68ee86f7ccedbab6842393d8f9387123bc48789e249821f8987e43c1fecebf8",
+    0: "e8e3ccc4b6a09b3ae00421db93612727d21307ac09d1383e6dd02da191523851",
+    3: "8ed331866987e9584ff2985fbf23dcca66a3b9b7ae586a23eb4daea9f22a0dae",
 }
 
 

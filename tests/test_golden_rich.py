@@ -35,7 +35,7 @@ RICH_CONFIG = {
 }
 
 GOLDEN_FILES = 26
-GOLDEN_SHA256 = "fcde66370fd6f5efdd3fe937752a0d67e963f038d7a95263cfd16fa32ca4f15b"
+GOLDEN_SHA256 = "f369343c3207c816276b31414a76dd4553f155086bbef57134517c59dabc4c7e"
 
 
 def test_rich_output_digest_is_pinned(tmp_path, capsys):

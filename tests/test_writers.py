@@ -1,9 +1,9 @@
 """The fixed-layout writers must emit the layout docs/formats.md documents.
 
-That is json.dumps(doc, indent=2) + "\\n", except that each entry of a
-provenance draw's "merged" and "skippedMerges" lists sits on one line, as
-json.dumps(entry) writes it. The dict documents come from tests/oracles.py,
-built independently of the library's writers.
+That is json.dumps(doc, indent=2) + "\\n" for every document, and
+json.dumps(value) + "\\n" for each line of a dataset's derivations file. The
+dict documents come from tests/oracles.py, built independently of the
+library's writers.
 """
 
 import json
@@ -44,7 +44,7 @@ from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
 from cggen.generator import ComponentDraw, GenerationProvenance
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
-from oracles import cg_doc, gamma_cg_doc, provenance_doc, vocabulary_doc
+from oracles import cg_doc, derivations_text, gamma_cg_doc, vocabulary_doc
 
 # Non-ASCII, astral (a surrogate pair in JSON), quote, backslash and controls.
 ODD = ["café", "\U0001f600x", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f", " "]
@@ -57,22 +57,6 @@ SHARED_STEPS = (("concept-type:c0", 2), ("marker:c1", 0))
 
 def expected(doc):
     return json.dumps(doc, indent=2) + "\n"
-
-
-def expected_provenance(provenances):
-    """The provenance layout: ``expected`` with each merge entry on one line."""
-    doc = provenance_doc(provenances)
-    entries = []
-    for cg_entry in doc["perCG"]:
-        for draw in cg_entry["draws"]:
-            for key in ("merged", "skippedMerges"):
-                entries.extend(draw[key])
-                first = len(entries) - len(draw[key])
-                draw[key] = [f"@entry-{n}@" for n in range(first, len(entries))]
-    text = expected(doc)
-    for number, entry in enumerate(entries):
-        text = text.replace(f'"@entry-{number}@"', json.dumps(entry), 1)
-    return text
 
 
 def odd_graph():
@@ -238,23 +222,23 @@ class TestGammaCgWriter:
             assert path.read_text(encoding="utf-8") == expected(gamma_cg_doc(gcg))
 
 
-def provenance_path(tmp_path, provenances):
-    # The writer that save_dataset uses, called directly so that an empty
-    # perCG is covered too.
-    path = tmp_path / "provenance.json"
-    formats._write(path, "provenance", formats._provenance_members(provenances))
-    return path
+PERSON = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
 
 
-class TestProvenanceWriter:
+def derivations(directory, provenances):
+    """The derivations file that ``write_dataset`` writes for CGs with these derivations."""
+    cgs = [(PERSON, provenance) for provenance in provenances]
+    formats.write_dataset(directory, cgs, GeneratorConfig(max_cgs=len(cgs), min_size=1))
+    return (directory / "derivations.jsonl").read_text(encoding="utf-8")
+
+
+class TestDerivationsWriter:
     @pytest.mark.parametrize(
         "provenances",
         [
-            [],
-            [GenerationProvenance(0, ())],
+            [GenerationProvenance(())],
             [
                 GenerationProvenance(
-                    0,
                     (
                         ComponentDraw("g0", (), (), (), ()),
                         ComponentDraw(
@@ -264,76 +248,37 @@ class TestProvenanceWriter:
                             (("mé", "c0", "c4"), (ODD[5], ODD[2], "c9")),
                             ((ODD[4], "c1", "c2"),),
                         ),
-                    ),
+                    )
                 ),
-                GenerationProvenance(1, (ComponentDraw("g1", (("v1", "x"),), (), (), ()),)),
-            ],
-            # The loader takes any list of strings as a merge entry; every
-            # length must still be laid out on one line, as json.dumps lays it out.
-            [
-                GenerationProvenance(
-                    0,
-                    (
-                        ComponentDraw(
-                            "g0",
-                            (),
-                            (),
-                            ((), (ODD[0],), (ODD[1], ODD[2]), tuple(ODD[2:6])),
-                            ((ODD[3], ODD[4], ODD[5], ODD[0]), (), (ODD[4],)),
-                        ),
-                    ),
-                ),
+                GenerationProvenance((ComponentDraw("g1", (("v1", "x"),), (), (), ()),)),
             ],
             # The writer encodes each distinct assignments and specialisations
             # tuple once; draws that share them must still get their own merges.
             [
                 GenerationProvenance(
-                    index,
                     (
                         ComponentDraw("g0", SHARED_ASSIGNMENTS, SHARED_STEPS, merged, ()),
                         # Equal to the first draw's tuple, but another object.
                         ComponentDraw(
                             "g1", tuple(list(SHARED_ASSIGNMENTS)), SHARED_STEPS, (), merged[::-1]
                         ),
-                    ),
+                    )
                 )
-                for index, merged in enumerate(
-                    [(("c0", "c1", "c2"),), (("c3", ODD[1], "c4"), ("c5", "c6", ODD[0]))]
-                )
-            ],
-            # A draw whose triples are mixed with an entry of two items takes
-            # the general path for that value only.
-            [
-                GenerationProvenance(
-                    0,
-                    (
-                        ComponentDraw(
-                            "g0",
-                            SHARED_ASSIGNMENTS,
-                            SHARED_STEPS,
-                            (("c0", "c1", "c2"), (ODD[2], ODD[3]), (ODD[4], "c5", "c6")),
-                            (("c7", "c8", ODD[0]),),
-                        ),
-                    ),
-                ),
+                for merged in [(("c0", "c1", "c2"),), (("c3", ODD[1], "c4"), ("c5", "c6", ODD[0]))]
             ],
         ],
         ids=[
-            "no-cgs",
             "cg-without-draws",
             "odd-strings-and-empty-members",
-            "merge-entries-of-0-1-2-4-items",
             "shared-objects-with-different-merges",
-            "merge-entries-of-3-and-2-items",
         ],
     )
     def test_matches_json_dumps(self, provenances, tmp_path):
-        path = provenance_path(tmp_path, provenances)
-        text = path.read_text(encoding="utf-8")
-        assert text == expected_provenance(provenances)
+        text = derivations(tmp_path / "ds", provenances)
+        assert text == derivations_text(provenances)
         # Saving what the loader read back gives the same bytes.
-        loaded = formats._load_provenance(path, len(provenances))
-        assert provenance_path(tmp_path, loaded).read_text(encoding="utf-8") == text
+        loaded = load_dataset(tmp_path / "ds").provenances
+        assert derivations(tmp_path / "again", loaded) == text
 
     def test_repeated_key_keeps_dict_semantics(self, tmp_path):
         draw = ComponentDraw(
@@ -343,17 +288,17 @@ class TestProvenanceWriter:
             (),
             (),
         )
-        provenances = [GenerationProvenance(0, (draw,))]
-        text = provenance_path(tmp_path, provenances).read_text(encoding="utf-8")
-        assert text == expected_provenance(provenances)
-        document = json.loads(text)["perCG"][0]["draws"][0]
+        provenances = [GenerationProvenance((draw,))]
+        text = derivations(tmp_path, provenances)
+        assert text == derivations_text(provenances)
+        document = json.loads(text.splitlines()[1])["draws"][0]
         assert list(document["assignments"].items()) == [("a", "3"), ("b", "2")]
         assert list(document["specialisations"].items()) == [("s", 5), ("t", 2)]
 
     def test_more_distinct_objects_than_the_cache_holds(self, tmp_path):
         # Each draw has its own assignments and specialisations. After the
-        # first pass the earliest tuples are evicted, and the second pass, in
-        # the same order, must encode them again to the same text.
+        # first CG the earliest tuples are evicted, and the second CG, with
+        # the same draws in the same order, must encode them again to the same text.
         count = formats._OBJECT_CACHE + 10
         draws = tuple(
             ComponentDraw(
@@ -365,30 +310,26 @@ class TestProvenanceWriter:
             )
             for n in range(count)
         )
-        provenances = [GenerationProvenance(0, draws), GenerationProvenance(1, draws)]
-        text = provenance_path(tmp_path, provenances).read_text(encoding="utf-8")
-        assert text == expected_provenance(provenances)
-        document = json.loads(text)["perCG"][1]["draws"][0]
+        provenances = [GenerationProvenance(draws)] * 2
+        text = derivations(tmp_path, provenances)
+        assert text == derivations_text(provenances)
+        document = json.loads(text.splitlines()[2])["draws"][0]
         assert list(document["assignments"].items()) == [("v0", "last0"), ("w", "m0")]
 
     def test_no_cache_state_outlives_a_write(self, tmp_path):
-        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
-        config = GeneratorConfig(max_cgs=1, min_size=1)
         assignments = (("v0", "alice"), ("v1", "bob"))
         steps = (("concept-type:c0", 1),)
         references = sys.getrefcount(assignments), sys.getrefcount(steps)
         for number, merged in enumerate([(("c0", "c1", "c2"),), (("c3", "c4", "c5"),)]):
             draw = ComponentDraw("g0", assignments, steps, merged, ())
-            provenances = [GenerationProvenance(0, (draw,))]
-            directory = tmp_path / f"ds-{number}"
-            formats.write_dataset(directory, zip([graph], provenances), config)
-            text = (directory / "provenance.json").read_text(encoding="utf-8")
-            assert text == expected_provenance(provenances)
+            provenances = [GenerationProvenance((draw,))]
+            text = derivations(tmp_path / f"ds-{number}", provenances)
+            assert text == derivations_text(provenances)
             del draw, provenances
             # Nothing the write cached still holds the tuples it was given.
             assert (sys.getrefcount(assignments), sys.getrefcount(steps)) == references
 
-    def test_generated_provenance(self, generated, tmp_path):
+    def test_generated_derivations(self, generated, tmp_path):
         _, dataset, config = generated
         directory = tmp_path / "ds"
         save_dataset(
@@ -398,23 +339,5 @@ class TestProvenanceWriter:
             provenances=dataset.provenances,
             stats=compute_stats(dataset.graphs),
         )
-        text = (directory / "provenance.json").read_text(encoding="utf-8")
-        assert text == expected_provenance(dataset.provenances)
-
-    def test_old_layout_loads_to_equal_records(self, generated, tmp_path):
-        # Before merge entries took one line each, the provenance was laid
-        # out as json.dumps(document, indent=2); the loader reads both.
-        _, dataset, config = generated
-        directory = tmp_path / "ds"
-        save_dataset(
-            directory,
-            dataset.graphs,
-            config=config,
-            provenances=dataset.provenances,
-            stats=compute_stats(dataset.graphs),
-        )
-        path = directory / "provenance.json"
-        old_layout = expected(provenance_doc(dataset.provenances))
-        assert old_layout != path.read_text(encoding="utf-8")
-        path.write_text(old_layout, encoding="utf-8")
-        assert load_dataset(directory).provenances == dataset.provenances
+        text = (directory / "derivations.jsonl").read_text(encoding="utf-8")
+        assert text == derivations_text(dataset.provenances)
