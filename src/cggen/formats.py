@@ -198,17 +198,20 @@ def _triples(entries: Sequence[tuple[str, str, str]]) -> str:
     return "[" + ", ".join([_TRIPLE % (_enc(a), _enc(b), _enc(c)) for a, b, c in entries]) + "]"
 
 
-def read_json(path: Path) -> dict[str, Any]:
-    """The JSON object in ``path``; a ``FormatError`` naming the file otherwise."""
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}")
-    return _object_in(text, path)
+
+
+def read_json(path: Path) -> dict[str, Any]:
+    """The JSON object in ``path``; a ``FormatError`` naming the file otherwise."""
+    return _object_in(_read_text(path), path)
 
 
 def _object_in(text: str, path: Path, line: int | None = None) -> dict[str, Any]:
@@ -632,6 +635,14 @@ _LOADERS: dict[str, Callable[[dict[str, Any], Path], Any]] = {
 }
 
 
+def _first_line(text: str, path: Path) -> dict[str, Any]:
+    """The object on the first line of ``text``, or ``{}`` if it holds none."""
+    try:
+        return _object_in(text.partition("\n")[0], path, 1)
+    except FormatError:
+        return {}
+
+
 def load_document(
     path: "str | Path", admit: Callable[[Any], None] = lambda kind: None
 ) -> Vocabulary | ConceptualGraph | GammaCG:
@@ -642,7 +653,15 @@ def load_document(
     these three is a ``FormatError``.
     """
     path = Path(path)
-    document = read_json(path)
+    text = _read_text(path)
+    try:
+        document = _object_in(text, path)
+    except FormatError:
+        # A derivations file is one object per line, not one JSON value, but
+        # its header line names its kind all the same.
+        document = _first_line(text, path)
+        if document.get("kind") != "derivations":
+            raise
     kind = document.get("kind")
     admit(kind)
     load = _LOADERS.get(kind) if isinstance(kind, str) else None

@@ -9,7 +9,7 @@ from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph
 from cggen.formats import save_cg
 from oracles import parse_dot
-from test_field_parity import read, write
+from test_field_parity import read, source, write
 
 FULL_AUTO = {
     "seed": 424242,
@@ -487,16 +487,18 @@ class TestValidateStatsDot:
             ("dataset/cg-0000.json", False, "--vocab is required to validate a cg file"),
             ("gamma/gcg-0.json", False, "--vocab is required to validate a gamma-cg file"),
             ("dataset/manifest.json", True, "cannot validate documents of kind 'dataset-manifest'"),
+            # Its header line names the kind of a file that is no one JSON value.
+            ("dataset/derivations.jsonl:1", True, "cannot validate documents of kind 'derivations'"),
         ],
     )
     def test_file_refused_before_its_fields_are_checked(
         self, generated, capsys, name, vocab, message
     ):
         # The formatVersion is gone too, so a load would fail on it first.
-        path = generated / name
-        doc = json.loads(path.read_text())
+        doc = json.loads(read(generated, name))
         del doc["formatVersion"]
-        path.write_text(json.dumps(doc))
+        write(generated, name, json.dumps(doc))
+        path, _ = source(generated, name)
         argv = ["validate", str(path)]
         if vocab:
             argv += ["--vocab", str(generated / "vocabulary.json")]
@@ -628,6 +630,59 @@ def _drop_last_derivation(out):
 def _null_derivation(out):
     write(out / "dataset", "derivations.jsonl:2", "null")
     return "derivations.jsonl:2", "top-level value must be an object"
+
+
+def _drop_derivations_file(out):
+    (out / "dataset" / "derivations.jsonl").unlink()
+    return "derivations.jsonl", "no such file"
+
+
+def _empty_derivations_file(out):
+    (out / "dataset" / "derivations.jsonl").write_text("")
+    return "derivations.jsonl:1:1", "Expecting value"
+
+
+def _extra_derivation_line(out):
+    path = out / "dataset" / "derivations.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[-1:]))
+    return "derivations.jsonl", "more lines than a header and one per CG"
+
+
+def _format_1_derivations_header(out):
+    write(out / "dataset", "derivations.jsonl:1", '{"formatVersion": "1.0.0", "kind": "derivations"}')
+    return "derivations.jsonl:1", "unsupported major version '1.0.0'"
+
+
+def _provenance_header(out):
+    write(out / "dataset", "derivations.jsonl:1", '{"formatVersion": "2.0.0", "kind": "provenance"}')
+    return "derivations.jsonl:1", "expected kind 'derivations', found 'provenance'"
+
+
+def _derivations_not_utf8(out):
+    path = out / "dataset" / "derivations.jsonl"
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return "derivations.jsonl", "not UTF-8 text"
+
+
+def _directory_for_derivations_file(out):
+    path = out / "dataset" / "derivations.jsonl"
+    path.unlink()
+    path.mkdir()
+    return "derivations.jsonl", "cannot read: Is a directory"
+
+
+def _deeply_nested_derivation(out):
+    write(out / "dataset", "derivations.jsonl:2", "[" * 200000 + "]" * 200000)
+    return "derivations.jsonl:2", "nested too deeply to read"
+
+
+def _cut_derivation(out):
+    # A line cut short, as a write that stopped part way leaves it; the
+    # decoder's message differs between Python versions, its position not.
+    text = read(out / "dataset", "derivations.jsonl:3")
+    write(out / "dataset", "derivations.jsonl:3", text[: len(text) // 2])
+    return "derivations.jsonl", "derivations.jsonl:3:"
 
 
 def _drop_draw_gamma(out):
@@ -805,6 +860,15 @@ class TestMalformedDataset:
             _negative_nodes_stddev,
             _drop_last_derivation,
             _null_derivation,
+            _drop_derivations_file,
+            _empty_derivations_file,
+            _extra_derivation_line,
+            _format_1_derivations_header,
+            _provenance_header,
+            _derivations_not_utf8,
+            _directory_for_derivations_file,
+            _deeply_nested_derivation,
+            _cut_derivation,
             _drop_draw_gamma,
             _string_specialisation_steps,
             _bool_step,

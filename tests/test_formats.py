@@ -36,7 +36,7 @@ from cggen import (
 )
 from cggen import formats
 from cggen.cli import main
-from cggen.formats import save_cg
+from cggen.formats import iter_dataset, load_document, save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
 from oracles import parse_dot
@@ -314,6 +314,25 @@ class TestDatasetFormat:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="unsupported major version '1.0.0'"):
             load_dataset(directory)
+
+    def test_iter_dataset_yields_each_cg_before_a_later_line_is_read(self, built, tmp_path):
+        _, _, dataset, config = built
+        write_dataset(tmp_path, zip(dataset.graphs, dataset.provenances), config)
+        write(tmp_path, "derivations.jsonl:4", "null")
+        cgs = iter_dataset(tmp_path)
+        assert [next(cgs), next(cgs)] == [
+            ("cg-0000.json", dataset.graphs[0]),
+            ("cg-0001.json", dataset.graphs[1]),
+        ]
+        with pytest.raises(FormatError, match=r"jsonl:4: top-level value must be an object"):
+            next(cgs)
+
+    def test_derivations_file_is_no_document(self, built, tmp_path):
+        # It is not one JSON value, yet its header line names its kind.
+        _, _, dataset, config = built
+        write_dataset(tmp_path, zip(dataset.graphs, dataset.provenances), config)
+        with pytest.raises(FormatError, match="cannot load documents of kind 'derivations'"):
+            load_document(tmp_path / "derivations.jsonl")
 
     def test_provenance_count_mismatch_rejected_on_save(self, built, tmp_path):
         _, _, dataset, config = built
