@@ -19,6 +19,7 @@ from .core import (
     Signature,
     TypeHierarchy,
     Vocabulary,
+    _walk_down,
     random_descendant,
 )
 from .errors import ConfigError
@@ -323,13 +324,17 @@ def auto_variables(
 ) -> AutoVarResult:
     """Attach the configured numbers of variables to unclaimed label slots.
 
-    Slots are chosen uniformly among the free ones; each domain is a sample
-    of ``values_per_variable`` elements of the computed admissible domain,
-    drawn by index from its values in id order, and type-label domains are
-    then specialized up to ``specialisations`` steps per value. May be run
-    on gamma-CGs that already carry variables; requesting more variables
-    than there are free slots truncates the count and emits a warning.
+    Slots are chosen uniformly among the free ones. Each domain is a sample
+    of ``values_per_variable`` values of the slot's ``slot_domain`` in the
+    gamma-CG with the variables added so far, drawn by index in id order;
+    type values are then specialised up to ``specialisations`` steps
+    through admissible children. May be run on gamma-CGs that already carry
+    variables; requesting more variables than there are free slots
+    truncates the count and emits a warning. ``signature_compatible`` must
+    be True.
     """
+    if signature_compatible is not True:
+        raise ConfigError("auto_variables admits relation types by signature only")
     warnings: list[str] = []
     out: list[GammaCG] = []
 
@@ -374,9 +379,8 @@ def auto_variables(
         ):
             for node_id in pick_slots(kind, candidates, requested):
                 target = VariableTarget(kind, node_id)
-                admissible = slot_domain(
-                    vocab, gcg, target, signature_compatible=signature_compatible
-                )
+                current = GammaCG(gcg.name, gcg.graph, gcg.variables + tuple(new_variables))
+                admissible = slot_domain(vocab, current, target)
                 if not admissible:
                     # "relation types", "concept types" or "markers".
                     plural = kind.replace("-", " ") + "s"
@@ -390,7 +394,10 @@ def auto_variables(
                         if kind == TARGET_CONCEPT_TYPE
                         else vocab.relation_hierarchy(gcg.graph.relations[node_id].type_id)
                     )
-                    values = [random_descendant(hierarchy, value, spe, rng) for value in values]
+                    keep = set(admissible).__contains__
+                    values = [
+                        _walk_down(hierarchy, v, rng.randint(0, spe), rng, keep)[0] for v in values
+                    ]
                 new_variables.append(Variable(next_name(), target, tuple(values)))
 
         out.append(GammaCG(gcg.name, gcg.graph, gcg.variables + tuple(new_variables)))

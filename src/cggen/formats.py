@@ -779,6 +779,10 @@ def read_manifest(directory: "str | Path") -> DatasetManifest:
         raise FormatError(
             f"{path}: cgFiles lists {len(file_names)} files for cgCount {stats.cg_count}"
         )
+    for index, name in enumerate(file_names):
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise FormatError(f"{path}: cgFiles[{index}] {name!r} is not a plain file name")
+    _require_unique(file_names, len(set(file_names)), path, "duplicate {id!r} at cgFiles[{index}]")
     return DatasetManifest(files=tuple(file_names), stats=stats, config=manifest["config"])
 
 

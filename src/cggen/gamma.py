@@ -2,27 +2,27 @@
 
 A variable binds one label slot of the host graph (a relation-type label, a
 concept-type label or a marker label) to an explicit set of admissible
-values. ``slot_domain`` is the one definition of the values a slot admits
-under the vocabulary's orders and signatures: ``validate_gamma`` checks each
-stored domain against it and ``auto_variables`` samples domains from it.
+values. ``_admissible`` is the one definition of the values a slot admits
+under the vocabulary's orders and signatures: ``validate_gamma`` tests each
+stored value with it, ``slot_domain`` lists them for ``auto_variables``, and
+``DrawPlan`` filters the type domains with it.
 
 Instantiation draws one value per variable, relation-type variables first,
 then concept-type variables, then marker variables, filtering each stored
 domain down to the choices that keep the graph valid at that point.
 
 The filtering is compiled once per (vocabulary, gamma-CG) into a
-``DrawPlan``. Relation variables are drawn against the gamma-CG's own
-argument types, so their lists are fixed at compile time. A concept
-variable's list is compiled under every restriction that does not depend
-on a draw; per draw it is filtered only by the restrictions of incident
-relations that carry a relation variable. Marker variables filter per draw,
-against the mint's registry, which grows as markers are minted.
+``DrawPlan``. A relation variable's list is the admissible part of its
+domain, fixed at compile time. So is a concept variable's; per draw it is
+filtered only by the restrictions of incident relations that carry a
+relation variable. Marker variables filter per draw, against the mint's
+registry, which grows as markers are minted.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .core import (
     ConceptualGraph,
@@ -119,85 +119,101 @@ def _incidences(graph: ConceptualGraph) -> dict[str, list[tuple[str, int]]]:
     return incidences
 
 
-def slot_domain(
-    vocab: Vocabulary,
-    gcg: GammaCG,
-    target: VariableTarget,
-    *,
-    signature_compatible: bool = False,
-) -> tuple[str, ...]:
-    """The admissible values of one label slot in id order, for validation and auto-var.
+def _admissible(
+    vocab: Vocabulary, gcg: GammaCG, target: VariableTarget
+) -> tuple[Callable[[], tuple[str, ...]], Callable[[str], bool]]:
+    """The one admissibility rule of a label slot: its values and the test of one value.
 
-    - A relation type: every relation type of the node's arity; with
-      ``signature_compatible``, only those whose signature admits the
-      node's current argument types.
-    - A concept type: every type at or below the restriction of each
-      incident relation at the node's position.
-    - A marker on a marked node: every marker typed at or below the type of
-      the node's current marker. On an unmarked node, which its variable
-      declares individual, the draw's rule: every marker typed at or above
-      the node's type, or at or above some value a concept variable on the
-      node can draw.
+    - A relation type: a type of the node's arity whose signature admits
+      the node's argument types; an argument under a concept variable is
+      open.
+    - A concept type: a type at or below the restriction of every incident
+      relation that carries no relation variable, and at or below the
+      node's marker type unless a marker variable redraws that marker.
+    - A marker: a registered marker typed at or above the node's type or,
+      if the node carries a concept variable, at or above some admissible
+      value of that variable.
 
-    A node that is not of the target's kind, an unknown marker on a marked
-    node, an unknown type on an unmarked node's marker slot, an unknown
-    relation type and, with ``signature_compatible``, an unknown argument
-    type raise UnknownIdentifierError. The node's other labels are expected
-    to have passed ``validate_graph``. Id order makes a sample drawn by
-    index independent of string hashing.
+    The values, built only when called, are the kind's that pass the test,
+    in id order; the markers come straight from the vocabulary's index by
+    type. A node not of the target's kind and an unknown label the rule
+    reads raise UnknownIdentifierError.
     """
-    kind, node_id = target.kind, target.node_id
+    kind, node_id = target
     graph = gcg.graph
+    concepts = vocab.concepts
+    up = concepts.up
+    redrawn = {variable.target for variable in gcg.variables}
     if kind == TARGET_RELATION_TYPE:
         relation = graph.relations.get(node_id)
         if relation is None:
             raise UnknownIdentifierError(f"{node_id!r} is not a relation node of {gcg.name!r}")
-        candidates = vocab.relation_hierarchy(relation.type_id).type_ids()
-        if not signature_compatible:
-            return candidates
-        arg_types = [graph.concepts[arg].type_id for arg in relation.args]
+        hierarchy = vocab.relation_hierarchy(relation.type_id)
+        arg_types = [
+            None if (TARGET_CONCEPT_TYPE, arg) in redrawn else graph.concepts[arg].type_id
+            for arg in relation.args
+        ]
         for arg_type in arg_types:
-            vocab.concepts.require(arg_type)
-        return tuple(c for c in candidates if signature_admits(vocab, c, arg_types))
+            if arg_type is not None:
+                concepts.require(arg_type)
+
+        def admits(value: str) -> bool:
+            return value in hierarchy and signature_admits(vocab, value, arg_types)
+
+        return lambda: tuple(filter(admits, hierarchy.type_ids())), admits
 
     node = graph.concepts.get(node_id)
     if node is None:
         raise UnknownIdentifierError(f"{node_id!r} is not a concept node of {gcg.name!r}")
-    concepts = vocab.concepts
     if kind == TARGET_CONCEPT_TYPE:
-        admissible = set(concepts.labels)
-        # Only this node's slots, in relation-id order, so that an unknown
-        # relation type raises for the lowest relation id.
-        slots = sorted(
-            (rel_id, position)
-            for rel_id, relation in graph.relations.items()
-            for position, arg in enumerate(relation.args)
-            if arg == node_id
-        )
-        for rel_id, position in slots:
-            relation_type = graph.relations[rel_id].type_id
-            admissible &= concepts.down[restriction_for(vocab, relation_type, position)]
-        return tuple(sorted(admissible))
-    if node.marker is not None:
-        current = vocab.markers.get(node.marker)
-        if current is None:
-            raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
-        return tuple(vocab.markers_typed(concepts.down[current.type_id]))
+        bounds = {
+            restriction_for(vocab, graph.relations[rel_id].type_id, position)
+            for rel_id, position in _incidences(graph).get(node_id, ())
+            if (TARGET_RELATION_TYPE, rel_id) not in redrawn
+        }
+        if node.marker is not None and (TARGET_MARKER, node_id) not in redrawn:
+            marker = vocab.markers.get(node.marker)
+            if marker is None:
+                raise UnknownIdentifierError(f"marker {node.marker!r} not in vocabulary")
+            bounds.add(marker.type_id)
+
+        def admits(value: str) -> bool:
+            return value in up and up[value].issuperset(bounds)
+
+        return lambda: tuple(filter(admits, concepts.type_ids())), admits
+
     concepts.require(node.type_id)
-    up = concepts.up
-    types = [node.type_id]
+    carried = set(up[node.type_id])
+    concept_slot = VariableTarget(TARGET_CONCEPT_TYPE, node_id)
     for variable in gcg.variables:
-        if variable.target == VariableTarget(TARGET_CONCEPT_TYPE, node_id):
-            types = [t for t in variable.domain if t in up]
-    return tuple(vocab.markers_typed({above for t in types for above in up[t]}))
+        if variable.target == concept_slot:
+            _, admits_type = _admissible(vocab, gcg, concept_slot)
+            carried.update(*(up[type_id] for type_id in filter(admits_type, variable.domain)))
+    markers = vocab.markers
+
+    def admits(value: str) -> bool:
+        return value in markers and markers[value].type_id in carried
+
+    return lambda: tuple(vocab.markers_typed(carried)), admits
+
+
+def slot_domain(vocab: Vocabulary, gcg: GammaCG, target: VariableTarget) -> tuple[str, ...]:
+    """The admissible values of one label slot in id order, for auto-var.
+
+    The rule is ``_admissible``'s; the node's other labels are expected to
+    have passed ``validate_graph``. Id order makes a sample drawn by index
+    independent of string hashing.
+    """
+    values, _ = _admissible(vocab, gcg, target)
+    return values()
 
 
 def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
     """Report lines for the graph's labels, or else for every variable's domain.
 
-    Admissible domains are computed from the graph's labels, so they are
-    checked only when every label is known and consistent. A variable's
-    stored domain must be non-empty and lie inside its slot's domain.
+    The admissibility rule reads the graph's labels, so domains are checked
+    only when every label is known and consistent. A variable's stored
+    domain must be non-empty and each value must pass its slot's rule.
     """
     problems = validate_graph(vocab, gcg.graph).lines()
     if problems:
@@ -207,12 +223,12 @@ def validate_gamma(vocab: Vocabulary, gcg: GammaCG) -> list[str]:
         if not variable.domain:
             problems.append(f"empty-domain {name}: variable domain must be non-empty")
             continue
-        outside = set(variable.domain).difference(slot_domain(vocab, gcg, target))
+        _, admits = _admissible(vocab, gcg, target)
         problems.extend(
             f"inadmissible-value {name}: {value!r} is not admissible"
             f" for {target.kind} of {target.node_id!r}"
             for value in variable.domain
-            if value in outside
+            if not admits(value)
         )
     return problems
 
@@ -286,13 +302,8 @@ class DrawPlan:
 
     Compiled once, with the checks the draw would make:
     - incidence lists, in relation-id order;
-    - each relation variable's effective list: the domain values of the
-      node's arity whose signature admits the node's fixed argument types
-      (an argument under a concept variable is open);
-    - each concept variable's list: the domain values under every
-      restriction of an incident relation without a relation variable and
-      under the node's marker ceiling (unless a marker variable redraws the
-      marker);
+    - each relation and concept variable's effective list: the domain
+      values that pass ``_admissible``;
     - for each incident relation that carries a relation variable, the
       restriction at that position for every type it can draw;
     - ``rows``, the one attribute the generator reads to assemble a draw:
@@ -310,67 +321,41 @@ class DrawPlan:
     def __init__(self, vocab: Vocabulary, gcg: GammaCG) -> None:
         graph = gcg.graph
         concepts = vocab.concepts
-        up = concepts.up
         by_kind = {
             kind: [v for v in gcg.variables if v.target.kind == kind] for kind in _TARGET_KINDS
         }
         concept_nodes = {v.target.node_id for v in by_kind[TARGET_CONCEPT_TYPE]}
-        marker_nodes = {v.target.node_id for v in by_kind[TARGET_MARKER]}
         incidences = _incidences(graph)
+
+        def effective(variable: Variable) -> tuple[str, ...]:
+            _, admits = _admissible(vocab, gcg, variable.target)
+            return tuple(filter(admits, variable.domain))
 
         drawable: dict[str, tuple[str, ...]] = {}
         relation_steps = []
         slots = []
         for variable in by_kind[TARGET_RELATION_TYPE]:
             node = graph.relations[variable.target.node_id]
-            hierarchy = vocab.relation_hierarchy(node.type_id)
+            drawable[node.node_id] = values = effective(variable)
+            relation_steps.append((variable.name, node.node_id, values))
             slots.append(
                 (
                     f"{TARGET_RELATION_TYPE}:{node.node_id}",
                     node.node_id,
-                    hierarchy,
+                    vocab.relation_hierarchy(node.type_id),
                     tuple((arg, graph.concepts[arg].type_id) for arg in node.args),
                 )
             )
-            arg_types = [
-                None if arg in concept_nodes else graph.concepts[arg].type_id
-                for arg in node.args
-            ]
-            for arg_type in arg_types:
-                if arg_type is not None:
-                    concepts.require(arg_type)
-            effective = tuple(
-                candidate
-                for candidate in variable.domain
-                if candidate in hierarchy and signature_admits(vocab, candidate, arg_types)
-            )
-            drawable[node.node_id] = effective
-            relation_steps.append((variable.name, node.node_id, effective))
 
         concept_steps = []
         for variable in by_kind[TARGET_CONCEPT_TYPE]:
             node_id = variable.target.node_id
-            fixed: list[str] = []
-            drawn: list[tuple[str, dict[str, str]]] = []
-            for rel_id, position in incidences.get(node_id, ()):
-                if rel_id in drawable:
-                    drawn.append(
-                        (rel_id, {t: restriction_for(vocab, t, position) for t in drawable[rel_id]})
-                    )
-                else:
-                    fixed.append(restriction_for(vocab, graph.relations[rel_id].type_id, position))
-            marker_id = graph.concepts[node_id].marker
-            if marker_id is not None and node_id not in marker_nodes:
-                marker = vocab.markers.get(marker_id)
-                if marker is None:
-                    raise UnknownIdentifierError(f"marker {marker_id!r} not in vocabulary")
-                fixed.append(marker.type_id)
-            effective = tuple(
-                candidate
-                for candidate in variable.domain
-                if candidate in up and all(bound in up[candidate] for bound in fixed)
+            drawn = tuple(
+                (rel_id, {t: restriction_for(vocab, t, position) for t in drawable[rel_id]})
+                for rel_id, position in incidences.get(node_id, ())
+                if rel_id in drawable
             )
-            concept_steps.append((variable.name, node_id, effective, tuple(drawn)))
+            concept_steps.append((variable.name, node_id, effective(variable), drawn))
             slots.append((f"{TARGET_CONCEPT_TYPE}:{node_id}", node_id, concepts, None))
 
         marker_steps = []
@@ -383,7 +368,7 @@ class DrawPlan:
 
         position = {node_id: index for index, node_id in enumerate(graph.concepts)}
         self.gcg = gcg
-        self._up = up
+        self._up = concepts.up
         self._relation_steps = tuple(relation_steps)
         self._concept_steps = tuple(concept_steps)
         self._marker_steps = tuple(marker_steps)

@@ -91,51 +91,86 @@ def arity_of(vocab: Vocabulary, relation_type: str) -> int:
     raise KeyError(relation_type)
 
 
+def _brute_relation_test(vocab, relation, concept_types, open_concepts):
+    """``brute_instantiate``'s test of a type for the relation node ``relation``.
+
+    Its arguments take ``concept_types``; one in ``open_concepts`` admits any restriction.
+    """
+    same_arity = vocab.relation_hierarchy(relation.type_id).labels
+    arg_types = [None if arg in open_concepts else concept_types[arg] for arg in relation.args]
+    return lambda candidate: candidate in same_arity and _brute_signature_admits(
+        vocab, candidate, arg_types
+    )
+
+
+def _brute_concept_test(vocab, graph, node_id, relation_types, registry, marker_id):
+    """``brute_instantiate``'s test of a type for concept ``node_id``.
+
+    Each incident relation in ``relation_types`` bounds it by its restriction,
+    and the marker ``marker_id`` (unless None) by its type in ``registry``.
+    """
+    constraints = [
+        restriction_for(vocab, relation_types[rel_id], position)
+        for rel_id, position in brute_incidences(graph, node_id)
+        if rel_id in relation_types
+    ]
+    if marker_id is not None:
+        marker = registry.get(marker_id)
+        if marker is None:
+            raise UnknownIdentifierError(f"marker {marker_id!r} not in vocabulary")
+        constraints.append(marker.type_id)
+    return lambda candidate: candidate in vocab.concepts.labels and all(
+        brute_subtype(vocab.concepts, candidate, c) for c in constraints
+    )
+
+
+def _brute_marker_test(vocab, registry, node_type):
+    """``brute_instantiate``'s test of a marker for a node of ``node_type``."""
+    return lambda candidate: candidate in registry and brute_subtype(
+        vocab.concepts, node_type, registry[candidate].type_id
+    )
+
+
+def _variables_on(gcg: GammaCG, kind: str) -> dict:
+    """The gamma-CG's variables of ``kind`` by target node id."""
+    return {v.target.node_id: v for v in gcg.variables if v.target.kind == kind}
+
+
 def brute_relation_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[str]:
-    """All relation types of the same arity as the node's current type."""
-    node = gcg.graph.relations[node_id]
-    arity = arity_of(vocab, node.type_id)
-    return {
-        candidate
-        for hierarchy in vocab.relations.values()
-        for candidate in hierarchy.labels
-        if arity_of(vocab, candidate) == arity
-    }
-
-
-def brute_signature_relation_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[str]:
-    """Relation types of the node's arity whose signature admits its argument types."""
+    """Relation types the first draw step tests admissible for the node."""
     graph = gcg.graph
-    arg_types = [graph.concepts[arg].type_id for arg in graph.relations[node_id].args]
-    return {
-        candidate
-        for candidate in brute_relation_domain(vocab, gcg, node_id)
-        if _brute_signature_admits(vocab, candidate, arg_types)
-    }
+    test = _brute_relation_test(
+        vocab,
+        graph.relations[node_id],
+        {nid: node.type_id for nid, node in graph.concepts.items()},
+        _variables_on(gcg, TARGET_CONCEPT_TYPE),
+    )
+    return {c for h in vocab.relations.values() for c in h.labels if test(c)}
 
 
 def brute_concept_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[str]:
-    """Concept types t with t <= restriction for every incident argument slot."""
-    constraints: list[str] = []
-    for rel_id, relation in gcg.graph.relations.items():
-        for position, arg in enumerate(relation.args):
-            if arg == node_id:
-                constraints.append(vocab.signatures[relation.type_id].restrictions[position])
-    return {
-        candidate
-        for candidate in vocab.concepts.labels
-        if all(brute_subtype(vocab.concepts, candidate, c) for c in constraints)
+    """Concept types the draw tests admissible under every bound no earlier draw changes."""
+    graph = gcg.graph
+    redrawn = _variables_on(gcg, TARGET_RELATION_TYPE)
+    relation_types = {
+        rel_id: node.type_id for rel_id, node in graph.relations.items() if rel_id not in redrawn
     }
+    marker_id = graph.concepts[node_id].marker
+    if node_id in _variables_on(gcg, TARGET_MARKER):
+        marker_id = None
+    test = _brute_concept_test(vocab, graph, node_id, relation_types, vocab.markers, marker_id)
+    return {c for c in vocab.concepts.labels if test(c)}
 
 
 def brute_marker_domain(vocab: Vocabulary, gcg: GammaCG, node_id: str) -> set[str]:
-    """Markers whose assigned type is <= the type of the node's marker."""
-    current = vocab.markers[gcg.graph.concepts[node_id].marker]
-    return {
-        marker_id
-        for marker_id, marker in vocab.markers.items()
-        if brute_subtype(vocab.concepts, marker.type_id, current.type_id)
-    }
+    """Markers the draw tests admissible for the node's type or an admissible concept value."""
+    node_types = [gcg.graph.concepts[node_id].type_id]
+    concept_variable = _variables_on(gcg, TARGET_CONCEPT_TYPE).get(node_id)
+    if concept_variable is not None:
+        admissible = brute_concept_domain(vocab, gcg, node_id)
+        node_types += [t for t in concept_variable.domain if t in admissible]
+    tests = [_brute_marker_test(vocab, vocab.markers, node_type) for node_type in node_types]
+    return {marker_id for marker_id in vocab.markers if any(test(marker_id) for test in tests)}
 
 
 def brute_carriers(
@@ -185,16 +220,10 @@ def brute_instantiate(
 
     for variable in relation_vars:
         node_id = variable.target.node_id
-        node = gcg.graph.relations[node_id]
-        hierarchy = vocab.relation_hierarchy(relation_types[node_id])
-        arg_types = [
-            None if arg in pending_concept_nodes else concept_types[arg] for arg in node.args
-        ]
-        effective = [
-            candidate
-            for candidate in variable.domain
-            if candidate in hierarchy and _brute_signature_admits(vocab, candidate, arg_types)
-        ]
+        test = _brute_relation_test(
+            vocab, gcg.graph.relations[node_id], concept_types, pending_concept_nodes
+        )
+        effective = [candidate for candidate in variable.domain if test(candidate)]
         if not effective:
             raise InstantiationError(
                 f"variable {variable.name!r} of {gcg.name!r} has no admissible relation type"
@@ -206,23 +235,13 @@ def brute_instantiate(
 
     for variable in concept_vars:
         node_id = variable.target.node_id
-        constraints: list[str] = []
-        for rel_id, position in brute_incidences(gcg.graph, node_id):
-            constraints.append(restriction_for(vocab, relation_types[rel_id], position))
         marker_id = concept_markers[node_id]
-        marker_ceiling: str | None = None
-        if marker_id is not None and node_id not in pending_marker_nodes:
-            marker = marker_registry.get(marker_id)
-            if marker is None:
-                raise UnknownIdentifierError(f"marker {marker_id!r} not in vocabulary")
-            marker_ceiling = marker.type_id
-        effective = [
-            candidate
-            for candidate in variable.domain
-            if candidate in vocab.concepts
-            and all(brute_subtype(vocab.concepts, candidate, c) for c in constraints)
-            and (marker_ceiling is None or brute_subtype(vocab.concepts, candidate, marker_ceiling))
-        ]
+        if node_id in pending_marker_nodes:
+            marker_id = None
+        test = _brute_concept_test(
+            vocab, gcg.graph, node_id, relation_types, marker_registry, marker_id
+        )
+        effective = [candidate for candidate in variable.domain if test(candidate)]
         if not effective:
             raise InstantiationError(
                 f"variable {variable.name!r} of {gcg.name!r} has no admissible concept type"
@@ -235,12 +254,8 @@ def brute_instantiate(
     for variable in marker_vars:
         node_id = variable.target.node_id
         node_type = concept_types[node_id]
-        effective = [
-            candidate
-            for candidate in variable.domain
-            if candidate in marker_registry
-            and brute_subtype(vocab.concepts, node_type, marker_registry[candidate].type_id)
-        ]
+        test = _brute_marker_test(vocab, marker_registry, node_type)
+        effective = [candidate for candidate in variable.domain if test(candidate)]
         if effective:
             choice = effective[rng.randrange(len(effective))]
         else:

@@ -4,16 +4,9 @@ Runs ``console_main`` on the README's run configuration with ``minSize``
 4000 at 4, 16 and 64 CGs, each in its own child of this process, then
 ``cggen validate`` on each output, and reads each child's own peak resident
 set with ``os.wait4``. The 64-CG point also bounds what the derivation
-writer caches within one dataset.
-
-The vocabulary that validate holds grows with the number of CGs, by the
-markers minted for each (1,442 markers at 4 CGs, 22,081 at 64). CG ``i`` is
-drawn from the seed and ``i`` alone, so the 64-CG run's vocabulary holds the
-markers of every smaller run's CGs: validate runs a second time on each
-output with that vocabulary in place of its own, which leaves only the
-dataset's growth. Exits 1 if generate, or validate with the one vocabulary,
-peaks more than ``SLACK_MB`` above its 4-CG run at 16 or 64 CGs. Validate
-on each output as written is printed for information.
+writer caches within one dataset, and the markers minted per CG that the
+vocabulary validate reads carries. Exits 1 if generate or validate peaks
+more than ``SLACK_MB`` above its 4-CG run at 16 or 64 CGs.
 
 A child's peak counts the resident set of the process that started it, so
 this one imports neither cggen nor pytest: it reads the configuration from
@@ -25,7 +18,6 @@ the README's JSON block.
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -63,24 +55,17 @@ def generate(work: Path, max_cgs: int) -> tuple[Path, float]:
 def main() -> int:
     peaks: dict[str, dict[int, float]] = {"generate": {}, "validate": {}}
     with tempfile.TemporaryDirectory() as work:
-        outs = {}
         for count in COUNTS:
-            outs[count], peaks["generate"][count] = generate(Path(work), count)
-            peaks["validate"][count] = peak_rss_mb(["validate", str(outs[count])])
-        largest = outs[COUNTS[-1]] / "vocabulary.json"
-        for count in COUNTS[:-1]:
-            shutil.copyfile(largest, outs[count] / "vocabulary.json")
-        one = {count: peak_rss_mb(["validate", str(outs[count])]) for count in COUNTS}
-        peaks["validate, one vocabulary"] = one
+            out, peaks["generate"][count] = generate(Path(work), count)
+            peaks["validate"][count] = peak_rss_mb(["validate", str(out)])
     for step, peak in peaks.items():
         line = ", ".join(f"{count} CGs {mb:.1f} MB" for count, mb in peak.items())
         print(f"peak RSS of {step}: {line}")
-    print("(validate: information only; its vocabulary grows by the markers minted per CG)")
     status = 0
-    for step in ("generate", "validate, one vocabulary"):
-        baseline = peaks[step][COUNTS[0]]
+    for step, peak in peaks.items():
+        baseline = peak[COUNTS[0]]
         for count in COUNTS[1:]:
-            if peaks[step][count] > baseline + SLACK_MB:
+            if peak[count] > baseline + SLACK_MB:
                 print(
                     f"error: {step} at {count} CGs peaks more than {SLACK_MB} MB"
                     f" above {COUNTS[0]} CGs",

@@ -54,7 +54,6 @@ from oracles import (
     brute_incidences,
     brute_marker_domain,
     brute_relation_domain,
-    brute_signature_relation_domain,
     brute_subtype,
     fold,
     recount_stats,
@@ -230,24 +229,18 @@ def test_criterion_5_domain_oracles():
         for gcg in gcg_result.gammas:
             for node_id in gcg.graph.relations:
                 target = VariableTarget(TARGET_RELATION_TYPE, node_id)
-                # Validation's rule (arity) and auto-var's (signature).
                 assert slot_domain(vocab, gcg, target) == (
                     tuple(sorted(brute_relation_domain(vocab, gcg, node_id)))
                 )
-                assert slot_domain(vocab, gcg, target, signature_compatible=True) == (
-                    tuple(sorted(brute_signature_relation_domain(vocab, gcg, node_id)))
-                )
-                checked += 2
-            for node_id in gcg.graph.concepts:
-                target = VariableTarget(TARGET_CONCEPT_TYPE, node_id)
-                assert slot_domain(vocab, gcg, target) == (
-                    tuple(sorted(brute_concept_domain(vocab, gcg, node_id)))
-                )
                 checked += 1
-                if gcg.graph.concepts[node_id].marker is not None:
-                    target = VariableTarget(TARGET_MARKER, node_id)
+            for node_id in gcg.graph.concepts:
+                for kind, oracle in (
+                    (TARGET_CONCEPT_TYPE, brute_concept_domain),
+                    (TARGET_MARKER, brute_marker_domain),
+                ):
+                    target = VariableTarget(kind, node_id)
                     assert slot_domain(vocab, gcg, target) == (
-                        tuple(sorted(brute_marker_domain(vocab, gcg, node_id)))
+                        tuple(sorted(oracle(vocab, gcg, node_id)))
                     )
                     checked += 1
     print(

@@ -262,8 +262,14 @@ class TestAutoVariables:
         result = auto_variables(vocab, gammas, config, fresh_rng("var-cap"))
         for gcg in result.gammas:
             (variable,) = gcg.variables
-            admissible = slot_domain(vocab, gcg, variable.target, signature_compatible=True)
+            admissible = slot_domain(vocab, gcg, variable.target)
             assert variable.domain == admissible
+
+    def test_only_the_signature_rule(self, built_inputs):
+        vocab, gammas = built_inputs
+        config = AutoVarConfig(*(ParamSpec.fixed(1),) * 5)
+        with pytest.raises(ConfigError, match="by signature only"):
+            auto_variables(vocab, gammas, config, fresh_rng("var-rule"), signature_compatible=False)
 
     def test_truncation_warning(self, built_inputs):
         vocab, gammas = built_inputs

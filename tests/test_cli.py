@@ -586,6 +586,25 @@ def _list_max_cgs(out):
     return "manifest.json", "field config.maxCGs must be int, found list"
 
 
+def _cg_file_outside(label, name):
+    """A mutation listing ``name`` as ``cgFiles[1]``, beside a copy of cg-0001 outside the dataset."""
+
+    def mutate(out):
+        dataset = out / "dataset"
+        shutil.copy(dataset / "cg-0001.json", out / "outside.json")
+        listed = name.replace("{out}", str(out))
+        _edit_manifest(out, lambda doc: doc["cgFiles"].__setitem__(1, listed))
+        return "manifest.json", "cgFiles[1]"
+
+    mutate.__name__ = f"_cg_file_{label}"
+    return mutate
+
+
+def _duplicate_cg_file(out):
+    _edit_manifest(out, lambda doc: doc["cgFiles"].__setitem__(1, doc["cgFiles"][0]))
+    return "manifest.json", "duplicate 'cg-0000.json' at cgFiles[1]"
+
+
 def _bool_seed(out):
     _edit_manifest(out, lambda doc: doc["config"].update(seed=True))
     return "manifest.json", "field config.seed must be int, found bool"
@@ -853,6 +872,10 @@ class TestMalformedDataset:
         [
             _drop_nodes_mean,
             _list_max_cgs,
+            _cg_file_outside("absolute", "{out}/outside.json"),
+            _cg_file_outside("parent", "../outside.json"),
+            _cg_file_outside("dot", "."),
+            _duplicate_cg_file,
             _bool_seed,
             _nan_nodes_mean,
             _huge_nodes_mean,

@@ -44,9 +44,9 @@ def gcg_of(graph, variables=(), name="g"):
     return GammaCG(name, graph, tuple(variables))
 
 
-def domain_of(vocab, gcg, kind, node_id, **options):
+def domain_of(vocab, gcg, kind, node_id):
     """``slot_domain`` of the slot ``kind`` of ``node_id``."""
-    return slot_domain(vocab, gcg, VariableTarget(kind, node_id), **options)
+    return slot_domain(vocab, gcg, VariableTarget(kind, node_id))
 
 
 def instantiated(vocab, gcg, rng, mint):
@@ -116,16 +116,21 @@ class TestRelationTypeDomain:
         assert domain == ("T3", "gives")
         assert domain == tuple(sorted(brute_relation_domain(tiny_vocab, sample_gcg, "r2")))
 
-    def test_signature_compatible_excludes(self, tiny_vocab, sample_gcg):
-        # r0 has args (Person, Place); "knows" needs (Person, Person), so the
-        # stricter filter drops it while arity alone keeps it.
-        loose = domain_of(tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "r0")
-        strict = domain_of(
-            tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "r0", signature_compatible=True
+    def test_signature_excludes(self, tiny_vocab, sample_gcg):
+        # r0 has args (Person, Place); "knows" needs (Person, Person).
+        assert domain_of(tiny_vocab, sample_gcg, TARGET_RELATION_TYPE, "r0") == (
+            "T2",
+            "locatedIn",
         )
-        assert "knows" in loose
-        assert "knows" not in strict
-        assert strict == ("T2", "locatedIn")
+
+    def test_argument_under_concept_variable_is_open(self, tiny_vocab, sample_gcg):
+        # A concept variable on c1 lifts the Place argument, so "knows" is
+        # admitted; "attends" still needs a Student at c0 (a Person).
+        variable = Variable("v1", VariableTarget(TARGET_CONCEPT_TYPE, "c1"), ("Person",))
+        gcg = gcg_of(sample_gcg.graph, [variable])
+        domain = domain_of(tiny_vocab, gcg, TARGET_RELATION_TYPE, "r0")
+        assert domain == ("T2", "knows", "locatedIn")
+        assert domain == tuple(sorted(brute_relation_domain(tiny_vocab, gcg, "r0")))
 
     def test_not_a_relation(self, tiny_vocab, sample_gcg):
         with pytest.raises(UnknownIdentifierError):
@@ -137,9 +142,7 @@ class TestRelationTypeDomain:
             {"r0": RelationNode("r0", "locatedIn", ("c0", "c1"))},
         )
         with pytest.raises(UnknownIdentifierError):
-            domain_of(
-                tiny_vocab, gcg_of(graph), TARGET_RELATION_TYPE, "r0", signature_compatible=True
-            )
+            domain_of(tiny_vocab, gcg_of(graph), TARGET_RELATION_TYPE, "r0")
 
 
 class TestConceptTypeDomain:
@@ -181,6 +184,27 @@ class TestConceptTypeDomain:
         with pytest.raises(UnknownIdentifierError, match="^unknown relation type 'NoSuchA'$"):
             domain_of(tiny_vocab, gcg_of(graph), TARGET_CONCEPT_TYPE, "c0")
 
+    def test_marker_type_bounds_unless_redrawn(self, tiny_vocab, sample_gcg):
+        # c1 (marker home: Place) fills locatedIn[1] (Place). A relation
+        # variable on r0 lifts the restriction and a marker variable on c1
+        # the marker's bound; only both together admit every type.
+        def domain(*targets):
+            variables = [
+                Variable(f"v{i}", VariableTarget(kind, node), ("x",))
+                for i, (kind, node) in enumerate(targets)
+            ]
+            gcg = gcg_of(sample_gcg.graph, variables)
+            found = domain_of(tiny_vocab, gcg, TARGET_CONCEPT_TYPE, "c1")
+            assert found == tuple(sorted(brute_concept_domain(tiny_vocab, gcg, "c1")))
+            return found
+
+        assert domain() == ("Place",)
+        assert domain((TARGET_RELATION_TYPE, "r0")) == ("Place",)
+        assert domain((TARGET_MARKER, "c1")) == ("Place",)
+        assert domain((TARGET_RELATION_TYPE, "r0"), (TARGET_MARKER, "c1")) == (
+            tiny_vocab.concepts.type_ids()
+        )
+
     def test_matches_brute_force_everywhere(self, tiny_vocab, sample_gcg):
         for node_id in sample_gcg.graph.concepts:
             assert domain_of(tiny_vocab, sample_gcg, TARGET_CONCEPT_TYPE, node_id) == (
@@ -189,26 +213,25 @@ class TestConceptTypeDomain:
 
 
 class TestMarkerDomain:
-    def test_top_marker_admits_all(self, tiny_vocab):
+    def test_top_node_admits_top_markers(self, tiny_vocab):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Top", "thing")}, {})
-        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0") == (
-            tuple(sorted(tiny_vocab.markers))
-        )
+        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0") == ("thing",)
 
-    def test_leaf_type_markers(self, tiny_vocab, sample_gcg):
-        # alice: Person; markers at or below Person: alice, bob, carol.
+    def test_markers_typed_at_or_above_the_node(self, tiny_vocab, sample_gcg):
+        # c0 is a Person: the Person, Entity and Top markers, never carol
+        # (Student) nor home (Place), whatever its current marker.
         domain = domain_of(tiny_vocab, sample_gcg, TARGET_MARKER, "c0")
-        assert domain == ("alice", "bob", "carol")
+        assert domain == ("alice", "bob", "rex", "thing")
         assert domain == tuple(sorted(brute_marker_domain(tiny_vocab, sample_gcg, "c0")))
 
-    def test_empty_below(self, tiny_vocab):
-        graph = ConceptualGraph({"c0": ConceptNode("c0", "Place", "home")}, {})
-        assert domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0") == ("home",)
-
-    def test_unknown_marker(self, tiny_vocab):
-        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person", "nobody")}, {})
-        with pytest.raises(UnknownIdentifierError, match="nobody"):
-            domain_of(tiny_vocab, gcg_of(graph), TARGET_MARKER, "c0")
+    def test_admissible_concept_values_widen(self, tiny_vocab, sample_gcg):
+        # A concept variable on c0 adds the markers above its admissible
+        # values: Student admits carol; Place, not <= Person, adds nothing.
+        variable = Variable("v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), ("Place", "Student"))
+        gcg = gcg_of(sample_gcg.graph, [variable])
+        domain = domain_of(tiny_vocab, gcg, TARGET_MARKER, "c0")
+        assert domain == ("alice", "bob", "carol", "rex", "thing")
+        assert domain == tuple(sorted(brute_marker_domain(tiny_vocab, gcg, "c0")))
 
     def test_unknown_type_on_unmarked_node(self, tiny_vocab):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Nope")}, {})
@@ -225,13 +248,25 @@ class TestValidateDomain:
         gcg = gcg_of(sample_gcg.graph, [variable])
         assert validate_gamma(tiny_vocab, gcg) == []
 
-    def test_wrong_arity_value_flagged(self, tiny_vocab, sample_gcg):
+    def test_wrong_arity_and_signature_values_flagged(self, tiny_vocab, sample_gcg):
         variable = Variable(
-            "v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows", "state")
+            "v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows", "locatedIn", "state")
         )
         gcg = gcg_of(sample_gcg.graph, [variable])
         assert validate_gamma(tiny_vocab, gcg) == [
-            "inadmissible-value v1: 'state' is not admissible for relation-type of 'r0'"
+            "inadmissible-value v1: 'knows' is not admissible for relation-type of 'r0'",
+            "inadmissible-value v1: 'state' is not admissible for relation-type of 'r0'",
+        ]
+
+    def test_concept_value_above_the_marker_type_flagged(self, tiny_vocab):
+        # The isolated c0 keeps marker alice (Person), so an Entity can never be drawn.
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person", "alice")}, {})
+        variable = Variable(
+            "v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), ("Entity", "Person")
+        )
+        gcg = gcg_of(graph, [variable])
+        assert validate_gamma(tiny_vocab, gcg) == [
+            "inadmissible-value v1: 'Entity' is not admissible for concept-type of 'c0'"
         ]
 
     def test_empty_domain_flagged(self, tiny_vocab, sample_gcg):
@@ -252,13 +287,14 @@ class TestValidateDomain:
         flagged = [line.split()[2] for line in lines]
         assert flagged == ["'carol'", "'home'"]
 
+    @pytest.mark.parametrize("marker", [None, "alice"])
     @pytest.mark.parametrize("concept_domain", [None, ("Person", "Student")])
-    def test_unmarked_marker_slot_admits_what_the_draw_draws(
-        self, tiny_vocab, mint, concept_domain
+    def test_marker_slot_admits_what_the_draw_draws(
+        self, tiny_vocab, mint, concept_domain, marker
     ):
         # The concept variable on c0 (an isolated node) is always admissible,
         # so the marker variable alone decides whether a line is reported.
-        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person", marker)}, {})
         for marker_id in sorted(tiny_vocab.markers):
             variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), (marker_id,))]
             if concept_domain:
@@ -527,8 +563,64 @@ class TestDrawPlanMatchesBruteForce:
         vocab, gammas = readme_auto_inputs()
         assert len(gammas) == 20
         drawn, failed = self.check(vocab, gammas)
-        # Both outcomes occur, so both paths are compared.
+        # No draw fails on these inputs; the tiny fixture compares failures.
+        assert drawn and not failed
+
+    def test_tiny_fixture(self, tiny_vocab, sample_gcg):
+        drawn, failed = self.check(tiny_vocab, tiny_gammas(tiny_vocab, sample_gcg))
         assert 0 < failed < drawn
+
+
+class TestWidenedDomainsDrawAsPruned:
+    """The draw never takes a value outside ``slot_domain``, so pruning to it changes no draw."""
+
+    SEEDS = 50
+
+    @staticmethod
+    def widened(vocab, gcg):
+        """``gcg`` with every variable's domain widened to all values of its kind."""
+        values = {
+            TARGET_RELATION_TYPE: vocab.relation_type_ids(),
+            TARGET_CONCEPT_TYPE: vocab.concepts.type_ids(),
+            TARGET_MARKER: tuple(vocab.markers),
+        }
+        return GammaCG(
+            gcg.name,
+            gcg.graph,
+            tuple(Variable(v.name, v.target, values[v.target.kind]) for v in gcg.variables),
+        )
+
+    def check(self, vocab, gammas):
+        drawn = failed = 0
+        for gcg in gammas:
+            wide = self.widened(vocab, gcg)
+            pruned = GammaCG(
+                gcg.name,
+                gcg.graph,
+                tuple(
+                    Variable(v.name, v.target, slot_domain(vocab, wide, v.target))
+                    for v in wide.variables
+                ),
+            )
+            plans = [DrawPlan(vocab, wide), DrawPlan(vocab, pruned)]
+            mints = [MarkerMint(vocab, "wide") for _ in plans]
+            for seed in range(self.SEEDS):
+                rngs = [derive_rng(seed, "widened", gcg.name) for _ in plans]
+                outcomes = [
+                    TestDrawPlanMatchesBruteForce.attempt(lambda rng: plan.draw(rng, mint), rng)
+                    for plan, mint, rng in zip(plans, mints, rngs)
+                ]
+                assert outcomes[0] == outcomes[1]
+                assert rngs[0].getstate() == rngs[1].getstate()
+                assert mints[0].minted == mints[1].minted
+                failed += isinstance(outcomes[0], str)
+                drawn += 1
+        return drawn, failed
+
+    def test_readme_auto_inputs(self):
+        vocab, gammas = readme_auto_inputs()
+        drawn, failed = self.check(vocab, gammas)
+        assert drawn and not failed
 
     def test_tiny_fixture(self, tiny_vocab, sample_gcg):
         drawn, failed = self.check(tiny_vocab, tiny_gammas(tiny_vocab, sample_gcg))
@@ -537,7 +629,9 @@ class TestDrawPlanMatchesBruteForce:
 
 class TestDomainOraclesOnRandomVocabularies:
     def test_small_sweep(self):
-        # A lighter version of the acceptance sweep: 10 random vocabularies.
+        # A lighter version of the acceptance sweep: 10 random vocabularies,
+        # each gamma-CG checked bare and with auto-var's variables, which
+        # must pass validation.
         rng = fresh_rng("gamma-sweep")
         for trial in range(10):
             vocab = auto_vocabulary(
@@ -553,7 +647,21 @@ class TestDomainOraclesOnRandomVocabularies:
                 vocab, AutoGcgConfig(ParamSpec.fixed(2), ParamSpec.fixed(6)), rng
             )
             vocab = result.vocabulary
-            for gcg in result.gammas:
+            with_variables = auto_variables(
+                vocab,
+                result.gammas,
+                AutoVarConfig(
+                    concept_vars=ParamSpec.fixed(2),
+                    relation_vars=ParamSpec.fixed(2),
+                    marker_vars=ParamSpec.fixed(2),
+                    values_per_variable=ParamSpec.fixed(3),
+                    specialisations=ParamSpec.fixed(3),
+                ),
+                rng,
+            ).gammas
+            for gcg in with_variables:
+                assert validate_gamma(vocab, gcg) == []
+            for gcg in result.gammas + with_variables:
                 for node_id in gcg.graph.relations:
                     assert domain_of(vocab, gcg, TARGET_RELATION_TYPE, node_id) == (
                         tuple(sorted(brute_relation_domain(vocab, gcg, node_id)))
@@ -562,7 +670,6 @@ class TestDomainOraclesOnRandomVocabularies:
                     assert domain_of(vocab, gcg, TARGET_CONCEPT_TYPE, node_id) == (
                         tuple(sorted(brute_concept_domain(vocab, gcg, node_id)))
                     )
-                    if gcg.graph.concepts[node_id].marker is not None:
-                        assert domain_of(vocab, gcg, TARGET_MARKER, node_id) == (
-                            tuple(sorted(brute_marker_domain(vocab, gcg, node_id)))
-                        )
+                    assert domain_of(vocab, gcg, TARGET_MARKER, node_id) == (
+                        tuple(sorted(brute_marker_domain(vocab, gcg, node_id)))
+                    )

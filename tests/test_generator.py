@@ -448,13 +448,12 @@ class TestMarkersByTypeOnDag:
         for next_mint in ("C", "E", "Top", "D", "C", "A", None):
             vocab = mint.extended_vocabulary()
             for type_id in vocab.concepts.type_ids():
-                assert mint.carriers(type_id) == brute_carriers(vocab, mint.markers, type_id)
-            for marker in vocab.markers.values():
-                gcg = GammaCG("g", cg([ConceptNode("c0", marker.type_id, marker.marker_id)], []))
+                carriers = brute_carriers(vocab, mint.markers, type_id)
+                assert mint.carriers(type_id) == carriers
+                gcg = GammaCG("g", cg([ConceptNode("c0", type_id)], []))
                 target = VariableTarget(TARGET_MARKER, "c0")
-                assert slot_domain(vocab, gcg, target) == tuple(
-                    sorted(brute_marker_domain(vocab, gcg, "c0"))
-                )
+                assert slot_domain(vocab, gcg, target) == carriers
+                assert carriers == tuple(sorted(brute_marker_domain(vocab, gcg, "c0")))
             if next_mint is not None:
                 mint.mint(next_mint)
 

@@ -31,8 +31,8 @@ README_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "03fc9b0f4f934f3fbb5582107894a88eeab00f75f680195dae5b0a37277f2a25"
-GOLDEN_CONTENT_SHA256 = "b1883f974c42a63ab4648ce62f7017975b01f1e815535a795dcfa1cd51deb424"
+GOLDEN_SHA256 = "9f839a31ee206cd50406c6408f2201e316605338efddd4a42022d0ec905c8cde"
+GOLDEN_CONTENT_SHA256 = "6cbbe84437bccdccfcca00bcecb8585bd177167d3fc290a485e020ede3676efa"
 
 
 def tree_digest(root):

@@ -1,6 +1,6 @@
 """Byte-identity contract for the README config at a large CG size.
 
-Two CGs of at least 2000 nodes take 1149 draws, with 6524 merges and 5645
+Two CGs of at least 2000 nodes take 1239 draws, with 7371 merges and 6758
 skipped merges. The README golden (`test_golden.py`, 50 CGs of 30 nodes)
 barely reaches the skipped-merge path, where a marker already sits on a
 node of an incomparable type; this one runs it thousands of times.
@@ -20,7 +20,7 @@ LARGE_CONFIG = {
 }
 
 GOLDEN_FILES = 25
-GOLDEN_SHA256 = "bc30e9ac686e20f5ffc7b50ba31e32fd70f219b9011028901e2fa0443ad3b211"
+GOLDEN_SHA256 = "9d768b0425f587b15d3477c76511cb8c9b85e1b7dc2899a647fc084819229280"
 
 
 def test_large_cg_output_digest_is_pinned(tmp_path, capsys):
@@ -31,7 +31,7 @@ def test_large_cg_output_digest_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     lines = (out / "dataset" / "derivations.jsonl").read_text().splitlines()[1:]
     draws = [draw for line in lines for draw in json.loads(line)["draws"]]
-    assert len(draws) == 1149
-    assert sum(len(draw["merged"]) for draw in draws) == 6524
-    assert sum(len(draw["skippedMerges"]) for draw in draws) == 5645
+    assert len(draws) == 1239
+    assert sum(len(draw["merged"]) for draw in draws) == 7371
+    assert sum(len(draw["skippedMerges"]) for draw in draws) == 6758
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)

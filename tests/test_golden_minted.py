@@ -20,7 +20,7 @@ MINTED_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "3ec36bade21bfecc95d24e68eb62261f942d013d4c1d08d2e58fb3f3b93adde3"
+GOLDEN_SHA256 = "04aa18e454a8506850cae926f0b5516fa87d90747a18b0cd270b26a511de4c6a"
 
 
 def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys):

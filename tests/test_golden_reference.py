@@ -19,8 +19,8 @@ from test_golden import tree_digest
 
 GOLDEN_FILES = 111
 GOLDEN_SHA256 = {
-    0: "e8e3ccc4b6a09b3ae00421db93612727d21307ac09d1383e6dd02da191523851",
-    3: "8ed331866987e9584ff2985fbf23dcca66a3b9b7ae586a23eb4daea9f22a0dae",
+    0: "f1d594e598e5e5c06374f4fff346f1b7854fb0d59aed6b19a70efe7114279600",
+    3: "456f892c63c08d73f2a0a69bb65b726a3b7bef4a212e37543e4a5f2d69775f15",
 }
 
 

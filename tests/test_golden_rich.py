@@ -35,7 +35,7 @@ RICH_CONFIG = {
 }
 
 GOLDEN_FILES = 26
-GOLDEN_SHA256 = "f369343c3207c816276b31414a76dd4553f155086bbef57134517c59dabc4c7e"
+GOLDEN_SHA256 = "ce7079e7bee3f3e5454155cda2c698e6fcda3e45a49499d63c58525e215c4427"
 
 
 def test_rich_output_digest_is_pinned(tmp_path, capsys):
@@ -45,7 +45,8 @@ def test_rich_output_digest_is_pinned(tmp_path, capsys):
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
     capsys.readouterr()
     vocabulary = json.loads((out / "vocabulary.json").read_text())
-    assert len(vocabulary["markers"]) > 1800
+    # The registered markers alone: no draw of these three CGs mints one.
+    assert len(vocabulary["markers"]) == 1800
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
 
 
