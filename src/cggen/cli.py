@@ -340,7 +340,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         gammas, vocab = _resolve_gammas(doc, base, seed, vocab)
         config = _generator_config(_section(doc, "generator"), seed)
         gammas = _apply_auto_var(doc, gammas, vocab, seed)
-        cgs = generate_cgs(vocab, gammas, config, jobs=args.jobs)
+        cgs = generate_cgs(vocab, gammas, config)
         minted: list[tuple[str, tuple[str, ...]]] = []
         stats = formats.write_dataset(out / formats.DATASET_DIR, _minted_into(cgs, minted), config)
         formats.save_stage(out, vocab.with_markers(_unpacked(minted)), gammas)
@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="run the full pipeline and write a dataset")
     add_config_out(p)
-    p.add_argument("--jobs", type=int, default=1, help="generate CGs with this many workers")
+    # Accepts only 1, the default; kept for the benchmark harness's command line.
+    p.add_argument("--jobs", type=int, default=1, choices=[1], help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("auto-voc", help="generate a random vocabulary")

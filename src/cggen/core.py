@@ -291,9 +291,6 @@ class Vocabulary(_Vocabulary):
         object.__setattr__(self, "_markers_by_type", markers_by_type)
         return self
 
-    def has_relation_type(self, type_id: str) -> bool:
-        return type_id in self._arity_by_type  # type: ignore[attr-defined]
-
     def arity_of(self, relation_type: str) -> int:
         arity = self._arity_by_type.get(relation_type)  # type: ignore[attr-defined]
         if arity is None:

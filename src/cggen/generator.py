@@ -11,17 +11,17 @@ A draw is assembled by position from the rows its gamma-CG's ``DrawPlan``
 compiled once; its nodes take the CG's next ``c<i>``/``r<j>`` ids, so no
 id is remapped through a dict.
 
-Dataset generation derives one independent RNG stream per output index from
-the seed, so results are reproducible and independent of scheduling.
+Dataset generation derives one independent RNG stream and one marker
+namespace per output index from the seed, so CG ``i`` is the same whichever
+other CGs are built before it, and a seed reproduces the dataset.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import sys
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
@@ -317,17 +317,13 @@ def generate_cgs(
     vocab: Vocabulary,
     gamma_set: Sequence[GammaCG],
     config: GeneratorConfig,
-    *,
-    jobs: int = 1,
 ) -> Iterator[_Generated]:
     """CG ``i``'s graph, provenance and minted markers, for each ``i`` in index order.
 
     The inputs are checked when this is called, before any draw; the CGs
-    are then built one at a time, as the iterator is advanced. Graph ``i``
-    is produced from a stream derived from (seed, i), so the output is the
-    same for any ``jobs`` value; ``jobs`` > 1 builds the CGs ahead on that
-    many threads. Each gamma-CG is compiled into its ``DrawPlan`` once, for
-    all graphs.
+    are then built one at a time, as the iterator is advanced, graph ``i``
+    from a stream derived from (seed, i). Each gamma-CG is compiled into
+    its ``DrawPlan`` once, for all graphs.
     """
     if not gamma_set:
         raise ConfigError("gamma_set must be non-empty")
@@ -336,18 +332,7 @@ def generate_cgs(
         raise StructureError("invalid generator inputs:\n" + "\n".join(problems))
 
     plans = [DrawPlan(vocab, gcg) for gcg in gamma_set]
-    build = functools.partial(_generate_indexed, vocab, plans, config)
-    indices = range(config.max_cgs)
-    if jobs > 1:
-        return _pooled(build, indices, jobs)
-    return map(build, indices)
-
-
-def _pooled(build: Callable[[int], _Generated], indices: range, jobs: int) -> Iterator[_Generated]:
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(build, indices)
+    return (_generate_indexed(vocab, plans, config, i) for i in range(config.max_cgs))
 
 
 def generate_dataset(
@@ -363,7 +348,10 @@ def generate_dataset(
     and the vocabulary extended with every marker minted on the way.
     ``cggen generate`` encodes each CG as soon as ``generate_cgs`` yields it
     instead, so it holds one CG at a time where this holds the dataset.
+    ``jobs`` accepts only 1 and is kept for the benchmark harness's calls.
     """
-    graphs, provenances, minted = zip(*generate_cgs(vocab, gamma_set, config, jobs=jobs))
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, not {jobs!r}: CGs are generated one at a time")
+    graphs, provenances, minted = zip(*generate_cgs(vocab, gamma_set, config))
     vocabulary = vocab.with_markers(chain.from_iterable(minted))
     return DatasetResult(graphs, provenances, vocabulary)

@@ -104,15 +104,30 @@ class TestGenerate:
         assert main(["generate", "--config", str(config), "--out", str(two)]) == 0
         assert tree_bytes(one) == tree_bytes(two)
 
-    def test_jobs_flag_keeps_output_identical(self, tmp_path):
+    def test_jobs_1_gives_the_default_bytes(self, tmp_path):
         config = write_config(tmp_path, FULL_AUTO)
         one, two = tmp_path / "one", tmp_path / "two"
         assert main(["generate", "--config", str(config), "--out", str(one)]) == 0
         assert (
-            main(["generate", "--config", str(config), "--out", str(two), "--jobs", "4"])
+            main(["generate", "--config", str(config), "--out", str(two), "--jobs", "1"])
             == 0
         )
         assert tree_bytes(one) == tree_bytes(two)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "4"])
+    def test_jobs_other_than_1_exit_2(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path, FULL_AUTO)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["generate", "--config", str(config), "--out", str(out), "--jobs", jobs])
+        assert exited.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        assert "--jobs" not in capsys.readouterr().out
 
     def test_seed_override_changes_output(self, tmp_path):
         config = write_config(tmp_path, FULL_AUTO)

@@ -20,13 +20,14 @@ from cggen import (
     VariableTarget,
     Vocabulary,
     derive_rng,
+    generate_cgs,
     generate_dataset,
     generate_one,
     slot_domain,
     validate_graph,
 )
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
-from cggen.generator import validate_inputs
+from cggen.generator import _generate_indexed, validate_inputs
 from conftest import build_reference_gammas, fresh_rng, make_hierarchy, random_dag_hierarchy
 from oracles import (
     brute_carriers,
@@ -495,13 +496,27 @@ class TestGenerateDataset:
         assert a.provenances == b.provenances
         assert a.vocabulary == b.vocabulary
 
-    def test_jobs_schedule_independent(self, reference_fixture):
+    def test_jobs_1_gives_the_default_result(self, reference_fixture):
         vocab, gammas, _ = reference_fixture
-        config = GeneratorConfig(max_cgs=12, min_size=30, max_spe=3, seed=99)
-        sequential = generate_dataset(vocab, gammas, config, jobs=1)
-        parallel = generate_dataset(vocab, gammas, config, jobs=4)
-        assert sequential.graphs == parallel.graphs
-        assert sequential.vocabulary == parallel.vocabulary
+        config = GeneratorConfig(max_cgs=4, min_size=30, max_spe=3, seed=99)
+        assert generate_dataset(vocab, gammas, config, jobs=1) == generate_dataset(
+            vocab, gammas, config
+        )
+
+    def test_jobs_other_than_1_rejected(self, reference_fixture):
+        vocab, gammas, config = reference_fixture
+        with pytest.raises(ConfigError, match="jobs"):
+            generate_dataset(vocab, gammas, config, jobs=4)
+
+    def test_draw_plans_carry_nothing_between_cgs(self, reference_fixture):
+        # CG i depends on (seed, i) only: built in reverse order from one
+        # shared list of DrawPlans, every CG equals entry i of generate_cgs.
+        vocab, gammas, _ = reference_fixture
+        config = GeneratorConfig(max_cgs=8, min_size=30, max_spe=3, seed=99)
+        in_order = list(generate_cgs(vocab, gammas, config))
+        plans = [DrawPlan(vocab, gcg) for gcg in gammas]
+        for i in reversed(range(config.max_cgs)):
+            assert _generate_indexed(vocab, plans, config, i) == in_order[i]
 
     def test_per_index_streams_are_order_independent(self, reference_fixture):
         vocab, gammas, _ = reference_fixture

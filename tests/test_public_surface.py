@@ -78,3 +78,26 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
         if name not in called and not re.search(rf"\b{name}\b", library)
     ]
     assert unused == []
+
+
+def test_every_definition_is_named_somewhere_else():
+    # A function, method or class whose name occurs in src/, bench/ and
+    # tests/ only as often as it is defined in the package is dead code.
+    package = Path(cggen.__file__).resolve().parent
+    defined: Counter = Counter()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined[node.name] += 1
+    texts = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "bench", "tests")
+        for path in (ROOT / folder).rglob("*.py")
+    ]
+    unused = [
+        name
+        for name, count in sorted(defined.items())
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) <= count
+    ]
+    assert unused == []
