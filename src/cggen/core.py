@@ -516,3 +516,13 @@ def validate_graph(vocab: Vocabulary, graph: ConceptualGraph) -> ValidationRepor
             position += 1
 
     return ValidationReport(tuple(violations))
+
+
+def plain_file_name(name: str) -> bool:
+    """Whether ``name`` names a file directly inside a directory on every platform.
+
+    A gamma-CG's name becomes ``gamma/<name>.json`` and a manifest's
+    ``cgFiles`` entry a file of the dataset directory: neither may be empty,
+    ``.`` or ``..``, or hold a path separator or a NUL.
+    """
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")

@@ -3,26 +3,26 @@
 A variable binds one label slot of the host graph (a relation-type label, a
 concept-type label or a marker label) to an explicit set of admissible
 values. ``_admissible`` is the one definition of the values a slot admits
-under the vocabulary's orders and signatures: ``validate_gamma`` tests each
-stored value with it, ``slot_domain`` lists them for ``auto_variables``, and
-``DrawPlan`` filters the type domains with it.
+under the vocabulary's orders and signatures, and it has two readers:
+``validate_gamma`` tests each stored value with it, and ``slot_domain``
+lists them for ``auto_variables``.
 
-Instantiation draws one value per variable, relation-type variables first,
-then concept-type variables, then marker variables, filtering each stored
-domain down to the choices that keep the graph valid at that point.
+Validation is the draw's only gate. Instantiation draws one value per
+variable, relation-type variables first, then concept-type variables, then
+marker variables, from the stored domains of a validated gamma-CG, as they
+are. Only what an earlier draw decides filters a later one: a concept
+variable keeps the values at or below the restriction of each incident
+relation whose type was drawn, and a marker variable the markers typed at
+or above its node's drawn type. ``instantiate``, which takes gamma-CGs
+nothing has checked, rejects one that fails ``validate_gamma``.
 
-The filtering is compiled once per (vocabulary, gamma-CG) into a
-``DrawPlan``. A relation variable's list is the admissible part of its
-domain, fixed at compile time. So is a concept variable's; per draw it is
-filtered only by the restrictions of incident relations that carry a
-relation variable. Marker variables filter per draw, against the mint's
-registry, which grows as markers are minted.
+The draw is compiled once per (vocabulary, gamma-CG) into a ``DrawPlan``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     ConceptualGraph,
@@ -246,25 +246,20 @@ class MarkerMint:
         self._namespace = namespace
         self._counter = 0
         self.minted: dict[str, Marker] = {}
-        self._all = dict(vocab.markers)
         self._minted_by_type: dict[str, list[str]] = {}
         # carriers() per concept type, until the next mint.
         self._carriers: dict[str, tuple[str, ...]] = {}
 
-    @property
-    def markers(self) -> Mapping[str, Marker]:
-        return self._all
-
     def mint(self, concept_type: str) -> str:
         self._vocab.concepts.require(concept_type)
+        registered = self._vocab.markers
         while True:
             candidate = f"{self._namespace}-m{self._counter}"
             self._counter += 1
-            if candidate not in self._all:
+            # The counter never repeats, so a candidate is never among the minted.
+            if candidate not in registered:
                 break
-        marker = Marker(candidate, concept_type)
-        self.minted[candidate] = marker
-        self._all[candidate] = marker
+        self.minted[candidate] = Marker(candidate, concept_type)
         self._minted_by_type.setdefault(concept_type, []).append(candidate)
         self._carriers.clear()
         return candidate
@@ -298,46 +293,42 @@ class InstantiationOutcome(NamedTuple):
 
 
 class DrawPlan:
-    """One gamma-CG compiled against one vocabulary for repeated draws.
+    """One validated gamma-CG compiled against its vocabulary for repeated draws.
 
-    Compiled once, with the checks the draw would make:
-    - incidence lists, in relation-id order;
-    - each relation and concept variable's effective list: the domain
-      values that pass ``_admissible``;
+    Compiled once:
+    - each relation and concept variable's stored domain, as it is;
     - for each incident relation that carries a relation variable, the
       restriction at that position for every type it can draw;
+    - each marker variable's domain as (marker, type) pairs;
     - ``rows``, the one attribute the generator reads to assemble a draw:
       the concepts by position (``ConceptNode``s), the relations by
       position as (id, type, argument positions), and the type slots in
       draw order as (provenance key, node id, hierarchy, argument (id,
       type) pairs, or ``None`` for a concept slot).
 
-    Every list keeps domain order, so a draw consumes the RNG exactly as
-    filtering the whole domain would. Unknown labels the draw would read
-    raise UnknownIdentifierError here. The mint passed to ``draw`` must
-    extend the same vocabulary.
+    The gamma-CG must pass ``validate_gamma`` against the vocabulary:
+    nothing here checks a label or a domain value again. Every list keeps
+    domain order, so a draw consumes the RNG exactly as filtering the whole
+    domain would. The mint passed to ``draw`` must extend the same
+    vocabulary.
     """
 
     def __init__(self, vocab: Vocabulary, gcg: GammaCG) -> None:
         graph = gcg.graph
         concepts = vocab.concepts
+        signatures = vocab.signatures
         by_kind = {
             kind: [v for v in gcg.variables if v.target.kind == kind] for kind in _TARGET_KINDS
         }
-        concept_nodes = {v.target.node_id for v in by_kind[TARGET_CONCEPT_TYPE]}
         incidences = _incidences(graph)
-
-        def effective(variable: Variable) -> tuple[str, ...]:
-            _, admits = _admissible(vocab, gcg, variable.target)
-            return tuple(filter(admits, variable.domain))
 
         drawable: dict[str, tuple[str, ...]] = {}
         relation_steps = []
         slots = []
         for variable in by_kind[TARGET_RELATION_TYPE]:
             node = graph.relations[variable.target.node_id]
-            drawable[node.node_id] = values = effective(variable)
-            relation_steps.append((variable.name, node.node_id, values))
+            drawable[node.node_id] = variable.domain
+            relation_steps.append((variable.name, node.node_id, variable.domain))
             slots.append(
                 (
                     f"{TARGET_RELATION_TYPE}:{node.node_id}",
@@ -351,27 +342,30 @@ class DrawPlan:
         for variable in by_kind[TARGET_CONCEPT_TYPE]:
             node_id = variable.target.node_id
             drawn = tuple(
-                (rel_id, {t: restriction_for(vocab, t, position) for t in drawable[rel_id]})
+                (rel_id, {t: signatures[t].restrictions[position] for t in drawable[rel_id]})
                 for rel_id, position in incidences.get(node_id, ())
                 if rel_id in drawable
             )
-            concept_steps.append((variable.name, node_id, effective(variable), drawn))
+            concept_steps.append((variable.name, node_id, variable.domain, drawn))
             slots.append((f"{TARGET_CONCEPT_TYPE}:{node_id}", node_id, concepts, None))
 
-        marker_steps = []
-        for variable in by_kind[TARGET_MARKER]:
-            node_id = variable.target.node_id
-            node_type = graph.concepts[node_id].type_id
-            if node_id not in concept_nodes:
-                concepts.require(node_type)
-            marker_steps.append((variable.name, node_id, node_type, variable.domain))
+        markers = vocab.markers
+        marker_steps = tuple(
+            (
+                variable.name,
+                variable.target.node_id,
+                graph.concepts[variable.target.node_id].type_id,
+                tuple((marker_id, markers[marker_id].type_id) for marker_id in variable.domain),
+            )
+            for variable in by_kind[TARGET_MARKER]
+        )
 
         position = {node_id: index for index, node_id in enumerate(graph.concepts)}
         self.gcg = gcg
         self._up = concepts.up
         self._relation_steps = tuple(relation_steps)
         self._concept_steps = tuple(concept_steps)
-        self._marker_steps = tuple(marker_steps)
+        self._marker_steps = marker_steps
         self.rows = (
             tuple(graph.concepts.values()),
             tuple(
@@ -386,12 +380,8 @@ class DrawPlan:
         up = self._up
         labels: dict[str, str] = {}
         assignments: list[tuple[str, str]] = []
-        for name, node_id, effective in self._relation_steps:
-            if not effective:
-                raise InstantiationError(
-                    f"variable {name!r} of {self.gcg.name!r} has no admissible relation type"
-                )
-            choice = rng.choice(effective)
+        for name, node_id, domain in self._relation_steps:
+            choice = rng.choice(domain)
             labels[node_id] = choice
             assignments.append((name, choice))
 
@@ -410,15 +400,10 @@ class DrawPlan:
             assignments.append((name, choice))
 
         markers: dict[str, str] = {}
-        registry = mint.markers
-        for name, node_id, node_type, domain in self._marker_steps:
+        for name, node_id, node_type, pairs in self._marker_steps:
             node_type = labels.get(node_id, node_type)
             carried = up[node_type]
-            effective = [
-                candidate
-                for candidate in domain
-                if candidate in registry and registry[candidate].type_id in carried
-            ]
+            effective = [marker_id for marker_id, type_id in pairs if type_id in carried]
             if effective:
                 choice = rng.choice(effective)
             else:
@@ -438,12 +423,18 @@ def instantiate(
 ) -> InstantiationOutcome:
     """Replace every variable's target label by a draw from its domain.
 
-    Relation-type variables are evaluated first, then concept-type, then
-    marker variables, so later effective domains reflect earlier choices.
-    A type variable whose effective domain empties raises
-    InstantiationError; an emptied marker domain falls through to minting.
+    A gamma-CG that fails ``validate_gamma`` raises StructureError, naming
+    it and listing the report's lines. Relation-type variables are drawn
+    first, then concept-type, then marker variables, so later effective
+    domains reflect earlier choices. A concept variable whose effective
+    domain empties raises InstantiationError; an emptied marker domain
+    falls through to minting.
 
-    Compiles a ``DrawPlan`` for this one call; a caller drawing the same
-    gamma-CG repeatedly compiles it once and calls ``DrawPlan.draw``.
+    Validates and compiles a ``DrawPlan`` for this one call; a caller
+    drawing the same validated gamma-CG repeatedly compiles it once and
+    calls ``DrawPlan.draw``.
     """
+    problems = validate_gamma(vocab, gcg)
+    if problems:
+        raise StructureError(f"invalid gamma-CG {gcg.name!r}:\n" + "\n".join(problems))
     return DrawPlan(vocab, gcg).draw(rng, mint)

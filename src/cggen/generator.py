@@ -31,6 +31,7 @@ from .core import (
     TypeHierarchy,
     Vocabulary,
     _walk_down,
+    plain_file_name,
     signature_admits,
 )
 from .errors import ConfigError, GenerationError, InstantiationError, StructureError
@@ -227,24 +228,30 @@ def _specialise(
     return labels, tuple(steps_taken)
 
 
+# One generated CG: its graph, its provenance and the markers minted for it.
+_Generated = tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]
+
+
 def generate_one(
     vocab: Vocabulary,
     plans: Sequence[DrawPlan],
     config: GeneratorConfig,
-    rng: random.Random,
-    *,
-    mint: MarkerMint,
-) -> tuple[ConceptualGraph, GenerationProvenance]:
-    """Build one CG of at least ``config.min_size`` nodes.
+    index: int,
+) -> _Generated:
+    """CG ``index``: its graph of at least ``config.min_size`` nodes, provenance and minted markers.
 
     ``plans`` holds one ``DrawPlan(vocab, gcg)`` per gamma-CG. Draws them
-    uniformly with replacement; a gamma-CG failing instantiation
-    INSTANTIATION_RETRIES times is skipped for this CG. Each draw's concept
-    and relation rows are absorbed under the next sequential ids.
+    uniformly with replacement, from the stream ``derive_rng(config.seed,
+    "cg", index)``, minting markers in the namespace ``cg<index>``; a
+    gamma-CG failing instantiation INSTANTIATION_RETRIES times is skipped
+    for this CG. Each draw's concept and relation rows are absorbed under
+    the next sequential ids.
     """
     if not plans:
         raise ConfigError("plans must be non-empty")
 
+    rng = derive_rng(config.seed, "cg", index)
+    mint = MarkerMint(vocab, f"cg{index}")
     assembler = _Assembler(vocab)
     # Sequential ids local to this CG; merged concepts still use up a number.
     next_concept = next_relation = 0
@@ -259,16 +266,16 @@ def generate_one(
         total_draws += 1
         if total_draws > _MAX_DRAWS_PER_CG:
             raise GenerationError("generation is not making progress towards min_size")
-        index = rng.choice(indices)
-        if index in skipped_gammas:
+        gamma = rng.choice(indices)
+        if gamma in skipped_gammas:
             continue
-        plan = plans[index]
+        plan = plans[gamma]
         try:
             outcome = plan.draw(rng, mint)
         except InstantiationError:
-            failures[index] += 1
-            if failures[index] >= INSTANTIATION_RETRIES:
-                skipped_gammas.add(index)
+            failures[gamma] += 1
+            if failures[gamma] >= INSTANTIATION_RETRIES:
+                skipped_gammas.add(gamma)
                 if len(skipped_gammas) == len(plans):
                     raise GenerationError("every gamma-CG failed instantiation repeatedly")
             continue
@@ -289,28 +296,26 @@ def generate_one(
         merged, skipped = assembler.absorb(concepts, relations)
         draws.append(ComponentDraw(plan.gcg.name, outcome.assignments, steps, merged, skipped))
 
-    return assembler.snapshot(), GenerationProvenance(tuple(draws))
-
-
-# One generated CG: its graph, its provenance and the markers minted for it.
-_Generated = tuple[ConceptualGraph, GenerationProvenance, tuple[Marker, ...]]
-
-
-def _generate_indexed(
-    vocab: Vocabulary,
-    plans: Sequence[DrawPlan],
-    config: GeneratorConfig,
-    index: int,
-) -> _Generated:
-    rng = derive_rng(config.seed, "cg", index)
-    mint = MarkerMint(vocab, f"cg{index}")
-    graph, provenance = generate_one(vocab, plans, config, rng, mint=mint)
-    return graph, provenance, tuple(mint.minted.values())
+    return assembler.snapshot(), GenerationProvenance(tuple(draws)), tuple(mint.minted.values())
 
 
 def validate_inputs(vocab: Vocabulary, gamma_set: Sequence[GammaCG]) -> list[str]:
-    """Lines describing why the inputs are unusable; empty when they are fine."""
-    return [f"{gcg.name}: {line}" for gcg in gamma_set for line in validate_gamma(vocab, gcg)]
+    """Lines describing why the inputs are unusable; empty when they are fine.
+
+    Besides each gamma-CG's own report, its name must be a plain file name
+    that no earlier gamma-CG has: it is saved as ``gamma/<name>.json``.
+    """
+    problems: list[str] = []
+    seen: set[str] = set()
+    for gcg in gamma_set:
+        name = gcg.name
+        if not plain_file_name(name):
+            problems.append(f"{name}: bad-name: {name!r} is not a plain file name")
+        elif name in seen:
+            problems.append(f"{name}: duplicate-name: an earlier gamma-CG is named {name!r}")
+        seen.add(name)
+        problems.extend(f"{name}: {line}" for line in validate_gamma(vocab, gcg))
+    return problems
 
 
 def generate_cgs(
@@ -332,7 +337,7 @@ def generate_cgs(
         raise StructureError("invalid generator inputs:\n" + "\n".join(problems))
 
     plans = [DrawPlan(vocab, gcg) for gcg in gamma_set]
-    return (_generate_indexed(vocab, plans, config, i) for i in range(config.max_cgs))
+    return (generate_one(vocab, plans, config, i) for i in range(config.max_cgs))
 
 
 def generate_dataset(

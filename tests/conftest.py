@@ -84,7 +84,7 @@ def tiny_vocab():
 
 @pytest.fixture
 def mint(tiny_vocab):
-    """A fresh marker mint over tiny_vocab, for instantiate and generate_one."""
+    """A fresh marker mint over tiny_vocab, for instantiate and DrawPlan.draw."""
     return MarkerMint(tiny_vocab, "test")
 
 

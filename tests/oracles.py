@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from collections import Counter
+from collections import ChainMap, Counter
 from typing import Mapping, Sequence
 
 from cggen import (
@@ -207,7 +207,8 @@ def brute_instantiate(
     concept_types = {nid: node.type_id for nid, node in gcg.graph.concepts.items()}
     concept_markers = {nid: node.marker for nid, node in gcg.graph.concepts.items()}
     relation_types = {nid: node.type_id for nid, node in gcg.graph.relations.items()}
-    marker_registry = mint.markers
+    # The registered markers and, live, those the mint adds.
+    marker_registry = ChainMap(mint.minted, vocab.markers)
 
     relation_vars = [v for v in gcg.variables if v.target.kind == TARGET_RELATION_TYPE]
     concept_vars = [v for v in gcg.variables if v.target.kind == TARGET_CONCEPT_TYPE]

@@ -3,11 +3,20 @@ import shutil
 
 import pytest
 
-from cggen import load_gamma_cg, load_vocabulary, save_vocabulary
+from cggen import (
+    GammaCG,
+    Variable,
+    VariableTarget,
+    load_gamma_cg,
+    load_vocabulary,
+    save_gamma_cg,
+    save_vocabulary,
+)
 from cggen import cli, formats, generator
 from cggen.cli import main
-from cggen.core import ConceptNode, ConceptualGraph
+from cggen.core import ConceptNode, ConceptualGraph, RelationNode
 from cggen.formats import save_cg
+from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_RELATION_TYPE
 from oracles import parse_dot
 from test_field_parity import read, source, write
 
@@ -216,6 +225,88 @@ class TestGenerate:
         assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{field} must be" in err
+        assert not out.exists()
+
+
+class TestHandWrittenInputs:
+    """``cggen generate`` and ``cggen auto-var`` on gamma-CG files written by hand."""
+
+    @staticmethod
+    def inputs(tmp_path, tiny_vocab, gammas):
+        """A run config reading tiny_vocab and ``gammas``, each from a file of its own."""
+        directory = tmp_path / "inputs"
+        directory.mkdir()
+        save_vocabulary(directory / "vocabulary.json", tiny_vocab)
+        paths = []
+        for index, gcg in enumerate(gammas):
+            paths.append(str(directory / f"in-{index}.json"))
+            save_gamma_cg(paths[-1], gcg)
+        return {
+            "seed": 1,
+            "inputs": {"vocabulary": str(directory / "vocabulary.json"), "gammas": paths},
+            "generator": {"maxCGs": 3, "minSize": 8},
+        }
+
+    @staticmethod
+    def gamma(name, variables=()):
+        graph = ConceptualGraph(
+            {"c0": ConceptNode("c0", "Person"), "c1": ConceptNode("c1", "Place")},
+            {"r0": RelationNode("r0", "locatedIn", ("c0", "c1"))},
+        )
+        return GammaCG(name, graph, tuple(variables))
+
+    @pytest.mark.parametrize("command", ["generate", "auto-var"])
+    @pytest.mark.parametrize(
+        "names, line",
+        [
+            (["../../escaped"], "../../escaped: bad-name: '../../escaped' is not a plain file name"),
+            (["sub/gcg"], "sub/gcg: bad-name: 'sub/gcg' is not a plain file name"),
+            ([".."], "..: bad-name: '..' is not a plain file name"),
+            (
+                ["gcg-0", "gcg-1", "gcg-0"],
+                "gcg-0: duplicate-name: an earlier gamma-CG is named 'gcg-0'",
+            ),
+        ],
+        ids=["escapes-out", "sub-directory", "parent", "repeated"],
+    )
+    def test_gamma_name_that_is_no_distinct_file_name_exit_1(
+        self, tmp_path, tiny_vocab, capsys, command, names, line
+    ):
+        # A gamma-CG is saved as gamma/<name>.json: "../../escaped" under
+        # --out o2/x would write o2/escaped.json, and a repeated name would
+        # overwrite a file. Both are refused before anything is written.
+        config = self.inputs(tmp_path, tiny_vocab, [self.gamma(name) for name in names])
+        if command == "auto-var":
+            config["autoVar"] = FULL_AUTO["autoVar"]
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "o2" / "x"
+        argv = [command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert line in capsys.readouterr().err.splitlines()
+        assert sorted(tmp_path.rglob("*")) == [*before, tmp_path / "run.json"]
+
+    def test_valid_inputs_that_never_draw_exit_1(self, tmp_path, tiny_vocab, capsys):
+        # Valid, yet never drawable: c1, under a concept variable, leaves
+        # knows admissible on r0, and knows then bounds c1 by Person, which
+        # Place is not.
+        broken = self.gamma(
+            "broken",
+            [
+                Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),
+                Variable("v2", VariableTarget(TARGET_CONCEPT_TYPE, "c1"), ("Place",)),
+            ],
+        )
+        config = write_config(tmp_path, self.inputs(tmp_path, tiny_vocab, [broken]))
+        inputs = tmp_path / "inputs"
+        vocab = str(inputs / "vocabulary.json")
+        assert main(["validate", str(inputs / "in-0.json"), "--vocab", vocab]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: every gamma-CG failed instantiation repeatedly\n"
+        )
         assert not out.exists()
 
 

@@ -575,19 +575,6 @@ class TestFieldTables:
                     assert bulk, label
         assert located > len(documents) / 2
 
-    def test_columns_checked_in_blocks_are_the_whole_columns(self, documents, monkeypatch):
-        def bulk(document, doc):
-            columns = {}
-            try:
-                fits = formats._BULK[KINDS[document]]([doc], columns)
-            except KeyError:
-                return None
-            return fits, columns if fits else None
-
-        whole = [bulk(document, doc) for document, _, doc in documents]
-        monkeypatch.setattr(formats, "_BLOCK", 2)
-        assert [bulk(document, doc) for document, _, doc in documents] == whole
-
 
 class TestDotExport:
     def test_empty_graph(self):

@@ -303,8 +303,18 @@ class TestValidateDomain:
                 )
             gcg = gcg_of(graph, variables)
             rng = fresh_rng("unmarked-slot", marker_id)
-            drawn = {instantiate(tiny_vocab, gcg, rng, mint=mint).markers["c0"] for _ in range(40)}
-            assert (validate_gamma(tiny_vocab, gcg) == []) == (marker_id in drawn), marker_id
+            drawn = {
+                brute_instantiate(tiny_vocab, gcg, rng, mint=mint)[0].concepts["c0"].marker
+                for _ in range(40)
+            }
+            valid = validate_gamma(tiny_vocab, gcg) == []
+            assert valid == (marker_id in drawn), marker_id
+            if valid:
+                drawn = {instantiate(tiny_vocab, gcg, rng, mint=mint).markers["c0"] for _ in range(40)}
+                assert marker_id in drawn
+            else:
+                with pytest.raises(StructureError, match="inadmissible-value v1"):
+                    instantiate(tiny_vocab, gcg, rng, mint=mint)
 
 
 class TestInstantiate:
@@ -315,7 +325,7 @@ class TestInstantiate:
     def test_three_variable_kinds(self, tiny_vocab, mint, sample_gcg):
         variables = [
             Variable("v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), ("Person", "Student")),
-            Variable("v2", VariableTarget(TARGET_MARKER, "c2"), ("alice", "bob", "carol")),
+            Variable("v2", VariableTarget(TARGET_MARKER, "c2"), ("alice", "bob", "thing")),
             Variable("v3", VariableTarget(TARGET_RELATION_TYPE, "r1"), ("knows", "attends", "T2")),
         ]
         gcg = gcg_of(sample_gcg.graph, variables)
@@ -323,7 +333,7 @@ class TestInstantiate:
         for _ in range(50):
             result = instantiated(tiny_vocab, gcg, rng, mint)
             assert result.concepts["c0"].type_id in ("Person", "Student")
-            assert result.concepts["c2"].marker in ("alice", "bob", "carol")
+            assert result.concepts["c2"].marker in ("alice", "bob", "thing")
             assert result.relations["r1"].type_id in ("knows", "attends", "T2")
             assert validate_graph(tiny_vocab, result).ok
 
@@ -358,37 +368,63 @@ class TestInstantiate:
             assert result.concepts["c0"].type_id == "Student"
             assert validate_graph(tiny_vocab, result).ok
 
-    def test_relation_variable_respects_fixed_arguments(self, tiny_vocab, mint, sample_gcg):
+    def test_relation_value_against_fixed_arguments_rejected(self, tiny_vocab, mint, sample_gcg):
         # r0's argument c1 is a Place, so "knows" (Person, Person) can never
-        # be drawn even though it sits in the stored domain.
+        # be drawn: the gamma-CG is rejected, not drawn around.
         variables = [
             Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows", "locatedIn")),
         ]
         gcg = gcg_of(sample_gcg.graph, variables)
-        rng = fresh_rng("fixed-args")
-        for _ in range(30):
-            result = instantiated(tiny_vocab, gcg, rng, mint)
-            assert result.relations["r0"].type_id == "locatedIn"
+        with pytest.raises(StructureError) as raised:
+            instantiate(tiny_vocab, gcg, fresh_rng("fixed-args"), mint=mint)
+        assert str(raised.value) == (
+            "invalid gamma-CG 'g':\n"
+            "inadmissible-value v1: 'knows' is not admissible for relation-type of 'r0'"
+        )
+        assert not mint.minted
 
     def test_type_variable_empty_effective_domain_raises(self, tiny_vocab, mint, sample_gcg):
+        # Valid, yet never drawable: c1, under a concept variable, leaves
+        # knows admissible on r0, and knows then bounds c1 by Person, which
+        # Place is not.
         variables = [
             Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),
+            Variable("v2", VariableTarget(TARGET_CONCEPT_TYPE, "c1"), ("Place",)),
         ]
         gcg = gcg_of(sample_gcg.graph, variables)
-        with pytest.raises(InstantiationError):
+        assert validate_gamma(tiny_vocab, gcg) == []
+        with pytest.raises(InstantiationError, match="'v2' of 'g' has no admissible concept type"):
             instantiate(tiny_vocab, gcg, fresh_rng("empty-type"), mint=mint)
 
     def test_marker_variable_minting_fallback(self, tiny_vocab, mint):
-        # No marker of a type <= Place other than home; a domain holding only
-        # person markers is empty after filtering, so a fresh one is minted.
+        # carol (Student) is admissible because c0 may draw Student; a draw
+        # of Person leaves no marker to take, so one of type Person is minted.
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Person", "alice")}, {})
+        variables = [
+            Variable("v1", VariableTarget(TARGET_CONCEPT_TYPE, "c0"), ("Person", "Student")),
+            Variable("v2", VariableTarget(TARGET_MARKER, "c0"), ("carol",)),
+        ]
+        gcg = gcg_of(graph, variables)
+        rng = fresh_rng("mark-mint")
+        drawn = set()
+        for _ in range(20):
+            result = instantiated(tiny_vocab, gcg, rng, mint)
+            node = result.concepts["c0"]
+            if node.type_id == "Student":
+                assert node.marker == "carol"
+            else:
+                assert mint.minted[node.marker].type_id == "Person"
+            drawn.add(node.type_id)
+            assert validate_graph(mint.extended_vocabulary(), result).ok
+        assert drawn == {"Person", "Student"}
+
+    def test_marker_not_above_the_node_type_rejected(self, tiny_vocab, mint):
+        # alice (Person) can never sit on a Place: rejected, not minted around.
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Place", "home")}, {})
         variables = [Variable("v1", VariableTarget(TARGET_MARKER, "c0"), ("alice",))]
-        gcg = gcg_of(graph, variables)
-        result = instantiated(tiny_vocab, gcg, fresh_rng("mark-mint"), mint)
-        minted = result.concepts["c0"].marker
-        assert minted in mint.minted
-        assert mint.minted[minted].type_id == "Place"
-        assert validate_graph(mint.extended_vocabulary(), result).ok
+        with pytest.raises(StructureError, match="'alice' is not admissible for marker"):
+            instantiate(tiny_vocab, gcg_of(graph, variables), fresh_rng("mark-mint"), mint=mint)
+        assert not mint.minted
 
     def test_marker_variable_on_unmarked_node(self, tiny_vocab, mint):
         # The slot is declared individual by the variable itself.
@@ -401,7 +437,7 @@ class TestInstantiate:
 
 
 class TestUnvalidatedInput:
-    """instantiate on a gamma-CG nothing has validated: a library error, not a KeyError."""
+    """instantiate on a gamma-CG nothing has validated: rejected with its report, not a KeyError."""
 
     @staticmethod
     def gcg(c0=("Person", "alice"), c1=("Place", "home"), relation="locatedIn", variables=()):
@@ -428,7 +464,7 @@ class TestUnvalidatedInput:
             (dict(c0=("NoSuchType", "alice")), [("marker", "c0", ("nobody",))]),
         ],
     )
-    def test_unknown_label_raises_unknown_identifier(self, tiny_vocab, mint, labels, variables):
+    def test_unknown_label_raises_structure_error(self, tiny_vocab, mint, labels, variables):
         gcg = self.gcg(
             variables=[
                 Variable(f"v{i}", VariableTarget(kind, node), domain)
@@ -436,8 +472,11 @@ class TestUnvalidatedInput:
             ],
             **labels,
         )
-        with pytest.raises(UnknownIdentifierError):
+        lines = validate_gamma(tiny_vocab, gcg)
+        assert lines
+        with pytest.raises(StructureError) as raised:
             instantiate(tiny_vocab, gcg, fresh_rng("unvalidated"), mint=mint)
+        assert str(raised.value) == "\n".join(["invalid gamma-CG 'g':", *lines])
 
 
 def readme_auto_inputs():
@@ -490,9 +529,18 @@ def tiny_gammas(vocab, sample_gcg):
             var("v2", TARGET_CONCEPT_TYPE, "c0", ("Person", "Student", "Top")),
             var("v3", TARGET_MARKER, "c0", ("alice", "carol")),
         ],
-        [var("v1", TARGET_RELATION_TYPE, "r0", ("knows",))],
+        # Valid once pruned, never drawable: knows bounds c1 by Person.
+        [
+            var("v1", TARGET_RELATION_TYPE, "r0", ("knows",)),
+            var("v2", TARGET_CONCEPT_TYPE, "c1", ("Place",)),
+        ],
         [var("v1", TARGET_MARKER, "c3", ("home", "rex", "thing"))],
-        [var("v1", TARGET_MARKER, "c1", ("alice",))],
+        # A draw of Person leaves no marker: one is minted.
+        [
+            var("v1", TARGET_CONCEPT_TYPE, "c0", ("Person", "Student")),
+            var("v2", TARGET_MARKER, "c0", ("carol", "home")),
+        ],
+        [var("v1", TARGET_RELATION_TYPE, "r0", ("knows", "locatedIn"))],
     ]
     dense = auto_variables(
         vocab,
@@ -511,8 +559,25 @@ def tiny_gammas(vocab, sample_gcg):
     ]
 
 
+def pruned(vocab, gcg):
+    """``gcg`` with each variable's domain cut to the values ``slot_domain`` admits."""
+    return GammaCG(
+        gcg.name,
+        gcg.graph,
+        tuple(
+            Variable(v.name, v.target, set(v.domain) & set(slot_domain(vocab, gcg, v.target)))
+            for v in gcg.variables
+        ),
+    )
+
+
 class TestDrawPlanMatchesBruteForce:
-    """A compiled plan draws what filtering every whole domain draws, RNG call for call."""
+    """A plan of the pruned domains draws what filtering the stored ones draws, RNG call for call.
+
+    The brute force filters every stored domain in full at each draw, as
+    the draw did before it trusted validation; the plan and ``instantiate``
+    read the validated, pruned domains as they are.
+    """
 
     SEEDS = 50
 
@@ -526,8 +591,10 @@ class TestDrawPlanMatchesBruteForce:
     def check(self, vocab, gammas):
         drawn = failed = 0
         for gcg in gammas:
+            cut = pruned(vocab, gcg)
+            assert validate_gamma(vocab, cut) == []
             brute_mint, plan_mint, bare_mint = (MarkerMint(vocab, "oracle") for _ in range(3))
-            plan = DrawPlan(vocab, gcg)
+            plan = DrawPlan(vocab, cut)
             for seed in range(self.SEEDS):
                 rngs = [derive_rng(seed, "oracle", gcg.name) for _ in range(3)]
                 expected = self.attempt(
@@ -543,7 +610,7 @@ class TestDrawPlanMatchesBruteForce:
                     (
                         rngs[2],
                         bare_mint,
-                        lambda rng: instantiate(vocab, gcg, rng, mint=bare_mint),
+                        lambda rng: instantiate(vocab, cut, rng, mint=bare_mint),
                     ),
                 ):
                     got = self.attempt(draw, rng)
@@ -571,10 +638,13 @@ class TestDrawPlanMatchesBruteForce:
         assert 0 < failed < drawn
 
 
-class TestWidenedDomainsDrawAsPruned:
-    """The draw never takes a value outside ``slot_domain``, so pruning to it changes no draw."""
+class TestWidenedDomainsDrawAsPruned(TestDrawPlanMatchesBruteForce):
+    """The draw never takes a value outside ``slot_domain``.
 
-    SEEDS = 50
+    The brute force draws from every variable's domain widened to all values
+    of its kind, and the plan from that widened domain pruned to
+    ``slot_domain``: the draws are the same.
+    """
 
     @staticmethod
     def widened(vocab, gcg):
@@ -591,40 +661,7 @@ class TestWidenedDomainsDrawAsPruned:
         )
 
     def check(self, vocab, gammas):
-        drawn = failed = 0
-        for gcg in gammas:
-            wide = self.widened(vocab, gcg)
-            pruned = GammaCG(
-                gcg.name,
-                gcg.graph,
-                tuple(
-                    Variable(v.name, v.target, slot_domain(vocab, wide, v.target))
-                    for v in wide.variables
-                ),
-            )
-            plans = [DrawPlan(vocab, wide), DrawPlan(vocab, pruned)]
-            mints = [MarkerMint(vocab, "wide") for _ in plans]
-            for seed in range(self.SEEDS):
-                rngs = [derive_rng(seed, "widened", gcg.name) for _ in plans]
-                outcomes = [
-                    TestDrawPlanMatchesBruteForce.attempt(lambda rng: plan.draw(rng, mint), rng)
-                    for plan, mint, rng in zip(plans, mints, rngs)
-                ]
-                assert outcomes[0] == outcomes[1]
-                assert rngs[0].getstate() == rngs[1].getstate()
-                assert mints[0].minted == mints[1].minted
-                failed += isinstance(outcomes[0], str)
-                drawn += 1
-        return drawn, failed
-
-    def test_readme_auto_inputs(self):
-        vocab, gammas = readme_auto_inputs()
-        drawn, failed = self.check(vocab, gammas)
-        assert drawn and not failed
-
-    def test_tiny_fixture(self, tiny_vocab, sample_gcg):
-        drawn, failed = self.check(tiny_vocab, tiny_gammas(tiny_vocab, sample_gcg))
-        assert 0 < failed < drawn
+        return super().check(vocab, [self.widened(vocab, gcg) for gcg in gammas])
 
 
 class TestDomainOraclesOnRandomVocabularies:

@@ -27,7 +27,7 @@ from cggen import (
     validate_graph,
 )
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE, DrawPlan
-from cggen.generator import _generate_indexed, validate_inputs
+from cggen.generator import validate_inputs
 from conftest import build_reference_gammas, fresh_rng, make_hierarchy, random_dag_hierarchy
 from oracles import (
     brute_carriers,
@@ -230,13 +230,31 @@ def plain_gamma(tiny_vocab):
     return GammaCG("plain", graph)
 
 
+def undrawable_gamma():
+    """Valid, yet never drawable: c1, under a concept variable, leaves knows
+    admissible on r0, and knows then bounds c1 by Person, which Place is not."""
+    graph = cg(
+        [ConceptNode("c0", "Person"), ConceptNode("c1", "Place")],
+        [RelationNode("r0", "locatedIn", ("c0", "c1"))],
+    )
+    return GammaCG(
+        "broken",
+        graph,
+        (
+            Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),
+            Variable("v2", VariableTarget(TARGET_CONCEPT_TYPE, "c1"), ("Place",)),
+        ),
+    )
+
+
 class TestGenerateOne:
-    def test_single_component_reaching_min_size(self, tiny_vocab, mint, plain_gamma):
+    def test_single_component_reaching_min_size(self, tiny_vocab, plain_gamma):
         config = GeneratorConfig(max_cgs=1, min_size=5, max_spe=0, seed=1)
         plans = plans_of(tiny_vocab, [plain_gamma])
-        graph, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("one"), mint=mint)
+        graph, provenance, minted = generate_one(tiny_vocab, plans, config, 0)
         assert canonical(graph) == canonical(plain_gamma.graph)
         assert [d.gamma_name for d in provenance.draws] == ["plain"]
+        assert minted == ()
         assert validate_graph(tiny_vocab, graph).ok
 
     def test_size_bounds_over_seeded_runs(self, reference_fixture):
@@ -245,12 +263,10 @@ class TestGenerateOne:
         largest = max(g.graph.size for g in gammas)
         plans = plans_of(vocab, gammas)
         for i in range(100):
-            graph, _ = generate_one(
-                vocab, plans, config, derive_rng(1, "sz", i), mint=MarkerMint(vocab, f"cg{i}")
-            )
+            graph, _, _ = generate_one(vocab, plans, config, i)
             assert 30 <= graph.size < 30 + largest
 
-    def test_singleton_marker_domain_connects_instances(self, tiny_vocab, mint):
+    def test_singleton_marker_domain_connects_instances(self, tiny_vocab):
         # Both components draw the same marker, so their instances share a
         # node in the output.
         graph = cg(
@@ -264,31 +280,24 @@ class TestGenerateOne:
         )
         config = GeneratorConfig(max_cgs=1, min_size=6, max_spe=0, seed=3)
         plans = plans_of(tiny_vocab, [gamma])
-        out, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("pinm"), mint=mint)
+        out, provenance, _ = generate_one(tiny_vocab, plans, config, 0)
         bob_nodes = [n for n in out.concepts.values() if n.marker == "bob"]
         assert len(bob_nodes) == 1
         merges = [m for d in provenance.draws for m in d.merged]
         assert any(marker == "bob" for marker, _, _ in merges)
 
-    def test_failing_gamma_skipped(self, tiny_vocab, mint, plain_gamma):
-        # locatedIn's Place argument can never satisfy "knows"; the gamma
-        # always fails instantiation and must be skipped, not loop forever.
-        broken_graph = cg(
-            [ConceptNode("c0", "Person"), ConceptNode("c1", "Place")],
-            [RelationNode("r0", "locatedIn", ("c0", "c1"))],
-        )
-        broken = GammaCG(
-            "broken",
-            broken_graph,
-            (Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),),
-        )
+    def test_failing_gamma_skipped(self, tiny_vocab, plain_gamma):
+        # The valid "broken" gamma-CG always fails instantiation and must be
+        # skipped, not loop forever.
+        broken = undrawable_gamma()
+        assert validate_inputs(tiny_vocab, [broken, plain_gamma]) == []
         config = GeneratorConfig(max_cgs=1, min_size=8, max_spe=0, seed=5)
         plans = plans_of(tiny_vocab, [broken, plain_gamma])
-        graph, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("skip"), mint=mint)
+        graph, provenance, _ = generate_one(tiny_vocab, plans, config, 0)
         assert {d.gamma_name for d in provenance.draws} == {"plain"}
         assert graph.size >= 8
 
-    def test_skipped_merge_pairs_not_rerecorded(self, tiny_vocab, mint):
+    def test_skipped_merge_pairs_not_rerecorded(self, tiny_vocab):
         # Two coreferent nodes with incomparable types stay unmerged; the
         # skip must be recorded once per attempted pair, not repeated on
         # every later join against the accumulated graph.
@@ -302,32 +311,23 @@ class TestGenerateOne:
         gamma = GammaCG("clash", graph)
         config = GeneratorConfig(max_cgs=1, min_size=12, max_spe=0, seed=2)
         plans = plans_of(tiny_vocab, [gamma])
-        _, provenance = generate_one(tiny_vocab, plans, config, fresh_rng("skrec"), mint=mint)
+        _, provenance, _ = generate_one(tiny_vocab, plans, config, 0)
         assert len(provenance.draws) >= 3
         skips = [s for d in provenance.draws for s in d.skipped_merges]
         assert skips
         assert len(skips) == len(set(skips))
 
-    def test_all_gammas_failing_raises(self, tiny_vocab, mint):
-        broken_graph = cg(
-            [ConceptNode("c0", "Person"), ConceptNode("c1", "Place")],
-            [RelationNode("r0", "locatedIn", ("c0", "c1"))],
-        )
-        broken = GammaCG(
-            "broken",
-            broken_graph,
-            (Variable("v1", VariableTarget(TARGET_RELATION_TYPE, "r0"), ("knows",)),),
-        )
+    def test_all_gammas_failing_raises(self, tiny_vocab):
+        broken = undrawable_gamma()
+        assert validate_inputs(tiny_vocab, [broken]) == []
         config = GeneratorConfig(max_cgs=1, min_size=8, max_spe=0, seed=5)
-        with pytest.raises(GenerationError):
-            generate_one(
-                tiny_vocab, plans_of(tiny_vocab, [broken]), config, fresh_rng("allskip"), mint=mint
-            )
+        with pytest.raises(GenerationError, match="every gamma-CG failed"):
+            generate_one(tiny_vocab, plans_of(tiny_vocab, [broken]), config, 0)
 
-    def test_empty_gamma_set_rejected(self, tiny_vocab, mint):
+    def test_empty_gamma_set_rejected(self, tiny_vocab):
         config = GeneratorConfig(max_cgs=1, min_size=1, seed=1)
         with pytest.raises(ConfigError):
-            generate_one(tiny_vocab, [], config, fresh_rng("none"), mint=mint)
+            generate_one(tiny_vocab, [], config, 0)
 
 
 def oracle_gammas():
@@ -338,7 +338,8 @@ def oracle_gammas():
     twice; "filtered" walks down from T2 between a Person and a Place,
     where the signature of knows (Person, Person) filters it out. The
     markers recur across draws, so nodes merge, and "thing" (Top) lands on
-    incomparable types, so merges are skipped.
+    incomparable types, so merges are skipped. "mints" may draw Person,
+    which leaves its marker variable nothing to take, so a marker is minted.
     """
 
     def variable(name, kind, node, *domain):
@@ -378,7 +379,15 @@ def oracle_gammas():
         ),
         (variable("t", TARGET_CONCEPT_TYPE, "q", "Entity", "Person", "Place"),),
     )
-    return [repeat, filtered, ternary]
+    mints = GammaCG(
+        "mints",
+        cg([ConceptNode("c0", "Person", "alice")], []),
+        (
+            variable("vc", TARGET_CONCEPT_TYPE, "c0", "Person", "Student"),
+            variable("vm", TARGET_MARKER, "c0", "carol"),
+        ),
+    )
+    return [repeat, filtered, ternary, mints]
 
 
 class TestRngConsumption:
@@ -389,19 +398,22 @@ class TestRngConsumption:
         gammas = oracle_gammas()
         assert validate_inputs(tiny_vocab, gammas) == []
         plans = plans_of(tiny_vocab, gammas)
-        config = GeneratorConfig(max_cgs=1, min_size=60, max_spe=max_spe)
-        steps = merges = skips = 0
+        steps = merges = skips = minted = 0
         for seed in range(24):
-            rng, mint = derive_rng(seed, "rng"), MarkerMint(tiny_vocab, "m")
-            got = generate_one(tiny_vocab, plans, config, rng, mint=mint)
-            rng, mint = derive_rng(seed, "rng"), MarkerMint(tiny_vocab, "m")
+            # CG i draws from the stream (seed, "cg", i) and mints cg<i>-m<n>.
+            index = seed % 5
+            config = GeneratorConfig(max_cgs=1, min_size=60, max_spe=max_spe, seed=seed)
+            got = generate_one(tiny_vocab, plans, config, index)
+            rng = derive_rng(seed, "cg", index)
+            mint = MarkerMint(tiny_vocab, f"cg{index}")
             want = reference_generate_one(tiny_vocab, gammas, config, rng, mint=mint)
-            assert got == want
+            assert got == (*want, tuple(mint.minted.values()))
+            minted += len(got[2])
             draws = got[1].draws
             steps += sum(taken for draw in draws for _, taken in draw.specialisations)
             merges += sum(len(draw.merged) for draw in draws)
             skips += sum(len(draw.skipped_merges) for draw in draws)
-        assert merges and skips
+        assert merges and skips and minted
         assert bool(steps) == bool(max_spe)
 
 
@@ -449,7 +461,7 @@ class TestMarkersByTypeOnDag:
         for next_mint in ("C", "E", "Top", "D", "C", "A", None):
             vocab = mint.extended_vocabulary()
             for type_id in vocab.concepts.type_ids():
-                carriers = brute_carriers(vocab, mint.markers, type_id)
+                carriers = brute_carriers(vocab, {**dag_vocab.markers, **mint.minted}, type_id)
                 assert mint.carriers(type_id) == carriers
                 gcg = GammaCG("g", cg([ConceptNode("c0", type_id)], []))
                 target = VariableTarget(TARGET_MARKER, "c0")
@@ -471,7 +483,7 @@ class TestMarkersByTypeOnDag:
                 mint.mint(type_id)
                 minted += 1
             else:
-                want = brute_carriers(dag_vocab, mint.markers, type_id)
+                want = brute_carriers(dag_vocab, {**dag_vocab.markers, **mint.minted}, type_id)
                 assert mint.carriers(type_id) == want
         assert minted >= 20
 
@@ -516,7 +528,7 @@ class TestGenerateDataset:
         in_order = list(generate_cgs(vocab, gammas, config))
         plans = [DrawPlan(vocab, gcg) for gcg in gammas]
         for i in reversed(range(config.max_cgs)):
-            assert _generate_indexed(vocab, plans, config, i) == in_order[i]
+            assert generate_one(vocab, plans, config, i) == in_order[i]
 
     def test_per_index_streams_are_order_independent(self, reference_fixture):
         vocab, gammas, _ = reference_fixture
