@@ -379,7 +379,8 @@ def auto_variables(
         ):
             for node_id in pick_slots(kind, candidates, requested):
                 target = VariableTarget(kind, node_id)
-                current = GammaCG(gcg.name, gcg.graph, gcg.variables + tuple(new_variables))
+                # _replace skips GammaCG's checks: each new variable takes a free slot.
+                current = gcg._replace(variables=gcg.variables + tuple(new_variables))
                 admissible = slot_domain(vocab, current, target)
                 if not admissible:
                     # "relation types", "concept types" or "markers".

@@ -52,6 +52,7 @@ from .gamma import GammaCG, validate_gamma
 from .generator import (
     GenerationProvenance,
     GeneratorConfig,
+    _name_problem,
     derive_rng,
     generate_cgs,
     validate_inputs,
@@ -399,8 +400,16 @@ def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
     vocab = formats.load_vocabulary(vocab_path)
     gamma_dir = directory / formats.GAMMA_DIR
     if gamma_dir.is_dir():
+        # Each gamma-CG is saved as gamma/<name>.json: its name follows
+        # validate_inputs' rule and is its file's stem.
+        names: set[str] = set()
         for path in sorted(gamma_dir.glob("*.json")):
             gcg = formats.load_gamma_cg(path)
+            problem = _name_problem(gcg.name, names)
+            if problem is None and gcg.name != path.stem:
+                problem = f"name-mismatch: {gcg.name!r} is not the file's stem {path.stem!r}"
+            if problem:
+                diagnostics.append(f"{path}: {problem}")
             diagnostics.extend(f"{path}: {line}" for line in validate_gamma(vocab, gcg))
     dataset_dir = directory / formats.DATASET_DIR
     if dataset_dir.is_dir():

@@ -36,7 +36,7 @@ from .gamma import GammaCG, Variable, VariableTarget
 from .generator import ComponentDraw, DatasetResult, GenerationProvenance, GeneratorConfig
 from .metrics import DatasetStats, StatsTally
 
-FORMAT_VERSION = "2.0.0"
+FORMAT_VERSION = "3.0.0"
 
 VOCABULARY_FILE = "vocabulary.json"
 GAMMA_DIR = "gamma"
@@ -63,6 +63,8 @@ def _dump(path: Path, document: dict[str, Any]) -> None:
 # repeated one is encoded once. docs/formats.md states the layout.
 _enc = json.encoder.encode_basestring_ascii
 _int = int.__repr__
+# json.dumps's C encoder, made once: json.dumps builds a new one per call.
+_dumps = json.encoder.c_make_encoder(None, None, _enc, None, ": ", ", ", False, False, True)
 
 _CONCEPT = '{\n      "id": %s,\n      "type": %s,\n      "marker": %s\n    }'
 _RELATION = '{\n      "id": %s,\n      "type": %s,\n      "args": %s\n    }'
@@ -186,28 +188,49 @@ def _object(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str], dept
 # entries, 31.9 and 33.2 MB with 4,096, and 32.0 and 42.5 MB unbounded.
 _OBJECT_CACHE = 1024
 
-_TRIPLE = "[%s, %s, %s]"
-
 
 def _compact(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str]) -> str:
     """A JSON object from (key, value) pairs, on one line."""
     return "{" + ", ".join(_members(pairs, encode)) + "}"
 
 
-def _triples(entries: Sequence[tuple[str, str, str]]) -> str:
-    """The "merged" or "skippedMerges" member value of a derivation draw."""
-    return "[" + ", ".join([_TRIPLE % (_enc(a), _enc(b), _enc(c)) for a, b, c in entries]) + "]"
+def _merged(entries: Sequence[tuple[str, str, str]]) -> str:
+    """The "merged" value of a derivation draw: each absorbed node's kept node."""
+    members = ["%s: %s" % (_enc(other), _enc(kept)) for _, kept, other in entries]
+    return "{" + ", ".join(members) + "}"
+
+
+def _skipped(entries: Sequence[tuple[str, str, str]]) -> str:
+    """The "skippedMerges" value of a derivation draw: each absorbed node's kept nodes.
+
+    The entries of one absorbed node are adjacent, in the order they were compared.
+    """
+    if not entries:
+        return "{}"
+    kept_by_other: dict[str, list[str]] = {}
+    for _, kept, other in entries:
+        if other in kept_by_other:
+            kept_by_other[other].append(kept)
+        else:
+            kept_by_other[other] = [kept]
+    return "".join(_dumps(kept_by_other, 0))
 
 
 def _read_text(path: Path) -> str:
+    # Bytes decoded at once: a text-mode read took about 5 us more a file,
+    # 2.4 ms over the 500 CGs of a many-small read-back. JSON reads "\r" as
+    # whitespace, so no newline needs translating.
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def read_json(path: Path) -> dict[str, Any]:
@@ -244,7 +267,7 @@ def _check_header(document: dict[str, Any], path: "Path | str", kind: str) -> No
 # The field rules of each document kind, one table per kind, in the subset
 # of JSON Schema (draft 2020-12) that the loaders use: "type", "properties"
 # with "required", "items", "additionalProperties" (the values of a map),
-# "minimum", "maximum", "minItems" and "maxItems". Our own "message" keyword
+# "minimum" and "maximum". Our own "message" keyword
 # gives the error for a value that does not fit, where the accepted types'
 # names would not say it. An optional property reads as null when it is absent.
 # docs/formats.md lists the fields of every table; a test compares the two.
@@ -253,16 +276,6 @@ _INTEGER = {"type": "integer"}
 # json.loads reads NaN and Infinity; neither lies within these bounds.
 _NON_NEGATIVE = {"type": "number", "minimum": 0, "maximum": sys.float_info.max}
 _STRINGS = {"type": "array", "items": _STRING}
-_TRIPLES = {
-    "type": "array",
-    "items": {
-        "type": "array",
-        "items": _STRING,
-        "minItems": 3,
-        "maxItems": 3,
-        "message": "{where} must be an array of 3 strings",
-    },
-}
 
 
 def _table(*optional: str, **properties: dict[str, Any]) -> dict[str, Any]:
@@ -292,8 +305,8 @@ _DRAW_TABLE = _table(
     gamma=_STRING,
     assignments={"type": "object", "additionalProperties": _STRING},
     specialisations={"type": "object", "additionalProperties": _INTEGER},
-    merged=_TRIPLES,
-    skippedMerges=_TRIPLES,
+    merged={"type": "object", "additionalProperties": _STRING},
+    skippedMerges={"type": "object", "additionalProperties": _STRINGS},
 )
 _TABLES = {
     "vocabulary": _table(
@@ -338,10 +351,6 @@ def _constraint(table: dict[str, Any]) -> Callable[[list[Any]], bool] | None:
     if "minimum" in table:  # NaN fails every comparison
         low, high = table["minimum"], table.get("maximum", math.inf)
         return lambda column: all(low <= value <= high for value in column)
-    if "minItems" in table:
-        # One set comparison of the lengths: a call per array took twice as long.
-        lengths = frozenset(range(table["minItems"], table["maxItems"] + 1))
-        return lambda column: lengths.issuperset(map(len, column))
     return None
 
 
@@ -712,8 +721,8 @@ def _derivation_writer() -> Callable[[GenerationProvenance], Iterator[str]]:
                 _enc(draw.gamma_name),
                 assignments(draw.assignments),
                 specialisations(draw.specialisations),
-                _triples(draw.merged),
-                _triples(draw.skipped_merges),
+                _merged(draw.merged),
+                _skipped(draw.skipped_merges),
             )
             separator = ", "
         yield '{"draws": []}\n' if separator[0] == "{" else "]}\n"
@@ -725,18 +734,61 @@ def _derivation_writer() -> Callable[[GenerationProvenance], Iterator[str]]:
 _DRAW_COLUMNS = itemgetter(*("draws[]." + key for key in _DRAW_TABLE["properties"]))
 
 
-def _provenance(columns: dict[str, list[Any]]) -> GenerationProvenance:
-    """The record of a checked derivations line, from its columns."""
+def _provenance(columns: dict[str, list[Any]], graph: ConceptualGraph) -> GenerationProvenance:
+    """The record of a checked derivations line, from its columns and its CG.
+
+    Each merge entry's marker is its kept node's, in ``graph``.
+    """
     gammas, assignments, specialisations, merged, skipped = _DRAW_COLUMNS(columns)
+    concepts = graph.concepts
+
+    def entries(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, str, str], ...]:
+        return tuple([(concepts[kept].marker, kept, other) for other, kept in pairs])
+
     draws = map(
         ComponentDraw,
         gammas,
         map(tuple, map(dict.items, assignments)),
         map(tuple, map(dict.items, specialisations)),
-        (tuple(map(tuple, entries)) for entries in merged),
-        (tuple(map(tuple, entries)) for entries in skipped),
+        # Most draws merge nothing: () spares them the call.
+        (entries(merges.items()) if merges else () for merges in merged),
+        (
+            entries((other, k) for other, kepts in skips.items() for k in kepts) if skips else ()
+            for skips in skipped
+        ),
     )
     return GenerationProvenance(tuple(draws))
+
+
+_MARKER_OF = itemgetter(2)  # ConceptNode.marker, read without a Python call
+
+
+def _check_kept(
+    columns: dict[str, list[Any]], graph: ConceptualGraph, path: Path, number: int, name: str
+) -> None:
+    """Unless each kept node of line ``number`` is a marked concept of CG ``name``, raise.
+
+    One set test covers the line; the draw and the absorbed node of the
+    first fault are looked for only when it fails.
+    """
+    merged, skipped = columns["draws[].merged"], columns["draws[].skippedMerges"]
+    kept = set(chain.from_iterable(map(dict.values, merged)))
+    kept.update(chain.from_iterable(chain.from_iterable(map(dict.values, skipped))))
+    concepts = graph.concepts
+    if kept <= concepts.keys() and None not in map(_MARKER_OF, map(concepts.__getitem__, kept)):
+        return
+    for index, (merges, skips) in enumerate(zip(merged, skipped)):
+        entries = chain(
+            (("merged", other, kept) for other, kept in merges.items()),
+            (("skippedMerges", other, kept) for other, kepts in skips.items() for kept in kepts),
+        )
+        for field, other, kept in entries:
+            node = concepts.get(kept)
+            if node is None or node.marker is None:
+                fault = f"of {name} has no marker" if node else f"is not a concept of {name}"
+                raise StructureError(
+                    f"{path}:{number}: draws[{index}].{field}.{other}: kept node {kept!r} {fault}"
+                )
 
 
 class LoadedDataset(NamedTuple):
@@ -789,13 +841,15 @@ def _derivation(lines: TextIO, path: Path, number: int, name: str) -> dict[str, 
 
 
 def _dataset(
-    directory: Path, files: Sequence[str], derivation: Callable[[dict[str, list[Any]]], Any]
+    directory: Path,
+    files: Sequence[str],
+    derivation: Callable[[dict[str, list[Any]], ConceptualGraph], Any],
 ) -> Iterator[tuple[str, ConceptualGraph, Any]]:
-    """Each of ``files`` with its CG and ``derivation`` of its derivations line's columns.
+    """Each of ``files`` with its CG and ``derivation`` of its derivations line's columns and CG.
 
     In ``files`` order, each CG is loaded, then its line is read and
-    checked. Nothing is kept from one CG to the next: the parsed line of a
-    CG of 4000 nodes takes about 4 MB.
+    checked, against the CG too. Nothing is kept from one CG to the next:
+    the parsed line of a CG of 4000 nodes takes about 3 MB.
     """
     path = directory / DERIVATIONS_FILE
     try:
@@ -808,7 +862,9 @@ def _dataset(
         _check_header(_object_in(_readline(lines, path), path, 1), f"{path}:1", "derivations")
         for number, name in enumerate(files, 2):
             graph = load_cg(directory / name)
-            yield name, graph, derivation(_derivation(lines, path, number, name))
+            columns = _derivation(lines, path, number, name)
+            _check_kept(columns, graph, path, number, name)
+            yield name, graph, derivation(columns, graph)
         if _readline(lines, path):
             raise FormatError(f"{path}: more lines than a header and one per CG")
 
@@ -824,7 +880,7 @@ def iter_dataset(directory: "str | Path") -> Iterator[tuple[str, ConceptualGraph
     """
     directory = Path(directory)
     files = read_manifest(directory).files
-    for name, graph, _ in _dataset(directory, files, lambda columns: None):
+    for name, graph, _ in _dataset(directory, files, lambda columns, graph: None):
         yield name, graph
 
 

@@ -166,9 +166,18 @@ def _admissible(
     if node is None:
         raise UnknownIdentifierError(f"{node_id!r} is not a concept node of {gcg.name!r}")
     if kind == TARGET_CONCEPT_TYPE:
+        # This node's slots alone, in relation-id order (the first unknown
+        # relation type is the one reported): auto-var and validate_gamma
+        # ask once per slot, too often to build the whole incidence map.
+        slots = sorted(
+            (relation.node_id, position)
+            for relation in graph.relations.values()
+            for position, arg in enumerate(relation.args)
+            if arg == node_id
+        )
         bounds = {
             restriction_for(vocab, graph.relations[rel_id].type_id, position)
-            for rel_id, position in _incidences(graph).get(node_id, ())
+            for rel_id, position in slots
             if (TARGET_RELATION_TYPE, rel_id) not in redrawn
         }
         if node.marker is not None and (TARGET_MARKER, node_id) not in redrawn:

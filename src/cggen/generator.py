@@ -309,13 +309,22 @@ def validate_inputs(vocab: Vocabulary, gamma_set: Sequence[GammaCG]) -> list[str
     seen: set[str] = set()
     for gcg in gamma_set:
         name = gcg.name
-        if not plain_file_name(name):
-            problems.append(f"{name}: bad-name: {name!r} is not a plain file name")
-        elif name in seen:
-            problems.append(f"{name}: duplicate-name: an earlier gamma-CG is named {name!r}")
-        seen.add(name)
+        problem = _name_problem(name, seen)
+        if problem:
+            problems.append(f"{name}: {problem}")
         problems.extend(f"{name}: {line}" for line in validate_gamma(vocab, gcg))
     return problems
+
+
+def _name_problem(name: str, seen: set[str]) -> str | None:
+    """Why a gamma-CG may not be named ``name`` after those named ``seen``; adds it to ``seen``."""
+    problem = None
+    if not plain_file_name(name):
+        problem = f"bad-name: {name!r} is not a plain file name"
+    elif name in seen:
+        problem = f"duplicate-name: an earlier gamma-CG is named {name!r}"
+    seen.add(name)
+    return problem
 
 
 def generate_cgs(

@@ -430,7 +430,7 @@ def vocabulary_doc(vocab: Vocabulary) -> dict:
         return {"root": h.root, "types": types}
 
     return {
-        "formatVersion": "2.0.0",
+        "formatVersion": "3.0.0",
         "kind": "vocabulary",
         "conceptTypes": hierarchy(vocab.concepts, False),
         "relationTypes": [
@@ -446,7 +446,7 @@ def vocabulary_doc(vocab: Vocabulary) -> dict:
 
 def cg_doc(graph: ConceptualGraph) -> dict:
     """The cg document as a dict; the writer must match json.dumps(doc, indent=2)."""
-    return {"formatVersion": "2.0.0", "kind": "cg", **_graph_members(graph)}
+    return {"formatVersion": "3.0.0", "kind": "cg", **_graph_members(graph)}
 
 
 def _graph_members(graph: ConceptualGraph) -> dict:
@@ -464,7 +464,7 @@ def _graph_members(graph: ConceptualGraph) -> dict:
 
 def gamma_cg_doc(gcg: GammaCG) -> dict:
     return {
-        "formatVersion": "2.0.0",
+        "formatVersion": "3.0.0",
         "kind": "gamma-cg",
         "name": gcg.name,
         **_graph_members(gcg.graph),
@@ -479,17 +479,25 @@ def gamma_cg_doc(gcg: GammaCG) -> dict:
     }
 
 
+def _kept_by_absorbed(entries) -> dict:
+    """Each absorbed node of (marker, kept, absorbed) entries with its kept nodes, in order."""
+    kept: dict = {}
+    for _, kept_id, other in entries:
+        kept.setdefault(other, []).append(kept_id)
+    return kept
+
+
 def derivations_text(provenances: list[GenerationProvenance]) -> str:
     """The derivations file of a dataset: its header, then one line per CG, by json.dumps."""
-    lines = [{"formatVersion": "2.0.0", "kind": "derivations"}]
+    lines = [{"formatVersion": "3.0.0", "kind": "derivations"}]
     for provenance in provenances:
         draws = [
             {
                 "gamma": draw.gamma_name,
                 "assignments": {name: value for name, value in draw.assignments},
                 "specialisations": {slot: steps for slot, steps in draw.specialisations},
-                "merged": [list(entry) for entry in draw.merged],
-                "skippedMerges": [list(entry) for entry in draw.skipped_merges],
+                "merged": {other: kept for _, kept, other in draw.merged},
+                "skippedMerges": _kept_by_absorbed(draw.skipped_merges),
             }
             for draw in provenance.draws
         ]

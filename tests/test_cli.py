@@ -780,7 +780,7 @@ def _format_1_derivations_header(out):
 
 
 def _provenance_header(out):
-    write(out / "dataset", "derivations.jsonl:1", '{"formatVersion": "2.0.0", "kind": "provenance"}')
+    write(out / "dataset", "derivations.jsonl:1", '{"formatVersion": "3.0.0", "kind": "provenance"}')
     return "derivations.jsonl:1", "expected kind 'derivations', found 'provenance'"
 
 
@@ -829,9 +829,33 @@ def _bool_step(out):
     return "derivations.jsonl:2", "draws[0].specialisations.concept-type:c0 must be int"
 
 
-def _short_merge_entry(out):
-    _edit_first_derivation(out, lambda doc: doc["draws"][0].update(merged=[[1, 2]]))
-    return "derivations.jsonl:2", "draws[0].merged[0] must be an array of 3 strings"
+def _first_merge(doc):
+    """The index of cg-0000's first draw that merges a node, and that node's id."""
+    j = next(j for j, draw in enumerate(doc["draws"]) if draw["merged"])
+    return j, next(iter(doc["draws"][j]["merged"]))
+
+
+def _int_kept_id(out):
+    doc = json.loads(read(out / "dataset", "derivations.jsonl:2"))
+    j, other = _first_merge(doc)
+    doc["draws"][j]["merged"][other] = 4
+    write(out / "dataset", "derivations.jsonl:2", json.dumps(doc))
+    return "derivations.jsonl:2", f"field draws[{j}].merged.{other} must be str, found int"
+
+
+def _string_skipped_kept_ids(out):
+    _edit_first_derivation(out, lambda doc: doc["draws"][0].update(skippedMerges={"c1": "c0"}))
+    return "derivations.jsonl:2", "field draws[0].skippedMerges.c1 must be list, found str"
+
+
+def _format_2_merge_triples(out):
+    # Format 2 wrote each merge as a [marker, kept, absorbed] triple.
+    doc = json.loads(read(out / "dataset", "derivations.jsonl:2"))
+    j, other = _first_merge(doc)
+    kept = doc["draws"][j]["merged"][other]
+    doc["draws"][j]["merged"] = [["m", kept, other]]
+    write(out / "dataset", "derivations.jsonl:2", json.dumps(doc))
+    return "derivations.jsonl:2", f"field draws[{j}].merged must be dict, found list"
 
 
 def _bool_arity(out):
@@ -1001,7 +1025,9 @@ class TestMalformedDataset:
             _drop_draw_gamma,
             _string_specialisation_steps,
             _bool_step,
-            _short_merge_entry,
+            _int_kept_id,
+            _string_skipped_kept_ids,
+            _format_2_merge_triples,
             _int_assignment,
             _list_assignment,
             _unhashable_relation_arg,
@@ -1042,6 +1068,83 @@ class TestMalformedDataset:
             assert (captured.out, captured.err) == (line + "\n", "")
         else:
             assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    @pytest.mark.parametrize("fault", ["missing", "unmarked"])
+    def test_kept_node_not_a_marked_concept_exit_1(
+        self, pristine, tmp_path, capsys, command, fault
+    ):
+        # A merge entry's marker is read from its kept node, which must be a
+        # concept of the CG that carries one.
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        doc = json.loads(read(out / "dataset", "derivations.jsonl:2"))
+        j, other = _first_merge(doc)
+        if fault == "missing":
+            kept = doc["draws"][j]["merged"][other] = "nosuch"
+            write(out / "dataset", "derivations.jsonl:2", json.dumps(doc))
+            expected = "is not a concept of cg-0000.json"
+        else:
+            kept = doc["draws"][j]["merged"][other]
+            path = out / "dataset" / "cg-0000.json"
+            cg = json.loads(path.read_text())
+            next(c for c in cg["concepts"] if c["id"] == kept)["marker"] = None
+            path.write_text(json.dumps(cg))
+            expected = "of cg-0000.json has no marker"
+        line = (
+            f"{out / 'dataset' / 'derivations.jsonl'}:2: draws[{j}].merged.{other}:"
+            f" kept node {kept!r} {expected}"
+        )
+        capsys.readouterr()
+        target = out if command == "validate" else out / "dataset"
+        assert main([command, str(target)]) == 1
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert (captured.out, captured.err) == (line + "\n", "")
+        else:
+            assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "names, expected",
+        [
+            (
+                {"gcg-1": "gcg-0"},
+                ["gcg-1.json: duplicate-name: an earlier gamma-CG is named 'gcg-0'"],
+            ),
+            (
+                {"gcg-2": "../elsewhere"},
+                ["gcg-2.json: bad-name: '../elsewhere' is not a plain file name"],
+            ),
+            (
+                {"gcg-3": "gcg-9"},
+                ["gcg-3.json: name-mismatch: 'gcg-9' is not the file's stem 'gcg-3'"],
+            ),
+            (
+                {"gcg-1": "gcg-0", "gcg-2": "../elsewhere"},
+                [
+                    "gcg-1.json: duplicate-name: an earlier gamma-CG is named 'gcg-0'",
+                    "gcg-2.json: bad-name: '../elsewhere' is not a plain file name",
+                ],
+            ),
+        ],
+        ids=["duplicate", "not-a-file-name", "not-the-stem", "both"],
+    )
+    def test_gamma_name_that_is_not_its_file_exit_1(
+        self, pristine, tmp_path, capsys, names, expected
+    ):
+        # Each gamma-CG of an output is gamma/<name>.json.
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        for stem, name in names.items():
+            path = out / "gamma" / f"{stem}.json"
+            doc = json.loads(path.read_text())
+            doc["name"] = name
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = [f"{out / 'gamma'}/{line}" for line in expected]
+        assert (captured.out, captured.err) == ("".join(line + "\n" for line in lines), "")
 
     @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
     def test_malformed_cg_reported_before_a_later_malformed_derivation(

@@ -74,13 +74,13 @@ class TestVocabularyFormat:
 
     def test_malformed_json_has_position(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{\n  "formatVersion": "2.0.0",\n  broken\n}')
+        path.write_text('{\n  "formatVersion": "3.0.0",\n  broken\n}')
         with pytest.raises(FormatError, match=r"bad\.json:3"):
             load_vocabulary(path)
 
     def test_missing_field_diagnostic(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"formatVersion": "2.0.0", "kind": "vocabulary"}))
+        path.write_text(json.dumps({"formatVersion": "3.0.0", "kind": "vocabulary"}))
         with pytest.raises(FormatError, match="conceptTypes"):
             load_vocabulary(path)
 
@@ -89,9 +89,9 @@ class TestVocabularyFormat:
         path = tmp_path / "voc.json"
         save_vocabulary(path, vocab)
         doc = json.loads(path.read_text())
-        doc["formatVersion"] = "3.0.0"
+        doc["formatVersion"] = "2.0.0"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="unsupported major version '3.0.0'"):
+        with pytest.raises(FormatError, match="unsupported major version '2.0.0'"):
             load_vocabulary(path)
 
     def test_signature_longer_than_arity_is_validation_error(self, built, tmp_path):
@@ -182,7 +182,7 @@ class TestGraphFormats:
         path.write_text(
             json.dumps(
                 {
-                    "formatVersion": "2.0.0",
+                    "formatVersion": "3.0.0",
                     "kind": "cg",
                     "concepts": [],
                     "relations": [{"id": "r0", "type": "t", "args": ["ghost"]}],
@@ -424,18 +424,29 @@ class TestEntryLoaders:
             ),
             (
                 "derivations.jsonl:2",
-                lambda doc: _set(doc, ["draws", 0, "merged"], {}),
-                r"field draws\[0\]\.merged must be list, found dict",
+                lambda doc: _set(doc, ["draws", 0, "merged"], []),
+                r"field draws\[0\]\.merged must be dict, found list",
             ),
             (
                 "derivations.jsonl:2",
-                lambda doc: _set(doc, ["draws", 0, "skippedMerges"], [["m", "c0"]]),
-                r"draws\[0\]\.skippedMerges\[0\] must be an array of 3 strings",
+                lambda doc: _set(doc, ["draws", 0, "skippedMerges"], {"c2": "c0"}),
+                r"field draws\[0\]\.skippedMerges\.c2 must be list, found str",
             ),
             (
                 "derivations.jsonl:2",
-                lambda doc: _set(doc, ["draws", 0, "merged"], [["m", 1, "c2"]]),
-                r"draws\[0\]\.merged\[0\]\[1\] must be str, found int",
+                lambda doc: _set(doc, ["draws", 0, "skippedMerges"], {"c2": ["c0", 1]}),
+                r"draws\[0\]\.skippedMerges\.c2\[1\] must be str, found int",
+            ),
+            (
+                "derivations.jsonl:2",
+                lambda doc: _set(doc, ["draws", 0, "merged"], {"c2": 1}),
+                r"field draws\[0\]\.merged\.c2 must be str, found int",
+            ),
+            (
+                "derivations.jsonl:2",
+                # A format-2 line: each merge a [marker, kept, absorbed] triple.
+                lambda doc: _set(doc, ["draws", 0, "merged"], [["m", "c0", "c2"]]),
+                r"field draws\[0\]\.merged must be dict, found list",
             ),
         ],
         ids=[
@@ -447,9 +458,11 @@ class TestEntryLoaders:
             "string-args",
             "first-of-two",
             "draw-not-object",
-            "merged-not-list",
-            "merge-entry-of-2",
-            "merge-entry-with-int",
+            "merged-not-object",
+            "skipped-value-not-array",
+            "skipped-kept-int",
+            "merged-kept-int",
+            "merged-format-2-triples",
         ],
     )
     def test_malformed_entry_is_format_error(self, directory, file_name, edit, message):
@@ -486,8 +499,7 @@ def _json_type(table, plural=""):
         text += f" >= {table['minimum']}"
     inner = table.get("items", table.get("additionalProperties"))
     if inner is not None:
-        count = f"{table['minItems']} " if "minItems" in table else ""
-        text += f" of {count}{_json_type(inner, 's')}"
+        text += f" of {_json_type(inner, 's')}"
     return text + " or null" if "null" in kinds else text
 
 
@@ -541,9 +553,10 @@ class TestFieldTables:
             for document, path, mutation in cases(out)
             if document in KINDS
         ]
-        for label, entry in [("a null merge entry", None), ("a merge entry of 2", ["m", "c0"])]:
+        for label, entry in [("a null kept id", None), ("kept ids in an array", ["c0"])]:
             line = json.loads(read(out, "dataset/derivations.jsonl:2"))
-            next(draw for draw in line["draws"] if draw["merged"])["merged"][0] = entry
+            merged = next(draw for draw in line["draws"] if draw["merged"])["merged"]
+            merged[next(iter(merged))] = entry
             mutated_documents.append(("dataset/derivations.jsonl:2", label, line))
         for label, edit in [
             ("a NaN mean", lambda doc: doc["stats"]["nbNodes"].update(mean=float("nan"))),

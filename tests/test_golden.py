@@ -31,8 +31,8 @@ README_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "9f839a31ee206cd50406c6408f2201e316605338efddd4a42022d0ec905c8cde"
-GOLDEN_CONTENT_SHA256 = "6cbbe84437bccdccfcca00bcecb8585bd177167d3fc290a485e020ede3676efa"
+GOLDEN_SHA256 = "08003676268dbf66002d9ea465bcc6332435589bdac0935c9ca9e4f181eb55bd"
+GOLDEN_CONTENT_SHA256 = "abe5723ec7eea5f0793af0d21afb4f05c89eaa61beb0a2a1e43e7746226f5dc0"
 
 
 def tree_digest(root):

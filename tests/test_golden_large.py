@@ -11,7 +11,9 @@ and says so in CHANGES.md.
 
 import json
 
+from cggen import cli
 from cggen.cli import main
+from cggen.formats import load_dataset
 from test_golden import README_CONFIG, tree_digest
 
 LARGE_CONFIG = {
@@ -20,18 +22,36 @@ LARGE_CONFIG = {
 }
 
 GOLDEN_FILES = 25
-GOLDEN_SHA256 = "9d768b0425f587b15d3477c76511cb8c9b85e1b7dc2899a647fc084819229280"
+GOLDEN_SHA256 = "94e35e2ceeb407d35309bf5fb433a4ac4ebdd9c50ee9108b0d05c6e7adbe70fa"
 
 
-def test_large_cg_output_digest_is_pinned(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(LARGE_CONFIG))
+def generate_recording(tmp_path, monkeypatch, config):
+    """``cggen generate`` on ``config``: its output and each provenance it generated."""
+    generated = []
+
+    def recording(*args):
+        for graph, provenance, minted in generate_cgs(*args):
+            generated.append(provenance)
+            yield graph, provenance, minted
+
+    generate_cgs = cli.generate_cgs
+    monkeypatch.setattr(cli, "generate_cgs", recording)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    return out, tuple(generated)
+
+
+def test_large_cg_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
+    out, generated = generate_recording(tmp_path, monkeypatch, LARGE_CONFIG)
     capsys.readouterr()
     lines = (out / "dataset" / "derivations.jsonl").read_text().splitlines()[1:]
     draws = [draw for line in lines for draw in json.loads(line)["draws"]]
     assert len(draws) == 1239
     assert sum(len(draw["merged"]) for draw in draws) == 7371
-    assert sum(len(draw["skippedMerges"]) for draw in draws) == 6758
+    skipped = [kept for draw in draws for kept in draw["skippedMerges"].values()]
+    assert sum(map(len, skipped)) == 6758
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
+    # Each merge entry's marker is read back from its kept node.
+    assert load_dataset(out / "dataset").provenances == generated

@@ -11,8 +11,9 @@ and says so in CHANGES.md.
 
 import json
 
-from cggen.cli import main
+from cggen.formats import load_dataset
 from test_golden import README_CONFIG, tree_digest
+from test_golden_large import generate_recording
 
 MINTED_CONFIG = {
     **README_CONFIG,
@@ -20,15 +21,16 @@ MINTED_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "04aa18e454a8506850cae926f0b5516fa87d90747a18b0cd270b26a511de4c6a"
+GOLDEN_SHA256 = "847b33471c2124c7aefc619604ca783dc0411bd01b750d8f9d10f568c5d30c19"
 
 
-def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(MINTED_CONFIG))
-    out = tmp_path / "out"
-    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
+    out, generated = generate_recording(tmp_path, monkeypatch, MINTED_CONFIG)
     capsys.readouterr()
     vocabulary = json.loads((out / "vocabulary.json").read_text())
     assert any(m["id"].startswith("gcg-m") for m in vocabulary["markers"])
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
+    # The markers of merge entries, all minted by auto-gcg here, come from the CGs.
+    assert load_dataset(out / "dataset").provenances == generated
+    markers = {m for p in generated for d in p.draws for m, _, _ in d.merged + d.skipped_merges}
+    assert markers and all(marker.startswith("gcg-m") for marker in markers)

@@ -19,8 +19,8 @@ from test_golden import tree_digest
 
 GOLDEN_FILES = 111
 GOLDEN_SHA256 = {
-    0: "f1d594e598e5e5c06374f4fff346f1b7854fb0d59aed6b19a70efe7114279600",
-    3: "456f892c63c08d73f2a0a69bb65b726a3b7bef4a212e37543e4a5f2d69775f15",
+    0: "ddbc3134eca6238497baba63001677642708b1702c7afc1c32fc117b038cdedd",
+    3: "a2569d3edc284f2c41b97eeb73438eeeb2e3419492e66c527b9dd4375368012b",
 }
 
 

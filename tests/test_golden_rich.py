@@ -35,7 +35,7 @@ RICH_CONFIG = {
 }
 
 GOLDEN_FILES = 26
-GOLDEN_SHA256 = "ce7079e7bee3f3e5454155cda2c698e6fcda3e45a49499d63c58525e215c4427"
+GOLDEN_SHA256 = "9c19800d2bcec42a81cf3145d40509c21e328e5e24639843afd94b6c258d1456"
 
 
 def test_rich_output_digest_is_pinned(tmp_path, capsys):

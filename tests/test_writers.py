@@ -225,9 +225,16 @@ class TestGammaCgWriter:
 PERSON = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
 
 
+def kept_nodes(provenance):
+    """A CG of ``PERSON`` and each kept node of ``provenance``, carrying its entry's marker."""
+    entries = [e for draw in provenance.draws for e in draw.merged + draw.skipped_merges]
+    concepts = {kept: ConceptNode(kept, "Person", marker) for marker, kept, _ in entries}
+    return ConceptualGraph({**PERSON.concepts, **concepts}, {})
+
+
 def derivations(directory, provenances):
     """The derivations file that ``write_dataset`` writes for CGs with these derivations."""
-    cgs = [(PERSON, provenance) for provenance in provenances]
+    cgs = [(kept_nodes(provenance), provenance) for provenance in provenances]
     formats.write_dataset(directory, cgs, GeneratorConfig(max_cgs=len(cgs), min_size=1))
     return (directory / "derivations.jsonl").read_text(encoding="utf-8")
 
@@ -276,9 +283,22 @@ class TestDerivationsWriter:
     def test_matches_json_dumps(self, provenances, tmp_path):
         text = derivations(tmp_path / "ds", provenances)
         assert text == derivations_text(provenances)
-        # Saving what the loader read back gives the same bytes.
+        # The loader reads back every draw, each merge entry's marker from
+        # its kept node, and saving that gives the same bytes.
         loaded = load_dataset(tmp_path / "ds").provenances
+        assert loaded == tuple(provenances)
         assert derivations(tmp_path / "again", loaded) == text
+
+    def test_marker_minted_for_a_cg_is_read_from_the_cg(self, tmp_path):
+        # Only the CG's document holds a cg<i>-m<n> marker and its kept nodes.
+        draw = ComponentDraw(
+            "g0", (), (), (("cg0-m0", "c1", "c3"),), (("cg0-m1", "c2", "c4"), ("cg0-m1", "c5", "c4"))
+        )
+        provenances = [GenerationProvenance((draw,))]
+        text = derivations(tmp_path, provenances)
+        assert "cg0-m" not in text
+        assert json.loads(text.splitlines()[1])["draws"][0]["skippedMerges"] == {"c4": ["c2", "c5"]}
+        assert load_dataset(tmp_path).provenances == tuple(provenances)
 
     def test_repeated_key_keeps_dict_semantics(self, tmp_path):
         draw = ComponentDraw(
