@@ -306,7 +306,7 @@ def auto_gamma_cgs(
             assembler.absorb(concepts, relations)
         gammas.append(GammaCG(f"gcg-{index}", assembler.snapshot()))
 
-    return AutoGcgResult(tuple(gammas), mint.extended_vocabulary())
+    return AutoGcgResult(tuple(gammas), vocab.with_markers(mint.minted.values()))
 
 
 class AutoVarResult(NamedTuple):
@@ -344,7 +344,7 @@ def auto_variables(
         n_marker = sample_param(config.marker_vars, (0, 100_000), rng)
         spe = sample_param(config.specialisations, (0, 100_000), rng)
 
-        claimed = set(gcg.claimed_slots())
+        claimed = {variable.target for variable in gcg.variables}
         new_variables: list[Variable] = []
         name_counter = len(gcg.variables) + 1
 

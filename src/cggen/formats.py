@@ -194,21 +194,21 @@ def _compact(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str]) -> 
     return "{" + ", ".join(_members(pairs, encode)) + "}"
 
 
-def _merged(entries: Sequence[tuple[str, str, str]]) -> str:
+def _merged(pairs: Sequence[tuple[str, str]]) -> str:
     """The "merged" value of a derivation draw: each absorbed node's kept node."""
-    members = ["%s: %s" % (_enc(other), _enc(kept)) for _, kept, other in entries]
+    members = ["%s: %s" % (_enc(other), _enc(kept)) for other, kept in pairs]
     return "{" + ", ".join(members) + "}"
 
 
-def _skipped(entries: Sequence[tuple[str, str, str]]) -> str:
+def _skipped(pairs: Sequence[tuple[str, str]]) -> str:
     """The "skippedMerges" value of a derivation draw: each absorbed node's kept nodes.
 
-    The entries of one absorbed node are adjacent, in the order they were compared.
+    The pairs of one absorbed node are adjacent, in the order they were compared.
     """
-    if not entries:
+    if not pairs:
         return "{}"
     kept_by_other: dict[str, list[str]] = {}
-    for _, kept, other in entries:
+    for other, kept in pairs:
         if other in kept_by_other:
             kept_by_other[other].append(kept)
         else:
@@ -734,26 +734,18 @@ def _derivation_writer() -> Callable[[GenerationProvenance], Iterator[str]]:
 _DRAW_COLUMNS = itemgetter(*("draws[]." + key for key in _DRAW_TABLE["properties"]))
 
 
-def _provenance(columns: dict[str, list[Any]], graph: ConceptualGraph) -> GenerationProvenance:
-    """The record of a checked derivations line, from its columns and its CG.
-
-    Each merge entry's marker is its kept node's, in ``graph``.
-    """
+def _provenance(columns: dict[str, list[Any]]) -> GenerationProvenance:
+    """The record of a checked derivations line, from its columns."""
     gammas, assignments, specialisations, merged, skipped = _DRAW_COLUMNS(columns)
-    concepts = graph.concepts
-
-    def entries(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, str, str], ...]:
-        return tuple([(concepts[kept].marker, kept, other) for other, kept in pairs])
-
     draws = map(
         ComponentDraw,
         gammas,
         map(tuple, map(dict.items, assignments)),
         map(tuple, map(dict.items, specialisations)),
-        # Most draws merge nothing: () spares them the call.
-        (entries(merges.items()) if merges else () for merges in merged),
+        map(tuple, map(dict.items, merged)),
+        # Most draws skip nothing: () spares them the comprehension.
         (
-            entries((other, k) for other, kepts in skips.items() for k in kepts) if skips else ()
+            tuple([(other, k) for other, kepts in skips.items() for k in kepts]) if skips else ()
             for skips in skipped
         ),
     )
@@ -841,11 +833,9 @@ def _derivation(lines: TextIO, path: Path, number: int, name: str) -> dict[str, 
 
 
 def _dataset(
-    directory: Path,
-    files: Sequence[str],
-    derivation: Callable[[dict[str, list[Any]], ConceptualGraph], Any],
-) -> Iterator[tuple[str, ConceptualGraph, Any]]:
-    """Each of ``files`` with its CG and ``derivation`` of its derivations line's columns and CG.
+    directory: Path, files: Sequence[str]
+) -> Iterator[tuple[str, ConceptualGraph, dict[str, list[Any]]]]:
+    """Each of ``files`` with its CG and the columns of its derivations line.
 
     In ``files`` order, each CG is loaded, then its line is read and
     checked, against the CG too. Nothing is kept from one CG to the next:
@@ -864,7 +854,7 @@ def _dataset(
             graph = load_cg(directory / name)
             columns = _derivation(lines, path, number, name)
             _check_kept(columns, graph, path, number, name)
-            yield name, graph, derivation(columns, graph)
+            yield name, graph, columns
         if _readline(lines, path):
             raise FormatError(f"{path}: more lines than a header and one per CG")
 
@@ -880,7 +870,7 @@ def iter_dataset(directory: "str | Path") -> Iterator[tuple[str, ConceptualGraph
     """
     directory = Path(directory)
     files = read_manifest(directory).files
-    for name, graph, _ in _dataset(directory, files, lambda columns, graph: None):
+    for name, graph, _ in _dataset(directory, files):
         yield name, graph
 
 
@@ -958,9 +948,9 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     directory = Path(directory)
     manifest = read_manifest(directory)
     graphs, provenances = [], []
-    for _, graph, provenance in _dataset(directory, manifest.files, _provenance):
+    for _, graph, columns in _dataset(directory, manifest.files):
         graphs.append(graph)
-        provenances.append(provenance)
+        provenances.append(_provenance(columns))
     return LoadedDataset(
         graphs=tuple(graphs),
         files=manifest.files,

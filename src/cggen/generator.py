@@ -91,13 +91,20 @@ class GeneratorConfig(_GeneratorConfig):
 
 
 class ComponentDraw(NamedTuple):
-    """Provenance of one component absorbed into a generated CG."""
+    """Provenance of one component absorbed into a generated CG.
+
+    Each merge record is an (absorbed id, kept id) pair, as
+    ``derivations.jsonl`` stores it; the kept node carries the marker.
+    ``merged`` has one pair per absorbed node and ``skipped_merges`` one per
+    comparison that left the two apart, in comparison order, so the pairs
+    of one absorbed node are adjacent.
+    """
 
     gamma_name: str
     assignments: tuple[tuple[str, str], ...]
     specialisations: tuple[tuple[str, int], ...]
-    merged: tuple[tuple[str, str, str], ...]
-    skipped_merges: tuple[tuple[str, str, str], ...]
+    merged: tuple[tuple[str, str], ...]
+    skipped_merges: tuple[tuple[str, str], ...]
 
 
 class GenerationProvenance(NamedTuple):
@@ -140,8 +147,8 @@ class _Assembler:
         self,
         concepts: Iterable[tuple[str, str, str | None]],
         relations: Iterable[tuple[str, str, Sequence[int]]],
-    ) -> tuple[tuple[tuple[str, str, str], ...], tuple[tuple[str, str, str], ...]]:
-        """Fold one component in; return its merge entries and skipped merges.
+    ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+        """Fold one component in; return its (absorbed id, kept id) merges and skipped merges.
 
         ``concepts`` holds (id, type, marker) rows and ``relations`` holds
         (id, type, argument positions) rows, each position indexing
@@ -151,8 +158,8 @@ class _Assembler:
         types = self._types
         markers = self._markers
         by_marker = self._by_marker
-        merged: list[tuple[str, str, str]] = []
-        skipped: list[tuple[str, str, str]] = []
+        merged: list[tuple[str, str]] = []
+        skipped: list[tuple[str, str]] = []
         final: list[str] = []
         for node_id, type_id, marker in concepts:
             if marker is not None:
@@ -165,9 +172,9 @@ class _Assembler:
                     elif kept_type in up[type_id]:
                         types[kept_id] = type_id
                     else:
-                        skipped.append((marker, kept_id, node_id))
+                        skipped.append((node_id, kept_id))
                         continue
-                    merged.append((marker, kept_id, node_id))
+                    merged.append((node_id, kept_id))
                     final.append(kept_id)
                     break
                 else:

@@ -479,10 +479,10 @@ def gamma_cg_doc(gcg: GammaCG) -> dict:
     }
 
 
-def _kept_by_absorbed(entries) -> dict:
-    """Each absorbed node of (marker, kept, absorbed) entries with its kept nodes, in order."""
+def _kept_by_absorbed(pairs) -> dict:
+    """Each absorbed node of (absorbed, kept) pairs with its kept nodes, in order."""
     kept: dict = {}
-    for _, kept_id, other in entries:
+    for other, kept_id in pairs:
         kept.setdefault(other, []).append(kept_id)
     return kept
 
@@ -496,7 +496,7 @@ def derivations_text(provenances: list[GenerationProvenance]) -> str:
                 "gamma": draw.gamma_name,
                 "assignments": {name: value for name, value in draw.assignments},
                 "specialisations": {slot: steps for slot, steps in draw.specialisations},
-                "merged": {other: kept for _, kept, other in draw.merged},
+                "merged": {other: kept for other, kept in draw.merged},
                 "skippedMerges": _kept_by_absorbed(draw.skipped_merges),
             }
             for draw in provenance.draws

@@ -284,7 +284,7 @@ class TestGenerateOne:
         bob_nodes = [n for n in out.concepts.values() if n.marker == "bob"]
         assert len(bob_nodes) == 1
         merges = [m for d in provenance.draws for m in d.merged]
-        assert any(marker == "bob" for marker, _, _ in merges)
+        assert any(out.concepts[kept].marker == "bob" for _, kept in merges)
 
     def test_failing_gamma_skipped(self, tiny_vocab, plain_gamma):
         # The valid "broken" gamma-CG always fails instantiation and must be
@@ -427,7 +427,7 @@ class TestMarkerMint:
         minted = mint.mint("Person")
         graph = cg([ConceptNode("c0", "Person", minted)], [])
         gcg = GammaCG("g", graph)
-        extended = mint.extended_vocabulary()
+        extended = tiny_vocab.with_markers(mint.minted.values())
         assert minted in slot_domain(extended, gcg, VariableTarget(TARGET_MARKER, "c0"))
         assert minted in extended.markers
         assert extended.markers[minted].type_id == "Person"
@@ -438,7 +438,7 @@ class TestMarkerMint:
         mint = MarkerMint(tiny_vocab, "t")
         minted = mint.mint("Place")
         path = tmp_path / "voc.json"
-        save_vocabulary(path, mint.extended_vocabulary())
+        save_vocabulary(path, tiny_vocab.with_markers(mint.minted.values()))
         assert minted in load_vocabulary(path).markers
 
 
@@ -459,7 +459,7 @@ class TestMarkersByTypeOnDag:
     def test_index_matches_brute_scans_between_mints(self, dag_vocab):
         mint = MarkerMint(dag_vocab, "t")
         for next_mint in ("C", "E", "Top", "D", "C", "A", None):
-            vocab = mint.extended_vocabulary()
+            vocab = dag_vocab.with_markers(mint.minted.values())
             for type_id in vocab.concepts.type_ids():
                 carriers = brute_carriers(vocab, {**dag_vocab.markers, **mint.minted}, type_id)
                 assert mint.carriers(type_id) == carriers

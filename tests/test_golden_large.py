@@ -52,6 +52,12 @@ def test_large_cg_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
     assert sum(len(draw["merged"]) for draw in draws) == 7371
     skipped = [kept for draw in draws for kept in draw["skippedMerges"].values()]
     assert sum(map(len, skipped)) == 6758
+    # The benchmark's generator.merges and generator.skipped_merges count
+    # records: one per merged entry and one per kept id of skippedMerges.
+    records = [draw for provenance in generated for draw in provenance.draws]
+    assert sum(len(draw.merged) for draw in records) == 7371
+    assert sum(len(draw.skipped_merges) for draw in records) == 6758 > len(skipped)
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
-    # Each merge entry's marker is read back from its kept node.
+    # Each merge record reads back as the (absorbed, kept) pair it was generated as.
     assert load_dataset(out / "dataset").provenances == generated
+

@@ -30,7 +30,13 @@ def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
     vocabulary = json.loads((out / "vocabulary.json").read_text())
     assert any(m["id"].startswith("gcg-m") for m in vocabulary["markers"])
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
-    # The markers of merge entries, all minted by auto-gcg here, come from the CGs.
-    assert load_dataset(out / "dataset").provenances == generated
-    markers = {m for p in generated for d in p.draws for m, _, _ in d.merged + d.skipped_merges}
+    loaded = load_dataset(out / "dataset")
+    assert loaded.provenances == generated
+    # Each merge's marker, all minted by auto-gcg here, is its kept node's in the CG.
+    markers = {
+        graph.concepts[kept].marker
+        for graph, provenance in zip(loaded.graphs, generated)
+        for draw in provenance.draws
+        for _, kept in draw.merged + draw.skipped_merges
+    }
     assert markers and all(marker.startswith("gcg-m") for marker in markers)

@@ -225,16 +225,16 @@ class TestGammaCgWriter:
 PERSON = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
 
 
-def kept_nodes(provenance):
-    """A CG of ``PERSON`` and each kept node of ``provenance``, carrying its entry's marker."""
-    entries = [e for draw in provenance.draws for e in draw.merged + draw.skipped_merges]
-    concepts = {kept: ConceptNode(kept, "Person", marker) for marker, kept, _ in entries}
+def kept_nodes(provenance, marker):
+    """A CG of ``PERSON`` and each kept node of ``provenance``, carrying ``marker``."""
+    pairs = [pair for draw in provenance.draws for pair in draw.merged + draw.skipped_merges]
+    concepts = {kept: ConceptNode(kept, "Person", marker) for _, kept in pairs}
     return ConceptualGraph({**PERSON.concepts, **concepts}, {})
 
 
-def derivations(directory, provenances):
+def derivations(directory, provenances, marker="m"):
     """The derivations file that ``write_dataset`` writes for CGs with these derivations."""
-    cgs = [(kept_nodes(provenance), provenance) for provenance in provenances]
+    cgs = [(kept_nodes(provenance, marker), provenance) for provenance in provenances]
     formats.write_dataset(directory, cgs, GeneratorConfig(max_cgs=len(cgs), min_size=1))
     return (directory / "derivations.jsonl").read_text(encoding="utf-8")
 
@@ -252,8 +252,8 @@ class TestDerivationsWriter:
                             ODD[1],
                             ((ODD[0], ODD[2]), ("v2", ODD[4])),
                             ((f"concept-type:{ODD[3]}", 2), ("marker:c0", 0)),
-                            (("mé", "c0", "c4"), (ODD[5], ODD[2], "c9")),
-                            ((ODD[4], "c1", "c2"),),
+                            (("cé4", "c0"), (ODD[5], ODD[2])),
+                            ((ODD[4], "c1"), (ODD[4], ODD[3])),
                         ),
                     )
                 ),
@@ -271,7 +271,7 @@ class TestDerivationsWriter:
                         ),
                     )
                 )
-                for merged in [(("c0", "c1", "c2"),), (("c3", ODD[1], "c4"), ("c5", "c6", ODD[0]))]
+                for merged in [(("c2", "c1"),), (("c4", ODD[1]), (ODD[0], "c6"))]
             ],
         ],
         ids=[
@@ -283,19 +283,16 @@ class TestDerivationsWriter:
     def test_matches_json_dumps(self, provenances, tmp_path):
         text = derivations(tmp_path / "ds", provenances)
         assert text == derivations_text(provenances)
-        # The loader reads back every draw, each merge entry's marker from
-        # its kept node, and saving that gives the same bytes.
+        # The loader reads back every draw, and saving that gives the same bytes.
         loaded = load_dataset(tmp_path / "ds").provenances
         assert loaded == tuple(provenances)
         assert derivations(tmp_path / "again", loaded) == text
 
-    def test_marker_minted_for_a_cg_is_read_from_the_cg(self, tmp_path):
+    def test_marker_minted_for_a_cg_stays_in_the_cg(self, tmp_path):
         # Only the CG's document holds a cg<i>-m<n> marker and its kept nodes.
-        draw = ComponentDraw(
-            "g0", (), (), (("cg0-m0", "c1", "c3"),), (("cg0-m1", "c2", "c4"), ("cg0-m1", "c5", "c4"))
-        )
+        draw = ComponentDraw("g0", (), (), (("c3", "c1"),), (("c4", "c2"), ("c4", "c5")))
         provenances = [GenerationProvenance((draw,))]
-        text = derivations(tmp_path, provenances)
+        text = derivations(tmp_path, provenances, "cg0-m0")
         assert "cg0-m" not in text
         assert json.loads(text.splitlines()[1])["draws"][0]["skippedMerges"] == {"c4": ["c2", "c5"]}
         assert load_dataset(tmp_path).provenances == tuple(provenances)
@@ -340,7 +337,7 @@ class TestDerivationsWriter:
         assignments = (("v0", "alice"), ("v1", "bob"))
         steps = (("concept-type:c0", 1),)
         references = sys.getrefcount(assignments), sys.getrefcount(steps)
-        for number, merged in enumerate([(("c0", "c1", "c2"),), (("c3", "c4", "c5"),)]):
+        for number, merged in enumerate([(("c2", "c1"),), (("c5", "c4"),)]):
             draw = ComponentDraw("g0", assignments, steps, merged, ())
             provenances = [GenerationProvenance((draw,))]
             text = derivations(tmp_path / f"ds-{number}", provenances)
