@@ -106,6 +106,7 @@ class GammaCG(_GammaCG):
                 if node_id not in self.graph.concepts:
                     raise StructureError(f"variable {variable.name!r} targets missing concept {node_id!r}")
 
+
 def _incidences(graph: ConceptualGraph) -> dict[str, list[tuple[str, int]]]:
     """Each concept's (relation id, position) argument slots, in relation-id order."""
     incidences: dict[str, list[tuple[str, int]]] = {}
@@ -279,6 +280,7 @@ class MarkerMint:
             ids.extend(marker_id for type_id in above for marker_id in by_type.get(type_id, ()))
             found = self._carriers[concept_type] = tuple(sorted(ids))
         return found
+
 
 class InstantiationOutcome(NamedTuple):
     """The drawn labels of one instantiation plus the audit trail.

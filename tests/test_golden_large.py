@@ -60,4 +60,3 @@ def test_large_cg_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
     # Each merge record reads back as the (absorbed, kept) pair it was generated as.
     assert load_dataset(out / "dataset").provenances == generated
-
