@@ -20,7 +20,6 @@ from .core import (
     TypeHierarchy,
     Vocabulary,
     _walk_down,
-    random_descendant,
 )
 from .errors import ConfigError
 from .gamma import (
@@ -248,16 +247,16 @@ def _signature_component(
     arity = vocab.arity_of(seed_type)
     candidates = same_arity[arity]
     relation_type = candidates[rng.randrange(len(candidates))]
-    relation_type = random_descendant(
-        vocab.relations[arity], relation_type, AUTO_SPECIALISE_STEPS, rng
-    )
+    moves = rng.randint(0, AUTO_SPECIALISE_STEPS)
+    relation_type = _walk_down(vocab.relations[arity], relation_type, moves, rng)[0]
 
     concepts: list[ConceptNode] = []
     for position in range(arity):
         restriction = vocab.signature_of(relation_type).restrictions[position]
         below = compatible[restriction]
         concept_type = below[rng.randrange(len(below))]
-        concept_type = random_descendant(vocab.concepts, concept_type, AUTO_SPECIALISE_STEPS, rng)
+        moves = rng.randint(0, AUTO_SPECIALISE_STEPS)
+        concept_type = _walk_down(vocab.concepts, concept_type, moves, rng)[0]
         admissible = mint.carriers(concept_type)
         if admissible:
             marker = admissible[rng.randrange(len(admissible))]

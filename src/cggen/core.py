@@ -151,23 +151,6 @@ class TypeHierarchy(_TypeHierarchy):
         return tuple(sorted(self.labels))
 
 
-def random_descendant(
-    hierarchy: TypeHierarchy, type_id: str, steps: int, rng: random.Random
-) -> str:
-    """Walk at most ``steps`` edges down from ``type_id``.
-
-    The number of moves is drawn uniformly in [0, steps] before walking;
-    each edge is chosen uniformly among the current node's children and the
-    walk stops early at a leaf. The result is always <= ``type_id``.
-    """
-    hierarchy.require(type_id)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    moves = rng.randint(0, steps)
-    current, _taken = _walk_down(hierarchy, type_id, moves, rng)
-    return current
-
-
 def _walk_down(
     hierarchy: TypeHierarchy,
     type_id: str,
@@ -433,10 +416,6 @@ class Violation(NamedTuple):
 
 class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def lines(self) -> list[str]:
         return [f"{v.code} {v.subject}: {v.message}" for v in self.violations]

@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import FormatError, StructureError, VocabularyError
 from .gamma import GammaCG, Variable, VariableTarget
-from .generator import ComponentDraw, DatasetResult, GenerationProvenance, GeneratorConfig
+from .generator import DatasetResult, GenerationProvenance, GeneratorConfig
 from .metrics import DatasetStats, StatsTally
 
 FORMAT_VERSION = "3.0.0"
@@ -276,6 +276,8 @@ _INTEGER = {"type": "integer"}
 # json.loads reads NaN and Infinity; neither lies within these bounds.
 _NON_NEGATIVE = {"type": "number", "minimum": 0, "maximum": sys.float_info.max}
 _STRINGS = {"type": "array", "items": _STRING}
+# A number of downward specialisation steps.
+_STEPS = {"type": "integer", "minimum": 0}
 
 
 def _table(*optional: str, **properties: dict[str, Any]) -> dict[str, Any]:
@@ -304,7 +306,7 @@ _COUNTS = {"type": "object", "additionalProperties": _NON_NEGATIVE}
 _DRAW_TABLE = _table(
     gamma=_STRING,
     assignments={"type": "object", "additionalProperties": _STRING},
-    specialisations={"type": "object", "additionalProperties": _INTEGER},
+    specialisations={"type": "object", "additionalProperties": _STEPS},
     merged={"type": "object", "additionalProperties": _STRING},
     skippedMerges={"type": "object", "additionalProperties": _STRINGS},
 )
@@ -321,7 +323,7 @@ _TABLES = {
         config=_table(
             maxCGs={"type": "integer", "minimum": 1},
             minSize={"type": "integer", "minimum": 1},
-            maxSpe={"type": "integer", "minimum": 0},
+            maxSpe=_STEPS,
             seed=_INTEGER,
         ),
         stats=_table(cgCount=_INTEGER, nbNodes=_MEANS, nbLabels=_MEANS, arityCounts=_COUNTS),
@@ -730,28 +732,6 @@ def _derivation_writer() -> Callable[[GenerationProvenance], Iterator[str]]:
     return line
 
 
-# The columns of a derivations line, in ComponentDraw's field order.
-_DRAW_COLUMNS = itemgetter(*("draws[]." + key for key in _DRAW_TABLE["properties"]))
-
-
-def _provenance(columns: dict[str, list[Any]]) -> GenerationProvenance:
-    """The record of a checked derivations line, from its columns."""
-    gammas, assignments, specialisations, merged, skipped = _DRAW_COLUMNS(columns)
-    draws = map(
-        ComponentDraw,
-        gammas,
-        map(tuple, map(dict.items, assignments)),
-        map(tuple, map(dict.items, specialisations)),
-        map(tuple, map(dict.items, merged)),
-        # Most draws skip nothing: () spares them the comprehension.
-        (
-            tuple([(other, k) for other, kepts in skips.items() for k in kepts]) if skips else ()
-            for skips in skipped
-        ),
-    )
-    return GenerationProvenance(tuple(draws))
-
-
 _MARKER_OF = itemgetter(2)  # ConceptNode.marker, read without a Python call
 
 
@@ -785,10 +765,8 @@ def _check_kept(
 
 class LoadedDataset(NamedTuple):
     graphs: tuple[ConceptualGraph, ...]
-    files: tuple[str, ...]
     config: dict[str, Any]
     stats: DatasetStats
-    provenances: tuple[GenerationProvenance, ...]
 
 
 class DatasetManifest(NamedTuple):
@@ -832,14 +810,12 @@ def _derivation(lines: TextIO, path: Path, number: int, name: str) -> dict[str, 
     return _check("derivations", _object_in(text, path, number), f"{path}:{number}")
 
 
-def _dataset(
-    directory: Path, files: Sequence[str]
-) -> Iterator[tuple[str, ConceptualGraph, dict[str, list[Any]]]]:
-    """Each of ``files`` with its CG and the columns of its derivations line.
+def _dataset(directory: Path, files: Sequence[str]) -> Iterator[tuple[str, ConceptualGraph]]:
+    """Each of ``files`` with its CG, once its derivations line is checked.
 
     In ``files`` order, each CG is loaded, then its line is read and
-    checked, against the CG too. Nothing is kept from one CG to the next:
-    the parsed line of a CG of 4000 nodes takes about 3 MB.
+    checked, against the CG too, and dropped. Nothing is kept from one CG
+    to the next: the parsed line of a CG of 4000 nodes takes about 3 MB.
     """
     path = directory / DERIVATIONS_FILE
     try:
@@ -854,7 +830,7 @@ def _dataset(
             graph = load_cg(directory / name)
             columns = _derivation(lines, path, number, name)
             _check_kept(columns, graph, path, number, name)
-            yield name, graph, columns
+            yield name, graph
         if _readline(lines, path):
             raise FormatError(f"{path}: more lines than a header and one per CG")
 
@@ -863,15 +839,14 @@ def iter_dataset(directory: "str | Path") -> Iterator[tuple[str, ConceptualGraph
     """Each CG of a dataset with its file name, loaded one at a time.
 
     The manifest is checked before the first CG is loaded, and each CG's
-    derivation is checked right after the CG, in ``cgFiles`` order, so the
-    first error is the one ``load_dataset`` reports. No provenance record is
-    built, and each CG is freed once the caller drops it: the memory this
-    needs does not grow with the number of CGs.
+    derivation is checked right after the CG, in ``cgFiles`` order, and
+    dropped: the derivations are read only to be checked. ``load_dataset``
+    reads the same way, so the first error is the one it reports. Each CG
+    is freed once the caller drops it: the memory this needs does not grow
+    with the number of CGs.
     """
     directory = Path(directory)
-    files = read_manifest(directory).files
-    for name, graph, _ in _dataset(directory, files):
-        yield name, graph
+    yield from _dataset(directory, read_manifest(directory).files)
 
 
 def write_dataset(
@@ -939,25 +914,17 @@ def save_dataset(
 
 
 def load_dataset(directory: "str | Path") -> LoadedDataset:
-    """Load a whole dataset: every CG and its provenance record.
+    """Load a whole dataset: every CG, with the manifest's config and statistics.
 
-    The checks and their order are those of ``iter_dataset``, which reads
-    one CG at a time and builds no provenance record; ``cggen validate``
-    and ``cggen stats`` read a dataset through it.
+    The CGs are those ``iter_dataset`` yields, read and checked the same
+    way: each derivations line is checked and dropped, and no provenance
+    record is built. ``cggen validate`` and ``cggen stats`` read a dataset
+    one CG at a time through ``iter_dataset``.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
-    graphs, provenances = [], []
-    for _, graph, columns in _dataset(directory, manifest.files):
-        graphs.append(graph)
-        provenances.append(_provenance(columns))
-    return LoadedDataset(
-        graphs=tuple(graphs),
-        files=manifest.files,
-        config=manifest.config,
-        stats=manifest.stats,
-        provenances=tuple(provenances),
-    )
+    graphs = tuple(graph for _, graph in _dataset(directory, manifest.files))
+    return LoadedDataset(graphs, manifest.config, manifest.stats)
 
 
 def save_stage(directory: "str | Path", vocab: Vocabulary, gammas: Iterable[GammaCG]) -> None:

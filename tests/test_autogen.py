@@ -134,7 +134,7 @@ class TestAutoGammaCgs:
         graph = result.gammas[0].graph
         assert len(graph.relations) == 1
         assert 1 <= len(graph.concepts) <= 2
-        assert validate_graph(result.vocabulary, graph).ok
+        assert not validate_graph(result.vocabulary, graph).violations
 
     def test_size_bounds(self):
         vocab = auto_vocabulary(DEPTH4_VOC_CONFIG, fresh_rng("gcg-voc"))
@@ -148,7 +148,7 @@ class TestAutoGammaCgs:
         max_component = 1 + max(vocab.relations)
         for gcg in result.gammas:
             assert 8 <= gcg.graph.size < 8 + max_component
-            assert validate_graph(result.vocabulary, gcg.graph).ok
+            assert not validate_graph(result.vocabulary, gcg.graph).violations
             assert gcg.variables == ()
 
     def test_components_chain_through_shared_markers(self):
@@ -192,7 +192,7 @@ class TestAutoGammaCgs:
         )
         assert result.vocabulary.markers
         for gcg in result.gammas:
-            assert validate_graph(result.vocabulary, gcg.graph).ok
+            assert not validate_graph(result.vocabulary, gcg.graph).violations
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph, RelationNode
 from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_RELATION_TYPE
-from oracles import parse_dot
+from oracles import derivations_text, parse_dot
 from test_field_parity import read, source, write
 
 FULL_AUTO = {
@@ -631,7 +631,9 @@ class TestValidateStatsDot:
             provenances=[GenerationProvenance(draws=())] * 2,
             stats=compute_stats([graph, graph]),
         )
-        assert load_dataset(directory).provenances == (GenerationProvenance(()),) * 2
+        derivations = (directory / "derivations.jsonl").read_text(encoding="utf-8")
+        assert derivations == derivations_text([GenerationProvenance(())] * 2)
+        assert load_dataset(directory).graphs == (graph, graph)
         capsys.readouterr()
         assert main(["stats", str(directory)]) == 0
         row = capsys.readouterr().out.splitlines()[1]
@@ -827,6 +829,17 @@ def _bool_step(out):
         out, lambda doc: doc["draws"][0].update(specialisations={"concept-type:c0": False})
     )
     return "derivations.jsonl:2", "draws[0].specialisations.concept-type:c0 must be int"
+
+
+def _negative_step(out):
+    # Each step goes one type down, so no count of them is negative.
+    doc = json.loads(read(out / "dataset", "derivations.jsonl:2"))
+    steps = doc["draws"][0]["specialisations"]
+    slot = next(iter(steps))
+    steps[slot] = -7
+    write(out / "dataset", "derivations.jsonl:2", json.dumps(doc))
+    message = f"field draws[0].specialisations.{slot} must be int >= 0, found -7"
+    return "derivations.jsonl:2", message
 
 
 def _first_merge(doc):
@@ -1025,6 +1038,7 @@ class TestMalformedDataset:
             _drop_draw_gamma,
             _string_specialisation_steps,
             _bool_step,
+            _negative_step,
             _int_kept_id,
             _string_skipped_kept_ids,
             _format_2_merge_triples,

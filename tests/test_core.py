@@ -14,10 +14,10 @@ from cggen import (
     ArityError,
     Vocabulary,
     VocabularyError,
-    random_descendant,
     restriction_for,
     validate_graph,
 )
+from cggen.core import _walk_down
 from conftest import fresh_rng, make_hierarchy, random_dag_hierarchy
 from oracles import brute_subtype
 
@@ -86,14 +86,16 @@ class TestSubtype:
 
 
 class TestRandomDescendant:
+    """``_walk_down``, which autogen calls with a move count drawn in [0, steps]."""
+
     def test_zero_steps(self, tiny_vocab):
         rng = fresh_rng("rd0")
-        assert random_descendant(tiny_vocab.concepts, "Entity", 0, rng) == "Entity"
+        assert _walk_down(tiny_vocab.concepts, "Entity", 0, rng) == ("Entity", 0)
 
     def test_leaf_stays(self, tiny_vocab):
         rng = fresh_rng("rd-leaf")
         for _ in range(20):
-            assert random_descendant(tiny_vocab.concepts, "Student", 5, rng) == "Student"
+            assert _walk_down(tiny_vocab.concepts, "Student", 5, rng) == ("Student", 0)
 
     def test_one_step_distribution(self):
         # A node with exactly 3 children: all of them (and the node itself,
@@ -102,7 +104,7 @@ class TestRandomDescendant:
             CONCEPT, "root", [("a", "root"), ("b", "root"), ("c", "root")]
         )
         rng = fresh_rng("rd-dist")
-        seen = {random_descendant(hierarchy, "root", 1, rng) for _ in range(2000)}
+        seen = {_walk_down(hierarchy, "root", rng.randint(0, 1), rng)[0] for _ in range(2000)}
         assert seen == {"root", "a", "b", "c"}
 
     def test_result_below_start_and_depth_bounded(self):
@@ -113,7 +115,8 @@ class TestRandomDescendant:
             for _ in range(100):
                 start = rng.choice(ids)
                 steps = rng.randint(0, 4)
-                result = random_descendant(hierarchy, start, steps, rng)
+                result, taken = _walk_down(hierarchy, start, steps, rng)
+                assert taken <= steps
                 assert start in hierarchy.up[result]
                 # On a DAG the bound is on the walk: at most `steps` child edges.
                 reachable = {start}
@@ -143,7 +146,7 @@ class TestHierarchyInvariants:
 
     def test_repeated_parent_rejected(self):
         # Listed twice, "a" would be a child of "r" twice over and be picked
-        # twice as often as "b" by random_descendant.
+        # twice as often as "b" by _walk_down.
         with pytest.raises(VocabularyError, match="type 'a' lists parent 'r' twice"):
             TypeHierarchy(
                 CONCEPT,
@@ -276,12 +279,12 @@ class TestGraphStructure:
             [RelationNode("r0", "knows", ("c0", "c0"))],
         )
         assert graph.relations["r0"].args == ("c0", "c0")
-        assert validate_graph(tiny_vocab, graph).ok
+        assert not validate_graph(tiny_vocab, graph).violations
 
 
 class TestValidateGraph:
     def test_empty_graph_ok(self, tiny_vocab):
-        assert validate_graph(tiny_vocab, ConceptualGraph({}, {})).ok
+        assert not validate_graph(tiny_vocab, ConceptualGraph({}, {})).violations
 
     def test_valid_small_graph(self, tiny_vocab):
         graph = cg(
@@ -291,7 +294,7 @@ class TestValidateGraph:
             ],
             [RelationNode("r0", "knows", ("c0", "c1"))],
         )
-        assert validate_graph(tiny_vocab, graph).ok
+        assert not validate_graph(tiny_vocab, graph).violations
 
     def test_signature_violation_by_incomparable_sibling(self, tiny_vocab):
         # Replace a valid argument label with an incomparable sibling: one
@@ -303,7 +306,7 @@ class TestValidateGraph:
             ],
             [RelationNode("r0", "locatedIn", ("c0", "c1"))],
         )
-        assert validate_graph(tiny_vocab, graph).ok
+        assert not validate_graph(tiny_vocab, graph).violations
         broken = cg(
             [
                 ConceptNode("c0", "Person"),
@@ -360,7 +363,7 @@ class TestValidateGraph:
 
     def test_more_specific_than_marker_type_accepted(self, tiny_vocab):
         graph = cg([ConceptNode("c0", "Student", "alice")], [])
-        assert validate_graph(tiny_vocab, graph).ok
+        assert not validate_graph(tiny_vocab, graph).violations
 
     def test_arity_mismatch(self, tiny_vocab):
         graph = cg(

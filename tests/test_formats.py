@@ -39,7 +39,7 @@ from cggen.cli import main
 from cggen.formats import iter_dataset, load_document, save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
-from oracles import parse_dot
+from oracles import derivations_text, parse_dot
 from test_field_parity import case_id, cases, generate, mutated, read, write
 
 
@@ -238,7 +238,8 @@ class TestDatasetFormat:
         assert compute_stats(loaded.graphs) == loaded.stats
         assert loaded.config["maxCGs"] == config.max_cgs
         assert loaded.config["seed"] == config.seed
-        assert loaded.provenances == dataset.provenances
+        derivations = (directory / "derivations.jsonl").read_text(encoding="utf-8")
+        assert derivations == derivations_text(dataset.provenances)
 
     def test_byte_determinism(self, built, tmp_path):
         _, _, dataset, config = built
@@ -473,7 +474,7 @@ class TestEntryLoaders:
             load_dataset(directory)
         assert main(["stats", str(directory)]) == 2
 
-    def test_lenient_shapes_still_load(self, directory):
+    def test_lenient_shapes_still_load(self, built, directory):
         cg_path = directory / "cg-0000.json"
         doc = json.loads(cg_path.read_text())
         del doc["concepts"][0]["marker"]
@@ -486,7 +487,10 @@ class TestEntryLoaders:
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = '{"draws": []}\n'
         path.write_text("".join(lines))
-        assert load_dataset(directory).provenances[0] == GenerationProvenance(())
+        _, _, dataset, _ = built
+        expected = derivations_text([GenerationProvenance(()), *dataset.provenances[1:]])
+        assert path.read_text() == expected
+        assert load_dataset(directory).graphs[0] == ConceptualGraph({}, {})
 
 
 def _json_type(table, plural=""):
@@ -541,7 +545,7 @@ class TestFieldTables:
         """Every document of a small output, with each single-field fault of the parity guard.
 
         The first draw of a CG merges nothing, so two more faults break a
-        merge entry; three more break a bound, which no change of type does.
+        merge entry; four more break a bound, which no change of type does.
         """
         out = generate(tmp_path_factory.mktemp("tables"))
         mutated_documents = [
@@ -558,6 +562,10 @@ class TestFieldTables:
             merged = next(draw for draw in line["draws"] if draw["merged"])["merged"]
             merged[next(iter(merged))] = entry
             mutated_documents.append(("dataset/derivations.jsonl:2", label, line))
+        line = json.loads(read(out, "dataset/derivations.jsonl:2"))
+        steps = line["draws"][0]["specialisations"]
+        steps[next(iter(steps))] = -7
+        mutated_documents.append(("dataset/derivations.jsonl:2", "a negative step", line))
         for label, edit in [
             ("a NaN mean", lambda doc: doc["stats"]["nbNodes"].update(mean=float("nan"))),
             ("a negative deviation", lambda doc: doc["stats"]["nbNodes"].update(stddev=-1.0)),

@@ -335,7 +335,7 @@ class TestInstantiate:
             assert result.concepts["c0"].type_id in ("Person", "Student")
             assert result.concepts["c2"].marker in ("alice", "bob", "thing")
             assert result.relations["r1"].type_id in ("knows", "attends", "T2")
-            assert validate_graph(tiny_vocab, result).ok
+            assert not validate_graph(tiny_vocab, result).violations
 
     def test_domain_coverage(self, tiny_vocab, mint):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {})
@@ -366,7 +366,7 @@ class TestInstantiate:
             result = instantiated(tiny_vocab, gcg, rng, mint)
             assert result.relations["r1"].type_id == "attends"
             assert result.concepts["c0"].type_id == "Student"
-            assert validate_graph(tiny_vocab, result).ok
+            assert not validate_graph(tiny_vocab, result).violations
 
     def test_relation_value_against_fixed_arguments_rejected(self, tiny_vocab, mint, sample_gcg):
         # r0's argument c1 is a Place, so "knows" (Person, Person) can never
@@ -415,7 +415,7 @@ class TestInstantiate:
             else:
                 assert mint.minted[node.marker].type_id == "Person"
             drawn.add(node.type_id)
-            assert validate_graph(tiny_vocab.with_markers(mint.minted.values()), result).ok
+            assert not validate_graph(tiny_vocab.with_markers(mint.minted.values()), result).violations
         assert drawn == {"Person", "Student"}
 
     def test_marker_not_above_the_node_type_rejected(self, tiny_vocab, mint):
@@ -433,7 +433,7 @@ class TestInstantiate:
         gcg = gcg_of(graph, variables)
         result = instantiated(tiny_vocab, gcg, fresh_rng("unmarked"), mint)
         assert result.concepts["c0"].marker in ("alice", "bob")
-        assert validate_graph(tiny_vocab, result).ok
+        assert not validate_graph(tiny_vocab, result).violations
 
 
 class TestUnvalidatedInput:

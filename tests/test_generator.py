@@ -134,7 +134,7 @@ class TestJoin:
         assert merged.type_id == "Student"
         incident = {rel for rel, _ in brute_incidences(out, merged.node_id)}
         assert incident == {"ar", "br"}
-        assert validate_graph(tiny_vocab, out).ok
+        assert not validate_graph(tiny_vocab, out).violations
 
     def test_disjoint_markers_preserve_counts(self, tiny_vocab):
         rng = fresh_rng("join-counts")
@@ -255,7 +255,7 @@ class TestGenerateOne:
         assert canonical(graph) == canonical(plain_gamma.graph)
         assert [d.gamma_name for d in provenance.draws] == ["plain"]
         assert minted == ()
-        assert validate_graph(tiny_vocab, graph).ok
+        assert not validate_graph(tiny_vocab, graph).violations
 
     def test_size_bounds_over_seeded_runs(self, reference_fixture):
         vocab, gammas, _ = reference_fixture
@@ -497,7 +497,7 @@ class TestGenerateDataset:
             # The assembler builds each CG without ConceptualGraph's own
             # checks; it must still pass them.
             assert ConceptualGraph(*graph) == graph
-            assert validate_graph(result.vocabulary, graph).ok
+            assert not validate_graph(result.vocabulary, graph).violations
 
     def test_determinism(self, reference_fixture):
         vocab, gammas, _ = reference_fixture
