@@ -65,12 +65,15 @@ class ParamSpec(_ParamSpec):
 
 
 def sample_param(spec: ParamSpec, bounds: tuple[int, int], rng: random.Random) -> int:
-    """Round a (possibly gaussian) draw and clamp it into [lo, hi]."""
+    """Clamp a (possibly gaussian) draw into [lo, hi] and round it.
+
+    Clamping first keeps a draw that overflows to infinity from reaching round().
+    """
     lo, hi = bounds
     if lo > hi:
         raise ConfigError(f"invalid bounds [{lo}, {hi}]")
     value = spec.mean if spec.stddev == 0 else rng.gauss(spec.mean, spec.stddev)
-    return max(lo, min(hi, round(value)))
+    return round(max(lo, min(hi, value)))
 
 
 class _AutoVocConfig(NamedTuple):

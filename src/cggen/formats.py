@@ -576,10 +576,6 @@ def _cg_document(graph: ConceptualGraph) -> bytes:
     return (_CG % _graph_arrays(graph)).encode()
 
 
-def save_cg(path: "str | Path", graph: ConceptualGraph) -> None:
-    _write_bytes(path, _cg_document(graph))
-
-
 def load_cg(path: "str | Path") -> ConceptualGraph:
     # iter_dataset passes a Path per CG; building another took 2.8 us a call.
     path = path if isinstance(path, Path) else Path(path)

@@ -55,6 +55,12 @@ class TestSampleParam:
         assert all(1 <= d <= 10 for d in draws)
         assert abs(statistics.fmean(draws) - 5) < 0.1
 
+    def test_draw_that_overflows_is_clamped(self):
+        # gauss(1e308, 1e308) overflows to +-inf on some draws; they clamp to a bound.
+        rng = fresh_rng("sp5")
+        spec = ParamSpec.normal(1e308, 1e308)
+        assert all(0 <= sample_param(spec, (0, 10), rng) <= 10 for _ in range(100))
+
     def test_negative_stddev_rejected(self):
         with pytest.raises(ConfigError):
             ParamSpec.normal(5, -1)

@@ -15,9 +15,8 @@ from cggen import (
 from cggen import cli, formats, generator
 from cggen.cli import main
 from cggen.core import ConceptNode, ConceptualGraph, RelationNode
-from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_RELATION_TYPE
-from oracles import derivations_text, parse_dot
+from oracles import cg_doc, derivations_text, parse_dot
 from test_field_parity import read, source, write
 
 FULL_AUTO = {
@@ -564,7 +563,7 @@ class TestValidateStatsDot:
     def test_validate_broken_cg_file(self, generated, tmp_path, capsys):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "NoSuchType")}, {})
         path = tmp_path / "broken.json"
-        save_cg(path, graph)
+        path.write_text(json.dumps(cg_doc(graph)))
         rc = main(
             ["validate", str(path), "--vocab", str(generated / "vocabulary.json")]
         )
@@ -654,7 +653,8 @@ class TestUnwritableOutput:
 
     def test_export_dot_into_missing_directory(self, tmp_path, capsys):
         source = tmp_path / "cg.json"
-        save_cg(source, ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {}))
+        graph = ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {})
+        source.write_text(json.dumps(cg_doc(graph)))
         target = tmp_path / "missing-dir" / "x.dot"
         capsys.readouterr()
         assert main(["export-dot", str(source), "--out", str(target)]) == 2

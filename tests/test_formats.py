@@ -36,7 +36,7 @@ from cggen import (
 )
 from cggen import formats
 from cggen.cli import main
-from cggen.formats import iter_dataset, load_document, save_cg
+from cggen.formats import _cg_document, iter_dataset, load_document
 from cggen.gamma import TARGET_CONCEPT_TYPE
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
 from oracles import derivations_text, parse_dot
@@ -156,13 +156,13 @@ class TestVocabularyFormat:
 class TestGraphFormats:
     def test_empty_cg_round_trip(self, tmp_path):
         path = tmp_path / "cg.json"
-        save_cg(path, ConceptualGraph({}, {}))
+        path.write_bytes(_cg_document(ConceptualGraph({}, {})))
         assert load_cg(path) == ConceptualGraph({}, {})
 
     def test_generic_marker_serialized_as_null(self, tmp_path):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "Top")}, {})
         path = tmp_path / "cg.json"
-        save_cg(path, graph)
+        path.write_bytes(_cg_document(graph))
         doc = json.loads(path.read_text())
         assert doc["concepts"][0]["marker"] is None
         assert load_cg(path) == graph
@@ -171,11 +171,9 @@ class TestGraphFormats:
         _, _, dataset, _ = built
         for index, graph in enumerate(dataset.graphs):
             path = tmp_path / f"cg{index}.json"
-            save_cg(path, graph)
+            path.write_bytes(_cg_document(graph))
             assert load_cg(path) == graph
-            first = path.read_bytes()
-            save_cg(path, load_cg(path))
-            assert path.read_bytes() == first
+            assert _cg_document(load_cg(path)) == path.read_bytes()
 
     def test_dangling_reference_rejected(self, tmp_path):
         path = tmp_path / "cg.json"

@@ -40,7 +40,6 @@ from cggen import (
     save_vocabulary,
 )
 from cggen import formats
-from cggen.formats import save_cg
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_MARKER, TARGET_RELATION_TYPE
 from cggen.generator import ComponentDraw, GenerationProvenance
 from conftest import REFERENCE_VAR_CONFIG, REFERENCE_VOC_CONFIG, fresh_rng
@@ -161,25 +160,22 @@ class TestCgWriter:
         ],
         ids=["empty", "one-generic", "odd-strings-arity-1-3", "arity-0-4-5"],
     )
-    def test_matches_json_dumps(self, graph, tmp_path):
-        path = tmp_path / "cg.json"
-        save_cg(path, graph)
-        assert path.read_text(encoding="utf-8") == expected(cg_doc(graph))
+    def test_matches_json_dumps(self, graph):
+        assert formats._cg_document(graph).decode() == expected(cg_doc(graph))
 
-    def test_generated_graphs(self, generated, tmp_path):
+    def test_generated_graphs(self, generated):
         _, dataset, _ = generated
-        for index, graph in enumerate(dataset.graphs):
-            path = tmp_path / f"cg{index}.json"
-            save_cg(path, graph)
-            assert path.read_text(encoding="utf-8") == expected(cg_doc(graph))
+        for graph in dataset.graphs:
+            assert formats._cg_document(graph).decode() == expected(cg_doc(graph))
 
     def test_short_writes_are_completed(self, monkeypatch, tmp_path):
         # os.write may take fewer bytes than it is given; the writer writes the rest.
         write = formats.os.write
         monkeypatch.setattr(formats.os, "write", lambda fd, data: write(fd, data[:7]))
         path = tmp_path / "cg.json"
-        save_cg(path, odd_graph())
-        assert path.read_text(encoding="utf-8") == expected(cg_doc(odd_graph()))
+        data = formats._cg_document(odd_graph())
+        formats._write_bytes(path, data)
+        assert path.read_bytes() == data
 
 
 class TestVocabularyWriter:
