@@ -3,9 +3,9 @@
 The digest covers every file's relative path and bytes. It may only change
 in a change that sets out to alter the output and says so in CHANGES.md.
 
-The content digest covers the same tree with each line of the derivations
-file read as a JSON value, so it holds through a change of that file's
-whitespace alone and fails on any change of what the run wrote.
+The content digest covers the same tree with each JSON document, and each
+line of the derivations file, read as a JSON value. It holds through a
+change of whitespace alone and fails on any change of what the run wrote.
 """
 
 import hashlib
@@ -32,7 +32,7 @@ README_CONFIG = {
 
 GOLDEN_FILES = 73
 GOLDEN_SHA256 = "08003676268dbf66002d9ea465bcc6332435589bdac0935c9ca9e4f181eb55bd"
-GOLDEN_CONTENT_SHA256 = "abe5723ec7eea5f0793af0d21afb4f05c89eaa61beb0a2a1e43e7746226f5dc0"
+GOLDEN_CONTENT_SHA256 = "65bbf40f503ab6c526029a802719a024564ca260ca96c88db0bd226bcd8b2056"
 
 
 def tree_digest(root):
@@ -46,13 +46,15 @@ def tree_digest(root):
 
 
 def content_digest(root):
-    """``tree_digest`` with each line of dataset/derivations.jsonl as its sorted-key JSON value."""
+    """``tree_digest`` with each JSON file, and each derivations line, as its sorted-key value."""
     digest = hashlib.sha256()
     files = sorted(p for p in root.rglob("*") if p.is_file())
     for path in files:
         name = path.relative_to(root).as_posix()
         data = path.read_bytes()
-        if name == "dataset/derivations.jsonl":
+        if name.endswith(".json"):
+            data = json.dumps(json.loads(data), sort_keys=True).encode()
+        elif name == "dataset/derivations.jsonl":
             lines = data.decode("utf-8").splitlines()
             data = "".join(json.dumps(json.loads(line), sort_keys=True) for line in lines).encode()
         digest.update(name.encode("utf-8") + b"\0")
