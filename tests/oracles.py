@@ -418,7 +418,7 @@ def recount_stats(dataset: list[ConceptualGraph]) -> dict:
 
 
 def vocabulary_doc(vocab: Vocabulary) -> dict:
-    """The vocabulary document as a dict; the writer must match json.dumps(doc, indent=2)."""
+    """The vocabulary document as a dict; the writer must match json.dumps(doc) + "\\n"."""
 
     def hierarchy(h: TypeHierarchy, signed: bool) -> dict:
         types = []
@@ -445,7 +445,7 @@ def vocabulary_doc(vocab: Vocabulary) -> dict:
 
 
 def cg_doc(graph: ConceptualGraph) -> dict:
-    """The cg document as a dict; the writer must match json.dumps(doc, indent=2)."""
+    """The cg document as a dict; the writer must match json.dumps(doc) + "\\n"."""
     return {"formatVersion": "3.0.0", "kind": "cg", **_graph_members(graph)}
 
 

@@ -1,7 +1,9 @@
 """Byte-identity contract: the SHA-256 of a fixed seeded `cggen generate` tree.
 
-The digest covers every file's relative path and bytes. It may only change
-in a change that sets out to alter the output and says so in CHANGES.md.
+The digest covers every file's relative path and bytes, so it pins the
+layout (each document is json.dumps(document) + "\\n") as well as the
+values. It may only change in a change that sets out to alter the output
+and says so in CHANGES.md.
 
 The content digest covers the same tree with each JSON document, and each
 line of the derivations file, read as a JSON value. It holds through a
@@ -31,7 +33,7 @@ README_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "08003676268dbf66002d9ea465bcc6332435589bdac0935c9ca9e4f181eb55bd"
+GOLDEN_SHA256 = "172fc98b13550ffb05a267e53d4442948a5e927f3c6d996ed192ca4eb08eb10a"
 GOLDEN_CONTENT_SHA256 = "65bbf40f503ab6c526029a802719a024564ca260ca96c88db0bd226bcd8b2056"
 
 

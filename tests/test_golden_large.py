@@ -23,7 +23,7 @@ LARGE_CONFIG = {
 }
 
 GOLDEN_FILES = 25
-GOLDEN_SHA256 = "94e35e2ceeb407d35309bf5fb433a4ac4ebdd9c50ee9108b0d05c6e7adbe70fa"
+GOLDEN_SHA256 = "2a3061d653fd94593906ee6a81801ed70130155f60f4e01dfa054c4b1e57c638"
 
 
 def generate_recording(tmp_path, monkeypatch, config):

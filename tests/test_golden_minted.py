@@ -22,7 +22,7 @@ MINTED_CONFIG = {
 }
 
 GOLDEN_FILES = 73
-GOLDEN_SHA256 = "847b33471c2124c7aefc619604ca783dc0411bd01b750d8f9d10f568c5d30c19"
+GOLDEN_SHA256 = "66f04731ac79218fddadc4c73729277be102f0184f1d641c70677079791ca640"
 
 
 def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys, monkeypatch):

@@ -19,8 +19,8 @@ from test_golden import tree_digest
 
 GOLDEN_FILES = 111
 GOLDEN_SHA256 = {
-    0: "ddbc3134eca6238497baba63001677642708b1702c7afc1c32fc117b038cdedd",
-    3: "a2569d3edc284f2c41b97eeb73438eeeb2e3419492e66c527b9dd4375368012b",
+    0: "eb0147cb886f87e74713c2f4290c87e32a5efdbfa861462b0e8799a1fd53fffe",
+    3: "a3176871805c98183f54fa0e2381e2dedcab3614ecab8e98e53549bf500404f6",
 }
 
 

@@ -35,7 +35,7 @@ RICH_CONFIG = {
 }
 
 GOLDEN_FILES = 26
-GOLDEN_SHA256 = "9c19800d2bcec42a81cf3145d40509c21e328e5e24639843afd94b6c258d1456"
+GOLDEN_SHA256 = "03fc1dd9947424e58cec66aaf94699653084cf336d3aa991bd9d83424718aa27"
 
 
 def test_rich_output_digest_is_pinned(tmp_path, capsys):

@@ -1,9 +1,8 @@
-"""The fixed-layout writers must emit the layout docs/formats.md documents.
+"""The writers must emit the layout docs/formats.md documents.
 
-That is json.dumps(doc, indent=2) + "\\n" for every document, and
-json.dumps(value) + "\\n" for each line of a dataset's derivations file. The
-dict documents come from tests/oracles.py, built independently of the
-library's writers.
+That is json.dumps(value) + "\\n" for every document and for each line of a
+dataset's derivations file. The dict documents come from tests/oracles.py,
+built independently of the library's writers.
 """
 
 import json
@@ -55,7 +54,7 @@ SHARED_STEPS = (("concept-type:c0", 2), ("marker:c1", 0))
 
 
 def expected(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def odd_graph():
