@@ -114,7 +114,6 @@ class _Batch:
 
 
 _BY_ID = itemgetter(0)
-_MEMBER = "%s: %s".__mod__
 
 
 # How many encoded objects of each kind a dataset write keeps. Each entry
@@ -123,6 +122,8 @@ _MEMBER = "%s: %s".__mod__
 # (tests/peak_rss.py, CPython 3.11) peaked at 30.3 and 30.6 MB with 1,024
 # entries, 31.9 and 33.2 MB with 4,096, and 32.0 and 42.5 MB unbounded.
 _OBJECT_CACHE = 1024
+
+_MEMBER = "%s: %s".__mod__
 
 
 def _compact(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str]) -> str:
@@ -391,7 +392,9 @@ def _require_unique(ids: list[Any], distinct: int, path: Path, message: str) -> 
             seen.add(item)
 
 
-def _hierarchy_doc(hierarchy: TypeHierarchy, signatures: dict[str, Signature] | None) -> dict:
+def _hierarchy_doc(
+    hierarchy: TypeHierarchy, signatures: dict[str, Signature] | None
+) -> dict[str, Any]:
     """The "root" and "types" members of a hierarchy; relation types carry a "signature"."""
     labels, parents = hierarchy.labels, hierarchy.parents
     types = []
