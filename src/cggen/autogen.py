@@ -231,12 +231,11 @@ def _signature_component(
     same_arity: dict[int, tuple[str, ...]],
     compatible: dict[str, list[str]],
     rng: random.Random,
-    concept_counter: int,
-    relation_counter: int,
 ) -> tuple[list[ConceptNode], list[tuple[str, str, range]]]:
     """One relation node with freshly typed and marked concept arguments.
 
-    Returned as the concept and relation rows of ``_Assembler.absorb``.
+    Returned as the concept and relation rows of ``_Assembler.absorb``,
+    which names the nodes.
     ``same_arity`` maps each arity to its relation type ids and
     ``compatible`` each concept type to the ids of the types at or below it,
     both sorted once by the caller.
@@ -265,8 +264,8 @@ def _signature_component(
             marker = admissible[rng.randrange(len(admissible))]
         else:
             marker = mint.mint(concept_type)
-        concepts.append(ConceptNode(f"c{concept_counter + position}", concept_type, marker))
-    return concepts, [(f"r{relation_counter}", relation_type, range(arity))]
+        concepts.append(ConceptNode(f"c{position}", concept_type, marker))
+    return concepts, [("r0", relation_type, range(arity))]
 
 
 def auto_gamma_cgs(
@@ -290,22 +289,11 @@ def auto_gamma_cgs(
     for index in range(count):
         target_size = sample_param(config.min_size, (1, 100_000), rng)
         assembler = _Assembler(vocab)
-        concept_counter = 0
-        relation_counter = 0
         while assembler.size < target_size:
-            concepts, relations = _signature_component(
-                vocab,
-                mint,
-                all_relation_types,
-                same_arity,
-                compatible,
-                rng,
-                concept_counter,
-                relation_counter,
+            rows = _signature_component(
+                vocab, mint, all_relation_types, same_arity, compatible, rng
             )
-            concept_counter += len(concepts)
-            relation_counter += 1
-            assembler.absorb(concepts, relations)
+            assembler.absorb(rows, {}, {})
         gammas.append(GammaCG(f"gcg-{index}", assembler.snapshot()))
 
     return AutoGcgResult(tuple(gammas), vocab.with_markers(mint.minted.values()))

@@ -416,7 +416,20 @@ def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
         # Held back until the whole dataset has loaded: a load error reports
         # only itself, whatever the CGs before it held.
         lines: list[str] = []
-        for name, graph in formats.iter_dataset(dataset_dir):
+        manifest = formats.read_manifest(dataset_dir)
+        max_cgs, min_size = manifest.config["maxCGs"], manifest.config["minSize"]
+        if manifest.stats.cg_count != max_cgs:
+            lines.append(
+                f"{dataset_dir / formats.MANIFEST_FILE}: count-mismatch:"
+                f" cgCount {manifest.stats.cg_count} is not config.maxCGs {max_cgs}"
+            )
+        # iter_dataset's reading, with the manifest read once.
+        for name, graph in formats._dataset(dataset_dir, manifest.files):
+            if graph.size < min_size:
+                lines.append(
+                    f"{dataset_dir / name}: too-small: {graph.size} nodes,"
+                    f" below config.minSize {min_size}"
+                )
             report = validate_graph(vocab, graph)
             lines.extend(f"{dataset_dir / name}: {line}" for line in report.lines())
         diagnostics.extend(lines)

@@ -292,8 +292,11 @@ def _types(table: dict[str, Any]) -> list[type]:
 
 def _constraint(table: dict[str, Any]) -> Callable[[list[Any]], bool] | None:
     """Whether the values of a column, all of accepted types, pass what ``table`` also says."""
-    if "minimum" in table:  # NaN fails every comparison
+    if "minimum" in table:
         low, high = table["minimum"], table.get("maximum", math.inf)
+        if table["type"] == "integer":  # no NaN: C-level min and max bound it
+            return lambda column: not column or low <= min(column) and max(column) <= high
+        # NaN fails every comparison, but min and max may pass over one.
         return lambda column: all(low <= value <= high for value in column)
     return None
 
@@ -845,7 +848,7 @@ def load_dataset(directory: "str | Path") -> LoadedDataset:
     The CGs are those ``iter_dataset`` yields, read and checked the same
     way: each derivations line is checked and dropped, and no provenance
     record is built. ``cggen validate`` and ``cggen stats`` read a dataset
-    one CG at a time through ``iter_dataset``.
+    one CG at a time, as ``iter_dataset`` does.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)

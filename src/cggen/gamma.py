@@ -302,12 +302,18 @@ class DrawPlan:
     - each relation and concept variable's stored domain, as it is;
     - for each incident relation that carries a relation variable, the
       restriction at that position for every type it can draw;
-    - each marker variable's domain as (marker, type) pairs;
-    - ``rows``, the one attribute the generator reads to assemble a draw:
-      the concepts by position (``ConceptNode``s), the relations by
-      position as (id, type, argument positions), and the type slots in
-      draw order as (provenance key, node id, hierarchy, argument (id,
-      type) pairs, or ``None`` for a concept slot).
+    - each marker variable's domain, filtered for each type its node can
+      be drawn with;
+    - ``rows``, what the generator's ``_Assembler.absorb`` names, labels
+      and joins in one pass: the concepts by position (``ConceptNode``s)
+      and the relations by position as (id, type, argument positions);
+    - ``slots``, the type slots the generator specialises, in draw order,
+      as (provenance key, node id, hierarchy, and the argument ids and
+      their types, or ``None`` for a concept slot).
+
+    ``admitted`` starts empty and caches, for the generator's specialise
+    step, the children of a relation type whose signature admits given
+    argument types, keyed by (type, argument types).
 
     The gamma-CG must pass ``validate_gamma`` against the vocabulary:
     nothing here checks a label or a domain value again. Every list keeps
@@ -337,7 +343,7 @@ class DrawPlan:
                     f"{TARGET_RELATION_TYPE}:{node.node_id}",
                     node.node_id,
                     vocab.relation_hierarchy(node.type_id),
-                    tuple((arg, graph.concepts[arg].type_id) for arg in node.args),
+                    (node.args, tuple(graph.concepts[arg].type_id for arg in node.args)),
                 )
             )
 
@@ -352,41 +358,44 @@ class DrawPlan:
             concept_steps.append((variable.name, node_id, variable.domain, drawn))
             slots.append((f"{TARGET_CONCEPT_TYPE}:{node_id}", node_id, concepts, None))
 
+        up = concepts.up
         markers = vocab.markers
-        marker_steps = tuple(
-            (
-                variable.name,
-                variable.target.node_id,
-                graph.concepts[variable.target.node_id].type_id,
-                tuple((marker_id, markers[marker_id].type_id) for marker_id in variable.domain),
-            )
-            for variable in by_kind[TARGET_MARKER]
-        )
+        drawn_types = {node_id: domain for _, node_id, domain, _ in concept_steps}
+        marker_steps = []
+        for variable in by_kind[TARGET_MARKER]:
+            node_id = variable.target.node_id
+            node_type = graph.concepts[node_id].type_id
+            by_type = {
+                type_id: [m for m in variable.domain if markers[m].type_id in up[type_id]]
+                for type_id in drawn_types.get(node_id, (node_type,))
+            }
+            marker_steps.append((variable.name, node_id, node_type, by_type))
 
         position = {node_id: index for index, node_id in enumerate(graph.concepts)}
         self.gcg = gcg
-        self._up = concepts.up
+        self._up = up
         self._relation_steps = tuple(relation_steps)
         self._concept_steps = tuple(concept_steps)
-        self._marker_steps = marker_steps
+        self._marker_steps = tuple(marker_steps)
         self.rows = (
             tuple(graph.concepts.values()),
             tuple(
                 (node.node_id, node.type_id, tuple(position[arg] for arg in node.args))
                 for node in graph.relations.values()
             ),
-            tuple(slots),
         )
+        self.slots = tuple(slots)
+        self.admitted: dict[tuple[str, tuple[str, ...]], list[str]] = {}
 
     def draw(self, rng: random.Random, mint: MarkerMint) -> InstantiationOutcome:
         """Draw every variable once; see ``instantiate``."""
         up = self._up
+        choice = rng.choice
         labels: dict[str, str] = {}
         assignments: list[tuple[str, str]] = []
         for name, node_id, domain in self._relation_steps:
-            choice = rng.choice(domain)
-            labels[node_id] = choice
-            assignments.append((name, choice))
+            value = labels[node_id] = choice(domain)
+            assignments.append((name, value))
 
         for name, node_id, effective, drawn in self._concept_steps:
             if drawn:
@@ -398,21 +407,15 @@ class DrawPlan:
                 raise InstantiationError(
                     f"variable {name!r} of {self.gcg.name!r} has no admissible concept type"
                 )
-            choice = rng.choice(effective)
-            labels[node_id] = choice
-            assignments.append((name, choice))
+            value = labels[node_id] = choice(effective)
+            assignments.append((name, value))
 
         markers: dict[str, str] = {}
-        for name, node_id, node_type, pairs in self._marker_steps:
+        for name, node_id, node_type, by_type in self._marker_steps:
             node_type = labels.get(node_id, node_type)
-            carried = up[node_type]
-            effective = [marker_id for marker_id, type_id in pairs if type_id in carried]
-            if effective:
-                choice = rng.choice(effective)
-            else:
-                choice = mint.mint(node_type)
-            markers[node_id] = choice
-            assignments.append((name, choice))
+            effective = by_type[node_type]
+            value = markers[node_id] = choice(effective) if effective else mint.mint(node_type)
+            assignments.append((name, value))
 
         return InstantiationOutcome(labels, markers, tuple(assignments))
 

@@ -7,9 +7,10 @@ specialized label by label (only labels that were type variables, at most
 individual marker collapse to one node that keeps the most specific of the
 types and inherits both neighborhoods.
 
-A draw is assembled by position from the rows its gamma-CG's ``DrawPlan``
-compiled once; its nodes take the CG's next ``c<i>``/``r<j>`` ids, so no
-id is remapped through a dict.
+A draw is joined in one pass over the rows its gamma-CG's ``DrawPlan``
+compiled once: ``_Assembler.absorb`` gives each node the CG's next
+``c<i>``/``r<j>`` id and its drawn label and marker, and merges or adds it,
+so no id is remapped through a dict and no per-draw node list is built.
 
 Dataset generation derives one independent RNG stream and one marker
 namespace per output index from the seed, so CG ``i`` is the same whichever
@@ -21,16 +22,14 @@ from __future__ import annotations
 import random
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
     ConceptualGraph,
     Marker,
     RelationNode,
-    TypeHierarchy,
     Vocabulary,
-    _walk_down,
     plain_file_name,
     signature_admits,
 )
@@ -38,7 +37,6 @@ from .errors import ConfigError, GenerationError, InstantiationError, StructureE
 from .gamma import (
     DrawPlan,
     GammaCG,
-    InstantiationOutcome,
     MarkerMint,
     validate_gamma,
 )
@@ -122,14 +120,16 @@ class DatasetResult(NamedTuple):
 
 
 class _Assembler:
-    """Folds graphs into a growing union, merging coreferent concept nodes.
+    """Folds draws into a growing union, merging coreferent concept nodes.
 
     Each absorbed concept either merges into an already-present node with
     the same marker (keeping the most specific of the two types) or is added
     as-is; candidates with an incomparable type leave the pair unmerged, so
     a marker may legitimately sit on several nodes. Relation nodes are
     always added, with argument references redirected to merged nodes.
-    Concept nodes are built once, by ``snapshot``.
+    Absorbed nodes take the next ``c<n>``/``r<n>`` ids in the same pass, a
+    merged concept still using up its number. Concept nodes are built once,
+    by ``snapshot``.
     """
 
     def __init__(self, vocab: Vocabulary) -> None:
@@ -138,6 +138,7 @@ class _Assembler:
         self._markers: dict[str, str | None] = {}
         self._relations: dict[str, RelationNode] = {}
         self._by_marker: dict[str, list[str]] = {}
+        self._next_concept = self._next_relation = 0
 
     @property
     def size(self) -> int:
@@ -145,49 +146,62 @@ class _Assembler:
 
     def absorb(
         self,
-        concepts: Iterable[tuple[str, str, str | None]],
-        relations: Iterable[tuple[str, str, Sequence[int]]],
+        rows: tuple[Sequence[ConceptNode], Sequence[tuple[str, str, Sequence[int]]]],
+        labels: Mapping[str, str],
+        markers: Mapping[str, str],
     ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-        """Fold one component in; return its (absorbed id, kept id) merges and skipped merges.
+        """Fold one draw in; return its (absorbed id, kept id) merges and skipped merges.
 
-        ``concepts`` holds (id, type, marker) rows and ``relations`` holds
-        (id, type, argument positions) rows, each position indexing
-        ``concepts``. The ids must not collide with ids absorbed before.
+        ``rows`` holds the concept rows and the (id, type, argument
+        positions) relation rows of ``DrawPlan.rows``, each position
+        indexing the concept rows. A row's type is replaced by its id's
+        entry in ``labels`` and a concept's marker by its entry in
+        ``markers``, if any; the row ids serve only as those keys. In the
+        same pass each concept row takes the next ``c<n>`` and each relation
+        row the next ``r<n>``.
         """
         up = self._up
         types = self._types
-        markers = self._markers
+        kept_markers = self._markers
         by_marker = self._by_marker
         merged: list[tuple[str, str]] = []
         skipped: list[tuple[str, str]] = []
         final: list[str] = []
-        for node_id, type_id, marker in concepts:
-            if marker is not None:
-                candidates = by_marker.setdefault(marker, [])
-                for kept_id in candidates:
-                    kept_type = types[kept_id]
-                    # Keep the lower of two comparable types; leave incomparable ones apart.
-                    if type_id in up[kept_type]:
-                        pass
-                    elif kept_type in up[type_id]:
-                        types[kept_id] = type_id
-                    else:
-                        skipped.append((node_id, kept_id))
-                        continue
-                    merged.append((node_id, kept_id))
-                    final.append(kept_id)
-                    break
+        concept_rows, relation_rows = rows
+        for number, (row_id, type_id, marker) in enumerate(concept_rows, self._next_concept):
+            node_id = f"c{number}"
+            type_id = labels.get(row_id, type_id)
+            marker = markers.get(row_id, marker)
+            # No node is filed under None, so an unmarked concept is always added.
+            for kept_id in by_marker.get(marker, ()):
+                kept_type = types[kept_id]
+                # Keep the lower of two comparable types; leave incomparable ones apart.
+                if type_id in up[kept_type]:
+                    pass
+                elif kept_type in up[type_id]:
+                    types[kept_id] = type_id
                 else:
-                    candidates.append(node_id)
-                    kept_id = None
-                if kept_id is not None:
+                    skipped.append((node_id, kept_id))
                     continue
-            final.append(node_id)
-            types[node_id] = type_id
-            markers[node_id] = marker
+                merged.append((node_id, kept_id))
+                final.append(kept_id)
+                break
+            else:
+                final.append(node_id)
+                types[node_id] = type_id
+                kept_markers[node_id] = marker
+                if marker is not None:
+                    by_marker.setdefault(marker, []).append(node_id)
         added = self._relations
-        for node_id, type_id, args in relations:
-            added[node_id] = RelationNode(node_id, type_id, tuple([final[a] for a in args]))
+        # tuple.__new__ skips the Python-level RelationNode.__new__.
+        new = tuple.__new__
+        for number, (row_id, type_id, args) in enumerate(relation_rows, self._next_relation):
+            node_id = f"r{number}"
+            # From a list, not an iterator: an exact-size tuple, taken from the free list.
+            kept_args = tuple([final[a] for a in args])
+            added[node_id] = new(RelationNode, (node_id, labels.get(row_id, type_id), kept_args))
+        self._next_concept += len(concept_rows)
+        self._next_relation += len(relation_rows)
         return tuple(merged), tuple(skipped)
 
     def snapshot(self) -> ConceptualGraph:
@@ -202,37 +216,49 @@ class _Assembler:
 
 def _specialise(
     vocab: Vocabulary,
-    slots: Sequence[tuple[str, str, TypeHierarchy, tuple[tuple[str, str], ...] | None]],
-    outcome: InstantiationOutcome,
+    plan: DrawPlan,
+    labels: dict[str, str],
     spread: Sequence[int],
     rng: random.Random,
-) -> tuple[dict[str, str], tuple[tuple[str, int], ...]]:
+) -> tuple[tuple[str, int], ...]:
     """Walk each type-variable label down its hierarchy, ``rng.choice(spread)`` moves at most.
 
-    ``slots`` are the type slots of the draw's ``DrawPlan.rows`` and
-    ``spread`` is ``range(max_spe + 1)``. Returns the drawn labels, extended
-    in place with the new label of each type slot, and the steps taken per
-    slot. Relation labels only step to children whose signatures stay
-    satisfied by the node's current argument types; concept labels may take
-    any downward step (descending preserves every constraint).
+    ``plan`` is the draw's ``DrawPlan``, ``labels`` its drawn labels and
+    ``spread`` is ``range(max_spe + 1)``. Sets the new label of each of
+    ``plan.slots`` in ``labels`` and returns the steps taken per slot.
+    Relation labels only step to children whose signatures stay
+    satisfied by the node's current argument types, which ``plan.admitted``
+    caches by (type, argument types); concept labels may take any downward
+    step (descending preserves every constraint).
     """
-    labels = outcome.labels
+    choice = rng.choice
+    admitted = plan.admitted
     steps_taken: list[tuple[str, int]] = []
-    for key, node_id, hierarchy, args in slots:
-        moves = rng.choice(spread)
-        if args is None:
-            labels[node_id], taken = _walk_down(hierarchy, labels[node_id], moves, rng)
-        else:
-            arg_types = [labels.get(arg, type_id) for arg, type_id in args]
-            labels[node_id], taken = _walk_down(
-                hierarchy,
-                labels[node_id],
-                moves,
-                rng,
-                lambda child: signature_admits(vocab, child, arg_types),
-            )
+    for key, node_id, hierarchy, args in plan.slots:
+        moves = choice(spread)
+        children = hierarchy.children
+        current = labels[node_id]
+        if args is not None and moves:
+            arg_types = tuple(map(labels.get, *args))
+        taken = 0
+        while taken < moves:
+            if args is None:
+                kids = children[current]
+            else:
+                kids = admitted.get((current, arg_types))
+                if kids is None:
+                    kids = admitted[current, arg_types] = [
+                        child
+                        for child in children[current]
+                        if signature_admits(vocab, child, arg_types)
+                    ]
+            if not kids:
+                break
+            current = choice(kids)
+            taken += 1
+        labels[node_id] = current
         steps_taken.append((key, taken))
-    return labels, tuple(steps_taken)
+    return tuple(steps_taken)
 
 
 # One generated CG: its graph, its provenance and the markers minted for it.
@@ -258,10 +284,9 @@ def generate_one(
         raise ConfigError("plans must be non-empty")
 
     rng = derive_rng(config.seed, "cg", index)
+    choice = rng.choice
     mint = MarkerMint(vocab, f"cg{index}")
     assembler = _Assembler(vocab)
-    # Sequential ids local to this CG; merged concepts still use up a number.
-    next_concept = next_relation = 0
     draws: list[ComponentDraw] = []
     indices = range(len(plans))
     spread = range(config.max_spe + 1)
@@ -273,7 +298,7 @@ def generate_one(
         total_draws += 1
         if total_draws > _MAX_DRAWS_PER_CG:
             raise GenerationError("generation is not making progress towards min_size")
-        gamma = rng.choice(indices)
+        gamma = choice(indices)
         if gamma in skipped_gammas:
             continue
         plan = plans[gamma]
@@ -287,20 +312,8 @@ def generate_one(
                     raise GenerationError("every gamma-CG failed instantiation repeatedly")
             continue
 
-        concept_rows, relation_rows, slots = plan.rows
-        labels, steps = _specialise(vocab, slots, outcome, spread, rng)
-        markers = outcome.markers
-        concepts = [
-            (f"c{number}", labels.get(node_id, type_id), markers.get(node_id, marker))
-            for number, (node_id, type_id, marker) in enumerate(concept_rows, next_concept)
-        ]
-        relations = [
-            (f"r{number}", labels.get(node_id, type_id), args)
-            for number, (node_id, type_id, args) in enumerate(relation_rows, next_relation)
-        ]
-        next_concept += len(concepts)
-        next_relation += len(relations)
-        merged, skipped = assembler.absorb(concepts, relations)
+        steps = _specialise(vocab, plan, outcome.labels, spread, rng)
+        merged, skipped = assembler.absorb(plan.rows, outcome.labels, outcome.markers)
         draws.append(ComponentDraw(plan.gcg.name, outcome.assignments, steps, merged, skipped))
 
     return assembler.snapshot(), GenerationProvenance(tuple(draws)), tuple(mint.minted.values())

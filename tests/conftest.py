@@ -22,8 +22,7 @@ from cggen import (
     auto_vocabulary,
     derive_rng,
 )
-from cggen.generator import _Assembler
-from oracles import absorb
+from oracles import brute_absorb
 
 META_SEED = 20260808
 
@@ -136,10 +135,10 @@ def build_reference_gammas(vocab, rng, count=8, min_size=8, binary_share=0.9):
     others = [t for arity, ids in by_arity.items() if arity != 2 for t in ids]
     gammas = []
     for index in range(count):
-        assembler = _Assembler(vocab)
+        concepts, relations = {}, {}
         concept_counter = 0
         relation_counter = 0
-        while assembler.size < min_size:
+        while len(concepts) + len(relations) < min_size:
             if by_arity.get(2) and (rng.random() < binary_share or not others):
                 pool = by_arity[2]
             else:
@@ -150,8 +149,8 @@ def build_reference_gammas(vocab, rng, count=8, min_size=8, binary_share=0.9):
             )
             concept_counter += len(component.concepts)
             relation_counter += 1
-            absorb(assembler, component)
-        gammas.append(GammaCG(f"ref-{index}", assembler.snapshot()))
+            brute_absorb(vocab, concepts, relations, component)
+        gammas.append(GammaCG(f"ref-{index}", ConceptualGraph(concepts, relations)))
     return gammas
 
 

@@ -66,22 +66,75 @@ def brute_incidences(graph: ConceptualGraph, concept_id: str) -> list[tuple[str,
     ]
 
 
-def absorb(assembler: _Assembler, graph: ConceptualGraph):
-    """Fold ``graph`` into ``assembler`` under its own node ids."""
-    position = {node_id: index for index, node_id in enumerate(graph.concepts)}
-    relations = [
-        (node.node_id, node.type_id, [position[arg] for arg in node.args])
-        for node in graph.relations.values()
-    ]
-    return assembler.absorb(graph.concepts.values(), relations)
+def brute_absorb(
+    vocab: Vocabulary,
+    concepts: dict[str, ConceptNode],
+    relations: dict[str, RelationNode],
+    graph: ConceptualGraph,
+) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """Join ``graph`` into ``concepts`` and ``relations`` in place, under its own node ids.
+
+    Each marked concept is compared with every earlier concept carrying the
+    same marker, in insertion order: it merges into the first whose type is
+    comparable with its own, which keeps the lower of the two, and is added
+    when there is none. Returns the (absorbed, kept) merges and the
+    (absorbed, kept) comparisons that left the two apart.
+    """
+    hierarchy = vocab.concepts
+    kept_ids: dict[str, str] = {}
+    merged: list[tuple[str, str]] = []
+    skipped: list[tuple[str, str]] = []
+    for node in graph.concepts.values():
+        kept_ids[node.node_id] = node.node_id
+        earlier = [
+            other
+            for other in concepts.values()
+            if node.marker is not None and other.marker == node.marker
+        ]
+        for other in earlier:
+            if brute_subtype(hierarchy, node.type_id, other.type_id):
+                concepts[other.node_id] = other._replace(type_id=node.type_id)
+            elif not brute_subtype(hierarchy, other.type_id, node.type_id):
+                skipped.append((node.node_id, other.node_id))
+                continue
+            merged.append((node.node_id, other.node_id))
+            kept_ids[node.node_id] = other.node_id
+            break
+        else:
+            concepts[node.node_id] = node
+    for node in graph.relations.values():
+        relations[node.node_id] = node._replace(args=tuple(kept_ids[arg] for arg in node.args))
+    return tuple(merged), tuple(skipped)
 
 
 def fold(vocab: Vocabulary, *graphs: ConceptualGraph) -> ConceptualGraph:
-    """The generator's merge (join) of ``graphs``, in order; their node ids must not collide."""
+    """The generator's ``_Assembler`` join of ``graphs``, in order, under their own node ids.
+
+    The assembler numbers the nodes ``c<n>``/``r<n>`` in the order it
+    absorbs them; each is given back its own id, so the ids must not collide.
+    """
     assembler = _Assembler(vocab)
+    concept_ids: list[str] = []
+    relation_ids: list[str] = []
     for graph in graphs:
-        absorb(assembler, graph)
-    return assembler.snapshot()
+        position = {node_id: index for index, node_id in enumerate(graph.concepts)}
+        relations = [
+            (node.node_id, node.type_id, [position[arg] for arg in node.args])
+            for node in graph.relations.values()
+        ]
+        assembler.absorb((tuple(graph.concepts.values()), relations), {}, {})
+        concept_ids.extend(graph.concepts)
+        relation_ids.extend(graph.relations)
+    own = {f"c{n}": node_id for n, node_id in enumerate(concept_ids)}
+    own.update((f"r{n}", node_id) for n, node_id in enumerate(relation_ids))
+    joined = assembler.snapshot()
+    return ConceptualGraph(
+        {own[n]: node._replace(node_id=own[n]) for n, node in joined.concepts.items()},
+        {
+            own[n]: RelationNode(own[n], node.type_id, tuple(own[arg] for arg in node.args))
+            for n, node in joined.relations.items()
+        },
+    )
 
 
 def arity_of(vocab: Vocabulary, relation_type: str) -> int:
@@ -303,16 +356,17 @@ def reference_generate_one(
     Each draw instantiates with ``brute_instantiate``, takes ``randint(0,
     max_spe)`` moves per type slot down a ``randrange`` walk that checks
     each child of a relation label against its signature, then remaps every
-    node id through a dict to the next ``c<i>``/``r<j>`` and folds the
-    component in. A gamma-CG that fails INSTANTIATION_RETRIES times is set
-    aside for the CG.
+    node id through a dict to the next ``c<i>``/``r<j>`` and joins the
+    component in with ``brute_absorb``, not the generator's assembler. A
+    gamma-CG that fails INSTANTIATION_RETRIES times is set aside for the CG.
     """
-    assembler = _Assembler(vocab)
+    concepts: dict[str, ConceptNode] = {}
+    relations: dict[str, RelationNode] = {}
     next_concept = next_relation = 0
     draws: list[ComponentDraw] = []
     failures = [0] * len(gammas)
     skipped_gammas: set[int] = set()
-    while assembler.size < config.min_size:
+    while len(concepts) + len(relations) < config.min_size:
         index = rng.randrange(len(gammas))
         if index in skipped_gammas:
             continue
@@ -358,9 +412,9 @@ def reference_generate_one(
                 for nid, node in graph.relations.items()
             },
         )
-        merged, skipped = absorb(assembler, component)
+        merged, skipped = brute_absorb(vocab, concepts, relations, component)
         draws.append(ComponentDraw(gcg.name, assignments, tuple(steps), merged, skipped))
-    return assembler.snapshot(), GenerationProvenance(tuple(draws))
+    return ConceptualGraph(concepts, relations), GenerationProvenance(tuple(draws))
 
 
 def outcome_graph(gcg: GammaCG, outcome) -> ConceptualGraph:

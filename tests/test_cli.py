@@ -1056,6 +1056,28 @@ class TestMalformedDataset:
     def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
         self.check_exit_2(pristine, tmp_path, capsys, mutate, argv)
 
+    def test_cgs_checked_against_the_manifest_config_exit_1(self, pristine, tmp_path, capsys):
+        # cggen validate counts and sizes the CGs against the manifest's own
+        # config, naming the file at fault.
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        dataset = out / "dataset"
+        names = json.loads((dataset / "manifest.json").read_text())["cgFiles"]
+        sizes = [formats.load_cg(dataset / name).size for name in names]
+        _edit_manifest(out, lambda doc: doc["config"].update(minSize=min(sizes)))
+        assert main(["validate", str(out)]) == 0
+        _edit_manifest(out, lambda doc: doc["config"].update(maxCGs=7, minSize=100000))
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{dataset / 'manifest.json'}: count-mismatch: cgCount {len(names)} is not"
+            " config.maxCGs 7",
+            *(
+                f"{dataset / name}: too-small: {size} nodes, below config.minSize 100000"
+                for name, size in zip(names, sizes)
+            ),
+        ]
+
     @pytest.mark.parametrize("command", ["validate", "stats"])
     def test_load_error_after_a_violation_reports_only_itself(
         self, pristine, tmp_path, capsys, command

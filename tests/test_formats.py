@@ -595,6 +595,31 @@ class TestFieldTables:
         assert located > len(documents) / 2
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"type": "integer", "minimum": 0},
+        {"type": "integer", "minimum": 1, "maximum": 3},
+        {"type": "number", "minimum": 0, "maximum": 1e308},
+    ],
+)
+def test_bounded_column_check_is_the_per_value_rule(table):
+    # An integer column is bounded by its min and max; a number column keeps
+    # the per-value test, which a NaN fails wherever it sits.
+    constraint = formats._constraint(table)
+    low, high = table["minimum"], table.get("maximum", float("inf"))
+    rng = fresh_rng("bounded-column")
+    values = [-1, 0, 1, 2, 3, 4, 10**400]
+    if table["type"] == "number":
+        values += [0.5, float("nan"), float("inf"), -0.0]
+    columns = [[]] + [[value] for value in values]
+    columns += [rng.sample(values, rng.randint(2, 5)) for _ in range(200)]
+    for column in columns:
+        assert constraint(column) == all(low <= value <= high for value in column), column
+    if table["type"] == "number":
+        assert not constraint([1.0, float("nan"), 0.0])
+
+
 class TestDotExport:
     def test_empty_graph(self):
         text = export_dot(ConceptualGraph({}, {}))

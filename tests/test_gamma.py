@@ -602,9 +602,8 @@ class TestDrawPlanMatchesBruteForce:
                 )
                 if not isinstance(expected, str):
                     # The plan specialises its type slots in the brute force's order.
-                    _, _, slots = plan.rows
-                    type_slots = expected[2]
-                    assert [key for key, *_ in slots] == [f"{k}:{node}" for k, node in type_slots]
+                    keys = [f"{kind}:{node}" for kind, node in expected[2]]
+                    assert [key for key, *_ in plan.slots] == keys
                 for rng, mint, draw in (
                     (rngs[1], plan_mint, lambda rng: plan.draw(rng, plan_mint)),
                     (

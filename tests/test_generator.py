@@ -408,6 +408,8 @@ class TestRngConsumption:
             mint = MarkerMint(tiny_vocab, f"cg{index}")
             want = reference_generate_one(tiny_vocab, gammas, config, rng, mint=mint)
             assert got == (*want, tuple(mint.minted.values()))
+            # Dicts compare without order; the output writes the nodes in it.
+            assert [*got[0].concepts, *got[0].relations] == [*want[0].concepts, *want[0].relations]
             minted += len(got[2])
             draws = got[1].draws
             steps += sum(taken for draw in draws for _, taken in draw.specialisations)
@@ -415,6 +417,40 @@ class TestRngConsumption:
             skips += sum(len(draw.skipped_merges) for draw in draws)
         assert merges and skips and minted
         assert bool(steps) == bool(max_spe)
+
+
+def test_relation_slot_specialises_under_each_draws_argument_types(tiny_vocab):
+    # knows steps down to attends (Student, Person) only in a draw whose c0
+    # is a Student, so the children a relation slot may take depend on the
+    # argument types drawn, and one DrawPlan serves every seed.
+    def variable(name, kind, node, *domain):
+        return Variable(name, VariableTarget(kind, node), domain)
+
+    gcg = GammaCG(
+        "knows",
+        cg(
+            [ConceptNode("c0", "Person"), ConceptNode("c1", "Person")],
+            [RelationNode("r0", "knows", ("c0", "c1"))],
+        ),
+        (
+            variable("vr", TARGET_RELATION_TYPE, "r0", "knows"),
+            variable("vc", TARGET_CONCEPT_TYPE, "c0", "Person", "Student"),
+        ),
+    )
+    assert validate_inputs(tiny_vocab, [gcg]) == []
+    plans = plans_of(tiny_vocab, [gcg])
+    seen = set()
+    for seed in range(8):
+        config = GeneratorConfig(max_cgs=1, min_size=30, max_spe=3, seed=seed)
+        got = generate_one(tiny_vocab, plans, config, 0)
+        mint = MarkerMint(tiny_vocab, "cg0")
+        want = reference_generate_one(
+            tiny_vocab, [gcg], config, derive_rng(seed, "cg", 0), mint=mint
+        )
+        assert got == (*want, ())
+        for draw in got[1].draws:
+            seen.add((dict(draw.assignments)["vc"], dict(draw.specialisations)["relation-type:r0"]))
+    assert seen == {("Person", 0), ("Student", 0), ("Student", 1)}
 
 
 class TestMarkerMint:
