@@ -34,7 +34,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import formats
 from .autogen import (
@@ -95,67 +95,50 @@ def _param(value: Any, label: str) -> ParamSpec:
     raise ConfigError(f"{label} must be a number or {{mean, stddev}}")
 
 
-def _section(doc: dict[str, Any], name: str) -> dict[str, Any]:
-    value = doc.get(name)
-    if not isinstance(value, dict):
+# The record of each section and the section's keys, in the record's field order.
+_SECTIONS: dict[str, tuple[Any, tuple[str, ...]]] = {
+    "autoVoc": (
+        AutoVocConfig,
+        ("conceptDepth", "relationDepth", "maxChildren", "markersPerType", "arities"),
+    ),
+    "autoGcg": (AutoGcgConfig, ("count", "minSize")),
+    "autoVar": (
+        AutoVarConfig,
+        ("conceptVars", "relationVars", "markerVars", "valuesPerVariable", "specialisations"),
+    ),
+    "generator": (GeneratorConfig, ("maxCGs", "minSize", "maxSpe")),
+}
+
+
+def _section(doc: dict[str, Any], name: str, optional: str) -> tuple[Any, Sequence[str], dict]:
+    """Section ``name``'s record, keys and object: its keys only, each present but ``optional``."""
+    record, keys = _SECTIONS[name]
+    section = doc.get(name)
+    if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} is missing or not an object")
-    return value
+    _check_keys(section, set(keys), name)
+    missing = [key for key in keys if key not in section and key != optional]
+    if missing:
+        raise ConfigError(f"{name}.{missing[0]} is required")
+    return record, keys, section
 
 
-def _auto_voc_config(section: dict[str, Any]) -> AutoVocConfig:
-    _check_keys(
-        section,
-        {"conceptDepth", "relationDepth", "maxChildren", "markersPerType", "arities"},
-        "autoVoc",
-    )
-    for key in ("conceptDepth", "relationDepth", "maxChildren", "markersPerType"):
-        if key not in section:
-            raise ConfigError(f"autoVoc.{key} is required")
-    arities = section.get("arities", [1, 2, 3])
-    if not isinstance(arities, list):
-        raise ConfigError("autoVoc.arities must be a list of integers")
-    return AutoVocConfig(
-        concept_depth=_param(section["conceptDepth"], "autoVoc.conceptDepth"),
-        relation_depth=_param(section["relationDepth"], "autoVoc.relationDepth"),
-        max_children=_param(section["maxChildren"], "autoVoc.maxChildren"),
-        markers_per_type=_param(section["markersPerType"], "autoVoc.markersPerType"),
-        arities=tuple(_integer(a, f"autoVoc.arities[{i}]") for i, a in enumerate(arities)),
-    )
+def _auto_config(doc: dict[str, Any], name: str) -> Any:
+    """The record of auto-* section ``name``: a parameter per key but autoVoc's ``arities``."""
+    record, keys, section = _section(doc, name, optional="arities")
+    values = [_param(section[key], f"{name}.{key}") for key in keys if key != "arities"]
+    if name == "autoVoc":
+        arities = section.get("arities", [1, 2, 3])
+        if not isinstance(arities, list):
+            raise ConfigError("autoVoc.arities must be a list of integers")
+        values.append(tuple(_integer(a, f"autoVoc.arities[{i}]") for i, a in enumerate(arities)))
+    return record(*values)
 
 
-def _auto_gcg_config(section: dict[str, Any]) -> AutoGcgConfig:
-    _check_keys(section, {"count", "minSize"}, "autoGcg")
-    for key in ("count", "minSize"):
-        if key not in section:
-            raise ConfigError(f"autoGcg.{key} is required")
-    return AutoGcgConfig(
-        count=_param(section["count"], "autoGcg.count"),
-        min_size=_param(section["minSize"], "autoGcg.minSize"),
-    )
-
-
-def _auto_var_config(section: dict[str, Any]) -> AutoVarConfig:
-    allowed = {
-        "conceptVars",
-        "relationVars",
-        "markerVars",
-        "valuesPerVariable",
-        "specialisations",
-    }
-    _check_keys(section, allowed, "autoVar")
-    for key in allowed:
-        if key not in section:
-            raise ConfigError(f"autoVar.{key} is required")
-    return AutoVarConfig(
-        concept_vars=_param(section["conceptVars"], "autoVar.conceptVars"),
-        relation_vars=_param(section["relationVars"], "autoVar.relationVars"),
-        marker_vars=_param(section["markerVars"], "autoVar.markerVars"),
-        values_per_variable=_param(section["valuesPerVariable"], "autoVar.valuesPerVariable"),
-        specialisations=_param(section["specialisations"], "autoVar.specialisations"),
-    )
-
-
-def _generator_config(section: dict[str, Any], seed: int) -> GeneratorConfig:
+def _generator_config(doc: dict[str, Any], seed: int) -> GeneratorConfig:
+    section = doc.get("generator")
+    if not isinstance(section, dict):
+        raise ConfigError("config section 'generator' is missing or not an object")
     _check_keys(section, {"maxCGs", "minSize", "maxSpe"}, "generator")
     return GeneratorConfig(
         max_cgs=_integer(section.get("maxCGs"), "generator.maxCGs"),
@@ -166,18 +149,15 @@ def _generator_config(section: dict[str, Any], seed: int) -> GeneratorConfig:
 
 
 def _load_config_doc(config_path: str) -> tuple[dict[str, Any], Path]:
+    """The config document, an absent or null ``inputs`` read as ``{}``, and its folder."""
     path = Path(config_path)
     doc = formats.read_json(path)
-    _check_keys(
-        doc,
-        {"seed", "autoVoc", "autoGcg", "autoVar", "generator", "inputs"},
-        "config document",
-    )
-    inputs = doc.get("inputs")
-    if inputs is not None:
-        if not isinstance(inputs, dict):
-            raise ConfigError("config section 'inputs' must be an object")
-        _check_keys(inputs, {"vocabulary", "gammas"}, "inputs")
+    _check_keys(doc, {"seed", "inputs", *_SECTIONS}, "config document")
+    if doc.get("inputs") is None:
+        doc["inputs"] = {}
+    if not isinstance(doc["inputs"], dict):
+        raise ConfigError("config section 'inputs' must be an object")
+    _check_keys(doc["inputs"], {"vocabulary", "gammas"}, "inputs")
     return doc, path.parent
 
 
@@ -193,20 +173,23 @@ def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
     return secrets.randbits(63)
 
 
-def _resolve_vocabulary(
-    doc: dict[str, Any], base: Path, seed: int
-) -> Vocabulary:
-    inputs = doc.get("inputs", {})
-    file_source = inputs.get("vocabulary") if isinstance(inputs, dict) else None
-    if file_source is not None and not isinstance(file_source, str):
+def _source(doc: dict[str, Any], key: str, section: str, noun: str) -> Any:
+    """``inputs.<key>``, or None when auto-* ``section`` makes it; exactly one must be given."""
+    source = doc["inputs"].get(key)
+    if bool(source) == (section in doc):
+        raise ConfigError(f"exactly one {noun} source is required (inputs.{key} or {section})")
+    return source or None
+
+
+def _vocabulary_stage(doc: dict[str, Any], base: Path, seed: int) -> Callable[[], Vocabulary]:
+    """The stage that makes the vocabulary: reads ``inputs.vocabulary`` or runs autoVoc."""
+    path = doc["inputs"].get("vocabulary")
+    if path is not None and not isinstance(path, str):
         raise ConfigError("inputs.vocabulary must be a file path")
-    has_auto = "autoVoc" in doc
-    if bool(file_source) == has_auto:
-        raise ConfigError("exactly one vocabulary source is required (inputs.vocabulary or autoVoc)")
-    if file_source:
-        return formats.load_vocabulary(base / file_source)
-    config = _auto_voc_config(_section(doc, "autoVoc"))
-    return auto_vocabulary(config, derive_rng(seed, "auto-voc"))
+    if _source(doc, "vocabulary", "autoVoc", "vocabulary"):
+        return lambda: formats.load_vocabulary(base / path)
+    config = _auto_config(doc, "autoVoc")
+    return lambda: auto_vocabulary(config, derive_rng(seed, "auto-voc"))
 
 
 def _gamma_paths(source: Any, base: Path) -> list[Path]:
@@ -223,16 +206,20 @@ def _gamma_paths(source: Any, base: Path) -> list[Path]:
     raise ConfigError("inputs.gammas must be a directory or a list of files")
 
 
-def _load_gammas(
-    doc: dict[str, Any], source: Any, base: Path, vocab: Vocabulary
-) -> list[GammaCG]:
-    """The gamma-CGs of ``inputs.gammas``, checked first when auto-var will run.
+def _resolve_gammas(doc: dict[str, Any], base: Path) -> list[Path] | AutoGcgConfig:
+    """The gamma-CGs' files or their autoGcg parameters."""
+    source = _source(doc, "gammas", "autoGcg", "gamma-CG")
+    return _gamma_paths(source, base) if source else _auto_config(doc, "autoGcg")
+
+
+def _load_gammas(doc: dict[str, Any], paths: list[Path], vocab: Vocabulary) -> list[GammaCG]:
+    """The gamma-CGs in ``paths``, checked first when auto-var will run.
 
     Auto-var computes admissible domains from the graphs' labels, so an
     unknown label is reported beforehand with the lines generate_cgs would
     report. Without auto-var, generate_cgs checks them itself.
     """
-    gammas = [formats.load_gamma_cg(path) for path in _gamma_paths(source, base)]
+    gammas = [formats.load_gamma_cg(path) for path in paths]
     if "autoVar" in doc:
         problems = validate_inputs(vocab, gammas)
         if problems:
@@ -240,30 +227,11 @@ def _load_gammas(
     return gammas
 
 
-def _resolve_gammas(
-    doc: dict[str, Any], base: Path, seed: int, vocab: Vocabulary
-) -> tuple[list[GammaCG], Vocabulary]:
-    inputs = doc.get("inputs", {})
-    file_source = inputs.get("gammas") if isinstance(inputs, dict) else None
-    has_auto = "autoGcg" in doc
-    if bool(file_source) == has_auto:
-        raise ConfigError("exactly one gamma-CG source is required (inputs.gammas or autoGcg)")
-    if file_source:
-        return _load_gammas(doc, file_source, base, vocab), vocab
-    config = _auto_gcg_config(_section(doc, "autoGcg"))
-    result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
-    return list(result.gammas), result.vocabulary
-
-
 def _apply_auto_var(
-    doc: dict[str, Any],
-    gammas: list[GammaCG],
-    vocab: Vocabulary,
-    seed: int,
+    config: AutoVarConfig | None, gammas: list[GammaCG], vocab: Vocabulary, seed: int
 ) -> list[GammaCG]:
-    if "autoVar" not in doc:
+    if config is None:
         return gammas
-    config = _auto_var_config(_section(doc, "autoVar"))
     result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -333,66 +301,73 @@ def _unpacked(minted: list[tuple[str, tuple[str, ...]]]) -> Iterator[Marker]:
         yield from map(Marker, ids.split("\0"), types)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    doc, base = _load_config_doc(args.config)
-    seed = _resolve_seed(doc, args.seed)
-    with _OutputDir(args.out) as out:
-        vocab = _resolve_vocabulary(doc, base, seed)
-        gammas, vocab = _resolve_gammas(doc, base, seed, vocab)
-        config = _generator_config(_section(doc, "generator"), seed)
-        gammas = _apply_auto_var(doc, gammas, vocab, seed)
-        cgs = generate_cgs(vocab, gammas, config)
-        minted: list[tuple[str, tuple[str, ...]]] = []
-        stats = formats.write_dataset(out / formats.DATASET_DIR, _minted_into(cgs, minted), config)
-        formats.save_stage(out, vocab.with_markers(_unpacked(minted)), gammas)
-    print(f"seed: {seed}")
-    print(stats_table(stats))
-    return EXIT_OK
+def _config_command(body: Callable[..., str]) -> Callable[[argparse.Namespace], int]:
+    """The subcommand that runs ``body(doc, base, seed, out)`` and prints its summary line.
+
+    ``--out`` is entered before ``body`` runs, and ``body`` checks every
+    section it reads before its first stage.
+    """
+
+    def run(args: argparse.Namespace) -> int:
+        doc, base = _load_config_doc(args.config)
+        seed = _resolve_seed(doc, args.seed)
+        with _OutputDir(args.out) as out:
+            summary = body(doc, base, seed, out)
+        print(f"seed: {seed}")
+        print(summary)
+        return EXIT_OK
+
+    return run
 
 
-def _cmd_auto_voc(args: argparse.Namespace) -> int:
-    doc, _base = _load_config_doc(args.config)
-    seed = _resolve_seed(doc, args.seed)
-    with _OutputDir(args.out) as out:
-        config = _auto_voc_config(_section(doc, "autoVoc"))
-        vocab = auto_vocabulary(config, derive_rng(seed, "auto-voc"))
-        formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
-    print(f"seed: {seed}")
-    print(f"wrote {out / formats.VOCABULARY_FILE}")
-    return EXIT_OK
+@_config_command
+def _cmd_generate(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+    make_vocabulary = _vocabulary_stage(doc, base, seed)
+    gamma_source = _resolve_gammas(doc, base)
+    variables = _auto_config(doc, "autoVar") if "autoVar" in doc else None
+    config = _generator_config(doc, seed)
+    vocab = make_vocabulary()
+    if isinstance(gamma_source, AutoGcgConfig):
+        result = auto_gamma_cgs(vocab, gamma_source, derive_rng(seed, "auto-gcg"))
+        gammas, vocab = list(result.gammas), result.vocabulary
+    else:
+        gammas = _load_gammas(doc, gamma_source, vocab)
+    gammas = _apply_auto_var(variables, gammas, vocab, seed)
+    cgs = generate_cgs(vocab, gammas, config)
+    minted: list[tuple[str, tuple[str, ...]]] = []
+    stats = formats.write_dataset(out / formats.DATASET_DIR, _minted_into(cgs, minted), config)
+    formats.save_stage(out, vocab.with_markers(_unpacked(minted)), gammas)
+    return stats_table(stats)
 
 
-def _cmd_auto_gcg(args: argparse.Namespace) -> int:
-    doc, base = _load_config_doc(args.config)
-    seed = _resolve_seed(doc, args.seed)
-    with _OutputDir(args.out) as out:
-        vocab = _resolve_vocabulary(doc, base, seed)
-        config = _auto_gcg_config(_section(doc, "autoGcg"))
-        result = auto_gamma_cgs(vocab, config, derive_rng(seed, "auto-gcg"))
-        formats.save_stage(out, result.vocabulary, result.gammas)
-    print(f"seed: {seed}")
-    print(f"wrote {len(result.gammas)} gamma-CGs to {out / formats.GAMMA_DIR}")
-    return EXIT_OK
+@_config_command
+def _cmd_auto_voc(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+    vocab = auto_vocabulary(_auto_config(doc, "autoVoc"), derive_rng(seed, "auto-voc"))
+    formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
+    return f"wrote {out / formats.VOCABULARY_FILE}"
 
 
-def _cmd_auto_var(args: argparse.Namespace) -> int:
-    doc, base = _load_config_doc(args.config)
-    seed = _resolve_seed(doc, args.seed)
-    with _OutputDir(args.out) as out:
-        vocab = _resolve_vocabulary(doc, base, seed)
-        inputs = doc.get("inputs", {})
-        source = inputs.get("gammas") if isinstance(inputs, dict) else None
-        if not source:
-            raise ConfigError("auto-var needs inputs.gammas")
-        config = _auto_var_config(_section(doc, "autoVar"))
-        gammas = _load_gammas(doc, source, base, vocab)
-        result = auto_variables(vocab, gammas, config, derive_rng(seed, "auto-var"))
-        for warning in result.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        formats.save_stage(out, vocab, result.gammas)
-    print(f"seed: {seed}")
-    print(f"wrote {len(result.gammas)} gamma-CGs to {out / formats.GAMMA_DIR}")
-    return EXIT_OK
+@_config_command
+def _cmd_auto_gcg(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+    make_vocabulary = _vocabulary_stage(doc, base, seed)
+    config = _auto_config(doc, "autoGcg")
+    result = auto_gamma_cgs(make_vocabulary(), config, derive_rng(seed, "auto-gcg"))
+    formats.save_stage(out, result.vocabulary, result.gammas)
+    return f"wrote {len(result.gammas)} gamma-CGs to {out / formats.GAMMA_DIR}"
+
+
+@_config_command
+def _cmd_auto_var(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+    make_vocabulary = _vocabulary_stage(doc, base, seed)
+    source = doc["inputs"].get("gammas")
+    if not source:
+        raise ConfigError("auto-var needs inputs.gammas")
+    paths = _gamma_paths(source, base)
+    config = _auto_config(doc, "autoVar")
+    vocab = make_vocabulary()
+    gammas = _apply_auto_var(config, _load_gammas(doc, paths, vocab), vocab, seed)
+    formats.save_stage(out, vocab, gammas)
+    return f"wrote {len(gammas)} gamma-CGs to {out / formats.GAMMA_DIR}"
 
 
 def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
@@ -495,28 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_out(p: argparse.ArgumentParser) -> None:
+    for name, func, text in [
+        ("generate", _cmd_generate, "run the full pipeline and write a dataset"),
+        ("auto-voc", _cmd_auto_voc, "generate a random vocabulary"),
+        ("auto-gcg", _cmd_auto_gcg, "generate random gamma-CGs from a vocabulary"),
+        ("auto-var", _cmd_auto_var, "attach random variables to gamma-CGs"),
+    ]:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory (must be empty or absent)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    p = sub.add_parser("generate", help="run the full pipeline and write a dataset")
-    add_config_out(p)
+        p.set_defaults(func=func)
     # Accepts only 1, the default; kept for the benchmark harness's command line.
-    p.add_argument("--jobs", type=int, default=1, choices=[1], help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("auto-voc", help="generate a random vocabulary")
-    add_config_out(p)
-    p.set_defaults(func=_cmd_auto_voc)
-
-    p = sub.add_parser("auto-gcg", help="generate random gamma-CGs from a vocabulary")
-    add_config_out(p)
-    p.set_defaults(func=_cmd_auto_gcg)
-
-    p = sub.add_parser("auto-var", help="attach random variables to gamma-CGs")
-    add_config_out(p)
-    p.set_defaults(func=_cmd_auto_var)
+    generate = sub.choices["generate"]
+    generate.add_argument("--jobs", type=int, default=1, choices=[1], help=argparse.SUPPRESS)
 
     p = sub.add_parser("validate", help="validate vocabularies, gamma-CGs, CGs or output dirs")
     p.add_argument("paths", nargs="+", help="files or output directories")
@@ -540,12 +507,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CggenError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_CONFIG if isinstance(exc, (ConfigError, FormatError)) else EXIT_VALIDATION
 
 
 def console_main() -> None:

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,58 @@ class TestGenerate:
         echoed = int(line.split(":")[1])
         manifest = json.loads((out / "dataset" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == echoed
+
+    def test_null_inputs_read_as_none(self, tmp_path):
+        config = write_config(tmp_path, FULL_AUTO)
+        null = write_config(tmp_path, dict(FULL_AUTO, inputs=None), "null.json")
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(["generate", "--config", str(config), "--out", str(one)]) == 0
+        assert main(["generate", "--config", str(null), "--out", str(two)]) == 0
+        assert tree_bytes(one) == tree_bytes(two)
+
+    @pytest.mark.parametrize(
+        "command, path, value, message",
+        [
+            ("generate", "generator.maxSpe", "x", "generator.maxSpe must be an integer"),
+            ("generate", "autoVar.markerVars", "x", "autoVar.markerVars must be a number"),
+            ("generate", "inputs.gammas", 5, "inputs.gammas must be a directory"),
+            ("auto-gcg", "autoGcg.count", "x", "autoGcg.count must be a number"),
+        ],
+    )
+    def test_sections_checked_before_the_first_stage(
+        self, tmp_path, monkeypatch, capsys, command, path, value, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("auto_vocabulary ran although the config is malformed")
+
+        monkeypatch.setattr(cli, "auto_vocabulary", unreachable)
+        drop = ("autoGcg",) if path.startswith("inputs.") else ()
+        config = write_config(tmp_path, config_with(path, value, drop))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_first_missing_key_named_whatever_the_hash_seed(self, tmp_path, hash_seed):
+        # The keys of a section are checked in the field order of its record,
+        # not in the order of a set, which depends on how strings hash.
+        config = config_with("autoVar.conceptVars", 1)
+        del config["autoVar"]["valuesPerVariable"], config["autoVar"]["specialisations"]
+        path = write_config(tmp_path, config)
+        code = "import sys; from cggen.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["generate", "--config", str(path), "--out", str(tmp_path / "o")]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: autoVar.valuesPerVariable is required\n"
 
 
     @pytest.mark.parametrize(
