@@ -91,8 +91,21 @@ def _param(value: Any, label: str) -> ParamSpec:
         if "mean" not in value:
             raise ConfigError(f"{label} needs a mean")
         mean = _number(value["mean"], f"{label}.mean")
-        return ParamSpec.normal(mean, _number(value.get("stddev", 0.0), f"{label}.stddev"))
+        stddev = _number(value.get("stddev", 0.0), f"{label}.stddev")
+        return _record(ParamSpec, label, ("mean", "stddev"), mean, stddev)
     raise ConfigError(f"{label} must be a number or {{mean, stddev}}")
+
+
+def _record(record: Any, label: str, keys: Sequence[str], *values: Any) -> Any:
+    """``record(*values)``; a ConfigError that names a field first gets the field's key path.
+
+    ``keys`` are the config keys of the record's fields, in field order.
+    """
+    try:
+        return record(*values)
+    except ConfigError as exc:
+        key = dict(zip(record._fields, keys)).get(str(exc).partition(" ")[0])
+        raise ConfigError(f"{label}.{key}: {exc}" if key else f"{label}: {exc}") from None
 
 
 # The record of each section and the section's keys, in the record's field order.
@@ -132,20 +145,13 @@ def _auto_config(doc: dict[str, Any], name: str) -> Any:
         if not isinstance(arities, list):
             raise ConfigError("autoVoc.arities must be a list of integers")
         values.append(tuple(_integer(a, f"autoVoc.arities[{i}]") for i, a in enumerate(arities)))
-    return record(*values)
+    return _record(record, name, keys, *values)
 
 
 def _generator_config(doc: dict[str, Any], seed: int) -> GeneratorConfig:
-    section = doc.get("generator")
-    if not isinstance(section, dict):
-        raise ConfigError("config section 'generator' is missing or not an object")
-    _check_keys(section, {"maxCGs", "minSize", "maxSpe"}, "generator")
-    return GeneratorConfig(
-        max_cgs=_integer(section.get("maxCGs"), "generator.maxCGs"),
-        min_size=_integer(section.get("minSize"), "generator.minSize"),
-        max_spe=_integer(section.get("maxSpe", 0), "generator.maxSpe"),
-        seed=seed,
-    )
+    record, keys, section = _section(doc, "generator", optional="maxSpe")
+    values = [_integer(section.get(key, 0), f"generator.{key}") for key in keys]
+    return _record(record, "generator", keys, *values, seed)
 
 
 def _load_config_doc(config_path: str) -> tuple[dict[str, Any], Path]:

@@ -246,6 +246,34 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("generator.maxCGs", 0, "generator.maxCGs: max_cgs must be >= 1"),
+            ("generator.minSize", 0, "generator.minSize: min_size must be >= 1"),
+            ("generator.maxSpe", -1, "generator.maxSpe: max_spe must be >= 0"),
+            (
+                "autoVar.markerVars",
+                {"mean": 2, "stddev": -1},
+                "autoVar.markerVars.stddev: stddev must be >= 0",
+            ),
+            ("autoVoc.arities", [1, 0], "autoVoc.arities: arities must be positive"),
+            ("autoVoc.arities", [], "autoVoc: at least one relation arity is required"),
+        ],
+    )
+    def test_range_error_names_the_key(self, tmp_path, capsys, path, value, message):
+        config = write_config(tmp_path, config_with(path, value))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["maxCGs", "minSize"])
+    def test_missing_generator_key_is_required(self, tmp_path, capsys, key):
+        config = config_with("generator.maxSpe", 2)
+        del config["generator"][key]
+        path = write_config(tmp_path, config)
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: generator.{key} is required\n"
+
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_first_missing_key_named_whatever_the_hash_seed(self, tmp_path, hash_seed):
         # The keys of a section are checked in the field order of its record,
