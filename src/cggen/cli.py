@@ -187,8 +187,8 @@ def _source(doc: dict[str, Any], key: str, section: str, noun: str) -> Any:
     return source or None
 
 
-def _vocabulary_stage(doc: dict[str, Any], base: Path, seed: int) -> Callable[[], Vocabulary]:
-    """The stage that makes the vocabulary: reads ``inputs.vocabulary`` or runs autoVoc."""
+def _resolve_vocabulary(doc: dict[str, Any], base: Path, seed: int) -> Callable[[], Vocabulary]:
+    """Checks the vocabulary source; the stage that reads ``inputs.vocabulary`` or runs autoVoc."""
     path = doc["inputs"].get("vocabulary")
     if path is not None and not isinstance(path, str):
         raise ConfigError("inputs.vocabulary must be a file path")
@@ -328,7 +328,7 @@ def _config_command(body: Callable[..., str]) -> Callable[[argparse.Namespace], 
 
 @_config_command
 def _cmd_generate(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
-    make_vocabulary = _vocabulary_stage(doc, base, seed)
+    make_vocabulary = _resolve_vocabulary(doc, base, seed)
     gamma_source = _resolve_gammas(doc, base)
     variables = _auto_config(doc, "autoVar") if "autoVar" in doc else None
     config = _generator_config(doc, seed)
@@ -355,7 +355,7 @@ def _cmd_auto_voc(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
 
 @_config_command
 def _cmd_auto_gcg(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
-    make_vocabulary = _vocabulary_stage(doc, base, seed)
+    make_vocabulary = _resolve_vocabulary(doc, base, seed)
     config = _auto_config(doc, "autoGcg")
     result = auto_gamma_cgs(make_vocabulary(), config, derive_rng(seed, "auto-gcg"))
     formats.save_stage(out, result.vocabulary, result.gammas)
@@ -364,7 +364,7 @@ def _cmd_auto_gcg(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
 
 @_config_command
 def _cmd_auto_var(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
-    make_vocabulary = _vocabulary_stage(doc, base, seed)
+    make_vocabulary = _resolve_vocabulary(doc, base, seed)
     source = doc["inputs"].get("gammas")
     if not source:
         raise ConfigError("auto-var needs inputs.gammas")

@@ -266,14 +266,6 @@ class TestGenerate:
         assert main(["generate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("key", ["maxCGs", "minSize"])
-    def test_missing_generator_key_is_required(self, tmp_path, capsys, key):
-        config = config_with("generator.maxSpe", 2)
-        del config["generator"][key]
-        path = write_config(tmp_path, config)
-        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: generator.{key} is required\n"
-
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_first_missing_key_named_whatever_the_hash_seed(self, tmp_path, hash_seed):
         # The keys of a section are checked in the field order of its record,
