@@ -168,11 +168,14 @@ def _load_config_doc(config_path: str) -> tuple[dict[str, Any], Path]:
 
 
 def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
-    if override is not None:
-        return override
     seed = doc.get("seed")
     if seed is not None:
-        return _integer(seed, "seed")
+        # Checked even when --seed overrides it.
+        seed = _integer(seed, "seed")
+    if override is not None:
+        return override
+    if seed is not None:
+        return seed
     # Imported here: secrets loads OpenSSL, which no read-only command needs.
     import secrets
 
@@ -180,11 +183,14 @@ def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
 
 
 def _source(doc: dict[str, Any], key: str, section: str, noun: str) -> Any:
-    """``inputs.<key>``, or None when auto-* ``section`` makes it; exactly one must be given."""
+    """``inputs.<key>``, or None when auto-* ``section`` makes it; exactly one must be given.
+
+    A key counts as given whatever its value, unless that is null.
+    """
     source = doc["inputs"].get(key)
-    if bool(source) == (section in doc):
+    if (source is not None) == (section in doc):
         raise ConfigError(f"exactly one {noun} source is required (inputs.{key} or {section})")
-    return source or None
+    return source
 
 
 def _resolve_vocabulary(doc: dict[str, Any], base: Path, seed: int) -> Callable[[], Vocabulary]:
@@ -192,7 +198,9 @@ def _resolve_vocabulary(doc: dict[str, Any], base: Path, seed: int) -> Callable[
     path = doc["inputs"].get("vocabulary")
     if path is not None and not isinstance(path, str):
         raise ConfigError("inputs.vocabulary must be a file path")
-    if _source(doc, "vocabulary", "autoVoc", "vocabulary"):
+    if _source(doc, "vocabulary", "autoVoc", "vocabulary") is not None:
+        if not path:
+            raise ConfigError("inputs.vocabulary must not be empty")
         return lambda: formats.load_vocabulary(base / path)
     config = _auto_config(doc, "autoVoc")
     return lambda: auto_vocabulary(config, derive_rng(seed, "auto-voc"))
@@ -208,6 +216,8 @@ def _gamma_paths(source: Any, base: Path) -> list[Path]:
             raise ConfigError(f"inputs.gammas directory {directory} holds no .json files")
         return paths
     if isinstance(source, list) and all(isinstance(p, str) for p in source):
+        if not source:
+            raise ConfigError("inputs.gammas lists no files")
         return [base / p for p in source]
     raise ConfigError("inputs.gammas must be a directory or a list of files")
 
@@ -215,7 +225,7 @@ def _gamma_paths(source: Any, base: Path) -> list[Path]:
 def _resolve_gammas(doc: dict[str, Any], base: Path) -> list[Path] | AutoGcgConfig:
     """The gamma-CGs' files or their autoGcg parameters."""
     source = _source(doc, "gammas", "autoGcg", "gamma-CG")
-    return _gamma_paths(source, base) if source else _auto_config(doc, "autoGcg")
+    return _auto_config(doc, "autoGcg") if source is None else _gamma_paths(source, base)
 
 
 def _load_gammas(doc: dict[str, Any], paths: list[Path], vocab: Vocabulary) -> list[GammaCG]:
@@ -366,7 +376,7 @@ def _cmd_auto_gcg(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
 def _cmd_auto_var(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
     make_vocabulary = _resolve_vocabulary(doc, base, seed)
     source = doc["inputs"].get("gammas")
-    if not source:
+    if source is None:
         raise ConfigError("auto-var needs inputs.gammas")
     paths = _gamma_paths(source, base)
     config = _auto_config(doc, "autoVar")

@@ -22,6 +22,7 @@ from cggen.core import ConceptNode, ConceptualGraph, RelationNode
 from cggen.gamma import TARGET_CONCEPT_TYPE, TARGET_RELATION_TYPE
 from oracles import cg_doc, derivations_text, parse_dot
 from test_field_parity import read, source, write
+from test_formats import batch_text
 
 FULL_AUTO = {
     "seed": 424242,
@@ -152,6 +153,39 @@ class TestGenerate:
             == 0
         )
         assert tree_bytes(one) != tree_bytes(two)
+
+    @pytest.mark.parametrize("seed", ["x", True, 1.5])
+    def test_malformed_seed_rejected_under_seed_override(self, tmp_path, capsys, seed):
+        config = write_config(tmp_path, dict(FULL_AUTO, seed=seed))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config), "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, path, value, drop, message",
+        [
+            ("generate", "inputs.gammas", [], (), "exactly one gamma-CG source is required"),
+            ("generate", "inputs.vocabulary", "", (), "exactly one vocabulary source is required"),
+            ("generate", "inputs.gammas", [], ("autoGcg",), "inputs.gammas lists no files"),
+            ("auto-var", "inputs.gammas", [], ("autoGcg",), "inputs.gammas lists no files"),
+            (
+                "generate",
+                "inputs.vocabulary",
+                "",
+                ("autoVoc",),
+                "inputs.vocabulary must not be empty",
+            ),
+        ],
+    )
+    def test_empty_source_counts_as_given(
+        self, tmp_path, capsys, command, path, value, drop, message
+    ):
+        config = write_config(tmp_path, config_with(path, value, drop))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_both_vocabulary_sources_rejected(self, tmp_path):
         config = dict(FULL_AUTO)
@@ -1065,6 +1099,73 @@ def _marker_variable_on_unknown_marker(doc):
     return "unknown-marker"
 
 
+def _batch_end_cg_fault(out):
+    # cg-0001.json ends the first read batch under TestMalformedDataset's split bound.
+    path = out / "dataset" / "cg-0001.json"
+    doc = json.loads(path.read_text())
+    doc["relations"][0]["args"][0] = 7
+    path.write_text(json.dumps(doc))
+    return "cg-0001.json", "relations[0].args[0] must be str, found int"
+
+
+def _batch_start_line_fault(out):
+    # The line of cg-0002.json, which starts the second batch under the split bound.
+    write(out / "dataset", "derivations.jsonl:4", "null")
+    return "derivations.jsonl:4", "top-level value must be an object"
+
+
+def _faults_across_a_batch_edge(out):
+    _batch_start_line_fault(out)
+    return _batch_end_cg_fault(out)
+
+
+# Each breaks one document or line of a generated output, and returns the
+# file and the field its error names.
+MALFORMED_DATASETS = [
+    _drop_nodes_mean,
+    _list_max_cgs,
+    _cg_file_outside("absolute", "{out}/outside.json"),
+    _cg_file_outside("parent", "../outside.json"),
+    _cg_file_outside("dot", "."),
+    _duplicate_cg_file,
+    _bool_seed,
+    _nan_nodes_mean,
+    _huge_nodes_mean,
+    _negative_max_cgs,
+    _negative_nodes_stddev,
+    _drop_last_derivation,
+    _null_derivation,
+    _drop_derivations_file,
+    _empty_derivations_file,
+    _extra_derivation_line,
+    _format_1_derivations_header,
+    _provenance_header,
+    _derivations_not_utf8,
+    _directory_for_derivations_file,
+    _deeply_nested_derivation,
+    _cut_derivation,
+    _drop_draw_gamma,
+    _string_specialisation_steps,
+    _bool_step,
+    _negative_step,
+    _int_kept_id,
+    _string_skipped_kept_ids,
+    _format_2_merge_triples,
+    _int_assignment,
+    _list_assignment,
+    _unhashable_relation_arg,
+    _number_relation_arg,
+    _not_utf8,
+    _directory_for_file,
+    _duplicate_concept_id,
+    _duplicate_relation_id,
+    _deeply_nested,
+    _batch_end_cg_fault,
+    _batch_start_line_fault,
+    _faults_across_a_batch_edge,
+]
+
+
 class TestMalformedDataset:
     @pytest.fixture(scope="class")
     def pristine(self, tmp_path_factory):
@@ -1086,51 +1187,46 @@ class TestMalformedDataset:
         return err
 
     @pytest.mark.parametrize("argv", [("validate", ""), ("stats", "dataset")])
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            _drop_nodes_mean,
-            _list_max_cgs,
-            _cg_file_outside("absolute", "{out}/outside.json"),
-            _cg_file_outside("parent", "../outside.json"),
-            _cg_file_outside("dot", "."),
-            _duplicate_cg_file,
-            _bool_seed,
-            _nan_nodes_mean,
-            _huge_nodes_mean,
-            _negative_max_cgs,
-            _negative_nodes_stddev,
-            _drop_last_derivation,
-            _null_derivation,
-            _drop_derivations_file,
-            _empty_derivations_file,
-            _extra_derivation_line,
-            _format_1_derivations_header,
-            _provenance_header,
-            _derivations_not_utf8,
-            _directory_for_derivations_file,
-            _deeply_nested_derivation,
-            _cut_derivation,
-            _drop_draw_gamma,
-            _string_specialisation_steps,
-            _bool_step,
-            _negative_step,
-            _int_kept_id,
-            _string_skipped_kept_ids,
-            _format_2_merge_triples,
-            _int_assignment,
-            _list_assignment,
-            _unhashable_relation_arg,
-            _number_relation_arg,
-            _not_utf8,
-            _directory_for_file,
-            _duplicate_concept_id,
-            _duplicate_relation_id,
-            _deeply_nested,
-        ],
-    )
+    @pytest.mark.parametrize("mutate", MALFORMED_DATASETS)
     def test_dataset_format_error_exit_2(self, pristine, tmp_path, capsys, argv, mutate):
         self.check_exit_2(pristine, tmp_path, capsys, mutate, argv)
+
+    @pytest.fixture(scope="class")
+    def split_bound(self, pristine):
+        """A read batch bound that ends the first batch with cg-0001.json."""
+        return batch_text(pristine / "dataset", 2)
+
+    def test_split_bound_ends_the_first_batch_with_cg_0001(
+        self, pristine, split_bound, monkeypatch
+    ):
+        dataset = pristine / "dataset"
+        names = json.loads((dataset / "manifest.json").read_text())["cgFiles"]
+        path = dataset / "derivations.jsonl"
+        monkeypatch.setattr(formats, "_READ_BATCH_BYTES", split_bound)
+        with path.open(encoding="utf-8") as lines:
+            lines.readline()
+            batches = formats._batches(dataset, names, lines, path)
+            first, second = next(batches), next(batches)
+        assert [entry[0] for entry in first] == ["cg-0000.json", "cg-0001.json"]
+        assert second[0][0] == "cg-0002.json"
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    @pytest.mark.parametrize("mutate", MALFORMED_DATASETS)
+    def test_read_batches_answer_as_one_cg_at_a_time(
+        self, pristine, split_bound, tmp_path, capsys, monkeypatch, command, mutate
+    ):
+        # A bound of 0 reads each CG alone; the others batch them.
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        mutate(out)
+        target = out if command == "validate" else out / "dataset"
+        answers = []
+        for bound in (0, split_bound, formats._READ_BATCH_BYTES):
+            monkeypatch.setattr(formats, "_READ_BATCH_BYTES", bound)
+            capsys.readouterr()
+            code = main([command, str(target)])
+            answers.append((code, *capsys.readouterr()))
+        assert answers[1:] == answers[:1] * 2
 
     def test_cgs_checked_against_the_manifest_config_exit_1(self, pristine, tmp_path, capsys):
         # cggen validate counts and sizes the CGs against the manifest's own

@@ -7,7 +7,8 @@ config file. For every field path of each (the first item of a list only),
 the field is deleted, set to null, or set to one value of another JSON type.
 ``cggen generate`` then runs on the broken config in-process, and so does
 each other command that reads the field's section: ``auto-voc`` and
-``auto-gcg`` on the full-auto config, ``auto-var`` on the staged one. Its
+``auto-gcg`` on the full-auto config, ``auto-var`` on the staged one, and
+``generate --seed 3`` on the full-auto config's seed, which it overrides. Its
 exit code and standard error, with the temporary folder written ``<root>``,
 must equal the pins in ``config_parity.json``. A config without a seed
 draws one from ``secrets.randbits``, which the test fixes, so a run that
@@ -67,6 +68,7 @@ COMMANDS = {
         "generate": ("seed", "autoVoc", "autoGcg", "autoVar", "generator"),
         "auto-voc": ("autoVoc",),
         "auto-gcg": ("autoVoc", "autoGcg"),
+        "generate --seed 3": ("seed",),
     },
     "staged": {
         "generate": ("seed", "autoVar", "generator", "inputs"),
@@ -106,7 +108,7 @@ def answer(root: Path, command: str, text: str) -> dict:
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main([command, "--config", str(config), "--out", str(out)])
+            code = main([*command.split(), "--config", str(config), "--out", str(out)])
     finally:
         shutil.rmtree(out, ignore_errors=True)
     return {"exit": code, "stderr": stderr.getvalue().replace(str(root), "<root>")}

@@ -43,6 +43,17 @@ from oracles import derivations_text, parse_dot
 from test_field_parity import case_id, cases, generate, mutated, read, write
 
 
+def batch_text(dataset: Path, count: int) -> int:
+    """The length of the text of the first ``count`` CG documents of ``dataset`` and their lines.
+
+    As ``formats._READ_BATCH_BYTES``, it ends the first batch of the
+    read-back with the ``count``-th CG.
+    """
+    names = json.loads((dataset / "manifest.json").read_text())["cgFiles"][:count]
+    lines = (dataset / "derivations.jsonl").read_text().splitlines(keepends=True)[1 : count + 1]
+    return sum(len((dataset / name).read_text()) for name in names) + sum(map(len, lines))
+
+
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     vocab = auto_vocabulary(REFERENCE_VOC_CONFIG, fresh_rng("fmt-voc"))
@@ -269,6 +280,37 @@ class TestDatasetFormat:
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    @pytest.mark.parametrize("bound", ["each-alone", "split", "default"])
+    def test_read_batch_size_leaves_the_cgs(self, built, tmp_path, monkeypatch, bound):
+        # Each CG read alone, the first two in one batch, or all in one batch.
+        _, _, dataset, config = built
+        write_dataset(tmp_path, zip(dataset.graphs, dataset.provenances), config)
+        read_bytes = {
+            "each-alone": 0,
+            "split": batch_text(tmp_path, 2),
+            "default": formats._READ_BATCH_BYTES,
+        }[bound]
+        batches = []
+        real = formats._batches
+
+        def recorded(*args):
+            for batch in real(*args):
+                batches.append([name for name, *_ in batch])
+                yield batch
+
+        monkeypatch.setattr(formats, "_READ_BATCH_BYTES", read_bytes)
+        monkeypatch.setattr(formats, "_batches", recorded)
+        expected = [(f"cg-{index:04d}.json", graph) for index, graph in enumerate(dataset.graphs)]
+        assert list(iter_dataset(tmp_path)) == expected
+        names = [name for name, _ in expected]
+        assert [name for batch in batches for name in batch] == names
+        if bound == "each-alone":
+            assert batches == [[name] for name in names]
+        elif bound == "split":
+            assert batches[0] == names[:2] and len(batches) > 1
+        else:
+            assert batches == [names]
+
     def test_manifest_count_mismatch_rejected(self, built, tmp_path):
         _, _, dataset, config = built
         directory = tmp_path / "ds"
@@ -314,7 +356,7 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="unsupported major version '1.0.0'"):
             load_dataset(directory)
 
-    def test_iter_dataset_yields_each_cg_before_a_later_line_is_read(self, built, tmp_path):
+    def test_iter_dataset_yields_each_cg_before_a_later_line_fault_is_raised(self, built, tmp_path):
         _, _, dataset, config = built
         write_dataset(tmp_path, zip(dataset.graphs, dataset.provenances), config)
         write(tmp_path, "derivations.jsonl:4", "null")

@@ -1,9 +1,9 @@
 """`cggen generate`, `validate` and `stats` hold one CG at a time; generate
 checks its inputs before writing.
 
-Each CG is encoded as soon as it is generated, and read back one at a time,
-so the graphs alive when a CG document is encoded or loaded must not depend
-on how many CGs the run makes.
+Each CG is encoded as soon as it is generated, and its graph is built one
+at a time when read back, so the graphs alive when a CG document is encoded
+or a CG is built must not depend on how many CGs the run makes.
 """
 
 import copy
@@ -60,7 +60,7 @@ def test_read_back_holds_one_cg_at_a_time(tmp_path, monkeypatch, capsys, command
     for max_cgs in (2, 8):
         out = generate(tmp_path, max_cgs)
         with monkeypatch.context() as patch:
-            counts = counted(patch, "load_cg")
+            counts = counted(patch, "_cg")
             target = out if command == "validate" else out / "dataset"
             assert main([command, str(target)]) == 0
         assert len(counts) == max_cgs
