@@ -208,6 +208,8 @@ def _resolve_vocabulary(doc: dict[str, Any], base: Path, seed: int) -> Callable[
 
 def _gamma_paths(source: Any, base: Path) -> list[Path]:
     if isinstance(source, str):
+        if not source:
+            raise ConfigError("inputs.gammas must not be empty")
         directory = base / source
         if not directory.is_dir():
             raise ConfigError(f"inputs.gammas directory {directory} does not exist")

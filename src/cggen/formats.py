@@ -9,7 +9,6 @@ documents, diagnostics and DOT labels alike.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -17,7 +16,7 @@ import sys
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CONCEPT,
@@ -46,20 +45,10 @@ DERIVATIONS_FILE = "derivations.jsonl"
 
 
 # Every document is json.dumps(document) + "\n", and so is each line of a
-# derivations file. A document is built as dicts and lists and encoded whole
-# by the C encoder. The derivations writer lays out each draw through one
-# %-template instead, and within one dataset reuses the text of the
-# "assignments" and "specialisations" objects it encoded last, so a repeated
-# one is encoded once: the same bytes through the C encoder took 34 ms
-# against 28 over the 4 lines of a large-cg run (CPython 3.11, 2 cores).
-# docs/formats.md states the layout.
-_enc = json.encoder.encode_basestring_ascii
-_int = int.__repr__
-# json.dumps's C encoder, made once: json.dumps builds a new one per call.
-_dumps = json.encoder.c_make_encoder(None, None, _enc, None, ": ", ", ", False, False, True)
-
-_DRAW = (
-    '{"gamma": %s, "assignments": %s, "specialisations": %s, "merged": %s, "skippedMerges": %s}'
+# derivations file: built as dicts and lists, encoded by json.dumps's C
+# encoder, made once here (json.dumps builds a new one per call).
+_dumps = json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ": ", ", ", False, False, True
 )
 
 
@@ -116,46 +105,18 @@ class _Batch:
 _BY_ID = itemgetter(0)
 
 
-# How many encoded objects of each kind a dataset write keeps. Each entry
-# also keeps its key alive, so without this bound the cache grows with the
-# number of CGs: `cggen generate` at 16 and 64 CGs of 4000 nodes
-# (tests/peak_rss.py, CPython 3.11) peaked at 30.3 and 30.6 MB with 1,024
-# entries, 31.9 and 33.2 MB with 4,096, and 32.0 and 42.5 MB unbounded.
-_OBJECT_CACHE = 1024
-
-_MEMBER = "%s: %s".__mod__
-
-
-def _compact(pairs: Sequence[tuple[str, Any]], encode: Callable[[Any], str]) -> str:
-    """A JSON object from (key, value) pairs, each value through ``encode``, on one line.
-
-    A repeated key keeps its last value.
-    """
-    mapping = dict(pairs)
-    members = map(_MEMBER, zip(map(_enc, mapping), map(encode, mapping.values())))
-    return "{" + ", ".join(members) + "}"
-
-
-def _merged(pairs: Sequence[tuple[str, str]]) -> str:
-    """The "merged" value of a derivation draw: each absorbed node's kept node."""
-    members = ["%s: %s" % (_enc(other), _enc(kept)) for other, kept in pairs]
-    return "{" + ", ".join(members) + "}"
-
-
-def _skipped(pairs: Sequence[tuple[str, str]]) -> str:
+def _kept_by_absorbed(pairs: Sequence[tuple[str, str]]) -> dict[str, list[str]]:
     """The "skippedMerges" value of a derivation draw: each absorbed node's kept nodes.
 
     The pairs of one absorbed node are adjacent, in the order they were compared.
     """
-    if not pairs:
-        return "{}"
     kept_by_other: dict[str, list[str]] = {}
     for other, kept in pairs:
         if other in kept_by_other:
             kept_by_other[other].append(kept)
         else:
             kept_by_other[other] = [kept]
-    return "".join(_dumps(kept_by_other, 0))
+    return kept_by_other
 
 
 def _read_text(path: Path) -> str:
@@ -169,10 +130,15 @@ def _read_text(path: Path) -> str:
         raise FormatError(f"{path}: no such file")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}")
+    return _decode(data, path)
+
+
+def _decode(data: bytes, where: "Path | str") -> str:
+    """``data`` as UTF-8 text, which is the file or line ``where``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+        raise FormatError(f"{where}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def read_json(path: Path) -> dict[str, Any]:
@@ -486,8 +452,10 @@ def _graph_doc(graph: ConceptualGraph) -> dict[str, list[dict[str, Any]]]:
     }
 
 
-_CONCEPT_COLUMNS = itemgetter("concepts[].id", "concepts[].type", "concepts[].marker")
-_RELATION_COLUMNS = itemgetter("relations[].id", "relations[].type", "relations[].args")
+_CONCEPT_KEYS = ("concepts[].id", "concepts[].type", "concepts[].marker")
+_RELATION_KEYS = ("relations[].id", "relations[].type", "relations[].args")
+_CONCEPT_COLUMNS = itemgetter(*_CONCEPT_KEYS)
+_RELATION_COLUMNS = itemgetter(*_RELATION_KEYS)
 
 
 def _load_graph(document: dict[str, Any], columns: dict[str, list], path: Path) -> ConceptualGraph:
@@ -642,31 +610,23 @@ def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
 _DERIVATIONS_HEADER = _document("derivations").decode()
 
 
-def _derivation_writer() -> Callable[[GenerationProvenance], Iterator[str]]:
-    """What encodes the derivations line of each CG of one dataset, draw by draw."""
-    # Draws repeat the same few assignment and specialisation tuples (572
-    # and 30 distinct among the 4,942 draws of 4 CGs of 4000 nodes from the
-    # README's inputs), so each object is encoded once per distinct tuple.
-    # The caches live for one dataset, and their bound keeps the tuples they
-    # hold from growing with the number of CGs.
-    cache = functools.lru_cache(maxsize=_OBJECT_CACHE)
-    assignments = cache(lambda pairs: _compact(pairs, _enc))
-    specialisations = cache(lambda pairs: _compact(pairs, _int))
+def _derivation_line(provenance: GenerationProvenance) -> Iterator[str]:
+    """The derivations line of one CG: json.dumps of its draws, encoded one draw at a time.
 
-    def line(provenance: GenerationProvenance) -> Iterator[str]:
-        separator = '{"draws": ['
-        for draw in provenance.draws:
-            yield separator + _DRAW % (
-                _enc(draw.gamma_name),
-                assignments(draw.assignments),
-                specialisations(draw.specialisations),
-                _merged(draw.merged),
-                _skipped(draw.skipped_merges),
-            )
-            separator = ", "
-        yield '{"draws": []}\n' if separator[0] == "{" else "]}\n"
-
-    return line
+    Only one draw's dicts are alive at once, never the whole line's.
+    """
+    separator = '{"draws": ['
+    for gamma, assignments, specialisations, merged, skipped in provenance.draws:
+        draw = {
+            "gamma": gamma,
+            "assignments": dict(assignments),
+            "specialisations": dict(specialisations),
+            "merged": dict(merged),
+            "skippedMerges": _kept_by_absorbed(skipped),
+        }
+        yield separator + "".join(_dumps(draw, 0))
+        separator = ", "
+    yield '{"draws": []}\n' if separator[0] == "{" else "]}\n"
 
 
 _MARKER_OF = itemgetter(2)  # ConceptNode.marker, read without a Python call
@@ -732,11 +692,9 @@ def read_manifest(directory: "str | Path") -> DatasetManifest:
     return DatasetManifest(files=tuple(file_names), stats=stats, config=manifest["config"])
 
 
-def _readline(lines: TextIO, path: Path) -> str:
-    try:
-        return lines.readline()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}")
+def _readline(lines: BinaryIO, path: Path, number: int) -> str:
+    """Line ``number`` of the derivations file ``path``, decoded on its own; "" past the end."""
+    return _decode(lines.readline(), f"{path}:{number}")
 
 
 def _derivation(text: str, path: Path, number: int, name: str) -> dict[str, list[Any]]:
@@ -761,7 +719,7 @@ _Entry = tuple[str, Path, int, str | FormatError, str | FormatError]
 
 
 def _batches(
-    directory: Path, files: Sequence[str], lines: TextIO, path: Path
+    directory: Path, files: Sequence[str], lines: BinaryIO, path: Path
 ) -> Iterator[list[_Entry]]:
     """The entry of each of ``files``, in order, in batches of at most ``_READ_BATCH_BYTES``.
 
@@ -785,7 +743,7 @@ def _batches(
             text = exc
         else:
             try:
-                line = _readline(lines, path)
+                line = _readline(lines, path, number)
             except FormatError as exc:
                 line = exc
         if type(line) is not str or not line:
@@ -844,8 +802,6 @@ def _split(columns: dict[str, list], array: str, keys: Sequence[str]) -> list[di
     return [{key: columns[key][start:end] for key in keys} for start, end in spans]
 
 
-_CONCEPT_KEYS = ("concepts[].id", "concepts[].type", "concepts[].marker")
-_RELATION_KEYS = ("relations[].id", "relations[].type", "relations[].args")
 _KEPT_KEYS = ("draws[].merged", "draws[].skippedMerges")
 
 
@@ -890,16 +846,16 @@ def _dataset(directory: Path, files: Sequence[str]) -> Iterator[tuple[str, Conce
     """
     path = directory / DERIVATIONS_FILE
     try:
-        lines = path.open(encoding="utf-8")
+        lines = path.open("rb")
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}")
     with lines:
-        _check_header(_object_in(_readline(lines, path), path, 1), f"{path}:1", "derivations")
+        _check_header(_object_in(_readline(lines, path, 1), path, 1), f"{path}:1", "derivations")
         for batch in _batches(directory, files, lines, path):
             yield from _batch(batch, path)
-        if _readline(lines, path):
+        if lines.readline():
             raise FormatError(f"{path}: more lines than a header and one per CG")
 
 
@@ -937,14 +893,13 @@ def write_dataset(
     file_names: list[str] = []
     tally = StatsTally()
     batch = _Batch()
-    derivation = _derivation_writer()
     with (directory / DERIVATIONS_FILE).open("w", encoding="utf-8") as lines:
         lines.write(_DERIVATIONS_HEADER)
         for index, (graph, provenance) in enumerate(cgs):
             file_names.append(f"cg-{index:04d}.json")
             batch.add(os.path.join(directory, file_names[-1]), _cg_document(graph))
             tally.add(graph)
-            lines.writelines(derivation(provenance))
+            lines.writelines(_derivation_line(provenance))
         batch.flush()
     stats = tally.stats()
     manifest = _document(

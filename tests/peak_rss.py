@@ -6,9 +6,8 @@ README's run configuration at each point of ``POINTS``, each run in its own
 child of this process, then ``cggen validate`` on each output, and reads each
 child's own peak resident set with ``os.wait4``:
 
-- ``minSize`` 4000 at 4, 16 and 64 CGs. The 64-CG point also bounds what
-  the derivation writer caches within one dataset, and the markers minted
-  per CG that the vocabulary validate reads carries.
+- ``minSize`` 4000 at 4, 16 and 64 CGs. The 64-CG point also bounds the
+  markers minted per CG that the vocabulary validate reads carries.
 - ``minSize`` 30 at 100 and 1000 CGs, which validate reads back in batches
   of many CGs.
 

@@ -169,6 +169,8 @@ class TestGenerate:
             ("generate", "inputs.vocabulary", "", (), "exactly one vocabulary source is required"),
             ("generate", "inputs.gammas", [], ("autoGcg",), "inputs.gammas lists no files"),
             ("auto-var", "inputs.gammas", [], ("autoGcg",), "inputs.gammas lists no files"),
+            ("generate", "inputs.gammas", "", ("autoGcg",), "inputs.gammas must not be empty"),
+            ("auto-var", "inputs.gammas", "", ("autoGcg",), "inputs.gammas must not be empty"),
             (
                 "generate",
                 "inputs.vocabulary",
@@ -1203,7 +1205,7 @@ class TestMalformedDataset:
         names = json.loads((dataset / "manifest.json").read_text())["cgFiles"]
         path = dataset / "derivations.jsonl"
         monkeypatch.setattr(formats, "_READ_BATCH_BYTES", split_bound)
-        with path.open(encoding="utf-8") as lines:
+        with path.open("rb") as lines:
             lines.readline()
             batches = formats._batches(dataset, names, lines, path)
             first, second = next(batches), next(batches)

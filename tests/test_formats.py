@@ -368,6 +368,24 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match=r"jsonl:4: top-level value must be an object"):
             next(cgs)
 
+    def test_line_not_utf8_is_raised_after_the_cgs_ahead_of_it(self, built, tmp_path):
+        # Each line is decoded on its own, so the fault names its line and
+        # byte, and the CGs of the lines before it are yielded first.
+        _, _, dataset, config = built
+        write_dataset(tmp_path, zip(dataset.graphs, dataset.provenances), config)
+        path = tmp_path / "derivations.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5][:10] + b"\xff" + lines[5][11:]
+        path.write_bytes(b"".join(lines))
+        cgs = iter_dataset(tmp_path)
+        assert [next(cgs) for _ in range(4)] == [
+            (f"cg-{index:04d}.json", graph) for index, graph in enumerate(dataset.graphs[:4])
+        ]
+        message = f"{path}:6: not UTF-8 text: invalid start byte at byte 10"
+        with pytest.raises(FormatError) as raised:
+            next(cgs)
+        assert str(raised.value) == message
+
     def test_derivations_file_is_no_document(self, built, tmp_path):
         # It is not one JSON value, yet its header line names its kind.
         _, _, dataset, config = built

@@ -254,8 +254,8 @@ class TestDerivationsWriter:
                 ),
                 GenerationProvenance((ComponentDraw("g1", (("v1", "x"),), (), (), ()),)),
             ],
-            # The writer encodes each distinct assignments and specialisations
-            # tuple once; draws that share them must still get their own merges.
+            # Draws that share assignments and specialisations objects must
+            # still get their own merges.
             [
                 GenerationProvenance(
                     (
@@ -306,27 +306,6 @@ class TestDerivationsWriter:
         document = json.loads(text.splitlines()[1])["draws"][0]
         assert list(document["assignments"].items()) == [("a", "3"), ("b", "2")]
         assert list(document["specialisations"].items()) == [("s", 5), ("t", 2)]
-
-    def test_more_distinct_objects_than_the_cache_holds(self, tmp_path):
-        # Each draw has its own assignments and specialisations. After the
-        # first CG the earliest tuples are evicted, and the second CG, with
-        # the same draws in the same order, must encode them again to the same text.
-        count = formats._OBJECT_CACHE + 10
-        draws = tuple(
-            ComponentDraw(
-                "g0",
-                ((f"v{n}", ODD[n % len(ODD)]), ("w", f"m{n}"), (f"v{n}", f"last{n}")),
-                ((f"concept-type:c{n % 7}", n % 3), (f"marker:c{n}", n)),
-                (),
-                (),
-            )
-            for n in range(count)
-        )
-        provenances = [GenerationProvenance(draws)] * 2
-        text = derivations(tmp_path, provenances)
-        assert text == derivations_text(provenances)
-        document = json.loads(text.splitlines()[2])["draws"][0]
-        assert list(document["assignments"].items()) == [("v0", "last0"), ("w", "m0")]
 
     def test_no_cache_state_outlives_a_write(self, tmp_path):
         assignments = (("v0", "alice"), ("v1", "bob"))
