@@ -9,6 +9,7 @@ independently reproducible.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -32,10 +33,14 @@ from .gamma import (
     VariableTarget,
     slot_domain,
 )
-from .generator import _Assembler
+from .generator import _Assembler, _RelationRow
 
 # Downward steps used when the gamma-CG builder "randomly specializes" a label.
 AUTO_SPECIALISE_STEPS = 3
+
+# The arguments getter of a relation whose arguments are all of its draw's
+# concepts, in order: the whole tuple of their kept ids.
+_EVERY_ARGUMENT = itemgetter(slice(None))
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -231,11 +236,12 @@ def _signature_component(
     same_arity: dict[int, tuple[str, ...]],
     compatible: dict[str, list[str]],
     rng: random.Random,
-) -> tuple[list[ConceptNode], list[tuple[str, str, range]]]:
+) -> tuple[list[ConceptNode], list[_RelationRow]]:
     """One relation node with freshly typed and marked concept arguments.
 
     Returned as the concept and relation rows of ``_Assembler.absorb``,
-    which names the nodes.
+    which names the nodes; the relation's arguments are every concept, in
+    order, so its getter takes the whole tuple of their kept ids.
     ``same_arity`` maps each arity to its relation type ids and
     ``compatible`` each concept type to the ids of the types at or below it,
     both sorted once by the caller.
@@ -265,7 +271,7 @@ def _signature_component(
         else:
             marker = mint.mint(concept_type)
         concepts.append(ConceptNode(f"c{position}", concept_type, marker))
-    return concepts, [("r0", relation_type, range(arity))]
+    return concepts, [("r0", relation_type, _EVERY_ARGUMENT)]
 
 
 def auto_gamma_cgs(

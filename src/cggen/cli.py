@@ -545,3 +545,7 @@ def console_main() -> None:
         raise SystemExit(code)
     # The output is out; skip the teardown (see the module docstring).
     os._exit(code)
+
+
+if __name__ == "__main__":
+    console_main()

@@ -613,15 +613,17 @@ _DERIVATIONS_HEADER = _document("derivations").decode()
 def _derivation_line(provenance: GenerationProvenance) -> Iterator[str]:
     """The derivations line of one CG: json.dumps of its draws, encoded one draw at a time.
 
-    Only one draw's dicts are alive at once, never the whole line's.
+    Each ``ComponentDraw`` already holds its assignments, specialisations
+    and merges as the dicts the line stores; only ``skippedMerges`` is
+    grouped here, and only one draw's object and groups are alive at once.
     """
     separator = '{"draws": ['
     for gamma, assignments, specialisations, merged, skipped in provenance.draws:
         draw = {
             "gamma": gamma,
-            "assignments": dict(assignments),
-            "specialisations": dict(specialisations),
-            "merged": dict(merged),
+            "assignments": assignments,
+            "specialisations": specialisations,
+            "merged": merged,
             "skippedMerges": _kept_by_absorbed(skipped),
         }
         yield separator + "".join(_dumps(draw, 0))

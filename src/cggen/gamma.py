@@ -22,7 +22,8 @@ The draw is compiled once per (vocabulary, gamma-CG) into a ``DrawPlan``.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     ConceptualGraph,
@@ -287,12 +288,23 @@ class InstantiationOutcome(NamedTuple):
 
     ``labels`` maps each type-variable slot's node id to its drawn type and
     ``markers`` each marker-variable slot's node id to its drawn marker;
-    every other label is the gamma-CG's own.
+    every other label is the gamma-CG's own. ``assignments`` maps each
+    variable's name to its drawn value, in draw order: the draw's
+    ``assignments`` object in ``derivations.jsonl``.
     """
 
     labels: dict[str, str]
     markers: dict[str, str]
-    assignments: tuple[tuple[str, str], ...]
+    assignments: dict[str, str]
+
+
+def _arguments_getter(positions: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """One call that takes the items at ``positions`` of a tuple, as a tuple."""
+    if len(positions) == 1:
+        # itemgetter(i) returns the item, not a one-item tuple.
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    # itemgetter() of no position cannot be made; an empty slice gives ().
+    return itemgetter(*positions) if positions else itemgetter(slice(0))
 
 
 class DrawPlan:
@@ -306,7 +318,9 @@ class DrawPlan:
       be drawn with;
     - ``rows``, what the generator's ``_Assembler.absorb`` names, labels
       and joins in one pass: the concepts by position (``ConceptNode``s)
-      and the relations by position as (id, type, argument positions);
+      and the relations by position as (id, type, arguments), where
+      ``arguments`` takes a relation's argument ids, as a tuple, from the
+      tuple of the ids its concepts are kept under, in concept order;
     - ``slots``, the type slots the generator specialises, in draw order,
       as (provenance key, node id, hierarchy, and the argument ids and
       their types, or ``None`` for a concept slot).
@@ -380,7 +394,11 @@ class DrawPlan:
         self.rows = (
             tuple(graph.concepts.values()),
             tuple(
-                (node.node_id, node.type_id, tuple(position[arg] for arg in node.args))
+                (
+                    node.node_id,
+                    node.type_id,
+                    _arguments_getter([position[arg] for arg in node.args]),
+                )
                 for node in graph.relations.values()
             ),
         )
@@ -392,10 +410,9 @@ class DrawPlan:
         up = self._up
         choice = rng.choice
         labels: dict[str, str] = {}
-        assignments: list[tuple[str, str]] = []
+        assignments: dict[str, str] = {}
         for name, node_id, domain in self._relation_steps:
-            value = labels[node_id] = choice(domain)
-            assignments.append((name, value))
+            assignments[name] = labels[node_id] = choice(domain)
 
         for name, node_id, effective, drawn in self._concept_steps:
             if drawn:
@@ -407,17 +424,16 @@ class DrawPlan:
                 raise InstantiationError(
                     f"variable {name!r} of {self.gcg.name!r} has no admissible concept type"
                 )
-            value = labels[node_id] = choice(effective)
-            assignments.append((name, value))
+            assignments[name] = labels[node_id] = choice(effective)
 
         markers: dict[str, str] = {}
         for name, node_id, node_type, by_type in self._marker_steps:
             node_type = labels.get(node_id, node_type)
             effective = by_type[node_type]
-            value = markers[node_id] = choice(effective) if effective else mint.mint(node_type)
-            assignments.append((name, value))
+            value = choice(effective) if effective else mint.mint(node_type)
+            assignments[name] = markers[node_id] = value
 
-        return InstantiationOutcome(labels, markers, tuple(assignments))
+        return InstantiationOutcome(labels, markers, assignments)
 
 
 def instantiate(
@@ -428,6 +444,10 @@ def instantiate(
     mint: MarkerMint,
 ) -> InstantiationOutcome:
     """Replace every variable's target label by a draw from its domain.
+
+    Returns an ``InstantiationOutcome``: the drawn labels and markers by
+    node id, and each variable's drawn value by name, in draw order, as
+    the dict a derivations line stores.
 
     A gamma-CG that fails ``validate_gamma`` raises StructureError, naming
     it and listing the report's lines. Relation-type variables are drawn

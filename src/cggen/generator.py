@@ -11,6 +11,9 @@ A draw is joined in one pass over the rows its gamma-CG's ``DrawPlan``
 compiled once: ``_Assembler.absorb`` gives each node the CG's next
 ``c<i>``/``r<j>`` id and its drawn label and marker, and merges or adds it,
 so no id is remapped through a dict and no per-draw node list is built.
+Each relation takes its argument ids with one compiled getter. A draw's
+assignments, specialisation steps and merges are built once, as the dicts
+its object in ``derivations.jsonl`` stores, so the writer only encodes them.
 
 Dataset generation derives one independent RNG stream and one marker
 namespace per output index from the seed, so CG ``i`` is the same whichever
@@ -22,7 +25,7 @@ from __future__ import annotations
 import random
 import sys
 from itertools import chain
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
@@ -91,17 +94,19 @@ class GeneratorConfig(_GeneratorConfig):
 class ComponentDraw(NamedTuple):
     """Provenance of one component absorbed into a generated CG.
 
-    Each merge record is an (absorbed id, kept id) pair, as
-    ``derivations.jsonl`` stores it; the kept node carries the marker.
-    ``merged`` has one pair per absorbed node and ``skipped_merges`` one per
-    comparison that left the two apart, in comparison order, so the pairs
-    of one absorbed node are adjacent.
+    ``assignments`` (variable name to drawn value), ``specialisations``
+    (type slot to steps taken) and ``merged`` (absorbed id to kept id) are
+    built as the dicts their draw object in ``derivations.jsonl`` stores,
+    in draw order; the kept node carries the marker. ``skipped_merges``
+    holds one (absorbed id, kept id) pair per comparison that left the two
+    apart, in comparison order, so the pairs of one absorbed node are
+    adjacent; the file stores them grouped by absorbed node.
     """
 
     gamma_name: str
-    assignments: tuple[tuple[str, str], ...]
-    specialisations: tuple[tuple[str, int], ...]
-    merged: tuple[tuple[str, str], ...]
+    assignments: dict[str, str]
+    specialisations: dict[str, int]
+    merged: dict[str, str]
     skipped_merges: tuple[tuple[str, str], ...]
 
 
@@ -117,6 +122,11 @@ class DatasetResult(NamedTuple):
     graphs: tuple[ConceptualGraph, ...]
     provenances: tuple[GenerationProvenance, ...]
     vocabulary: Vocabulary
+
+
+# A relation row of DrawPlan.rows: its id, its type and the getter of its
+# argument ids from the tuple of the ids a draw's concepts are kept under.
+_RelationRow = tuple[str, str, Callable[[tuple[str, ...]], tuple[str, ...]]]
 
 
 class _Assembler:
@@ -146,25 +156,28 @@ class _Assembler:
 
     def absorb(
         self,
-        rows: tuple[Sequence[ConceptNode], Sequence[tuple[str, str, Sequence[int]]]],
+        rows: tuple[Sequence[ConceptNode], Sequence[_RelationRow]],
         labels: Mapping[str, str],
         markers: Mapping[str, str],
-    ) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-        """Fold one draw in; return its (absorbed id, kept id) merges and skipped merges.
+    ) -> tuple[dict[str, str], tuple[tuple[str, str], ...]]:
+        """Fold one draw in; return its merges, absorbed id to kept id, and skipped merges.
 
-        ``rows`` holds the concept rows and the (id, type, argument
-        positions) relation rows of ``DrawPlan.rows``, each position
-        indexing the concept rows. A row's type is replaced by its id's
+        ``rows`` holds the concept rows and the (id, type, arguments)
+        relation rows of ``DrawPlan.rows``, where ``arguments`` takes a
+        relation's argument ids, as a tuple, from the tuple of the ids the
+        concept rows are kept under. A row's type is replaced by its id's
         entry in ``labels`` and a concept's marker by its entry in
         ``markers``, if any; the row ids serve only as those keys. In the
         same pass each concept row takes the next ``c<n>`` and each relation
-        row the next ``r<n>``.
+        row the next ``r<n>``. The merges are the draw's ``merged`` dict and
+        the skipped merges its (absorbed id, kept id) pairs, as
+        ``ComponentDraw`` holds them.
         """
         up = self._up
         types = self._types
         kept_markers = self._markers
         by_marker = self._by_marker
-        merged: list[tuple[str, str]] = []
+        merged: dict[str, str] = {}
         skipped: list[tuple[str, str]] = []
         final: list[str] = []
         concept_rows, relation_rows = rows
@@ -183,7 +196,7 @@ class _Assembler:
                 else:
                     skipped.append((node_id, kept_id))
                     continue
-                merged.append((node_id, kept_id))
+                merged[node_id] = kept_id
                 final.append(kept_id)
                 break
             else:
@@ -195,14 +208,13 @@ class _Assembler:
         added = self._relations
         # tuple.__new__ skips the Python-level RelationNode.__new__.
         new = tuple.__new__
+        kept = tuple(final)
         for number, (row_id, type_id, args) in enumerate(relation_rows, self._next_relation):
             node_id = f"r{number}"
-            # From a list, not an iterator: an exact-size tuple, taken from the free list.
-            kept_args = tuple([final[a] for a in args])
-            added[node_id] = new(RelationNode, (node_id, labels.get(row_id, type_id), kept_args))
+            added[node_id] = new(RelationNode, (node_id, labels.get(row_id, type_id), args(kept)))
         self._next_concept += len(concept_rows)
         self._next_relation += len(relation_rows)
-        return tuple(merged), tuple(skipped)
+        return merged, tuple(skipped)
 
     def snapshot(self) -> ConceptualGraph:
         markers = self._markers
@@ -220,12 +232,13 @@ def _specialise(
     labels: dict[str, str],
     spread: Sequence[int],
     rng: random.Random,
-) -> tuple[tuple[str, int], ...]:
+) -> dict[str, int]:
     """Walk each type-variable label down its hierarchy, ``rng.choice(spread)`` moves at most.
 
     ``plan`` is the draw's ``DrawPlan``, ``labels`` its drawn labels and
     ``spread`` is ``range(max_spe + 1)``. Sets the new label of each of
-    ``plan.slots`` in ``labels`` and returns the steps taken per slot.
+    ``plan.slots`` in ``labels`` and returns the steps taken, keyed by
+    slot in slot order: the draw's ``specialisations`` dict.
     Relation labels only step to children whose signatures stay
     satisfied by the node's current argument types, which ``plan.admitted``
     caches by (type, argument types); concept labels may take any downward
@@ -233,7 +246,7 @@ def _specialise(
     """
     choice = rng.choice
     admitted = plan.admitted
-    steps_taken: list[tuple[str, int]] = []
+    steps_taken: dict[str, int] = {}
     for key, node_id, hierarchy, args in plan.slots:
         moves = choice(spread)
         children = hierarchy.children
@@ -257,8 +270,8 @@ def _specialise(
             current = choice(kids)
             taken += 1
         labels[node_id] = current
-        steps_taken.append((key, taken))
-    return tuple(steps_taken)
+        steps_taken[key] = taken
+    return steps_taken
 
 
 # One generated CG: its graph, its provenance and the markers minted for it.

@@ -71,18 +71,18 @@ def brute_absorb(
     concepts: dict[str, ConceptNode],
     relations: dict[str, RelationNode],
     graph: ConceptualGraph,
-) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+) -> tuple[dict[str, str], tuple[tuple[str, str], ...]]:
     """Join ``graph`` into ``concepts`` and ``relations`` in place, under its own node ids.
 
     Each marked concept is compared with every earlier concept carrying the
     same marker, in insertion order: it merges into the first whose type is
     comparable with its own, which keeps the lower of the two, and is added
-    when there is none. Returns the (absorbed, kept) merges and the
+    when there is none. Returns the merges, absorbed id to kept id, and the
     (absorbed, kept) comparisons that left the two apart.
     """
     hierarchy = vocab.concepts
     kept_ids: dict[str, str] = {}
-    merged: list[tuple[str, str]] = []
+    merged: dict[str, str] = {}
     skipped: list[tuple[str, str]] = []
     for node in graph.concepts.values():
         kept_ids[node.node_id] = node.node_id
@@ -97,14 +97,14 @@ def brute_absorb(
             elif not brute_subtype(hierarchy, other.type_id, node.type_id):
                 skipped.append((node.node_id, other.node_id))
                 continue
-            merged.append((node.node_id, other.node_id))
+            merged[node.node_id] = other.node_id
             kept_ids[node.node_id] = other.node_id
             break
         else:
             concepts[node.node_id] = node
     for node in graph.relations.values():
         relations[node.node_id] = node._replace(args=tuple(kept_ids[arg] for arg in node.args))
-    return tuple(merged), tuple(skipped)
+    return merged, tuple(skipped)
 
 
 def fold(vocab: Vocabulary, *graphs: ConceptualGraph) -> ConceptualGraph:
@@ -119,7 +119,11 @@ def fold(vocab: Vocabulary, *graphs: ConceptualGraph) -> ConceptualGraph:
     for graph in graphs:
         position = {node_id: index for index, node_id in enumerate(graph.concepts)}
         relations = [
-            (node.node_id, node.type_id, [position[arg] for arg in node.args])
+            (
+                node.node_id,
+                node.type_id,
+                lambda kept, at=[position[arg] for arg in node.args]: tuple(kept[i] for i in at),
+            )
             for node in graph.relations.values()
         ]
         assembler.absorb((tuple(graph.concepts.values()), relations), {}, {})
@@ -251,11 +255,12 @@ def _brute_signature_admits(
 
 def brute_instantiate(
     vocab: Vocabulary, gcg: GammaCG, rng: random.Random, *, mint: MarkerMint
-) -> tuple[ConceptualGraph, tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+) -> tuple[ConceptualGraph, dict[str, str], tuple[tuple[str, str], ...]]:
     """One draw filtering every stored domain in full, with checked lookups.
 
     The draw as it was before gamma-CGs were compiled into draw plans:
-    returns the instantiated graph, the assignments and the type slots.
+    returns the instantiated graph, the assignments (variable name to value,
+    in draw order) and the type slots.
     """
     concept_types = {nid: node.type_id for nid, node in gcg.graph.concepts.items()}
     concept_markers = {nid: node.marker for nid, node in gcg.graph.concepts.items()}
@@ -269,7 +274,7 @@ def brute_instantiate(
     pending_marker_nodes = {v.target.node_id for v in marker_vars}
     pending_concept_nodes = {v.target.node_id for v in concept_vars}
 
-    assignments: list[tuple[str, str]] = []
+    assignments: dict[str, str] = {}
     type_slots: list[tuple[str, str]] = []
 
     for variable in relation_vars:
@@ -284,7 +289,7 @@ def brute_instantiate(
             )
         choice = effective[rng.randrange(len(effective))]
         relation_types[node_id] = choice
-        assignments.append((variable.name, choice))
+        assignments[variable.name] = choice
         type_slots.append((TARGET_RELATION_TYPE, node_id))
 
     for variable in concept_vars:
@@ -302,7 +307,7 @@ def brute_instantiate(
             )
         choice = effective[rng.randrange(len(effective))]
         concept_types[node_id] = choice
-        assignments.append((variable.name, choice))
+        assignments[variable.name] = choice
         type_slots.append((TARGET_CONCEPT_TYPE, node_id))
 
     for variable in marker_vars:
@@ -315,7 +320,7 @@ def brute_instantiate(
         else:
             choice = mint.mint(node_type)
         concept_markers[node_id] = choice
-        assignments.append((variable.name, choice))
+        assignments[variable.name] = choice
 
     concepts = {
         nid: ConceptNode(nid, concept_types[nid], concept_markers[nid])
@@ -325,7 +330,7 @@ def brute_instantiate(
         nid: RelationNode(nid, relation_types[nid], node.args)
         for nid, node in gcg.graph.relations.items()
     }
-    return ConceptualGraph(concepts, relations), tuple(assignments), tuple(type_slots)
+    return ConceptualGraph(concepts, relations), assignments, tuple(type_slots)
 
 
 def _reference_walk(hierarchy, type_id, moves, rng, keep=None):
@@ -379,7 +384,7 @@ def reference_generate_one(
                 skipped_gammas.add(index)
             continue
         labels: dict[str, str] = {}
-        steps = []
+        steps: dict[str, int] = {}
         for kind, node_id in type_slots:
             moves = rng.randint(0, config.max_spe)
             if kind == TARGET_CONCEPT_TYPE:
@@ -395,7 +400,7 @@ def reference_generate_one(
                     rng,
                     lambda child: _brute_signature_admits(vocab, child, arg_types),
                 )
-            steps.append((f"{kind}:{node_id}", taken))
+            steps[f"{kind}:{node_id}"] = taken
         ids = {nid: f"c{next_concept + i}" for i, nid in enumerate(graph.concepts)}
         ids.update({nid: f"r{next_relation + j}" for j, nid in enumerate(graph.relations)})
         next_concept += len(graph.concepts)
@@ -413,7 +418,7 @@ def reference_generate_one(
             },
         )
         merged, skipped = brute_absorb(vocab, concepts, relations, component)
-        draws.append(ComponentDraw(gcg.name, assignments, tuple(steps), merged, skipped))
+        draws.append(ComponentDraw(gcg.name, assignments, steps, merged, skipped))
     return ConceptualGraph(concepts, relations), GenerationProvenance(tuple(draws))
 
 
@@ -548,9 +553,9 @@ def derivations_text(provenances: list[GenerationProvenance]) -> str:
         draws = [
             {
                 "gamma": draw.gamma_name,
-                "assignments": {name: value for name, value in draw.assignments},
-                "specialisations": {slot: steps for slot, steps in draw.specialisations},
-                "merged": {other: kept for other, kept in draw.merged},
+                "assignments": draw.assignments,
+                "specialisations": draw.specialisations,
+                "merged": draw.merged,
                 "skippedMerges": _kept_by_absorbed(draw.skipped_merges),
             }
             for draw in provenance.draws

@@ -132,6 +132,20 @@ def test_child_prints_and_exits_as_main_does(small_output, tmp_path, capsys, cas
     assert returned == code
 
 
+@pytest.mark.parametrize("module", ["cggen", "cggen.cli"])
+def test_module_entry_points_are_the_command(tmp_path, module):
+    # In development mode with every warning an error, as CI runs them.
+    missing = tmp_path / "missing"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", module, "validate", str(missing)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {missing}: no such file\n")
+
+
 @pytest.mark.parametrize("case", ["stats", "validate-tampered"])
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_ends_the_child_as_the_interpreter_would(small_output, case, unbuffered):

@@ -618,7 +618,8 @@ class TestDrawPlanMatchesBruteForce:
                     else:
                         graph, assignments, _ = expected
                         assert outcome_graph(gcg, got) == graph
-                        assert got.assignments == assignments
+                        # In draw order: the order the derivations line writes.
+                        assert list(got.assignments.items()) == list(assignments.items())
                     assert rng.getstate() == rngs[0].getstate()
                     assert mint.minted == brute_mint.minted
                 failed += isinstance(expected, str)

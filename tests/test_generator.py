@@ -34,6 +34,7 @@ from oracles import (
     brute_incidences,
     brute_marker_domain,
     brute_subtype,
+    derivations_text,
     fold,
     reference_generate_one,
 )
@@ -283,8 +284,8 @@ class TestGenerateOne:
         out, provenance, _ = generate_one(tiny_vocab, plans, config, 0)
         bob_nodes = [n for n in out.concepts.values() if n.marker == "bob"]
         assert len(bob_nodes) == 1
-        merges = [m for d in provenance.draws for m in d.merged]
-        assert any(out.concepts[kept].marker == "bob" for _, kept in merges)
+        kept_ids = [kept for d in provenance.draws for kept in d.merged.values()]
+        assert any(out.concepts[kept].marker == "bob" for kept in kept_ids)
 
     def test_failing_gamma_skipped(self, tiny_vocab, plain_gamma):
         # The valid "broken" gamma-CG always fails instantiation and must be
@@ -408,11 +409,13 @@ class TestRngConsumption:
             mint = MarkerMint(tiny_vocab, f"cg{index}")
             want = reference_generate_one(tiny_vocab, gammas, config, rng, mint=mint)
             assert got == (*want, tuple(mint.minted.values()))
-            # Dicts compare without order; the output writes the nodes in it.
+            # Dicts compare without order; the output writes the nodes and
+            # each draw's records in it.
             assert [*got[0].concepts, *got[0].relations] == [*want[0].concepts, *want[0].relations]
+            assert derivations_text([got[1]]) == derivations_text([want[1]])
             minted += len(got[2])
             draws = got[1].draws
-            steps += sum(taken for draw in draws for _, taken in draw.specialisations)
+            steps += sum(taken for draw in draws for taken in draw.specialisations.values())
             merges += sum(len(draw.merged) for draw in draws)
             skips += sum(len(draw.skipped_merges) for draw in draws)
         assert merges and skips and minted
@@ -584,7 +587,7 @@ class TestGenerateDataset:
             count
             for provenance in result.provenances
             for draw in provenance.draws
-            for _, count in draw.specialisations
+            for count in draw.specialisations.values()
         ]
         assert steps and max(steps) <= 2
 

@@ -60,6 +60,34 @@ def test_large_cg_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
     assert sum(len(draw.merged) for draw in records) == 7371
     assert sum(len(draw.skipped_merges) for draw in records) == 6758 > len(skipped)
     assert tree_digest(out) == (GOLDEN_FILES, GOLDEN_SHA256)
-    # Each merge record is written as the (absorbed, kept) pair it was generated as.
+    # Each draw's records are written as they were generated.
     assert text == derivations_text(generated)
     assert len(load_dataset(out / "dataset").graphs) == 2
+
+
+def test_each_draw_holds_the_objects_of_its_derivations_line(tmp_path, capsys, monkeypatch):
+    # assignments, specialisations and merged are generated as the dicts the
+    # line stores, in its order; skipped_merges stays (absorbed, kept)
+    # pairs, which the line groups by absorbed node in comparison order.
+    config = {**README_CONFIG, "generator": {"maxCGs": 3, "minSize": 300, "maxSpe": 3}}
+    out, generated = generate_recording(tmp_path, monkeypatch, config)
+    capsys.readouterr()
+    text = (out / "dataset" / "derivations.jsonl").read_text(encoding="utf-8")
+    lines = [json.loads(line)["draws"] for line in text.splitlines()[1:]]
+    assert len(lines) == len(generated) == 3
+    counts = dict.fromkeys(("assignments", "specialisations", "merged", "skippedMerges"), 0)
+    for objects, provenance in zip(lines, generated):
+        assert len(objects) == len(provenance.draws)
+        for document, draw in zip(objects, provenance.draws):
+            assert document["gamma"] == draw.gamma_name
+            for name in ("assignments", "specialisations", "merged"):
+                record = getattr(draw, name)
+                assert type(record) is dict
+                assert list(record.items()) == list(document[name].items())
+                counts[name] += len(record)
+            grouped = {}
+            for absorbed, kept in draw.skipped_merges:
+                grouped.setdefault(absorbed, []).append(kept)
+            assert list(grouped.items()) == list(document["skippedMerges"].items())
+            counts["skippedMerges"] += len(draw.skipped_merges)
+    assert all(counts.values()), counts

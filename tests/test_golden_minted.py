@@ -39,6 +39,6 @@ def test_minted_carrier_output_digest_is_pinned(tmp_path, capsys, monkeypatch):
         graph.concepts[kept].marker
         for graph, provenance in zip(loaded.graphs, generated)
         for draw in provenance.draws
-        for _, kept in draw.merged + draw.skipped_merges
+        for kept in [*draw.merged.values(), *(kept for _, kept in draw.skipped_merges)]
     }
     assert markers and all(marker.startswith("gcg-m") for marker in markers)

@@ -58,7 +58,7 @@ VOCABULARY_NAMES = ("concepts", "relations", "signatures", "markers")
 
 def record_instances(vocab):
     """One instance of every record class that ``cggen.__all__`` exports."""
-    provenance = GenerationProvenance((ComponentDraw("g", (("x", "Place"),), (), (), ()),))
+    provenance = GenerationProvenance((ComponentDraw("g", {"x": "Place"}, {}, {}, ()),))
     return [
         P,
         AutoVocConfig(P, P, P, P, (1, 2)),

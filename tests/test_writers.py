@@ -48,9 +48,9 @@ from oracles import cg_doc, derivations_text, gamma_cg_doc, vocabulary_doc
 ODD = ["café", "\U0001f600x", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f", " "]
 
 
-# Draws of different CGs that share these tuples, as generated draws often do.
-SHARED_ASSIGNMENTS = ((ODD[0], "alice"), ("v2", ODD[5]))
-SHARED_STEPS = (("concept-type:c0", 2), ("marker:c1", 0))
+# Draws that share these dicts: each must be written as an equal copy would be.
+SHARED_ASSIGNMENTS = {ODD[0]: "alice", "v2": ODD[5]}
+SHARED_STEPS = {"concept-type:c0": 2, "marker:c1": 0}
 
 
 def expected(doc):
@@ -222,7 +222,9 @@ PERSON = ConceptualGraph({"c0": ConceptNode("c0", "Person")}, {})
 
 def kept_nodes(provenance, marker):
     """A CG of ``PERSON`` and each kept node of ``provenance``, carrying ``marker``."""
-    pairs = [pair for draw in provenance.draws for pair in draw.merged + draw.skipped_merges]
+    pairs = [
+        pair for draw in provenance.draws for pair in [*draw.merged.items(), *draw.skipped_merges]
+    ]
     concepts = {kept: ConceptNode(kept, "Person", marker) for _, kept in pairs}
     return ConceptualGraph({**PERSON.concepts, **concepts}, {})
 
@@ -242,27 +244,27 @@ class TestDerivationsWriter:
             [
                 GenerationProvenance(
                     (
-                        ComponentDraw("g0", (), (), (), ()),
+                        ComponentDraw("g0", {}, {}, {}, ()),
                         ComponentDraw(
                             ODD[1],
-                            ((ODD[0], ODD[2]), ("v2", ODD[4])),
-                            ((f"concept-type:{ODD[3]}", 2), ("marker:c0", 0)),
-                            (("cé4", "c0"), (ODD[5], ODD[2])),
+                            {ODD[0]: ODD[2], "v2": ODD[4]},
+                            {f"concept-type:{ODD[3]}": 2, "marker:c0": 0},
+                            {"cé4": "c0", ODD[5]: ODD[2]},
                             ((ODD[4], "c1"), (ODD[4], ODD[3])),
                         ),
                     )
                 ),
-                GenerationProvenance((ComponentDraw("g1", (("v1", "x"),), (), (), ()),)),
+                GenerationProvenance((ComponentDraw("g1", {"v1": "x"}, {}, {}, ()),)),
             ],
             # Draws that share assignments and specialisations objects must
             # still get their own merges.
             [
                 GenerationProvenance(
                     (
-                        ComponentDraw("g0", SHARED_ASSIGNMENTS, SHARED_STEPS, merged, ()),
-                        # Equal to the first draw's tuple, but another object.
+                        ComponentDraw("g0", SHARED_ASSIGNMENTS, SHARED_STEPS, dict(merged), ()),
+                        # Equal to the first draw's dict, but another object.
                         ComponentDraw(
-                            "g1", tuple(list(SHARED_ASSIGNMENTS)), SHARED_STEPS, (), merged[::-1]
+                            "g1", dict(SHARED_ASSIGNMENTS), SHARED_STEPS, {}, merged[::-1]
                         ),
                     )
                 )
@@ -284,7 +286,7 @@ class TestDerivationsWriter:
 
     def test_marker_minted_for_a_cg_stays_in_the_cg(self, tmp_path):
         # Only the CG's document holds a cg<i>-m<n> marker and its kept nodes.
-        draw = ComponentDraw("g0", (), (), (("c3", "c1"),), (("c4", "c2"), ("c4", "c5")))
+        draw = ComponentDraw("g0", {}, {}, {"c3": "c1"}, (("c4", "c2"), ("c4", "c5")))
         provenances = [GenerationProvenance((draw,))]
         text = derivations(tmp_path, provenances, "cg0-m0")
         assert "cg0-m" not in text
@@ -293,31 +295,27 @@ class TestDerivationsWriter:
         assert load_dataset(tmp_path).graphs == (kept_nodes(provenances[0], "cg0-m0"),)
 
     def test_repeated_key_keeps_dict_semantics(self, tmp_path):
-        draw = ComponentDraw(
-            "g0",
-            (("a", "1"), ("b", "2"), ("a", "3")),
-            (("s", 1), ("t", 2), ("s", 5)),
-            (),
-            (),
-        )
+        # Only skipped_merges is still pairs: an absorbed node compared with
+        # several kept nodes is one key listing them in comparison order.
+        skipped = (("c5", "c1"), ("c5", "c3"), ("c5", "c2"), ("c6", "c1"))
+        draw = ComponentDraw("g0", {"a": "1"}, {"s": 1}, {"c4": "c0"}, skipped)
         provenances = [GenerationProvenance((draw,))]
         text = derivations(tmp_path, provenances)
         assert text == derivations_text(provenances)
         document = json.loads(text.splitlines()[1])["draws"][0]
-        assert list(document["assignments"].items()) == [("a", "3"), ("b", "2")]
-        assert list(document["specialisations"].items()) == [("s", 5), ("t", 2)]
+        assert list(document["skippedMerges"].items()) == [("c5", ["c1", "c3", "c2"]), ("c6", ["c1"])]
 
     def test_no_cache_state_outlives_a_write(self, tmp_path):
-        assignments = (("v0", "alice"), ("v1", "bob"))
-        steps = (("concept-type:c0", 1),)
+        assignments = {"v0": "alice", "v1": "bob"}
+        steps = {"concept-type:c0": 1}
         references = sys.getrefcount(assignments), sys.getrefcount(steps)
-        for number, merged in enumerate([(("c2", "c1"),), (("c5", "c4"),)]):
+        for number, merged in enumerate([{"c2": "c1"}, {"c5": "c4"}]):
             draw = ComponentDraw("g0", assignments, steps, merged, ())
             provenances = [GenerationProvenance((draw,))]
             text = derivations(tmp_path / f"ds-{number}", provenances)
             assert text == derivations_text(provenances)
             del draw, provenances
-            # Nothing the write cached still holds the tuples it was given.
+            # Nothing the write cached still holds the dicts it was given.
             assert (sys.getrefcount(assignments), sys.getrefcount(steps)) == references
 
     def test_generated_derivations(self, generated, tmp_path):
