@@ -1,16 +1,16 @@
 """Automatic input generation: vocabularies, gamma-CGs and variables.
 
-Every numeric parameter is a ParamSpec, either fixed or normal(mean,
-stddev); sampling rounds the draw and clamps it into the parameter's valid
-range. Each stage consumes an explicit RNG stream, so the three stages are
-independently reproducible.
+Every numeric parameter is a ParamSpec(mean, stddev), fixed when stddev is
+0 and normal otherwise; sampling rounds the draw and clamps it into the
+parameter's valid range. Each stage consumes an explicit RNG stream, so the
+three stages are independently reproducible.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from operator import itemgetter
-from typing import NamedTuple
 
 from .core import (
     CONCEPT,
@@ -46,12 +46,7 @@ _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
 
-class _ParamSpec(NamedTuple):
-    mean: float
-    stddev: float = 0.0
-
-
-class ParamSpec(_ParamSpec):
+class ParamSpec(namedtuple("ParamSpec", "mean stddev", defaults=(0.0,))):
     """A number, optionally blurred by a normal distribution."""
 
     __slots__ = ()
@@ -61,12 +56,8 @@ class ParamSpec(_ParamSpec):
             raise ConfigError("stddev must be >= 0")
 
     @classmethod
-    def fixed(cls, value: float) -> "ParamSpec":
+    def fixed(cls, value: float) -> ParamSpec:
         return cls(value, 0.0)
-
-    @classmethod
-    def normal(cls, mean: float, stddev: float) -> "ParamSpec":
-        return cls(mean, stddev)
 
 
 def sample_param(spec: ParamSpec, bounds: tuple[int, int], rng: random.Random) -> int:
@@ -81,20 +72,18 @@ def sample_param(spec: ParamSpec, bounds: tuple[int, int], rng: random.Random) -
     return round(max(lo, min(hi, value)))
 
 
-class _AutoVocConfig(NamedTuple):
-    concept_depth: ParamSpec
-    relation_depth: ParamSpec
-    max_children: ParamSpec
-    markers_per_type: ParamSpec
-    arities: tuple[int, ...] = (1, 2, 3)
-
-
-class AutoVocConfig(_AutoVocConfig):
+class AutoVocConfig(
+    namedtuple(
+        "AutoVocConfig",
+        "concept_depth relation_depth max_children markers_per_type arities",
+        defaults=((1, 2, 3),),
+    )
+):
     """Parameters of the vocabulary builder: tree depths, branching, markers."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "AutoVocConfig":
+    def __new__(cls, *args, **kwargs) -> AutoVocConfig:
         self = super().__new__(cls, *args, **kwargs)
         if not self.arities:
             raise ConfigError("at least one relation arity is required")
@@ -103,17 +92,11 @@ class AutoVocConfig(_AutoVocConfig):
         return super().__new__(cls, *self[:-1], tuple(sorted(set(self.arities))))
 
 
-class AutoGcgConfig(NamedTuple):
-    count: ParamSpec
-    min_size: ParamSpec
-
-
-class AutoVarConfig(NamedTuple):
-    concept_vars: ParamSpec
-    relation_vars: ParamSpec
-    marker_vars: ParamSpec
-    values_per_variable: ParamSpec
-    specialisations: ParamSpec
+AutoGcgConfig = namedtuple("AutoGcgConfig", "count min_size")
+AutoVarConfig = namedtuple(
+    "AutoVarConfig",
+    "concept_vars relation_vars marker_vars values_per_variable specialisations",
+)
 
 
 class _LabelMaker:
@@ -222,11 +205,10 @@ def auto_vocabulary(config: AutoVocConfig, rng: random.Random) -> Vocabulary:
     return Vocabulary(concepts, relations, signatures, markers)
 
 
-class AutoGcgResult(NamedTuple):
+class AutoGcgResult(namedtuple("AutoGcgResult", "gammas vocabulary")):
     """Built gamma-CGs plus the vocabulary extended with any minted markers."""
 
-    gammas: tuple[GammaCG, ...]
-    vocabulary: Vocabulary
+    __slots__ = ()
 
 
 def _signature_component(
@@ -305,9 +287,7 @@ def auto_gamma_cgs(
     return AutoGcgResult(tuple(gammas), vocab.with_markers(mint.minted.values()))
 
 
-class AutoVarResult(NamedTuple):
-    gammas: tuple[GammaCG, ...]
-    warnings: tuple[str, ...]
+AutoVarResult = namedtuple("AutoVarResult", "gammas warnings")
 
 
 def auto_variables(

@@ -33,8 +33,8 @@ import math
 import os
 import shutil
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import formats
 from .autogen import (
@@ -64,26 +64,26 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 
-def _check_keys(section: dict[str, Any], allowed: set[str], label: str) -> None:
+def _check_keys(section: dict[str, object], allowed: set[str], label: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {label}: {', '.join(unknown)}")
 
 
-def _integer(value: Any, label: str) -> int:
+def _integer(value: object, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{label} must be an integer")
     return value
 
 
-def _number(value: Any, label: str) -> float:
+def _number(value: object, label: str) -> float:
     # JSON true and false load as bool, a subclass of int; NaN loads as a float.
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{label} must be a number")
     return float(value)
 
 
-def _param(value: Any, label: str) -> ParamSpec:
+def _param(value: object, label: str) -> ParamSpec:
     if isinstance(value, (int, float)):
         return ParamSpec.fixed(_number(value, label))
     if isinstance(value, dict):
@@ -96,7 +96,7 @@ def _param(value: Any, label: str) -> ParamSpec:
     raise ConfigError(f"{label} must be a number or {{mean, stddev}}")
 
 
-def _record(record: Any, label: str, keys: Sequence[str], *values: Any) -> Any:
+def _record(record: type, label: str, keys: Sequence[str], *values: object) -> object:
     """``record(*values)``; a ConfigError that names a field first gets the field's key path.
 
     ``keys`` are the config keys of the record's fields, in field order.
@@ -109,7 +109,7 @@ def _record(record: Any, label: str, keys: Sequence[str], *values: Any) -> Any:
 
 
 # The record of each section and the section's keys, in the record's field order.
-_SECTIONS: dict[str, tuple[Any, tuple[str, ...]]] = {
+_SECTIONS: dict[str, tuple[type, tuple[str, ...]]] = {
     "autoVoc": (
         AutoVocConfig,
         ("conceptDepth", "relationDepth", "maxChildren", "markersPerType", "arities"),
@@ -123,7 +123,7 @@ _SECTIONS: dict[str, tuple[Any, tuple[str, ...]]] = {
 }
 
 
-def _section(doc: dict[str, Any], name: str, optional: str) -> tuple[Any, Sequence[str], dict]:
+def _section(doc: dict[str, object], name: str, optional: str) -> tuple[type, Sequence[str], dict]:
     """Section ``name``'s record, keys and object: its keys only, each present but ``optional``."""
     record, keys = _SECTIONS[name]
     section = doc.get(name)
@@ -136,7 +136,7 @@ def _section(doc: dict[str, Any], name: str, optional: str) -> tuple[Any, Sequen
     return record, keys, section
 
 
-def _auto_config(doc: dict[str, Any], name: str) -> Any:
+def _auto_config(doc: dict[str, object], name: str) -> object:
     """The record of auto-* section ``name``: a parameter per key but autoVoc's ``arities``."""
     record, keys, section = _section(doc, name, optional="arities")
     values = [_param(section[key], f"{name}.{key}") for key in keys if key != "arities"]
@@ -148,13 +148,13 @@ def _auto_config(doc: dict[str, Any], name: str) -> Any:
     return _record(record, name, keys, *values)
 
 
-def _generator_config(doc: dict[str, Any], seed: int) -> GeneratorConfig:
+def _generator_config(doc: dict[str, object], seed: int) -> GeneratorConfig:
     record, keys, section = _section(doc, "generator", optional="maxSpe")
     values = [_integer(section.get(key, 0), f"generator.{key}") for key in keys]
     return _record(record, "generator", keys, *values, seed)
 
 
-def _load_config_doc(config_path: str) -> tuple[dict[str, Any], Path]:
+def _load_config_doc(config_path: str) -> tuple[dict[str, object], Path]:
     """The config document, an absent or null ``inputs`` read as ``{}``, and its folder."""
     path = Path(config_path)
     doc = formats.read_json(path)
@@ -167,7 +167,7 @@ def _load_config_doc(config_path: str) -> tuple[dict[str, Any], Path]:
     return doc, path.parent
 
 
-def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
+def _resolve_seed(doc: dict[str, object], override: int | None) -> int:
     seed = doc.get("seed")
     if seed is not None:
         # Checked even when --seed overrides it.
@@ -182,7 +182,7 @@ def _resolve_seed(doc: dict[str, Any], override: int | None) -> int:
     return secrets.randbits(63)
 
 
-def _source(doc: dict[str, Any], key: str, section: str, noun: str) -> Any:
+def _source(doc: dict[str, object], key: str, section: str, noun: str) -> object:
     """``inputs.<key>``, or None when auto-* ``section`` makes it; exactly one must be given.
 
     A key counts as given whatever its value, unless that is null.
@@ -193,7 +193,7 @@ def _source(doc: dict[str, Any], key: str, section: str, noun: str) -> Any:
     return source
 
 
-def _resolve_vocabulary(doc: dict[str, Any], base: Path, seed: int) -> Callable[[], Vocabulary]:
+def _resolve_vocabulary(doc: dict[str, object], base: Path, seed: int) -> Callable[[], Vocabulary]:
     """Checks the vocabulary source; the stage that reads ``inputs.vocabulary`` or runs autoVoc."""
     path = doc["inputs"].get("vocabulary")
     if path is not None and not isinstance(path, str):
@@ -206,7 +206,7 @@ def _resolve_vocabulary(doc: dict[str, Any], base: Path, seed: int) -> Callable[
     return lambda: auto_vocabulary(config, derive_rng(seed, "auto-voc"))
 
 
-def _gamma_paths(source: Any, base: Path) -> list[Path]:
+def _gamma_paths(source: object, base: Path) -> list[Path]:
     if isinstance(source, str):
         if not source:
             raise ConfigError("inputs.gammas must not be empty")
@@ -224,13 +224,13 @@ def _gamma_paths(source: Any, base: Path) -> list[Path]:
     raise ConfigError("inputs.gammas must be a directory or a list of files")
 
 
-def _resolve_gammas(doc: dict[str, Any], base: Path) -> list[Path] | AutoGcgConfig:
+def _resolve_gammas(doc: dict[str, object], base: Path) -> list[Path] | AutoGcgConfig:
     """The gamma-CGs' files or their autoGcg parameters."""
     source = _source(doc, "gammas", "autoGcg", "gamma-CG")
     return _auto_config(doc, "autoGcg") if source is None else _gamma_paths(source, base)
 
 
-def _load_gammas(doc: dict[str, Any], paths: list[Path], vocab: Vocabulary) -> list[GammaCG]:
+def _load_gammas(doc: dict[str, object], paths: list[Path], vocab: Vocabulary) -> list[GammaCG]:
     """The gamma-CGs in ``paths``, checked first when auto-var will run.
 
     Auto-var computes admissible domains from the graphs' labels, so an
@@ -339,7 +339,7 @@ def _config_command(body: Callable[..., str]) -> Callable[[argparse.Namespace], 
 
 
 @_config_command
-def _cmd_generate(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+def _cmd_generate(doc: dict[str, object], base: Path, seed: int, out: Path) -> str:
     make_vocabulary = _resolve_vocabulary(doc, base, seed)
     gamma_source = _resolve_gammas(doc, base)
     variables = _auto_config(doc, "autoVar") if "autoVar" in doc else None
@@ -359,14 +359,14 @@ def _cmd_generate(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
 
 
 @_config_command
-def _cmd_auto_voc(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+def _cmd_auto_voc(doc: dict[str, object], base: Path, seed: int, out: Path) -> str:
     vocab = auto_vocabulary(_auto_config(doc, "autoVoc"), derive_rng(seed, "auto-voc"))
     formats.save_vocabulary(out / formats.VOCABULARY_FILE, vocab)
     return f"wrote {out / formats.VOCABULARY_FILE}"
 
 
 @_config_command
-def _cmd_auto_gcg(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+def _cmd_auto_gcg(doc: dict[str, object], base: Path, seed: int, out: Path) -> str:
     make_vocabulary = _resolve_vocabulary(doc, base, seed)
     config = _auto_config(doc, "autoGcg")
     result = auto_gamma_cgs(make_vocabulary(), config, derive_rng(seed, "auto-gcg"))
@@ -375,7 +375,7 @@ def _cmd_auto_gcg(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
 
 
 @_config_command
-def _cmd_auto_var(doc: dict[str, Any], base: Path, seed: int, out: Path) -> str:
+def _cmd_auto_var(doc: dict[str, object], base: Path, seed: int, out: Path) -> str:
     make_vocabulary = _resolve_vocabulary(doc, base, seed)
     source = doc["inputs"].get("gammas")
     if source is None:
@@ -428,7 +428,7 @@ def _validate_directory(directory: Path, diagnostics: list[str]) -> None:
         diagnostics.extend(lines)
 
 
-def _admit(path: Path, vocab: Vocabulary | None, kind: Any) -> None:
+def _admit(path: Path, vocab: Vocabulary | None, kind: object) -> None:
     """Refuse a file ``cggen validate`` cannot check, before it is loaded."""
     if kind not in ("vocabulary", "cg", "gamma-cg"):
         raise ConfigError(f"{path}: cannot validate documents of kind {kind!r}")

@@ -7,10 +7,13 @@ carry a type and an optional marker, relation nodes carry a type and an
 ordered argument list of concept node ids (the same concept may fill several
 positions).
 
-Records here and in the other modules are immutable named tuples (the
-package imports no ``dataclasses``). A record that checks its fields does so
-in ``__init__``; one that rewrites a field does so in ``__new__``.
-``_replace`` and ``_make`` skip both, so build a new record instead.
+Records here and in the other modules are immutable named tuples, each one
+class built on ``collections.namedtuple`` (the package imports neither
+``dataclasses`` nor ``typing``). Subclassing the namedtuple lets the record's
+own class check its fields in ``__init__`` and rewrite one in ``__new__``,
+which a ``typing.NamedTuple`` class body forbids. ``_replace`` and ``_make``
+skip both methods, so build a new record instead.
+
 Construction validates the structural invariants and precomputes each
 hierarchy's order as the maps ``TypeHierarchy.up``, ``down`` and
 ``children``, so every order question is an O(1) lookup: a <= b is
@@ -21,9 +24,10 @@ is the checked entry point for a type that has not been validated yet.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ArityError,
@@ -40,24 +44,20 @@ def _read_only(self: object, name: str, *value: object) -> None:
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
-class _TypeHierarchy(NamedTuple):
-    kind: str
-    root: str
-    labels: dict[str, str]
-    parents: dict[str, tuple[str, ...]]
-    arity: int | None = None
-
-
-class TypeHierarchy(_TypeHierarchy):
+class TypeHierarchy(
+    namedtuple("TypeHierarchy", "kind root labels parents arity", defaults=(None,))
+):
     """A partially ordered set of types stored as a direct-parent DAG.
 
-    ``parents`` maps every type id to its direct parents; the root maps to
-    an empty tuple. Auto-generated hierarchies are trees, hand-authored ones
-    may be DAGs. The order is computed eagerly at construction into three
-    maps: ``up[a]`` holds a's ancestors and a itself, so a <= b is
-    ``b in up[a]``; ``down[a]`` holds a's descendants and a itself;
-    ``children[a]`` holds a's direct children, sorted. The maps are
-    unchecked: an unknown ``a`` raises KeyError. Equality ignores them.
+    ``labels`` maps every type id to its unique label and ``parents`` to its
+    direct parents; the root maps to an empty tuple. A relation hierarchy
+    carries its ``arity``, a concept hierarchy None. Auto-generated
+    hierarchies are trees, hand-authored ones may be DAGs. The order is
+    computed eagerly at construction into three maps: ``up[a]`` holds a's
+    ancestors and a itself, so a <= b is ``b in up[a]``; ``down[a]`` holds
+    a's descendants and a itself; ``children[a]`` holds a's direct
+    children, sorted. The maps are unchecked: an unknown ``a`` raises
+    KeyError. Equality ignores them.
     """
 
     # No __slots__: the three maps live in the instance dict, set once here.
@@ -100,40 +100,54 @@ class TypeHierarchy(_TypeHierarchy):
                 if parent in parent_ids[:index]:
                     raise VocabularyError(f"type {type_id!r} lists parent {parent!r} twice")
 
+        # Depth first from each type in turn, parents in order, on a stack
+        # rather than by recursion, so that no chain is too deep. ``stack``
+        # holds the path from ``start`` with each type's parents still to
+        # visit; ``trail`` holds the same types, in path order. Every
+        # non-root type has a parent and the root has none, so each acyclic
+        # walk ends at the root.
+        parents = self.parents
         up: dict[str, frozenset[str]] = {}
-
-        def resolve(type_id: str, trail: tuple[str, ...]) -> frozenset[str]:
-            if type_id in trail:
-                cycle = " -> ".join(trail + (type_id,))
-                raise VocabularyError(f"cycle in hierarchy order: {cycle}")
-            cached = up.get(type_id)
-            if cached is not None:
-                return cached
-            acc = {type_id}
-            for parent in self.parents[type_id]:
-                acc |= resolve(parent, trail + (type_id,))
-            result = frozenset(acc)
-            up[type_id] = result
-            return result
-
-        for type_id in self.labels:
-            if self.root not in resolve(type_id, ()):
-                raise VocabularyError(f"type {type_id!r} does not reach root")
+        for start in self.labels:
+            if start in up:
+                continue
+            stack = [(start, iter(parents[start]))]
+            trail = {start: None}
+            while stack:
+                type_id, ahead = stack[-1]
+                for parent in ahead:
+                    if parent not in up:
+                        break
+                else:
+                    stack.pop()
+                    del trail[type_id]
+                    acc = {type_id}
+                    for parent in parents[type_id]:
+                        acc |= up[parent]
+                    up[type_id] = frozenset(acc)
+                    continue
+                if parent in trail:
+                    cycle = " -> ".join([*trail, parent])
+                    raise VocabularyError(f"cycle in hierarchy order: {cycle}")
+                stack.append((parent, iter(parents[parent])))
+                trail[parent] = None
 
         children: dict[str, list[str]] = {type_id: [] for type_id in self.labels}
         for type_id, parent_ids in self.parents.items():
             for parent in parent_ids:
                 children[parent].append(type_id)
 
-        down: dict[str, set[str]] = {type_id: set() for type_id in self.labels}
-        for type_id, ups in up.items():
-            for above in ups:
-                down[above].add(type_id)
+        # ``up`` lists each type after its parents, so in reverse each comes
+        # after its children.
+        down: dict[str, frozenset[str]] = {}
+        for type_id in reversed(up):
+            acc = {type_id}
+            for kid in children[type_id]:
+                acc |= down[kid]
+            down[type_id] = frozenset(acc)
 
         object.__setattr__(self, "up", up)
-        object.__setattr__(
-            self, "down", {type_id: frozenset(below) for type_id, below in down.items()}
-        )
+        object.__setattr__(self, "down", {type_id: down[type_id] for type_id in self.labels})
         object.__setattr__(
             self, "children", {type_id: tuple(sorted(kids)) for type_id, kids in children.items()}
         )
@@ -176,33 +190,29 @@ def _walk_down(
     return current, taken
 
 
-class Signature(NamedTuple):
+class Signature(namedtuple("Signature", "relation_type restrictions")):
     """Per relation type, the ordered concept-type restrictions of its arguments."""
 
-    relation_type: str
-    restrictions: tuple[str, ...]
+    __slots__ = ()
 
 
-class Marker(NamedTuple):
+class Marker(namedtuple("Marker", "marker_id type_id")):
     """An individual marker and the concept type it instantiates."""
 
-    marker_id: str
-    type_id: str
+    __slots__ = ()
 
 
-class _Vocabulary(NamedTuple):
-    concepts: TypeHierarchy
-    relations: dict[int, TypeHierarchy]
-    signatures: dict[str, Signature]
-    markers: dict[str, Marker]
+class Vocabulary(namedtuple("Vocabulary", "concepts relations signatures markers")):
+    """The ontological bundle: concept types, relation types, signatures, markers.
 
-
-class Vocabulary(_Vocabulary):
-    """The ontological bundle: concept types, relation types, signatures, markers."""
+    ``relations`` maps each arity to its relation hierarchy, ``signatures``
+    each relation type id to its Signature, and ``markers`` each marker id
+    to its Marker.
+    """
 
     __setattr__ = __delattr__ = _read_only
 
-    def __new__(cls, concepts, relations, signatures, markers=None) -> "Vocabulary":
+    def __new__(cls, concepts, relations, signatures, markers=None) -> Vocabulary:
         markers = {} if markers is None else markers
         self = super().__new__(cls, concepts, relations, signatures, markers)
         if self.concepts.kind != CONCEPT:
@@ -298,7 +308,7 @@ class Vocabulary(_Vocabulary):
         by_type = self._markers_by_type  # type: ignore[attr-defined]
         return sorted([marker_id for type_id in type_ids for marker_id in by_type.get(type_id, ())])
 
-    def with_markers(self, extra: Iterable[Marker]) -> "Vocabulary":
+    def with_markers(self, extra: Iterable[Marker]) -> Vocabulary:
         """A copy of this vocabulary with additional markers registered, in id order."""
         merged = dict(self.markers)
         # A Marker tuple sorts by its id first.
@@ -336,36 +346,28 @@ def signature_admits(
     )
 
 
-class ConceptNode(NamedTuple):
+class ConceptNode(namedtuple("ConceptNode", "node_id type_id marker", defaults=(None,))):
     """A concept node: a type plus an optional individual marker."""
 
-    node_id: str
-    type_id: str
-    marker: str | None = None
+    __slots__ = ()
 
 
-class RelationNode(NamedTuple):
+class RelationNode(namedtuple("RelationNode", "node_id type_id args")):
     """A relation node: a type plus its ordered concept arguments."""
 
-    node_id: str
-    type_id: str
-    args: tuple[str, ...]
+    __slots__ = ()
 
 
 _NODE_ID = itemgetter(0)
 _ARGS = itemgetter(2)
 
 
-class _ConceptualGraph(NamedTuple):
-    concepts: dict[str, ConceptNode]
-    relations: dict[str, RelationNode]
-
-
-class ConceptualGraph(_ConceptualGraph):
+class ConceptualGraph(namedtuple("ConceptualGraph", "concepts relations")):
     """A bipartite labeled multigraph of concept and relation nodes.
 
-    Edges are materialized as the relation nodes' argument lists; positions
-    are 0-based. Node ids are unique across both node kinds and every
+    ``concepts`` and ``relations`` map each node id to its node. Edges are
+    materialized as the relation nodes' argument lists; positions are
+    0-based. Node ids are unique across both node kinds and every
     argument must reference a concept node of the same graph.
     """
 
@@ -408,14 +410,11 @@ class ConceptualGraph(_ConceptualGraph):
         return len(self.concepts) + len(self.relations)
 
 
-class Violation(NamedTuple):
-    code: str
-    subject: str
-    message: str
+Violation = namedtuple("Violation", "code subject message")
 
 
-class ValidationReport(NamedTuple):
-    violations: tuple[Violation, ...]
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         return [f"{v.code} {v.subject}: {v.message}" for v in self.violations]

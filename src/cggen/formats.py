@@ -13,10 +13,12 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from io import BufferedReader
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CONCEPT,
@@ -52,7 +54,7 @@ _dumps = json.encoder.c_make_encoder(
 )
 
 
-def _document(kind: str, **members: Any) -> bytes:
+def _document(kind: str, **members: object) -> bytes:
     """json.dumps of a ``kind`` document, as bytes ending in a newline.
 
     ``formatVersion`` and ``kind`` come first, then ``members`` in order.
@@ -141,12 +143,12 @@ def _decode(data: bytes, where: "Path | str") -> str:
         raise FormatError(f"{where}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
-def read_json(path: Path) -> dict[str, Any]:
+def read_json(path: Path) -> dict[str, object]:
     """The JSON object in ``path``; a ``FormatError`` naming the file otherwise."""
     return _object_in(_read_text(path), path)
 
 
-def _object_in(text: str, path: Path, line: int | None = None) -> dict[str, Any]:
+def _object_in(text: str, path: Path, line: int | None = None) -> dict[str, object]:
     """The JSON object in ``text``, which is ``path`` or its line ``line``."""
     where = path if line is None else f"{path}:{line}"
     try:
@@ -160,7 +162,7 @@ def _object_in(text: str, path: Path, line: int | None = None) -> dict[str, Any]
     return document
 
 
-def _check_header(document: dict[str, Any], path: "Path | str", kind: str) -> None:
+def _check_header(document: dict[str, object], path: "Path | str", kind: str) -> None:
     version = document.get("formatVersion")
     if not isinstance(version, str):
         raise FormatError(f"{path}: missing formatVersion")
@@ -188,13 +190,13 @@ _STRINGS = {"type": "array", "items": _STRING}
 _STEPS = {"type": "integer", "minimum": 0}
 
 
-def _table(*optional: str, **properties: dict[str, Any]) -> dict[str, Any]:
+def _table(*optional: str, **properties: dict[str, object]) -> dict[str, object]:
     """An object with these properties, each required unless named in ``optional``."""
     required = [key for key in properties if key not in optional]
     return {"type": "object", "properties": properties, "required": required}
 
 
-def _entries(table: dict[str, Any]) -> dict[str, Any]:
+def _entries(table: dict[str, object]) -> dict[str, object]:
     """An array of objects, each checked against ``table``."""
     return {"type": "array", "items": dict(table, message="{where} must be an object")}
 
@@ -251,12 +253,12 @@ _PYTHON_TYPES = {
 }
 
 
-def _types(table: dict[str, Any]) -> list[type]:
+def _types(table: dict[str, object]) -> list[type]:
     kinds = table["type"] if isinstance(table["type"], list) else [table["type"]]
     return [python for kind in kinds for python in _PYTHON_TYPES[kind]]
 
 
-def _constraint(table: dict[str, Any]) -> Callable[[list[Any]], bool] | None:
+def _constraint(table: dict[str, object]) -> Callable[[list[object]], bool] | None:
     """Whether the values of a column, all of accepted types, pass what ``table`` also says."""
     if "minimum" in table:
         low, high = table["minimum"], table.get("maximum", math.inf)
@@ -268,8 +270,8 @@ def _constraint(table: dict[str, Any]) -> Callable[[list[Any]], bool] | None:
 
 
 def _compile(
-    table: dict[str, Any], name: str = ""
-) -> Callable[[Iterable[Any], dict[str, list[Any]]], bool]:
+    table: dict[str, object], name: str = ""
+) -> Callable[[Iterable[object], dict[str, list[object]]], bool]:
     """The bulk check of a column of values that ``table`` describes, built once per table.
 
     ``check(column, columns)`` tells whether every value fits, checking the
@@ -288,7 +290,7 @@ def _compile(
     if not (properties or items or values or constraint):
         return lambda column, columns: accepts(map(type, column))
 
-    def check(column: Iterable[Any], columns: dict[str, list[Any]]) -> bool:
+    def check(column: Iterable[object], columns: dict[str, list[object]]) -> bool:
         column = column if type(column) is list else [*column]
         if not accepts(map(type, column)):
             return False
@@ -308,7 +310,9 @@ def _compile(
     return check
 
 
-def _locate(table: dict[str, Any], value: Any, path: Path, where: str, field: str = "") -> None:
+def _locate(
+    table: dict[str, object], value: object, path: Path, where: str, field: str = ""
+) -> None:
     """Raise the error of the first value, depth first, that does not fit ``table``."""
     types, constraint = _types(table), _constraint(table)
     if type(value) not in types or not (constraint is None or constraint([value])):
@@ -333,9 +337,9 @@ def _locate(table: dict[str, Any], value: Any, path: Path, where: str, field: st
 _BULK = {kind: _compile(table) for kind, table in _CHECKED.items()}
 
 
-def _check(kind: str, document: dict[str, Any], path: "Path | str") -> dict[str, list[Any]]:
+def _check(kind: str, document: dict[str, object], path: "Path | str") -> dict[str, list[object]]:
     """The columns of ``document`` if it fits the table of ``kind``; else its first fault."""
-    columns: dict[str, list[Any]] = {}
+    columns: dict[str, list[object]] = {}
     try:
         if _BULK[kind]([document], columns):
             return columns
@@ -345,16 +349,16 @@ def _check(kind: str, document: dict[str, Any], path: "Path | str") -> dict[str,
     raise AssertionError(f"{path}: the bulk check failed but the locator found no fault")
 
 
-def _checked(document: dict[str, Any], path: Path, kind: str) -> dict[str, list[Any]]:
+def _checked(document: dict[str, object], path: Path, kind: str) -> dict[str, list[object]]:
     """The columns of ``document``, once its header and fields are checked as a ``kind``."""
     _check_header(document, path, kind)
     return _check(kind, document, path)
 
 
-def _require_unique(ids: list[Any], distinct: int, path: Path, message: str) -> None:
+def _require_unique(ids: list[object], distinct: int, path: Path, message: str) -> None:
     """Unless ``ids`` holds ``distinct`` values, raise ``message`` at its first repeat."""
     if distinct != len(ids):
-        seen: set[Any] = set()
+        seen: set[object] = set()
         for index, item in enumerate(ids):
             if item in seen:
                 raise FormatError(f"{path}: " + message.format(id=item, index=index))
@@ -363,7 +367,7 @@ def _require_unique(ids: list[Any], distinct: int, path: Path, message: str) -> 
 
 def _hierarchy_doc(
     hierarchy: TypeHierarchy, signatures: dict[str, Signature] | None
-) -> dict[str, Any]:
+) -> dict[str, object]:
     """The "root" and "types" members of a hierarchy; relation types carry a "signature"."""
     labels, parents = hierarchy.labels, hierarchy.parents
     types = []
@@ -394,7 +398,7 @@ def save_vocabulary(path: "str | Path", vocab: Vocabulary) -> None:
 
 
 def _load_hierarchy(
-    entry: dict[str, Any], kind: str, arity: int | None, path: Path, where: str
+    entry: dict[str, object], kind: str, arity: int | None, path: Path, where: str
 ) -> TypeHierarchy:
     types = entry["types"]
     ids = [raw["id"] for raw in types]
@@ -412,7 +416,7 @@ def load_vocabulary(path: "str | Path") -> Vocabulary:
     return _vocabulary(read_json(path), path)
 
 
-def _vocabulary(document: dict[str, Any], path: Path) -> Vocabulary:
+def _vocabulary(document: dict[str, object], path: Path) -> Vocabulary:
     columns = _checked(document, path, "vocabulary")
     concepts = _load_hierarchy(document["conceptTypes"], CONCEPT, None, path, "conceptTypes")
     relations: dict[int, TypeHierarchy] = {}
@@ -438,7 +442,7 @@ def _vocabulary(document: dict[str, Any], path: Path) -> Vocabulary:
         raise VocabularyError(f"{path}: {exc}") from exc
 
 
-def _graph_doc(graph: ConceptualGraph) -> dict[str, list[dict[str, Any]]]:
+def _graph_doc(graph: ConceptualGraph) -> dict[str, list[dict[str, object]]]:
     """The "concepts" and "relations" members of a cg or gamma-cg document."""
     return {
         "concepts": [
@@ -458,7 +462,9 @@ _CONCEPT_COLUMNS = itemgetter(*_CONCEPT_KEYS)
 _RELATION_COLUMNS = itemgetter(*_RELATION_KEYS)
 
 
-def _load_graph(document: dict[str, Any], columns: dict[str, list], path: Path) -> ConceptualGraph:
+def _load_graph(
+    document: dict[str, object], columns: dict[str, list], path: Path
+) -> ConceptualGraph:
     # tuple.__new__ skips the Python-level __new__ of each node record.
     new = tuple.__new__
     ids, types, markers = _CONCEPT_COLUMNS(columns)
@@ -490,7 +496,7 @@ def load_cg(path: "str | Path") -> ConceptualGraph:
 
 
 def _cg(
-    document: dict[str, Any], path: Path, columns: dict[str, list] | None = None
+    document: dict[str, object], path: Path, columns: dict[str, list] | None = None
 ) -> ConceptualGraph:
     """The CG in ``document``, checked first unless ``columns`` are its columns, already checked."""
     if columns is None:
@@ -516,7 +522,7 @@ def load_gamma_cg(path: "str | Path") -> GammaCG:
     return _gamma_cg(read_json(path), path)
 
 
-def _gamma_cg(document: dict[str, Any], path: Path) -> GammaCG:
+def _gamma_cg(document: dict[str, object], path: Path) -> GammaCG:
     graph = _load_graph(document, _checked(document, path, "gamma-cg"), path)
     variables: list[Variable] = []
     for index, entry in enumerate(document["variables"]):
@@ -531,14 +537,14 @@ def _gamma_cg(document: dict[str, Any], path: Path) -> GammaCG:
         raise StructureError(f"{path}: {exc}") from exc
 
 
-_LOADERS: dict[str, Callable[[dict[str, Any], Path], Any]] = {
+_LOADERS: dict[str, Callable[[dict[str, object], Path], object]] = {
     "vocabulary": _vocabulary,
     "cg": _cg,
     "gamma-cg": _gamma_cg,
 }
 
 
-def _first_line(text: str, path: Path) -> dict[str, Any]:
+def _first_line(text: str, path: Path) -> dict[str, object]:
     """The object on the first line of ``text``, or ``{}`` if it holds none."""
     try:
         return _object_in(text.partition("\n")[0], path, 1)
@@ -547,7 +553,7 @@ def _first_line(text: str, path: Path) -> dict[str, Any]:
 
 
 def load_document(
-    path: "str | Path", admit: Callable[[Any], None] = lambda kind: None
+    path: "str | Path", admit: Callable[[object], None] = lambda kind: None
 ) -> Vocabulary | ConceptualGraph | GammaCG:
     """The vocabulary, CG or gamma-CG in ``path``, by its ``kind``, parsed once.
 
@@ -573,7 +579,7 @@ def load_document(
     return load(document, path)
 
 
-def _stats_doc(stats: DatasetStats) -> dict[str, Any]:
+def _stats_doc(stats: DatasetStats) -> dict[str, object]:
     return {
         "cgCount": stats.cg_count,
         "nbNodes": {"mean": stats.nb_nodes_mean, "stddev": stats.nb_nodes_stddev},
@@ -582,7 +588,7 @@ def _stats_doc(stats: DatasetStats) -> dict[str, Any]:
     }
 
 
-def _load_stats(document: dict[str, Any], path: Path) -> DatasetStats:
+def _load_stats(document: dict[str, object], path: Path) -> DatasetStats:
     arity_counts = document["arityCounts"]
     for key in arity_counts:
         if not key.isdecimal():
@@ -598,7 +604,7 @@ def _load_stats(document: dict[str, Any], path: Path) -> DatasetStats:
     )
 
 
-def _config_doc(config: GeneratorConfig) -> dict[str, Any]:
+def _config_doc(config: GeneratorConfig) -> dict[str, object]:
     return {
         "maxCGs": config.max_cgs,
         "minSize": config.min_size,
@@ -635,7 +641,7 @@ _MARKER_OF = itemgetter(2)  # ConceptNode.marker, read without a Python call
 
 
 def _check_kept(
-    columns: dict[str, list[Any]], graph: ConceptualGraph, path: Path, number: int, name: str
+    columns: dict[str, list[object]], graph: ConceptualGraph, path: Path, number: int, name: str
 ) -> None:
     """Unless each kept node of line ``number`` is a marked concept of CG ``name``, raise.
 
@@ -662,18 +668,13 @@ def _check_kept(
                 )
 
 
-class LoadedDataset(NamedTuple):
-    graphs: tuple[ConceptualGraph, ...]
-    config: dict[str, Any]
-    stats: DatasetStats
+LoadedDataset = namedtuple("LoadedDataset", "graphs config stats")
 
 
-class DatasetManifest(NamedTuple):
+class DatasetManifest(namedtuple("DatasetManifest", "files stats config")):
     """A dataset's checked manifest.json."""
 
-    files: tuple[str, ...]
-    stats: DatasetStats
-    config: dict[str, Any]
+    __slots__ = ()
 
 
 def read_manifest(directory: "str | Path") -> DatasetManifest:
@@ -694,12 +695,12 @@ def read_manifest(directory: "str | Path") -> DatasetManifest:
     return DatasetManifest(files=tuple(file_names), stats=stats, config=manifest["config"])
 
 
-def _readline(lines: BinaryIO, path: Path, number: int) -> str:
+def _readline(lines: BufferedReader, path: Path, number: int) -> str:
     """Line ``number`` of the derivations file ``path``, decoded on its own; "" past the end."""
     return _decode(lines.readline(), f"{path}:{number}")
 
 
-def _derivation(text: str, path: Path, number: int, name: str) -> dict[str, list[Any]]:
+def _derivation(text: str, path: Path, number: int, name: str) -> dict[str, list[object]]:
     """The columns of ``text``, line ``number`` of the derivations file ``path``, CG ``name``'s."""
     if not text:
         raise FormatError(f"{path}: no line {number}, the derivation of {name}")
@@ -721,7 +722,7 @@ _Entry = tuple[str, Path, int, str | FormatError, str | FormatError]
 
 
 def _batches(
-    directory: Path, files: Sequence[str], lines: BinaryIO, path: Path
+    directory: Path, files: Sequence[str], lines: BufferedReader, path: Path
 ) -> Iterator[list[_Entry]]:
     """The entry of each of ``files``, in order, in batches of at most ``_READ_BATCH_BYTES``.
 
@@ -768,7 +769,7 @@ def _text(read: str | FormatError) -> str:
     return read
 
 
-def _bulk(batch: list[_Entry]) -> tuple[list[dict[str, Any]], dict, dict] | None:
+def _bulk(batch: list[_Entry]) -> tuple[list[dict[str, object]], dict, dict] | None:
     """The CG documents of ``batch``, and the columns of its documents and of its lines.
 
     Each document and line is parsed, and each column is checked once for
@@ -785,8 +786,8 @@ def _bulk(batch: list[_Entry]) -> tuple[list[dict[str, Any]], dict, dict] | None
         return None
     if not all(type(document) is dict for document in documents):
         return None
-    graphs: dict[str, list[Any]] = {}
-    draws: dict[str, list[Any]] = {}
+    graphs: dict[str, list[object]] = {}
+    draws: dict[str, list[object]] = {}
     try:
         for document in documents:
             _check_header(document, "", "cg")

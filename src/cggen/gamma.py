@@ -22,8 +22,9 @@ The draw is compiled once per (vocabulary, gamma-CG) into a ``DrawPlan``.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     ConceptualGraph,
@@ -42,12 +43,7 @@ TARGET_MARKER = "marker"
 _TARGET_KINDS = (TARGET_RELATION_TYPE, TARGET_CONCEPT_TYPE, TARGET_MARKER)
 
 
-class _VariableTarget(NamedTuple):
-    kind: str
-    node_id: str
-
-
-class VariableTarget(_VariableTarget):
+class VariableTarget(namedtuple("VariableTarget", "kind node_id")):
     """The label slot a variable is bound to."""
 
     __slots__ = ()
@@ -57,28 +53,16 @@ class VariableTarget(_VariableTarget):
             raise StructureError(f"unknown variable target kind {self.kind!r}")
 
 
-class _Variable(NamedTuple):
-    name: str
-    target: VariableTarget
-    domain: tuple[str, ...]
-
-
-class Variable(_Variable):
+class Variable(namedtuple("Variable", "name target domain")):
     """A named variable with an explicit, canonically sorted value domain."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, target: VariableTarget, domain: Iterable[str]) -> "Variable":
+    def __new__(cls, name: str, target: VariableTarget, domain: Iterable[str]) -> Variable:
         return super().__new__(cls, name, target, tuple(sorted(set(domain))))
 
 
-class _GammaCG(NamedTuple):
-    name: str
-    graph: ConceptualGraph
-    variables: tuple[Variable, ...] = ()
-
-
-class GammaCG(_GammaCG):
+class GammaCG(namedtuple("GammaCG", "name graph variables", defaults=((),))):
     """A conceptual graph plus an ordered list of label variables.
 
     Zero variables are allowed so plain CGs flow through the same pipeline.
@@ -283,7 +267,7 @@ class MarkerMint:
         return found
 
 
-class InstantiationOutcome(NamedTuple):
+class InstantiationOutcome(namedtuple("InstantiationOutcome", "labels markers assignments")):
     """The drawn labels of one instantiation plus the audit trail.
 
     ``labels`` maps each type-variable slot's node id to its drawn type and
@@ -293,9 +277,7 @@ class InstantiationOutcome(NamedTuple):
     ``assignments`` object in ``derivations.jsonl``.
     """
 
-    labels: dict[str, str]
-    markers: dict[str, str]
-    assignments: dict[str, str]
+    __slots__ = ()
 
 
 def _arguments_getter(positions: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import chain
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ConceptNode,
@@ -70,14 +71,9 @@ def derive_rng(seed: int, *parts: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-class _GeneratorConfig(NamedTuple):
-    max_cgs: int
-    min_size: int
-    max_spe: int = 0
-    seed: int = 0
-
-
-class GeneratorConfig(_GeneratorConfig):
+class GeneratorConfig(
+    namedtuple("GeneratorConfig", "max_cgs min_size max_spe seed", defaults=(0, 0))
+):
     """Stopping conditions of the generation loop."""
 
     __slots__ = ()
@@ -91,7 +87,9 @@ class GeneratorConfig(_GeneratorConfig):
             raise ConfigError("max_spe must be >= 0")
 
 
-class ComponentDraw(NamedTuple):
+class ComponentDraw(
+    namedtuple("ComponentDraw", "gamma_name assignments specialisations merged skipped_merges")
+):
     """Provenance of one component absorbed into a generated CG.
 
     ``assignments`` (variable name to drawn value), ``specialisations``
@@ -103,25 +101,19 @@ class ComponentDraw(NamedTuple):
     adjacent; the file stores them grouped by absorbed node.
     """
 
-    gamma_name: str
-    assignments: dict[str, str]
-    specialisations: dict[str, int]
-    merged: dict[str, str]
-    skipped_merges: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
 
-class GenerationProvenance(NamedTuple):
+class GenerationProvenance(namedtuple("GenerationProvenance", "draws")):
     """The derivation of one generated CG: its draws, in order."""
 
-    draws: tuple[ComponentDraw, ...]
+    __slots__ = ()
 
 
-class DatasetResult(NamedTuple):
+class DatasetResult(namedtuple("DatasetResult", "graphs provenances vocabulary")):
     """Generated graphs, their provenance, and the marker-extended vocabulary."""
 
-    graphs: tuple[ConceptualGraph, ...]
-    provenances: tuple[GenerationProvenance, ...]
-    vocabulary: Vocabulary
+    __slots__ = ()
 
 
 # A relation row of DrawPlan.rows: its id, its type and the getter of its

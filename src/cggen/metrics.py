@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import ConceptualGraph
 from .errors import ConfigError
 
 
-class DatasetStats(NamedTuple):
+class DatasetStats(
+    namedtuple(
+        "DatasetStats",
+        "cg_count nb_nodes_mean nb_nodes_stddev nb_labels_mean nb_labels_stddev arity_counts",
+    )
+):
     """Per-dataset averages: nodes per CG, unique labels per CG, arity counts.
 
     Unique labels count concept types, relation types and markers together;
@@ -17,12 +23,7 @@ class DatasetStats(NamedTuple):
     counts are the mean number of relation nodes of each arity per CG.
     """
 
-    cg_count: int
-    nb_nodes_mean: float
-    nb_nodes_stddev: float
-    nb_labels_mean: float
-    nb_labels_stddev: float
-    arity_counts: dict[int, float]
+    __slots__ = ()
 
 
 def _pstdev(n: int, total: int, squares: int) -> float:

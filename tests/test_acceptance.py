@@ -280,10 +280,10 @@ def test_criterion_6_auto_voc_structure():
 
 
 BLURRED_VOC = AutoVocConfig(
-    concept_depth=ParamSpec.normal(5, 1),
-    relation_depth=ParamSpec.normal(4, 1),
-    max_children=ParamSpec.normal(3, 1),
-    markers_per_type=ParamSpec.normal(3, 1),
+    concept_depth=ParamSpec(5, 1),
+    relation_depth=ParamSpec(4, 1),
+    max_children=ParamSpec(3, 1),
+    markers_per_type=ParamSpec(3, 1),
     arities=(1, 2, 3),
 )
 PINNED_VOC = AutoVocConfig(

@@ -44,13 +44,13 @@ class TestSampleParam:
 
     def test_zero_variance_normal(self):
         rng = fresh_rng("sp3")
-        spec = ParamSpec.normal(5, 0)
+        spec = ParamSpec(5, 0)
         assert all(sample_param(spec, (1, 10), rng) == 5 for _ in range(100))
 
     def test_statistical_mean(self):
         # Clamping to [1, 10] is symmetric around the mean, so it stays 5.
         rng = fresh_rng("sp4")
-        spec = ParamSpec.normal(5, 2)
+        spec = ParamSpec(5, 2)
         draws = [sample_param(spec, (1, 10), rng) for _ in range(10_000)]
         assert all(1 <= d <= 10 for d in draws)
         assert abs(statistics.fmean(draws) - 5) < 0.1
@@ -58,12 +58,12 @@ class TestSampleParam:
     def test_draw_that_overflows_is_clamped(self):
         # gauss(1e308, 1e308) overflows to +-inf on some draws; they clamp to a bound.
         rng = fresh_rng("sp5")
-        spec = ParamSpec.normal(1e308, 1e308)
+        spec = ParamSpec(1e308, 1e308)
         assert all(0 <= sample_param(spec, (0, 10), rng) <= 10 for _ in range(100))
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(ConfigError):
-            ParamSpec.normal(5, -1)
+            ParamSpec(5, -1)
 
 
 class TestAutoVocabulary:

@@ -672,6 +672,24 @@ class TestValidateStatsDot:
         expected = f"type {entry['id']!r} lists parent {entry['parents'][0]!r} twice"
         assert line.startswith(f"{path}: ") and line.endswith(expected)
 
+    def test_validate_deep_vocabulary_listed_leaf_first(self, tiny_vocab, tmp_path):
+        # Saves order types by label, so labels that fall with depth list a
+        # chain leaf first: here 3000 types, each listed before its parent.
+        path = tmp_path / "voc.json"
+        save_vocabulary(path, tiny_vocab)
+        doc = json.loads(path.read_text())
+        chain = [
+            {"id": f"t{depth}", "label": f"L{2999 - depth:04d}", "parents": [f"t{depth - 1}"]}
+            for depth in range(3000)
+        ]
+        chain[0]["parents"] = []
+        doc["conceptTypes"] = {"root": "t0", "types": chain[::-1]}
+        top = {"id": "T1", "label": "T1", "parents": [], "signature": ["t0"]}
+        doc["relationTypes"] = [{"arity": 1, "root": "T1", "types": [top]}]
+        doc["markers"] = []
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+
     def test_validate_broken_cg_file(self, generated, tmp_path, capsys):
         graph = ConceptualGraph({"c0": ConceptNode("c0", "NoSuchType")}, {})
         path = tmp_path / "broken.json"

@@ -135,6 +135,36 @@ class TestHierarchyInvariants:
                 {"r": (), "a": ("b",), "b": ("a",)},
             )
 
+    @pytest.mark.parametrize(
+        "parents, cycle",
+        [
+            ({"a": ("b",), "b": ("a",)}, "a -> b -> a"),
+            ({"a": ("a",)}, "a -> a"),
+            # The path from the first type listed, parents in order, up to the
+            # first type met twice.
+            ({"c": ("a",), "a": ("r", "b"), "b": ("a",)}, "c -> a -> b -> a"),
+            ({"a": ("r",), "c": ("b", "a"), "b": ("d",), "d": ("b",)}, "c -> b -> d -> b"),
+        ],
+    )
+    def test_cycle_message_names_the_path(self, parents, cycle):
+        labels = {"r": "r", **{type_id: type_id for type_id in parents}}
+        with pytest.raises(VocabularyError) as err:
+            TypeHierarchy(CONCEPT, "r", labels, {"r": (), **parents})
+        assert str(err.value) == f"cycle in hierarchy order: {cycle}"
+
+    def test_deep_chain_listed_leaf_first(self):
+        # Each type waits on its parent, which comes later: 3000 levels deep.
+        ids = [f"t{depth}" for depth in range(3000)]
+        hierarchy = TypeHierarchy(
+            CONCEPT,
+            "t0",
+            {type_id: type_id for type_id in reversed(ids)},
+            {"t0": (), **{child: (parent,) for parent, child in zip(ids, ids[1:])}},
+        )
+        assert hierarchy.up["t2999"] == frozenset(ids)
+        assert hierarchy.down["t0"] == frozenset(ids)
+        assert hierarchy.up["t1500"] == frozenset(ids[:1501])
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(VocabularyError, match="duplicate label"):
             TypeHierarchy(

@@ -80,9 +80,20 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def _is_record(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``namedtuple("Name", ...)`` call."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "namedtuple"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+    )
+
+
 def test_every_definition_is_named_somewhere_else():
-    # A function, method or class whose name occurs in src/, bench/ and
-    # tests/ only as often as it is defined in the package is dead code.
+    # A function, method, class or record whose name occurs in src/, bench/
+    # and tests/ only as often as it is defined in the package is dead code.
+    # A record's definition also names it once in namedtuple("Name", ...).
     package = Path(cggen.__file__).resolve().parent
     defined: Counter = Counter()
     for path in package.glob("*.py"):
@@ -90,6 +101,10 @@ def test_every_definition_is_named_somewhere_else():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined[node.name] += 1
+            elif _is_record(node):
+                defined[node.args[0].value] += 1
+            elif isinstance(node, ast.Assign) and _is_record(node.value):
+                defined.update(target.id for target in node.targets)
     # Each word of every file, counted once: a name's count is its whole-word occurrences.
     words: Counter = Counter()
     for folder in ("src", "bench", "tests"):

@@ -1,6 +1,7 @@
-"""Record semantics: immutable fields, one constructor for positional and
-keyword calls, and an import that loads no record machinery."""
+"""Record semantics: fixed shapes, immutable fields, one constructor for
+positional and keyword calls, and an import that loads no record machinery."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -54,6 +55,104 @@ AUTO_VOC_NAMES = ("concept_depth", "relation_depth", "max_children", "markers_pe
 CONFIG_NAMES = ("max_cgs", "min_size", "max_spe", "seed")
 GAMMA_NAMES = ("name", "graph", "variables")
 VOCABULARY_NAMES = ("concepts", "relations", "signatures", "markers")
+
+
+# Every record class of the package, by module: its fields and their defaults.
+SHAPES = {
+    "core": {
+        "TypeHierarchy": (HIERARCHY_NAMES, {"arity": None}),
+        "Signature": (("relation_type", "restrictions"), {}),
+        "Marker": (("marker_id", "type_id"), {}),
+        "Vocabulary": (VOCABULARY_NAMES, {}),
+        "ConceptNode": (("node_id", "type_id", "marker"), {"marker": None}),
+        "RelationNode": (("node_id", "type_id", "args"), {}),
+        "ConceptualGraph": (("concepts", "relations"), {}),
+        "Violation": (("code", "subject", "message"), {}),
+        "ValidationReport": (("violations",), {}),
+    },
+    "autogen": {
+        "ParamSpec": (("mean", "stddev"), {"stddev": 0.0}),
+        "AutoVocConfig": (AUTO_VOC_NAMES, {"arities": (1, 2, 3)}),
+        "AutoGcgConfig": (("count", "min_size"), {}),
+        "AutoVarConfig": (
+            ("concept_vars", "relation_vars", "marker_vars", "values_per_variable", "specialisations"),
+            {},
+        ),
+        "AutoGcgResult": (("gammas", "vocabulary"), {}),
+        "AutoVarResult": (("gammas", "warnings"), {}),
+    },
+    "gamma": {
+        "VariableTarget": (("kind", "node_id"), {}),
+        "Variable": (("name", "target", "domain"), {}),
+        "GammaCG": (GAMMA_NAMES, {"variables": ()}),
+        "InstantiationOutcome": (("labels", "markers", "assignments"), {}),
+    },
+    "generator": {
+        "GeneratorConfig": (CONFIG_NAMES, {"max_spe": 0, "seed": 0}),
+        "ComponentDraw": (
+            ("gamma_name", "assignments", "specialisations", "merged", "skipped_merges"),
+            {},
+        ),
+        "GenerationProvenance": (("draws",), {}),
+        "DatasetResult": (("graphs", "provenances", "vocabulary"), {}),
+    },
+    "formats": {
+        "LoadedDataset": (("graphs", "config", "stats"), {}),
+        "DatasetManifest": (("files", "stats", "config"), {}),
+    },
+    "metrics": {
+        "DatasetStats": (
+            (
+                "cg_count",
+                "nb_nodes_mean",
+                "nb_nodes_stddev",
+                "nb_labels_mean",
+                "nb_labels_stddev",
+                "arity_counts",
+            ),
+            {},
+        ),
+    },
+    "cli": {},
+}
+
+
+def record_classes(module_name):
+    """The tuple classes a module of the package defines and binds to a name."""
+    module = importlib.import_module(f"cggen.{module_name}")
+    return {
+        name: value
+        for name, value in vars(module).items()
+        if isinstance(value, type)
+        and issubclass(value, tuple)
+        and value.__module__ == module.__name__
+    }
+
+
+def test_record_shapes():
+    for module_name, shapes in SHAPES.items():
+        classes = record_classes(module_name)
+        for name, (fields, defaults) in shapes.items():
+            cls = classes[name]
+            assert (cls._fields, cls._field_defaults) == (fields, defaults), name
+
+
+def test_every_record_is_one_pinned_class():
+    modules = {path.stem for path in (SRC / "cggen").glob("*.py")} - {"__init__", "__main__", "errors"}
+    assert modules == set(SHAPES)
+    for module_name, shapes in SHAPES.items():
+        assert set(record_classes(module_name)) == set(shapes), module_name
+
+
+def test_only_hierarchies_and_vocabularies_carry_an_instance_dict():
+    # A record subclass without __slots__ = () gives every instance a dict.
+    with_dict = {
+        name
+        for module_name in SHAPES
+        for name, cls in record_classes(module_name).items()
+        if hasattr(cls._make(range(len(cls._fields))), "__dict__")
+    }
+    assert with_dict == {"TypeHierarchy", "Vocabulary"}
 
 
 def record_instances(vocab):
@@ -191,7 +290,8 @@ def loaded_by_cli_import(*modules):
 
 
 def test_import_loads_no_record_machinery():
-    assert loaded_by_cli_import("dataclasses", "inspect", "concurrent.futures") == "[]"
+    modules = ("dataclasses", "inspect", "concurrent.futures", "typing")
+    assert loaded_by_cli_import(*modules) == "[]"
 
 
 def test_import_loads_no_openssl():
